@@ -11,7 +11,8 @@
 //!   feeds periods to workstation B; a reclamation mid-period kills the
 //!   period's work and ends the episode. Fluid mode reproduces eq (2.1)'s
 //!   accounting; task mode executes a real [`cs_tasks::TaskBag`] chunk by
-//!   chunk.
+//!   chunk. [`EpisodeTable`] precomputes a fixed schedule's episode as a
+//!   function of the reclaim time, so a trial is a binary search.
 //! * [`montecarlo`] — estimates `E[work]` by simulating many episodes with
 //!   reclamation times drawn from the life function (inverse transform),
 //!   serially or on the `cs-pool` work-stealing runtime (bit-identical to
@@ -30,7 +31,9 @@ pub mod montecarlo;
 pub mod policy;
 pub mod stats;
 
-pub use episode::{run_episode, run_episode_observed, run_episode_tasks, EpisodeOutcome};
+pub use episode::{
+    run_episode, run_episode_observed, run_episode_tasks, EpisodeOutcome, EpisodeTable,
+};
 pub use montecarlo::{
     simulate_expected_work, simulate_expected_work_observed, simulate_expected_work_parallel,
     simulate_expected_work_parallel_metrics, simulate_expected_work_parallel_observed,
