@@ -879,6 +879,7 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             .int("records", stats.records)
             .int("syncs", stats.syncs)
             .int("snapshots_written", stats.snapshots_written)
+            .int("snapshot_bytes", stats.snapshot_bytes)
             .int("ring", u64::from(snapshot_ring))
             .int("gc_truncated_records", stats.gc_truncated_records)
             .int("gc_truncated_bytes", stats.gc_truncated_bytes)

@@ -172,6 +172,8 @@ pub struct DurableStats {
     pub syncs: u64,
     /// Snapshot sidecars successfully written.
     pub snapshots_written: u64,
+    /// Total bytes of those sidecars.
+    pub snapshot_bytes: u64,
     /// Journal records truncated by prefix GC.
     pub gc_truncated_records: u64,
     /// Journal bytes truncated by prefix GC.
@@ -1055,9 +1057,11 @@ fn drive(
                 if sink.writer.io_error().is_none() && ctx.pending_error.is_none() {
                     let snap = run.save_state(sink.committed(), sink.hash);
                     let gen = ctx.next_gen;
-                    match snap.write_atomic_with(ctx.vfs, &ctx.slot_path(gen)) {
+                    let bytes = snap.encode();
+                    match write_atomic_bytes(ctx.vfs, &ctx.slot_path(gen), &bytes) {
                         Ok(()) => {
                             ctx.stats.snapshots_written += 1;
+                            ctx.stats.snapshot_bytes += bytes.len() as u64;
                             ctx.ring_meta[gen as usize] =
                                 Some((snap.journal_records, snap.journal_hash));
                             ctx.next_gen = (gen + 1) % ctx.ring;
@@ -1943,12 +1947,16 @@ pub(crate) mod tests {
         let (path, report, opts, stats) = ring_fixture("ring_resume", 47, 3, false);
         assert!(stats.snapshots_written >= 3, "{stats:?}");
         assert_eq!(stats.gc_truncated_records, 0);
+        // The retained generations are the last sidecars written, so their
+        // sizes are part of the byte total.
+        let mut retained = 0;
         for g in 0..3 {
-            assert!(
-                ring_snapshot_path(&path, g).exists(),
-                "generation {g} missing"
-            );
+            let len = std::fs::metadata(ring_snapshot_path(&path, g))
+                .unwrap_or_else(|_| panic!("generation {g} missing"))
+                .len();
+            retained += len;
         }
+        assert!(retained <= stats.snapshot_bytes, "{stats:?}");
         assert!(
             !default_snapshot_path(&path).exists(),
             "ring mode must not write the legacy sidecar"
@@ -2149,9 +2157,13 @@ mod properties {
     use super::*;
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
+    use crate::snapshot::{LeaseSnap, QueuedEvent};
     use cs_life::{ArcLife, Uniform};
     use cs_tasks::workloads;
+    use cs_tasks::Task;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
     use std::sync::Arc;
 
     /// A farm shaped by the proptest case: mild heterogeneity, the whole
@@ -2403,5 +2415,372 @@ mod properties {
             prop_assert!(info.segment_base > 0);
             cleanup(&path);
         }
+    }
+
+    // -- the sidecar codec ----------------------------------------------------
+
+    /// Every field of a snapshot as raw words, floats by `to_bits` and each
+    /// variable-length section behind its length: equal words mean
+    /// bitwise-equal snapshots, field by field.
+    fn snapshot_words(s: &FarmSnapshot) -> Vec<u64> {
+        let b = &s.bag;
+        let mut w = vec![
+            s.seed,
+            s.workstations,
+            s.tasks,
+            s.journal_records,
+            s.journal_hash,
+        ];
+        w.extend([s.now, s.makespan, b.completed_work, b.lost_work].map(f64::to_bits));
+        w.extend(s.rng);
+        w.extend([
+            s.next_lease,
+            b.next_id,
+            b.completed_tasks,
+            b.pending.len() as u64,
+        ]);
+        w.extend(b.pending.iter().flat_map(|t| [t.id, t.duration.to_bits()]));
+        w.push(s.banked.len() as u64);
+        w.extend(&s.banked);
+        w.push(s.queue.len() as u64);
+        w.extend(
+            s.queue
+                .iter()
+                .flat_map(|q| [q.time.to_bits(), q.tag.into(), q.id]),
+        );
+        w.push(s.leases.len() as u64);
+        for l in &s.leases {
+            w.extend([l.lease, l.ws, l.expiry.to_bits(), l.replicas.into()]);
+            w.extend([l.arrives, l.expired].map(u64::from));
+            w.push(l.tasks.len() as u64);
+            w.extend(l.tasks.iter().flat_map(|t| [t.id, t.duration.to_bits()]));
+        }
+        w.push(s.ws.len() as u64);
+        for ws in &s.ws {
+            let st = &ws.stats;
+            w.extend(
+                [
+                    ws.episode_start,
+                    ws.reclaim_at,
+                    ws.crash_at,
+                    ws.quarantined_until,
+                ]
+                .map(f64::to_bits),
+            );
+            w.extend([st.completed_work, st.lost_work, st.duplicate_work].map(f64::to_bits));
+            w.extend(ws.fault_rng);
+            w.extend([ws.crashed, ws.backoff_pending].map(u64::from));
+            w.extend([u64::from(ws.fail_streak), ws.policy_state.len() as u64]);
+            w.extend(ws.policy_state.iter().map(|&b| u64::from(b)));
+            w.extend([
+                st.chunks_completed,
+                st.chunks_lost,
+                st.episodes,
+                st.idle_periods,
+                st.messages_lost,
+                st.straggled_chunks,
+                st.crashes,
+                st.storm_kills,
+                st.lease_timeouts,
+                st.backoff_delays,
+                st.quarantines,
+                st.replicas_dispatched,
+                st.late_banks,
+            ]);
+        }
+        w
+    }
+
+    /// `decode(encode(s))` is `s` bitwise, and re-encodes to the same bytes.
+    fn assert_codec_round_trips(s: &FarmSnapshot) {
+        let bytes = s.encode();
+        let back = FarmSnapshot::decode(&bytes).unwrap();
+        assert_eq!(snapshot_words(&back), snapshot_words(s));
+        assert_eq!(back.encode(), bytes);
+    }
+
+    /// Runs a farm to completion, round-tripping a snapshot every `every`
+    /// steps and at the end. Returns which sections the captures covered:
+    /// empty and non-empty pending, empty and non-empty banked, a lease
+    /// holding tasks, and a quarantined workstation.
+    fn round_trip_run(
+        seed: u64,
+        intensity: f64,
+        workstations: usize,
+        tasks: usize,
+        every: u64,
+    ) -> [bool; 6] {
+        let bag = workloads::uniform(tasks, 1.0).unwrap();
+        let farm = Farm::new(prop_config(seed, intensity, workstations), bag).unwrap();
+        let (mut sink, mut prof) = (cs_obs::NoopSink, SpanProfiler::disabled());
+        let mut run = FarmRun::start(farm, &mut sink, &mut prof);
+        let mut seen = [false; 6];
+        let mut capture = |run: &FarmRun, step: u64| {
+            let s = run.save_state(step, seed ^ step);
+            assert_codec_round_trips(&s);
+            for (flag, hit) in seen.iter_mut().zip([
+                s.bag.pending.is_empty(),
+                !s.bag.pending.is_empty(),
+                s.banked.is_empty(),
+                !s.banked.is_empty(),
+                s.leases.iter().any(|l| !l.tasks.is_empty()),
+                s.ws.iter().any(|w| w.quarantined_until > s.now),
+            ]) {
+                *flag |= hit;
+            }
+        };
+        for step in 0u64.. {
+            if step % every == 0 {
+                capture(&run, step);
+            }
+            if !run.step(&mut sink, &mut prof) {
+                capture(&run, step + 1);
+                break;
+            }
+        }
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sidecar codec over real engine states: snapshots captured
+        /// along random faulty farms decode to the captured state bitwise
+        /// and re-encode to the same bytes.
+        #[test]
+        fn snapshot_codec_round_trips_real_farms(
+            seed in 0u64..10_000,
+            intensity in 0.0f64..1.5,
+            workstations in 2usize..5,
+            tasks in 30usize..110,
+            every in 1u64..9,
+        ) {
+            let seen = round_trip_run(seed, intensity, workstations, tasks, every);
+            // The first capture precedes any bank and the last follows the
+            // last one.
+            prop_assert!(seen[2] && seen[3], "{:?}", seen);
+        }
+    }
+
+    #[test]
+    fn snapshot_codec_covers_every_section() {
+        let seen = round_trip_run(3, 1.4, 4, 200, 1);
+        assert_eq!(seen, [true; 6], "a faulty farm should fill every section");
+    }
+
+    #[test]
+    fn edge_values_round_trip_bitwise() {
+        let bag = workloads::uniform(60, 1.0).unwrap();
+        let farm = Farm::new(prop_config(9, 0.8, 3), bag).unwrap();
+        let (mut sink, mut prof) = (cs_obs::NoopSink, SpanProfiler::disabled());
+        let mut run = FarmRun::start(farm, &mut sink, &mut prof);
+        for _ in 0..20 {
+            run.step(&mut sink, &mut prof);
+        }
+        let mut s = run.save_state(u64::MAX, u64::MAX);
+        let nan = f64::from_bits(0xfff8_dead_beef_0001);
+        let subnormal = f64::from_bits(1);
+        s.seed = u64::MAX;
+        s.now = -0.0;
+        s.makespan = nan;
+        s.next_lease = u64::MAX;
+        s.bag.lost_work = subnormal;
+        s.bag.pending.push(Task {
+            id: u64::MAX,
+            duration: -subnormal,
+        });
+        s.banked.push(u64::MAX);
+        s.queue.push(QueuedEvent {
+            time: f64::NEG_INFINITY,
+            tag: 1,
+            id: u64::MAX,
+        });
+        s.leases.push(LeaseSnap {
+            lease: u64::MAX - 1,
+            ws: 2,
+            expiry: -0.0,
+            arrives: true,
+            expired: true,
+            replicas: u32::MAX,
+            tasks: vec![Task {
+                id: u64::MAX,
+                duration: nan,
+            }],
+        });
+        let w = &mut s.ws[1];
+        w.fail_streak = u32::MAX;
+        w.policy_state = vec![0x00, 0xff, 0x5a];
+        w.stats.duplicate_work = -nan;
+        w.stats.late_banks = u64::MAX;
+        assert_codec_round_trips(&s);
+    }
+
+    const SNAPSHOT_FIXTURE: &[u8] =
+        include_bytes!("../../../tests/fixtures/farm_faulty.snapshot.txt");
+
+    /// `body` followed by its checksum trailer.
+    fn with_checksum(body: &[u8]) -> Vec<u8> {
+        let trailer = format!("checksum {:016x}\n", fnv1a64(FNV_OFFSET, body));
+        [body, trailer.as_bytes()].concat()
+    }
+
+    /// The body of a sidecar: everything before its `checksum` line.
+    fn body(sidecar: &[u8]) -> &[u8] {
+        &sidecar[..sidecar.len() - "checksum 0123456789abcdef\n".len()]
+    }
+
+    /// Decodes `text` as a snapshot or as segment metadata and re-encodes it.
+    fn decode_either(text: &[u8], snapshot: bool) -> Result<Vec<u8>, SnapshotError> {
+        if snapshot {
+            FarmSnapshot::decode(text).map(|s| s.encode())
+        } else {
+            SegmentMeta::decode(text).map(|m| m.encode())
+        }
+    }
+
+    /// The decoder bugs a forged sidecar with a valid checksum used to
+    /// reach: unbounded preallocation from a count (a `capacity overflow`
+    /// panic) and silent `as` narrowing. Each is a typed `Malformed` now,
+    /// as is every non-canonical spelling the encoder never writes.
+    #[test]
+    fn forged_sidecars_are_malformed() {
+        let good = std::str::from_utf8(SNAPSHOT_FIXTURE).unwrap();
+        for (from, to) in [
+            ("pending 16\n", "pending 1152921504606846975\n"),
+            ("banked 284\n", "banked 1152921504606846975\n"),
+            ("queue ", "queue 1152921504606846975"),
+            ("leases 4\n", "leases 1152921504606846975\n"),
+            (" tasks 21 ", " tasks 1152921504606846975 "),
+            (" workstations 8 ", " workstations 1152921504606846975 "),
+            ("event 4061c5449a99c368 1 4", "event 4061c5449a99c368 258 4"),
+            (" fail_streak 1 ", " fail_streak 4294967297 "),
+            (" replicas 2 ", " replicas 4294967298 "),
+            ("pending 16\n", "pending +16\n"),
+            ("pending 16\n", "pending 016\n"),
+            ("task 86 3ff0000000000000", "task 86 3ff"),
+            ("task 86 3ff0000000000000", "task 86 3FF0000000000000"),
+            ("meta seed 42 workstations", "meta workstations seed 42"),
+            ("lease 4 ws 4", "lease 4 ws 9"),
+            ("ids 0 1 2", "ids 0 2 1"),
+        ] {
+            assert!(good.contains(from), "{from:?} not in the fixture");
+            let forged = with_checksum(body(good.replacen(from, to, 1).as_bytes()));
+            match FarmSnapshot::decode(&forged) {
+                Err(SnapshotError::Malformed { .. }) => {}
+                other => panic!("{to:?}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
+    /// Replacements for one token of a sidecar: canonical values, values
+    /// just out of range and spellings the encoder never writes.
+    const TOKEN_EDITS: [&str; 18] = [
+        "0",
+        "1",
+        "2",
+        "+5",
+        "05",
+        "3ff",
+        "258",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "ffffffffffffffff",
+        "3FF0000000000000",
+        "-",
+        "",
+        "x",
+        "ids",
+        "task",
+        "  ",
+    ];
+
+    /// One seeded mutation of a sidecar body: a bit flip, a truncation, a
+    /// token edit or a duplicated line.
+    fn mutate(body: &mut Vec<u8>, rng: &mut StdRng) {
+        let mut pick = |n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+        let starts = |b: &[u8], sep: &[u8]| -> Vec<usize> {
+            std::iter::once(0)
+                .chain((0..b.len()).filter(|&i| sep.contains(&b[i])).map(|i| i + 1))
+                .filter(|&i| i < b.len())
+                .collect()
+        };
+        if body.is_empty() {
+            return;
+        }
+        match pick(4) {
+            0 => {
+                let i = pick(body.len());
+                body[i] ^= 1 << pick(8);
+            }
+            1 => body.truncate(pick(body.len())),
+            2 => {
+                let tokens = starts(body, b" \n:");
+                let at = tokens[pick(tokens.len())];
+                let len = body[at..]
+                    .iter()
+                    .take_while(|b| !b" \n:".contains(b))
+                    .count();
+                let edit = TOKEN_EDITS[pick(TOKEN_EDITS.len())];
+                body.splice(at..at + len, edit.bytes());
+            }
+            _ => {
+                let lines = starts(body, b"\n");
+                let at = lines[pick(lines.len())];
+                let len = body[at..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(0, |n| n + 1);
+                let line = body[at..at + len].to_vec();
+                body.splice(at..at, line);
+            }
+        }
+    }
+
+    /// The mutation property for `.snap.N` and `.seg` sidecars: starting
+    /// from valid ones, seeded bit flips, truncations, token edits and
+    /// duplicated lines behind a recomputed checksum never panic the
+    /// decoder, every rejection is a typed parse or version error, and
+    /// every accepted input re-encodes to exactly its own bytes.
+    #[test]
+    fn mutated_sidecars_are_rejected_typed_or_canonical() {
+        let segments = [
+            SegmentMeta::for_cut(139, 0x467e_4470_9830_dd72, Some("{\"v\":2}")).encode(),
+            SegmentMeta::for_cut(0, FNV_OFFSET, None).encode(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed_5eed);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..6_000u32 {
+            let snapshot = case % 3 != 0;
+            let base = if snapshot {
+                SNAPSHOT_FIXTURE
+            } else {
+                &segments[case as usize % 2][..]
+            };
+            let mut mutated = body(base).to_vec();
+            for _ in 0..1 + rng.next_u64() % 3 {
+                mutate(&mut mutated, &mut rng);
+            }
+            let mutated = with_checksum(&mutated);
+            match decode_either(&mutated, snapshot) {
+                Ok(re_encoded) => {
+                    assert!(
+                        re_encoded == mutated,
+                        "case {case}: accepted input is not canonical"
+                    );
+                    accepted += 1;
+                }
+                Err(SnapshotError::Malformed { .. } | SnapshotError::Version { .. }) => {
+                    rejected += 1
+                }
+                Err(e) => panic!("case {case}: unexpected rejection {e:?}"),
+            }
+        }
+        // Neither outcome may be vacuous: digit flips stay valid, most
+        // edits do not.
+        assert!(
+            accepted > 100 && rejected > 3_000,
+            "{accepted} / {rejected}"
+        );
     }
 }
