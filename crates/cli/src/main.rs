@@ -25,7 +25,7 @@ use cs_now::{
     guideline_fsync_policy, guideline_snapshot_interval, IoErrorPolicy, JournalOptions,
     SnapshotOutcome,
 };
-use cs_obs::{JsonlSink, MetricsSink, ProgressSink, RunSummary, SpanProfiler, TeeSink};
+use cs_obs::{JsonlSink, MetricsSink, NoopSink, ProgressSink, RunSummary, SpanProfiler, TeeSink};
 use cs_scenarios::{LifeSpec, PolicyParseError, LIFE_OPTS};
 use cs_tasks::{workloads, TaskBag};
 use cs_trace::{estimate::estimate_life, fit::fit_all, owner::DiurnalOwner};
@@ -738,6 +738,11 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
     } else if args.get("on-io-error").is_some() {
         return Err("--on-io-error needs --journal or --resume".into());
     }
+    // The scenario (task bag included) is built under its own root span,
+    // before the trace opens, so its event goes nowhere: the trace starts
+    // at `run_start`.
+    let mut prof = profiler_from_args(args);
+    let scenario_span = prof.start("farm.scenario", &mut NoopSink);
     let FarmScenario {
         config,
         bag,
@@ -749,9 +754,9 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
         gap,
         injecting,
     } = farm_scenario_from_args(args)?;
+    prof.end(scenario_span, &mut NoopSink);
     let progress_every = progress_every_from_args(args)?;
     let mut trace = TraceOutputs::from_args(args)?;
-    let mut prof = profiler_from_args(args);
     if journal.is_some() || resume.is_some() {
         // Durable runs heartbeat from inside the journal driver (the tee
         // never sees their events); drop the CLI-side sink so it cannot

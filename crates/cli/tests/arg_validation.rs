@@ -1,6 +1,7 @@
-//! Argument validation through the real `cyclesteal` binary: degenerate
+//! Argument handling through the real `cyclesteal` binary: degenerate
 //! worker and trial counts exit 1 with a typed message on stderr instead
-//! of printing a meaningless result.
+//! of printing a meaningless result, and `farm --profile` times every
+//! phase of the process.
 
 use std::process::{Command, Output};
 
@@ -57,4 +58,19 @@ fn simulate_defaults_threads_to_available_parallelism() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let want = format!("2000 episodes, {threads} threads)");
     assert!(stdout.contains(&want), "expected {want:?} in\n{stdout}");
+}
+
+#[test]
+fn farm_profile_times_scenario_construction() {
+    // `--profile` covers the task-bag build as its own root span, so the
+    // span registry accounts for the process from argument parsing on.
+    let out = cyclesteal("farm --tasks 50 --profile");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for span in ["farm.scenario", "farm.setup", "farm.run"] {
+        assert!(
+            stdout.contains(&format!("span_ns.{span} ")),
+            "no {span} span in\n{stdout}"
+        );
+    }
 }

@@ -950,7 +950,7 @@ impl FarmRun {
                 // Once the bag is empty but leases are still out, a
                 // dispatch opportunity is end-game territory (tail
                 // replication) rather than ordinary parceling.
-                let phase = if self.eng.bag.pending_count() == 0 && !self.eng.in_flight.is_empty() {
+                let phase = if self.eng.bag.is_drained() && !self.eng.in_flight.is_empty() {
                     "farm.end_game"
                 } else {
                     "farm.dispatch"

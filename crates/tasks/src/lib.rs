@@ -95,20 +95,50 @@ impl Chunk {
 /// *completed* work. [`TaskBag::complete`] banks a chunk;
 /// [`TaskBag::abandon`] returns a killed chunk's tasks to the head of the
 /// queue (they must be redone, the episode's defining loss).
+///
+/// Pending tasks are stored as a FIFO of runs of contiguous ids with one
+/// duration, so a bag of `n` identical tasks costs one run, not `n` tasks;
+/// every method behaves as if the queue held the tasks one by one.
 #[derive(Debug, Clone)]
 pub struct TaskBag {
-    pending: VecDeque<Task>,
+    runs: VecDeque<Run>,
     next_id: u64,
     completed_tasks: u64,
     completed_work: f64,
     lost_work: f64,
 }
 
+/// Pending tasks `first_id, first_id + 1, …, first_id + count − 1`, in that
+/// order, all of one `duration`. `count` is never zero.
+#[derive(Debug, Clone)]
+struct Run {
+    first_id: u64,
+    count: u64,
+    duration: f64,
+}
+
+impl Run {
+    fn single(task: Task) -> Self {
+        Self {
+            first_id: task.id,
+            count: 1,
+            duration: task.duration,
+        }
+    }
+
+    /// True when the tasks of `next` directly follow this run's: the ids
+    /// continue and the durations have the same bits.
+    fn continues_into(&self, next: &Run) -> bool {
+        self.first_id.checked_add(self.count) == Some(next.first_id)
+            && self.duration.to_bits() == next.duration.to_bits()
+    }
+}
+
 impl TaskBag {
     /// Creates an empty bag.
     pub fn new() -> Self {
         Self {
-            pending: VecDeque::new(),
+            runs: VecDeque::new(),
             next_id: 0,
             completed_tasks: 0,
             completed_work: 0.0,
@@ -128,30 +158,60 @@ impl TaskBag {
 
     /// Appends one task of the given duration; returns its id.
     pub fn push(&mut self, duration: f64) -> Result<u64, &'static str> {
+        let id = self.next_id;
+        self.push_many(1, duration)?;
+        Ok(id)
+    }
+
+    /// Appends `n` tasks of one duration with the next `n` ids: the same
+    /// bag as `n` calls to [`TaskBag::push`], in O(1).
+    pub(crate) fn push_many(&mut self, n: u64, duration: f64) -> Result<(), &'static str> {
         if !(duration.is_finite() && duration > 0.0) {
             return Err("task duration must be finite and positive");
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push_back(Task { id, duration });
-        Ok(id)
+        if n > 0 {
+            let first_id = self.next_id;
+            self.next_id += n;
+            self.push_back(Run {
+                first_id,
+                count: n,
+                duration,
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends a run at the tail, merging it into the last run when it
+    /// continues it.
+    fn push_back(&mut self, run: Run) {
+        match self.runs.back_mut() {
+            Some(back) if back.continues_into(&run) => back.count += run.count,
+            _ => self.runs.push_back(run),
+        }
     }
 
     /// Number of pending (not yet dispatched) tasks.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        let n: u64 = self.runs.iter().map(|r| r.count).sum();
+        usize::try_from(n).expect("pending task count fits in usize")
     }
 
     /// The pending tasks in dispatch (FIFO) order. Lets a master audit its
     /// queue — e.g. to subtract already-banked duplicates when computing
     /// remaining work under result replication.
-    pub fn pending_tasks(&self) -> impl Iterator<Item = &Task> {
-        self.pending.iter()
+    pub fn pending_tasks(&self) -> impl Iterator<Item = Task> + '_ {
+        self.runs.iter().flat_map(|r| {
+            (0..r.count).map(move |k| Task {
+                id: r.first_id + k,
+                duration: r.duration,
+            })
+        })
     }
 
-    /// Total duration of pending tasks.
+    /// Total duration of pending tasks, summed task by task in dispatch
+    /// order.
     pub fn pending_work(&self) -> f64 {
-        self.pending.iter().map(|t| t.duration).sum()
+        self.pending_tasks().map(|t| t.duration).sum()
     }
 
     /// Number of tasks whose results have been banked.
@@ -171,13 +231,14 @@ impl TaskBag {
 
     /// True when no pending tasks remain.
     pub fn is_drained(&self) -> bool {
-        self.pending.is_empty()
+        self.runs.is_empty()
     }
 
     /// Checks out the next chunk: greedily packs FIFO tasks whose cumulative
     /// duration fits in `budget`. Returns an empty chunk when the bag is
-    /// drained or the first pending task alone exceeds the budget (an
-    /// indivisible task cannot be split — paper §2.1).
+    /// drained, the budget is not positive (NaN included) or the first
+    /// pending task alone exceeds the budget (an indivisible task cannot be
+    /// split — paper §2.1).
     pub fn check_out(&mut self, budget: f64) -> Chunk {
         let mut chunk = Chunk::default();
         self.check_out_into(budget, &mut chunk.tasks);
@@ -190,16 +251,25 @@ impl TaskBag {
     /// [`TaskBag::check_out`].
     pub fn check_out_into(&mut self, budget: f64, into: &mut Vec<Task>) {
         into.clear();
-        if budget <= 0.0 {
+        if !(budget > 0.0) {
             return;
         }
         let mut used = 0.0;
-        while let Some(task) = self.pending.front() {
-            if used + task.duration > budget + 1e-12 {
-                break;
+        while let Some(run) = self.runs.front_mut() {
+            let duration = run.duration;
+            while run.count > 0 {
+                if used + duration > budget + 1e-12 {
+                    return;
+                }
+                used += duration;
+                into.push(Task {
+                    id: run.first_id,
+                    duration,
+                });
+                run.first_id = run.first_id.wrapping_add(1);
+                run.count -= 1;
             }
-            used += task.duration;
-            into.push(self.pending.pop_front().expect("front exists"));
+            self.runs.pop_front();
         }
     }
 
@@ -220,9 +290,17 @@ impl TaskBag {
     /// lost work. For chunks that never executed — a dispatch message lost
     /// in transit, or a lease that timed out — as opposed to work that was
     /// executed and then destroyed by a reclamation ([`TaskBag::abandon`]).
+    /// A contiguous chunk merges back into the run it was checked out of.
     pub fn requeue(&mut self, chunk: Chunk) {
         for task in chunk.tasks.into_iter().rev() {
-            self.pending.push_front(task);
+            let run = Run::single(task);
+            match self.runs.front_mut() {
+                Some(front) if run.continues_into(front) => {
+                    front.first_id = task.id;
+                    front.count += 1;
+                }
+                _ => self.runs.push_front(run),
+            }
         }
     }
 }
@@ -255,7 +333,7 @@ impl TaskBag {
     /// Captures the bag's full state for a checkpoint.
     pub fn save_state(&self) -> TaskBagState {
         TaskBagState {
-            pending: self.pending.iter().copied().collect(),
+            pending: self.pending_tasks().collect(),
             next_id: self.next_id,
             completed_tasks: self.completed_tasks,
             completed_work: self.completed_work,
@@ -263,15 +341,20 @@ impl TaskBag {
         }
     }
 
-    /// Rebuilds a bag from a captured state.
+    /// Rebuilds a bag from a captured state, merging the pending tasks
+    /// back into runs.
     pub fn restore_state(state: TaskBagState) -> Self {
-        Self {
-            pending: state.pending.into(),
+        let mut bag = Self {
+            runs: VecDeque::new(),
             next_id: state.next_id,
             completed_tasks: state.completed_tasks,
             completed_work: state.completed_work,
             lost_work: state.lost_work,
+        };
+        for task in state.pending {
+            bag.push_back(Run::single(task));
         }
+        bag
     }
 }
 
@@ -332,6 +415,42 @@ mod tests {
         // Drained bag.
         let mut empty = TaskBag::new();
         assert!(empty.check_out(10.0).is_empty());
+    }
+
+    #[test]
+    fn check_out_nan_budget_is_empty() {
+        let mut bag = workloads::uniform(5, 1.0).unwrap();
+        assert!(bag.check_out(f64::NAN).is_empty());
+        assert_eq!(bag.pending_count(), 5);
+        // An infinite budget still takes everything.
+        assert_eq!(bag.check_out(f64::INFINITY).len(), 5);
+    }
+
+    #[test]
+    fn uniform_bag_is_one_run() {
+        let mut bag = workloads::uniform(4_000_000, 1.0).unwrap();
+        assert_eq!(bag.runs.len(), 1);
+        assert_eq!(bag.pending_count(), 4_000_000);
+        let a = bag.check_out(3.0); // ids 0..3
+        let b = bag.check_out(3.0); // ids 3..6
+        assert_eq!(bag.runs.len(), 1);
+        // `a` comes back while `b` is out: it does not continue the run
+        // that now starts at id 6.
+        bag.requeue(a);
+        assert_eq!(bag.runs.len(), 2);
+        // Take `a` again, then return `b` and `a`: each continues the
+        // front run, so the bag is one run again.
+        let a = bag.check_out(3.0);
+        bag.requeue(b);
+        assert_eq!(bag.runs.len(), 1);
+        bag.requeue(a);
+        assert_eq!(bag.runs.len(), 1);
+        assert_eq!(bag.pending_count(), 4_000_000);
+        assert_eq!(bag.pending_tasks().next().map(|t| t.id), Some(0));
+        // A different duration bit pattern starts a new run.
+        bag.push(1.0).unwrap();
+        bag.push(f64::from_bits(1.0f64.to_bits() + 1)).unwrap();
+        assert_eq!(bag.runs.len(), 2);
     }
 
     #[test]
@@ -443,5 +562,141 @@ mod tests {
         bag.complete(c3);
         assert!((bag.completed_work() + bag.pending_work() - total).abs() < 1e-12);
         assert!(bag.is_drained());
+    }
+
+    /// The bag as it was before runs: one `Task` per pending task. The
+    /// model test checks the run bag against it operation by operation.
+    #[derive(Default)]
+    struct ModelBag {
+        pending: VecDeque<Task>,
+        next_id: u64,
+        completed_tasks: u64,
+        completed_work: f64,
+        lost_work: f64,
+    }
+
+    impl ModelBag {
+        fn push(&mut self, duration: f64) {
+            self.pending.push_back(Task {
+                id: self.next_id,
+                duration,
+            });
+            self.next_id += 1;
+        }
+
+        fn check_out(&mut self, budget: f64) -> Chunk {
+            let mut tasks = Vec::new();
+            if budget > 0.0 {
+                let mut used = 0.0;
+                while let Some(task) = self.pending.front() {
+                    if used + task.duration > budget + 1e-12 {
+                        break;
+                    }
+                    used += task.duration;
+                    tasks.push(self.pending.pop_front().expect("front exists"));
+                }
+            }
+            Chunk::from_tasks(tasks)
+        }
+
+        fn complete(&mut self, chunk: &Chunk) {
+            self.completed_tasks += chunk.len() as u64;
+            self.completed_work += chunk.total_duration();
+        }
+
+        fn requeue(&mut self, chunk: &Chunk) {
+            for task in chunk.tasks().iter().rev() {
+                self.pending.push_front(*task);
+            }
+        }
+
+        fn state(&self) -> TaskBagState {
+            TaskBagState {
+                pending: self.pending.iter().copied().collect(),
+                next_id: self.next_id,
+                completed_tasks: self.completed_tasks,
+                completed_work: self.completed_work,
+                lost_work: self.lost_work,
+            }
+        }
+    }
+
+    fn assert_matches_model(bag: &TaskBag, model: &ModelBag) {
+        let tasks: Vec<Task> = bag.pending_tasks().collect();
+        assert!(tasks.iter().eq(model.pending.iter()));
+        assert_eq!(bag.pending_count(), model.pending.len());
+        let model_work: f64 = model.pending.iter().map(|t| t.duration).sum();
+        assert_eq!(bag.pending_work().to_bits(), model_work.to_bits());
+        assert_eq!(bag.is_drained(), model.pending.is_empty());
+        assert_eq!(bag.save_state(), model.state());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn run_bag_behaves_like_task_queue(
+            ops in proptest::collection::vec(proptest::num::u64::ANY, 1..200)
+        ) {
+            // `1.0` and the next float up differ only in their last bit,
+            // so runs must break on bits, not on approximate equality.
+            let durations = [1.0, f64::from_bits(1.0f64.to_bits() + 1), 0.5, 2.5];
+            let mut bag = TaskBag::new();
+            let mut model = ModelBag::default();
+            let mut in_flight: Vec<Chunk> = Vec::new();
+            for op in ops {
+                let arg = op >> 8;
+                match op % 8 {
+                    0 | 1 => {
+                        let d = durations[(arg % 4) as usize];
+                        let n = 1 + arg / 4 % 6;
+                        for _ in 0..n {
+                            bag.push(d).unwrap();
+                            model.push(d);
+                        }
+                    }
+                    2 | 3 => {
+                        let budget = match arg % 6 {
+                            0 => 0.0,
+                            1 => -1.0,
+                            2 => f64::NAN,
+                            3 => f64::INFINITY,
+                            _ => (arg >> 3) as f64 % 1000.0 / 100.0,
+                        };
+                        let chunk = bag.check_out(budget);
+                        assert_eq!(chunk, model.check_out(budget));
+                        if !chunk.is_empty() {
+                            in_flight.push(chunk);
+                        }
+                    }
+                    4 if !in_flight.is_empty() => {
+                        let chunk = in_flight.swap_remove((arg as usize) % in_flight.len());
+                        model.complete(&chunk);
+                        bag.complete(chunk);
+                    }
+                    5 if !in_flight.is_empty() => {
+                        let chunk = in_flight.swap_remove((arg as usize) % in_flight.len());
+                        model.lost_work += chunk.total_duration();
+                        model.requeue(&chunk);
+                        bag.abandon(chunk);
+                    }
+                    6 if !in_flight.is_empty() => {
+                        // Requeue a pruned chunk: the bits of `arg` pick
+                        // which tasks survive, leaving gaps in the ids.
+                        let mut chunk = in_flight.swap_remove((arg as usize) % in_flight.len());
+                        let mut mask = arg >> 4;
+                        chunk.retain(|_| {
+                            mask = mask.rotate_right(1);
+                            mask & 1 == 1
+                        });
+                        model.requeue(&chunk);
+                        bag.requeue(chunk);
+                    }
+                    7 => bag = TaskBag::restore_state(bag.save_state()),
+                    _ => {}
+                }
+                assert_matches_model(&bag, &model);
+            }
+        }
     }
 }

@@ -22,9 +22,7 @@ pub fn uniform(n: usize, grain: f64) -> Result<TaskBag, &'static str> {
         return Err("grain must be positive");
     }
     let mut bag = TaskBag::new();
-    for _ in 0..n {
-        bag.push(grain)?;
-    }
+    bag.push_many(n as u64, grain)?;
     Ok(bag)
 }
 
