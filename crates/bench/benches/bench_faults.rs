@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
+use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
 
@@ -49,7 +50,7 @@ fn bench_fault_injection(cr: &mut Criterion) {
                     let bag = workloads::uniform(600, 1.0).unwrap();
                     Farm::new(faulty_config(policy, intensity), bag)
                         .unwrap()
-                        .run()
+                        .run(&mut NoopSink, &mut SpanProfiler::disabled())
                 })
             });
         }

@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cs_core::{search, Schedule};
 use cs_life::Uniform;
-use cs_sim::{run_episode, simulate_expected_work, simulate_expected_work_parallel};
+use cs_obs::{NoopSink, SpanProfiler};
+use cs_sim::{run_episode, simulate};
 use cs_trace::estimate::estimate_life;
 use cs_trace::fit::fit_best;
 use cs_trace::owner::sample_absences;
@@ -24,7 +25,7 @@ fn bench_sim_episode(cr: &mut Criterion) {
     let (p, c, s) = fixture();
     let mut g = cr.benchmark_group("bench_sim/episode");
     g.bench_function("run_episode", |b| {
-        b.iter(|| run_episode(black_box(&s), black_box(c), black_box(550.0)))
+        b.iter(|| run_episode(black_box(&s), black_box(c), black_box(550.0), NoopSink))
     });
     g.bench_function("expected_work_eval", |b| {
         b.iter(|| black_box(&s).expected_work(black_box(&p), black_box(c)))
@@ -39,7 +40,18 @@ fn bench_sim_montecarlo(cr: &mut Criterion) {
     let trials = 400_000u64;
     g.throughput(Throughput::Elements(trials));
     g.bench_function("serial_400k", |b| {
-        b.iter(|| simulate_expected_work(black_box(&s), &p, c, trials, 42))
+        b.iter(|| {
+            simulate(
+                black_box(&s),
+                &p,
+                c,
+                trials,
+                42,
+                1,
+                NoopSink,
+                &mut SpanProfiler::disabled(),
+            )
+        })
     });
     for threads in [2usize, 4, 8] {
         g.bench_with_input(
@@ -47,7 +59,16 @@ fn bench_sim_montecarlo(cr: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    simulate_expected_work_parallel(black_box(&s), &p, c, trials, 42, threads)
+                    simulate(
+                        black_box(&s),
+                        &p,
+                        c,
+                        trials,
+                        42,
+                        threads,
+                        NoopSink,
+                        &mut SpanProfiler::disabled(),
+                    )
                 })
             },
         );

@@ -36,9 +36,10 @@ use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::{
-    default_snapshot_path, guideline_fsync_policy, inspect_snapshot, IoErrorPolicy, JournalError,
-    JournalOptions, SnapshotErrorKind, SnapshotOutcome,
+    default_snapshot_path, inspect_snapshot, IoErrorPolicy, JournalError, JournalOptions,
+    SnapshotErrorKind, SnapshotOutcome,
 };
+use cs_obs::vfs::StdVfs;
 use cs_obs::{injected_kind, FaultAt, FaultKind, FaultyVfs, ALL_FAULT_KINDS};
 use cs_tasks::{workloads, TaskBag};
 use std::path::PathBuf;
@@ -253,15 +254,16 @@ fn run_disk_trial(
         t.mismatches.push(format!("{label}: restage failed: {e}"));
         return;
     }
-    let fsync = guideline_fsync_policy(&chaos_farm_config(cfg));
+    let clean_opts = JournalOptions {
+        snapshot_every: Some(cfg.snapshot_every),
+        ..JournalOptions::guideline(&chaos_farm_config(cfg))
+    };
     let vfs = FaultyVfs::with_plan(&[FaultAt { kind, index }]);
     let disk_opts = JournalOptions {
-        fsync,
-        snapshot_every: Some(cfg.snapshot_every),
         on_io_error: policy,
-        ..Default::default()
+        ..clean_opts
     };
-    let result = Farm::resume_vfs(
+    let result = Farm::resume(
         chaos_farm_config(cfg),
         chaos_bag(cfg),
         &trial_path,
@@ -316,16 +318,12 @@ fn run_disk_trial(
     if check_clean_recovery {
         // Whatever the faulty disk left behind must still recover exactly
         // once the filesystem behaves.
-        let clean_opts = JournalOptions {
-            fsync,
-            snapshot_every: Some(cfg.snapshot_every),
-            ..Default::default()
-        };
-        match Farm::resume_with(
+        match Farm::resume(
             chaos_farm_config(cfg),
             chaos_bag(cfg),
             &trial_path,
             clean_opts,
+            &StdVfs,
         ) {
             Ok((report, _info)) => {
                 if let Some(d) = report_diff(ref_report, &report) {
@@ -357,14 +355,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     let ref_snap = default_snapshot_path(&ref_path);
     let config = chaos_farm_config(cfg);
     let opts = JournalOptions {
-        fsync: guideline_fsync_policy(&config),
         snapshot_every: Some(cfg.snapshot_every),
         progress_every: cfg.progress_every,
-        ..Default::default()
+        ..JournalOptions::guideline(&config)
     };
     let farm = Farm::new(config, chaos_bag(cfg)).map_err(|e| e.to_string())?;
     let (ref_report, _stats) = farm
-        .run_journaled_with(&ref_path, opts)
+        .run_journaled(&ref_path, opts, &StdVfs)
         .map_err(|e| format!("reference journaled run: {e}"))?;
     let ref_bytes = std::fs::read(&ref_path).map_err(|e| e.to_string())?;
     // The reference run's final sidecar: which journal prefix it covers
@@ -412,7 +409,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         }
     };
     let total_work = cfg.tasks as f64;
-    let fsync = opts.fsync;
     // One kill point, end to end: stage the truncated journal (plus torn
     // fragment and sidecar mode), resume, and verify every guarantee.
     // Pure with respect to shared state — all inputs are read-only borrows
@@ -460,15 +456,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
             return t;
         }
         let trial_opts = JournalOptions {
-            fsync,
-            snapshot_every: Some(cfg.snapshot_every),
-            ..Default::default()
+            progress_every: None,
+            ..opts
         };
-        match Farm::resume_with(
+        match Farm::resume(
             chaos_farm_config(cfg),
             chaos_bag(cfg),
             &trial_path,
             trial_opts,
+            &StdVfs,
         ) {
             Ok((report, info)) => {
                 let mut bad = false;

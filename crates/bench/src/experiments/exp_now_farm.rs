@@ -9,7 +9,7 @@ use cs_life::{ArcLife, GeometricDecreasing, Polynomial, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::replicate::replicate_farm;
-use cs_obs::RunSummary;
+use cs_obs::{RunSummary, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
 
@@ -110,7 +110,7 @@ impl Experiment for Exp {
         let obs = FarmConfig::new(heterogeneous_now(4, c), 1e6, 31_337);
         Farm::new(obs, workloads::uniform(600, 1.0).unwrap())
             .map_err(|e| e.to_string())?
-            .run_observed(&mut *ctx.sink);
+            .run(&mut *ctx.sink, &mut SpanProfiler::disabled());
         outln!(
             ctx,
             "Shape: guideline chunk-sizing drains the bag fastest (or ties the best fixed"

@@ -7,19 +7,23 @@
 //!   the whole contract: traced runs bit-identical to untraced, every JSONL
 //!   line schema-valid, and event tallies reconciling exactly (bitwise for
 //!   banked work) with the [`FarmReport`].
-//! * **File mode** (`exp_obs_validate <events.jsonl>`): validates a trace
+//! * **File mode** (`cyclesteal exp --id exp_obs_validate --input
+//!   <events.jsonl>`): validates a trace
 //!   emitted by `cyclesteal farm --trace-out` — every line parses, every
 //!   event type and field set is in the schema, and the per-workstation
 //!   `bank` sums reconcile bitwise with the trace's own `run_end.banked`.
 //!
-//! Fails (non-zero exit from the binary shim) on the first violated check,
-//! so CI can gate on it.
+//! Fails (non-zero exit from `cyclesteal exp`) on the first violated
+//! check, so CI can gate on it.
 
 use crate::harness::{ExpContext, Experiment};
 use crate::outln;
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_obs::{validate_line, EventKind, JsonlSink, MemorySink, RunSummary, ValidatedEvent};
+use cs_obs::{
+    validate_line, EventKind, JsonlSink, MemorySink, NoopSink, RunSummary, SpanProfiler,
+    ValidatedEvent,
+};
 use cs_tasks::workloads;
 
 /// A faulty 3-workstation farm that exercises most of the event vocabulary.
@@ -48,12 +52,12 @@ fn build_farm(seed: u64) -> Farm {
 
 fn self_test(ctx: &mut ExpContext<'_>) -> Result<(), String> {
     let seed = 42;
-    let plain = build_farm(seed).run();
+    let plain = build_farm(seed).run(&mut NoopSink, &mut SpanProfiler::disabled());
 
     // 1. Pass-through: a traced run must be bit-identical to an untraced
     //    one.
     let mut mem = MemorySink::new();
-    let traced = build_farm(seed).run_observed(&mut mem);
+    let traced = build_farm(seed).run(&mut mem, &mut SpanProfiler::disabled());
     for (label, a, b) in [
         ("makespan", plain.makespan, traced.makespan),
         (
@@ -83,7 +87,7 @@ fn self_test(ctx: &mut ExpContext<'_>) -> Result<(), String> {
     //    to the in-memory stream.
     let path = std::env::temp_dir().join("exp_obs_validate_selftest.jsonl");
     let mut jsonl = JsonlSink::create(&path).map_err(|e| format!("create {path:?}: {e}"))?;
-    let jsonl_run = build_farm(seed).run_observed(&mut jsonl);
+    let jsonl_run = build_farm(seed).run(&mut jsonl, &mut SpanProfiler::disabled());
     if jsonl_run.completed_work.to_bits() != plain.completed_work.to_bits() {
         return Err("JSONL-traced run diverged from untraced run".into());
     }

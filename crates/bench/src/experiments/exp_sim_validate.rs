@@ -6,8 +6,8 @@ use crate::harness::{ExpContext, Experiment};
 use crate::{canonical_scenarios, outln};
 use cs_apps::{fmt, fmt_opt, Table};
 use cs_core::search;
-use cs_obs::RunSummary;
-use cs_sim::{simulate_expected_work, simulate_expected_work_parallel};
+use cs_obs::{NoopSink, RunSummary, SpanProfiler};
+use cs_sim::simulate;
 
 /// Registration for `exp_sim_validate`.
 pub struct Exp;
@@ -48,7 +48,16 @@ impl Experiment for Exp {
             // The single-trial row exercises the undefined-CI path: it must
             // render "n/a", never NaN.
             for trials in trial_grid {
-                let mc = simulate_expected_work(&plan.schedule, p, s.c, trials, 7_777);
+                let mc = simulate(
+                    &plan.schedule,
+                    p,
+                    s.c,
+                    trials,
+                    7_777,
+                    1,
+                    NoopSink,
+                    &mut SpanProfiler::disabled(),
+                );
                 let ci = mc.work.ci95();
                 t.row(&[
                     s.name.clone(),
@@ -74,21 +83,25 @@ impl Experiment for Exp {
         let scenarios = canonical_scenarios();
         let s = &scenarios[0];
         let plan = search::best_guideline_schedule(s.life.as_ref(), s.c).expect("plan");
-        let a = simulate_expected_work_parallel(
+        let a = simulate(
             &plan.schedule,
             s.life.as_ref(),
             s.c,
             parallel_trials,
             99,
             8,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
         );
-        let b = simulate_expected_work_parallel(
+        let b = simulate(
             &plan.schedule,
             s.life.as_ref(),
             s.c,
             parallel_trials,
             99,
             8,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
         );
         let reproducible = a.work.mean() == b.work.mean();
         outln!(

@@ -1,9 +1,7 @@
 //! The experiment registry: every `exp_*` study in the repo, one module
 //! each, all implementing [`crate::harness::Experiment`].
 //!
-//! The binaries under `src/bin/` are thin shims over these modules (via
-//! [`crate::harness::main_for`]), and the `cyclesteal exp` subcommand runs
-//! them by id from [`all`]. Registration order follows the paper: §3
+//! The `cyclesteal exp` subcommand runs them by id from [`all`]. Registration order follows the paper: §3
 //! existence, §4 closed forms, §5 robustness, §6 open questions, then the
 //! extensions (simulation, NOW farm, fault tolerance, observability).
 

@@ -1,16 +1,15 @@
 //! The registry-driven experiment harness.
 //!
 //! Every `exp_*` experiment is a [`Experiment`] implementation registered
-//! in [`crate::experiments::all`]. The standalone binaries and the
-//! `cyclesteal exp` subcommand both run experiments through this module,
-//! so a new experiment is a ~50-line registration in
-//! `crates/bench/src/experiments/` instead of a new binary with its own
-//! plumbing.
+//! in [`crate::experiments::all`]. The `cyclesteal exp` subcommand runs
+//! experiments through this module, so a new experiment is a ~50-line
+//! registration in `crates/bench/src/experiments/` instead of a new binary
+//! with its own plumbing.
 //!
 //! Output discipline: experiments never print directly — they write through
 //! [`ExpContext::out`] (see the [`outln!`](crate::outln) macro), which is
-//! stdout for the binaries, a capture buffer for the golden-output tests,
-//! and stdout-behind-a-header for `cyclesteal exp`. Observable runs (the
+//! a capture buffer for the golden-output tests and stdout behind a header
+//! line for `cyclesteal exp`. Observable runs (the
 //! farm and episode simulators) should route through [`ExpContext::sink`]
 //! so `--trace-out` captures an event stream; the observation layer's
 //! pass-through guarantee keeps the printed numbers bit-identical either
@@ -29,7 +28,7 @@ pub struct ExpOptions {
     pub quick: bool,
     /// Write the run's event stream to this JSONL path.
     pub trace_out: Option<String>,
-    /// Positional input (used by `exp_obs_validate` to validate a trace
+    /// Input file (used by `exp_obs_validate` to validate a trace
     /// file instead of running its self-test).
     pub input: Option<String>,
     /// Wall-clock cadence for `RUN-PROGRESS` heartbeats on stderr while an
@@ -77,7 +76,7 @@ macro_rules! outln {
 
 /// One registered experiment: a paper table/claim reproduced by `run`.
 pub trait Experiment: Sync {
-    /// Stable identifier (`exp_4_2_geometric`), also the binary name.
+    /// Stable identifier (`exp_4_2_geometric`), the `exp --id` argument.
     fn id(&self) -> &'static str;
     /// Where in the paper the claim lives (e.g. `§4.2`).
     fn paper(&self) -> &'static str;
@@ -204,54 +203,6 @@ pub fn run_all_buffered_metrics(
         ((0..all.len()).map(run_one).collect(), None)
     };
     (all.into_iter().zip(results).collect(), metrics)
-}
-
-/// Entry point for the thin `exp_*` binaries: parses `[--quick]
-/// [--trace-out <path>] [input]` from the command line, runs the
-/// experiment on stdout, and maps errors to a failing exit code.
-pub fn main_for(exp: &dyn Experiment) -> std::process::ExitCode {
-    let mut opts = ExpOptions::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--trace-out" => match args.next() {
-                Some(path) => opts.trace_out = Some(path),
-                None => {
-                    eprintln!("error: --trace-out needs a path");
-                    return std::process::ExitCode::FAILURE;
-                }
-            },
-            "--progress-every" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(every) if every.is_finite() && every >= 0.0 => {
-                    opts.progress_every = Some(every)
-                }
-                _ => {
-                    eprintln!("error: --progress-every needs a non-negative number of seconds");
-                    return std::process::ExitCode::FAILURE;
-                }
-            },
-            other if !other.starts_with("--") && opts.input.is_none() => {
-                opts.input = Some(other.to_string());
-            }
-            other => {
-                eprintln!(
-                    "error: unknown argument {other:?} (expected [--quick] \
-                     [--trace-out <path>] [--progress-every <s>] [input])"
-                );
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-    }
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    match run_to_writer(exp, &opts, &mut out) {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]

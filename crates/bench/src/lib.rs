@@ -4,14 +4,13 @@
 //! comparison or claim from the paper; see DESIGN.md §5 for the index and
 //! EXPERIMENTS.md for paper-vs-measured) lives in [`experiments`] as an
 //! implementation of [`harness::Experiment`], registered in
-//! [`experiments::all`]. The `exp_*` binaries are thin launchers over the
-//! registry, and `cyclesteal exp` runs the same registrations; the
+//! [`experiments::all`] and run by id with `cyclesteal exp --id`; the
 //! Criterion benches time the computational kernels behind each experiment
 //! group.
 //!
 //! Scenario definitions (life-function specs, policies, the canonical
 //! named scenarios, parameter grids) come from `cs-scenarios`, so
-//! binaries, benches and the CLI stay in lockstep.
+//! experiments, benches and the CLI stay in lockstep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

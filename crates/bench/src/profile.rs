@@ -24,13 +24,11 @@
 use cs_life::{ArcLife, Polynomial, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{
-    default_snapshot_path, guideline_fsync_policy, guideline_snapshot_interval, JournalOptions,
-    SnapshotOutcome,
-};
+use cs_now::{default_snapshot_path, JournalOptions, SnapshotOutcome};
 use cs_now::{ring_snapshot_path, segment_meta_path};
+use cs_obs::vfs::StdVfs;
 use cs_obs::{check_lines, Event, EventSink, MemorySink, MetricsRegistry, SpanProfiler};
-use cs_sim::{simulate_expected_work_parallel_profiled, simulate_expected_work_profiled};
+use cs_sim::simulate;
 use cs_tasks::{workloads, TaskBag};
 use std::path::Path;
 use std::sync::Arc;
@@ -128,14 +126,10 @@ fn mc_scenario(
     let mut sink = CountingSink::default();
     let mut prof = SpanProfiler::new();
     let start = Instant::now();
-    let mc = match threads {
-        None => {
-            simulate_expected_work_profiled(&schedule, &life, c, trials, 42, &mut sink, &mut prof)
-        }
-        Some(t) => simulate_expected_work_parallel_profiled(
-            &schedule, &life, c, trials, 42, t, &mut sink, &mut prof,
-        ),
-    };
+    let threads = threads.unwrap_or(1);
+    let mc = simulate(
+        &schedule, &life, c, trials, 42, threads, &mut sink, &mut prof,
+    );
     let wall_ns = start.elapsed().as_nanos() as u64;
     // Parallel shards count their events instead of emitting them; fold
     // them into the denominator or the parallel scenario under-reports its
@@ -162,7 +156,7 @@ fn farm_scenario(
     let mut sink = MemorySink::new();
     let mut prof = SpanProfiler::new();
     let start = Instant::now();
-    farm.run_profiled(&mut sink, &mut prof);
+    farm.run(&mut sink, &mut prof);
     let wall_ns = start.elapsed().as_nanos() as u64;
     let lines: Vec<String> = sink.events.iter().map(Event::to_jsonl).collect();
     Ok((
@@ -220,15 +214,14 @@ fn time_resume(
 ) -> Result<ScenarioResult, String> {
     let (config, bag) = recovery_farm(tasks)?;
     let opts = JournalOptions {
-        fsync: guideline_fsync_policy(&config),
         // Writing fresh sidecars during the timed replay would charge
         // snapshot *production* to recovery; measure restoration only.
         snapshot_every: None,
-        ..Default::default()
+        ..JournalOptions::guideline(&config)
     };
     let start = Instant::now();
     let (_report, info) =
-        Farm::resume_with(config, bag, path, opts).map_err(|e| format!("{id}: {e}"))?;
+        Farm::resume(config, bag, path, opts, &StdVfs).map_err(|e| format!("{id}: {e}"))?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     let outcome_ok = match info.snapshot {
         SnapshotOutcome::Used { .. } => expect_snapshot,
@@ -267,14 +260,10 @@ fn recovery_pair(
     ));
     let snap = default_snapshot_path(&path);
     let (config, bag) = recovery_farm(tasks)?;
-    let opts = JournalOptions {
-        fsync: guideline_fsync_policy(&config),
-        snapshot_every: guideline_snapshot_interval(&config),
-        ..Default::default()
-    };
+    let opts = JournalOptions::guideline(&config);
     Farm::new(config, bag)
         .map_err(|e| e.to_string())?
-        .run_journaled_with(&path, opts)
+        .run_journaled(&path, opts, &StdVfs)
         .map_err(|e| format!("{id_snapshot}: reference journaled run: {e}"))?;
     std::fs::metadata(&snap)
         .map_err(|e| format!("{id_snapshot}: reference run left no sidecar: {e}"))?;
@@ -301,15 +290,13 @@ fn ring_scenario(tasks: usize) -> Result<ScenarioResult, String> {
     ));
     let (config, bag) = recovery_farm(tasks)?;
     let opts = JournalOptions {
-        fsync: guideline_fsync_policy(&config),
-        snapshot_every: guideline_snapshot_interval(&config),
         snapshot_ring: 3,
         gc: true,
-        ..Default::default()
+        ..JournalOptions::guideline(&config)
     };
     let (_report, stats) = Farm::new(config, bag)
         .map_err(|e| e.to_string())?
-        .run_journaled_with(&path, opts)
+        .run_journaled(&path, opts, &StdVfs)
         .map_err(|e| format!("{id}: reference journaled run: {e}"))?;
     if stats.gc_truncated_records == 0 {
         return Err(format!(
@@ -319,14 +306,13 @@ fn ring_scenario(tasks: usize) -> Result<ScenarioResult, String> {
     }
     let (config, bag) = recovery_farm(tasks)?;
     let resume_opts = JournalOptions {
-        fsync: guideline_fsync_policy(&config),
         snapshot_every: None,
         snapshot_ring: 3,
-        ..Default::default()
+        ..JournalOptions::guideline(&config)
     };
     let start = Instant::now();
     let (_report, info) =
-        Farm::resume_with(config, bag, &path, resume_opts).map_err(|e| format!("{id}: {e}"))?;
+        Farm::resume(config, bag, &path, resume_opts, &StdVfs).map_err(|e| format!("{id}: {e}"))?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(segment_meta_path(&path)).ok();
@@ -366,17 +352,15 @@ fn durable_scenario() -> Result<ScenarioResult, String> {
     };
     let (config, bag) = uniform_farm(16, faults, 5_000, 1)?;
     let opts = JournalOptions {
-        fsync: guideline_fsync_policy(&config),
-        snapshot_every: guideline_snapshot_interval(&config),
         snapshot_ring: 3,
         gc: true,
-        ..Default::default()
+        ..JournalOptions::guideline(&config)
     };
     let dir = std::env::temp_dir().join(format!("cs_bench_durable_{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("{id}: {e}"))?;
     let farm = Farm::new(config, bag).map_err(|e| e.to_string())?;
     let start = Instant::now();
-    let run = farm.run_journaled_with(dir.join("j.jsonl"), opts);
+    let run = farm.run_journaled(dir.join("j.jsonl"), opts, &StdVfs);
     let wall_ns = start.elapsed().as_nanos() as u64;
     std::fs::remove_dir_all(&dir).ok();
     let (_report, stats) = run.map_err(|e| format!("{id}: {e}"))?;

@@ -21,10 +21,8 @@ use cs_core::{dp, search};
 use cs_life::LifeFunction;
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{
-    guideline_fsync_policy, guideline_snapshot_interval, IoErrorPolicy, JournalOptions,
-    SnapshotOutcome,
-};
+use cs_now::{IoErrorPolicy, JournalOptions, SnapshotOutcome};
+use cs_obs::vfs::StdVfs;
 use cs_obs::{JsonlSink, MetricsSink, NoopSink, ProgressSink, RunSummary, SpanProfiler, TeeSink};
 use cs_scenarios::{LifeSpec, PolicyParseError, LIFE_OPTS};
 use cs_tasks::{workloads, TaskBag};
@@ -423,7 +421,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let plan = search::best_guideline_schedule(&life, c).map_err(|e| e.to_string())?;
     let mut trace = TraceOutputs::from_args(args)?;
     let mut prof = profiler_from_args(args);
-    let (mc, pool) = cs_sim::simulate_expected_work_parallel_metrics(
+    let mc = cs_sim::simulate(
         &plan.schedule,
         &life,
         c,
@@ -433,7 +431,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         trace.tee(),
         &mut prof,
     );
-    if let Some(pm) = &pool {
+    if let Some(pm) = &mc.pool {
         if let Some(metrics) = trace.metrics.as_mut() {
             pm.fold_into(&mut metrics.registry);
         }
@@ -450,7 +448,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     );
     println!("interrupted    : {}", pct(mc.interrupted_fraction));
     println!("mean periods   : {:.2}", mc.mean_periods);
-    if let Some(pm) = &pool {
+    if let Some(pm) = &mc.pool {
         println!(
             "worker pool    : {} threads, {} tasks run, {} steals ({} tasks stolen), \
              {} parks",
@@ -766,18 +764,23 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
     // `durable_lines` carries the journal/recovery stats printed after the
     // standard report (empty for plain runs).
     let mut durable_lines: Vec<String> = Vec::new();
-    let report = if let Some(path) = resume {
-        let opts = JournalOptions {
-            fsync: guideline_fsync_policy(&config),
+    // The §4.2 cadence, overridden by the durability flags.
+    let durable_opts = |config: &FarmConfig| {
+        let guideline = JournalOptions::guideline(config);
+        JournalOptions {
             kill_after,
-            snapshot_every: snapshot_every.or_else(|| guideline_snapshot_interval(&config)),
+            snapshot_every: snapshot_every.or(guideline.snapshot_every),
             progress_every,
             snapshot_ring,
             gc: journal_gc,
             on_io_error,
-        };
+            ..guideline
+        }
+    };
+    let report = if let Some(path) = resume {
+        let opts = durable_opts(&config);
         let (report, info) =
-            Farm::resume_with(config, bag, &path, opts).map_err(|e| e.to_string())?;
+            Farm::resume(config, bag, &path, opts, &StdVfs).map_err(|e| e.to_string())?;
         let mut summary = RunSummary::new("farm_resume")
             .int("records_replayed", info.records_replayed)
             .int("records_appended", info.records_appended)
@@ -835,19 +838,10 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
         durable_lines.push(format!("RUN-SUMMARY {}", summary.to_json()));
         report
     } else if let Some(path) = journal {
-        let fsync = guideline_fsync_policy(&config);
-        let cadence = match fsync {
+        let opts = durable_opts(&config);
+        let cadence = match opts.fsync {
             cs_obs::FsyncPolicy::EveryRecord => "every record".to_string(),
             cs_obs::FsyncPolicy::Interval(dt) => format!("cadence {dt:.2} virtual time"),
-        };
-        let opts = JournalOptions {
-            fsync,
-            kill_after,
-            snapshot_every: snapshot_every.or_else(|| guideline_snapshot_interval(&config)),
-            progress_every,
-            snapshot_ring,
-            gc: journal_gc,
-            on_io_error,
         };
         let snap_line = match opts.snapshot_every {
             Some(dt) if snapshot_ring > 1 => format!(
@@ -861,7 +855,7 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
         };
         let (report, stats) = Farm::new(config, bag)
             .map_err(|e| e.to_string())?
-            .run_journaled_with(&path, opts)
+            .run_journaled(&path, opts, &StdVfs)
             .map_err(|e| e.to_string())?;
         durable_lines.push(format!(
             "journal       : {} records, {} fsyncs ({cadence}) -> {path}",
@@ -895,7 +889,7 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
         let mut tee = trace.tee();
         Farm::new(config, bag)
             .map_err(|e| e.to_string())?
-            .run_profiled(&mut tee, &mut prof)
+            .run(&mut tee, &mut prof)
     };
     println!("policy        : {}", policy.label());
     println!("workstations  : {n_ws} (uniform L = {l}, c = {c}, gap mean = {gap})");
@@ -1099,9 +1093,8 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
         // any thread count.
         let (entries, pool) = cs_bench::harness::run_all_buffered_metrics(&opts, threads);
         for (exp, result) in entries {
-            // The one header line the shared harness adds over the
-            // standalone binaries; everything below it is byte-identical
-            // to them.
+            // One header line per experiment; everything below it is the
+            // experiment's own report, byte-identical to `exp --id`.
             println!("== {} [{}] {}", exp.id(), exp.paper(), exp.title());
             let buf = result.map_err(|e| format!("{}: {e}", exp.id()))?;
             use std::io::Write;

@@ -127,7 +127,7 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
         ..
     } = farm_scenario_from_args(&args)?;
     if let Some(to) = to {
-        let state = Farm::replay_to_from(config, bag, Path::new(&journal), to, generation)
+        let state = Farm::replay_to(config, bag, Path::new(&journal), to, generation)
             .map_err(|e| format!("obs replay: {e}"))?;
         println!(
             "journal       : {journal} ({} records)",

@@ -41,7 +41,7 @@
 use crate::equeue::EventQueue;
 use crate::faults::{FaultPlan, ResilienceConfig};
 use cs_life::{ArcLife, LifeFunction};
-use cs_obs::{Event as ObsEvent, EventKind as ObsKind, EventSink, NoopSink, SpanId, SpanProfiler};
+use cs_obs::{Event as ObsEvent, EventKind as ObsKind, EventSink, SpanId, SpanProfiler};
 use cs_sim::policy::{ChunkPolicy, PeriodOutcome};
 use cs_tasks::{Chunk, Task, TaskBag};
 use rand::rngs::StdRng;
@@ -645,7 +645,9 @@ impl Engine {
         self.free_bufs.pop().unwrap_or_default()
     }
 
-    /// Registers an outstanding chunk and schedules its lease expiry.
+    /// Registers an outstanding chunk and schedules its lease expiry. Every
+    /// caller also counts the chunk as lost in transit, lost to a crash or
+    /// straggling, which bounds the lease ids a snapshot may claim.
     fn lease(&mut self, ws: usize, chunk: Chunk, expiry: f64, arrives: bool) -> u64 {
         let id = self.in_flight.insert(Lease {
             ws,
@@ -781,41 +783,30 @@ impl Farm {
     }
 
     /// Runs the simulation to drain or horizon, consuming the farm.
-    pub fn run(self) -> FarmReport {
-        self.run_observed(&mut NoopSink)
-    }
-
-    /// [`Farm::run`] with every master action emitted to `sink` as a
-    /// [`cs_obs`] event: `run_start`, per-workstation `episode_start`,
+    ///
+    /// Every master action goes to `sink` as a [`cs_obs`] event:
+    /// `run_start`, per-workstation `episode_start`,
     /// `dispatch`/`bank`/`lease_timeout`/`requeue` and the whole fault and
     /// countermeasure vocabulary (`message_lost`, `period_interrupt`,
     /// `crash`, `straggle`, `backoff`, `quarantine`, `storm_kill`,
-    /// `replica`), closed by `run_end`.
+    /// `replica`), closed by `run_end`. `bank` events reconcile exactly
+    /// with the report: per workstation, the sum of `work` fields in
+    /// emission order equals that workstation's `completed_work` bit for
+    /// bit, and `run_end.banked` equals the report's `completed_work`.
     ///
-    /// The sink is strictly pass-through — it never feeds back into the
-    /// RNG, the bag or the event queue — so the returned [`FarmReport`] is
-    /// bit-identical to [`Farm::run`] for the same configuration. `bank`
-    /// events reconcile exactly with the report: per workstation, the sum
-    /// of `work` fields in emission order equals that workstation's
-    /// `completed_work` bit for bit, and `run_end.banked` equals the
-    /// report's `completed_work`.
-    pub fn run_observed(self, sink: &mut dyn EventSink) -> FarmReport {
-        self.run_profiled(sink, &mut SpanProfiler::disabled())
-    }
-
-    /// [`Farm::run_observed`] plus wall-clock span profiling of the
-    /// master's own hot path: setup, then one phase span per event-queue
-    /// pop — `farm.dispatch` (or `farm.end_game` once the bag is drained
-    /// and only outstanding leases remain), `farm.wait` for result
-    /// arrivals, `farm.requeue` for lease expiries — and `farm.account`
-    /// for the final reconciliation, all under a `farm.run` root span.
-    /// Durations land in `prof`'s `span_ns.*` histograms and the span
-    /// events go to `sink` strictly between `run_start` and `run_end`.
+    /// `prof` times the master's own hot path: setup, then one phase span
+    /// per event-queue pop — `farm.dispatch` (or `farm.end_game` once the
+    /// bag is drained and only outstanding leases remain), `farm.wait` for
+    /// result arrivals, `farm.requeue` for lease expiries — and
+    /// `farm.account` for the final reconciliation, all under a `farm.run`
+    /// root span. Durations land in `prof`'s `span_ns.*` histograms and the
+    /// span events go to `sink` strictly between `run_start` and `run_end`.
     ///
-    /// Like the sink, the profiler is pass-through: it only reads the
-    /// wall clock, so the returned [`FarmReport`] is bit-identical to
-    /// [`Farm::run`] for the same configuration.
-    pub fn run_profiled(self, sink: &mut dyn EventSink, prof: &mut SpanProfiler) -> FarmReport {
+    /// Sink and profiler are strictly pass-through — neither feeds back
+    /// into the RNG, the bag or the event queue — so the returned
+    /// [`FarmReport`] is bit-identical with `&mut NoopSink` and
+    /// [`SpanProfiler::disabled`] or with any other observers.
+    pub fn run(self, sink: &mut dyn EventSink, prof: &mut SpanProfiler) -> FarmReport {
         let mut run = FarmRun::start(self, sink, prof);
         while run.step(sink, prof) {}
         run.finish(sink, prof)
@@ -823,7 +814,7 @@ impl Farm {
 }
 
 /// A farm run paused between virtual-time events: the steppable core behind
-/// [`Farm::run_profiled`] and the unit of state the snapshot subsystem
+/// [`Farm::run`] and the unit of state the snapshot subsystem
 /// ([`crate::snapshot`]) captures. [`FarmRun::start`] emits `run_start` and
 /// seeds the engine, each [`FarmRun::step`] pops and handles one queue
 /// event, [`FarmRun::finish`] reconciles and emits `run_end`. Driving the
@@ -1505,6 +1496,7 @@ fn start_next_episode(
 mod tests {
     use super::*;
     use cs_life::Uniform;
+    use cs_obs::NoopSink;
     use cs_tasks::workloads;
     use std::sync::Arc;
 
@@ -1527,7 +1519,9 @@ mod tests {
             1e6,
             seed,
         );
-        Farm::new(config, bag).unwrap().run()
+        Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled())
     }
 
     #[test]
@@ -1573,7 +1567,9 @@ mod tests {
             1e6,
             21,
         );
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(r.lost_work > 0.0, "expected some kills");
         // Conservation: banked + remaining = initial work.
         assert!((r.completed_work + r.remaining_work - 400.0).abs() < 1e-9);
@@ -1587,7 +1583,9 @@ mod tests {
             50.0,
             5,
         );
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(!r.drained);
         assert!(r.remaining_work > 0.0);
     }
@@ -1629,10 +1627,10 @@ mod tests {
             );
             Farm::new(config, bag).unwrap()
         };
-        let plain = mk().run();
+        let plain = mk().run(&mut NoopSink, &mut SpanProfiler::disabled());
         let mut sink = cs_obs::MemorySink::new();
         let mut prof = SpanProfiler::new();
-        let profiled = mk().run_profiled(&mut sink, &mut prof);
+        let profiled = mk().run(&mut sink, &mut prof);
         // Pass-through: profiling must not perturb a single bit.
         assert_eq!(plain.makespan.to_bits(), profiled.makespan.to_bits());
         assert_eq!(
@@ -1882,7 +1880,9 @@ mod tests {
         config.storms = vec![50.0, 100.0, 150.0];
         config.resilience.lease_factor = 7.0;
         config.resilience.backoff_base = 10.0;
-        let faulty = Farm::new(config, bag).unwrap().run();
+        let faulty = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert_eq!(base.makespan.to_bits(), faulty.makespan.to_bits());
         assert_eq!(
             base.completed_work.to_bits(),
@@ -1909,7 +1909,9 @@ mod tests {
         lossy.faults.loss_prob = 1.0;
         let healthy = uniform_ws(200.0, 2.0, PolicySpec::FixedSize(20.0));
         let config = FarmConfig::new(vec![lossy, healthy], 1e6, 13);
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(r.drained, "healthy workstation should drain the bag");
         assert!((r.completed_work - 200.0).abs() < 1e-9);
         assert_eq!(r.per_workstation[0].completed_work, 0.0);
@@ -1931,7 +1933,9 @@ mod tests {
             .collect();
         workstations.push(uniform_ws(200.0, 2.0, PolicySpec::FixedSize(15.0)));
         let config = FarmConfig::new(workstations, 1e6, 29);
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(
             r.drained,
             "survivor should finish; remaining = {}",
@@ -1948,7 +1952,9 @@ mod tests {
         slow.faults.slowdown = 5.0; // stretches past the 3x lease factor
         let healthy = uniform_ws(500.0, 2.0, PolicySpec::FixedSize(20.0));
         let config = FarmConfig::new(vec![slow, healthy], 1e6, 37);
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(r.drained);
         assert!((r.completed_work - 200.0).abs() < 1e-9);
         assert!(r.robustness.straggled_chunks > 0);
@@ -1972,7 +1978,9 @@ mod tests {
             41,
         );
         config.storms = vec![25.0, 300.0];
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(r.drained);
         assert!(r.robustness.storm_kills >= 1);
         assert!((r.completed_work + r.remaining_work - 300.0).abs() < 1e-9);
@@ -1990,7 +1998,9 @@ mod tests {
             new_life: short,
         });
         let config = FarmConfig::new(vec![w.clone(), w], 1e6, 43);
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(r.drained);
         assert!(r.lost_work > 0.0, "short true episodes should kill chunks");
         assert!((r.completed_work + r.remaining_work - 200.0).abs() < 1e-9);
@@ -2005,7 +2015,9 @@ mod tests {
         lossy.faults.loss_prob = 1.0;
         let healthy = uniform_ws(400.0, 2.0, PolicySpec::FixedSize(25.0));
         let config = FarmConfig::new(vec![lossy, healthy], 1e6, 47);
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(r.drained);
         assert!(
             r.robustness.replicas_dispatched > 0,
@@ -2028,7 +2040,9 @@ mod tests {
         let healthy = uniform_ws(400.0, 2.0, PolicySpec::FixedSize(25.0));
         let mut config = FarmConfig::new(vec![lossy, healthy], 1e6, 47);
         config.resilience.replicate_tail = false;
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert_eq!(r.robustness.replicas_dispatched, 0);
         assert!(r.drained, "lease requeues alone must still drain the bag");
     }
@@ -2044,9 +2058,9 @@ mod tests {
             let healthy = uniform_ws(200.0, 2.0, PolicySpec::FixedSize(20.0));
             Farm::new(FarmConfig::new(vec![lossy, healthy], 1e6, 13), bag).unwrap()
         };
-        let plain = mk().run();
+        let plain = mk().run(&mut NoopSink, &mut SpanProfiler::disabled());
         let mut sink = MemorySink::new();
-        let traced = mk().run_observed(&mut sink);
+        let traced = mk().run(&mut sink, &mut SpanProfiler::disabled());
         // Pass-through: tracing must not perturb the simulation.
         assert_eq!(plain.makespan.to_bits(), traced.makespan.to_bits());
         assert_eq!(
@@ -2129,7 +2143,7 @@ mod tests {
                     1e5,
                     seed,
                 );
-                let r = Farm::new(config, bag).unwrap().run();
+                let r = Farm::new(config, bag).unwrap().run(&mut NoopSink, &mut SpanProfiler::disabled());
                 // Conservation: banked + pending = initial.
                 prop_assert!((r.completed_work + r.remaining_work - total).abs() < 1e-9);
                 // Per-workstation totals match farm totals.
@@ -2184,7 +2198,7 @@ mod tests {
                 );
                 config.storms = vec![40.0, 90.0];
                 config.resilience.lease_factor = lease_factor;
-                let r = Farm::new(config, bag).unwrap().run();
+                let r = Farm::new(config, bag).unwrap().run(&mut NoopSink, &mut SpanProfiler::disabled());
                 // No task lost, none double-banked.
                 prop_assert!(
                     (r.completed_work + r.remaining_work - total).abs() < 1e-6,

@@ -2,7 +2,7 @@
 //!
 //! [`Farm::run_journaled`] runs the virtual-time farm with every master
 //! state transition written to a [`cs_obs::JournalWriter`] — the same v2
-//! JSONL stream [`Farm::run_observed`] emits, made durable with
+//! JSONL stream [`Farm::run`] emits, made durable with
 //! fsync-on-commit. If the master dies (power cut, OOM kill, `--kill-after`
 //! in the chaos harness), [`Farm::resume`] picks the episode back up from
 //! the journal and the final [`FarmReport`] is **bitwise identical** to the
@@ -98,7 +98,7 @@ impl std::fmt::Display for IoErrorPolicy {
     }
 }
 
-/// Knobs for [`Farm::run_journaled_with`].
+/// Knobs for [`Farm::run_journaled`] and [`Farm::resume`].
 #[derive(Debug, Clone, Copy)]
 pub struct JournalOptions {
     /// When committed records are forced to stable storage.
@@ -460,41 +460,23 @@ impl EventSink for JournalSink {
 }
 
 impl Farm {
-    /// [`Farm::run_observed`] with the event stream written as a durable
-    /// write-ahead journal at `path`, fsynced on the
-    /// [`guideline_fsync_policy`] cadence. The journal is strictly
-    /// pass-through: the returned [`FarmReport`] is bit-identical to
-    /// [`Farm::run`] for the same configuration. If the process dies
-    /// mid-run, [`Farm::resume`] with the same `(config, bag)` finishes
-    /// the episode.
+    /// [`Farm::run`] with the event stream written as a durable
+    /// write-ahead journal at `path` through `vfs`: fsync policy, snapshot
+    /// cadence and ring, prefix GC, I/O-error policy and the chaos kill
+    /// switch all come from `opts` ([`JournalOptions::guideline`] is the
+    /// §4.2 cadence). Pass [`StdVfs`] for the real filesystem; the
+    /// disk-fault chaos harness injects [`cs_obs::FaultyVfs`]. The journal
+    /// is strictly pass-through: the returned [`FarmReport`] is
+    /// bit-identical to [`Farm::run`] for the same configuration. If the
+    /// process dies mid-run, [`Farm::resume`] with the same `(config, bag)`
+    /// finishes the episode.
     pub fn run_journaled(
         self,
         path: impl AsRef<Path>,
-    ) -> Result<(FarmReport, DurableStats), JournalError> {
-        let opts = JournalOptions::guideline(&self.config);
-        self.run_journaled_with(path, opts)
-    }
-
-    /// [`Farm::run_journaled`] with explicit fsync policy, snapshot
-    /// cadence/ring, prefix GC, I/O-error policy, and the chaos kill
-    /// switch.
-    pub fn run_journaled_with(
-        self,
-        path: impl AsRef<Path>,
-        opts: JournalOptions,
-    ) -> Result<(FarmReport, DurableStats), JournalError> {
-        self.run_journaled_vfs(path.as_ref(), opts, &StdVfs)
-    }
-
-    /// [`Farm::run_journaled_with`] against an explicit [`Vfs`] — the
-    /// injection point the disk-fault chaos harness drives with
-    /// [`cs_obs::FaultyVfs`].
-    pub fn run_journaled_vfs(
-        self,
-        path: &Path,
         opts: JournalOptions,
         vfs: &dyn Vfs,
     ) -> Result<(FarmReport, DurableStats), JournalError> {
+        let path = path.as_ref();
         sweep_stale(vfs, path, true);
         let writer = JournalWriter::create_with(vfs, path, opts.fsync)?;
         let mut sink = JournalSink::new(writer, Vec::new(), 0, FNV_OFFSET, &opts);
@@ -516,35 +498,10 @@ impl Farm {
     /// with the same bytes an uninterrupted journaled run would have
     /// written, and the returned [`FarmReport`] is bitwise identical to
     /// that run's. Resuming a journal that already holds a complete run
-    /// verifies it end to end and appends nothing.
-    ///
-    /// Mismatched inputs surface as [`JournalError::HeaderMismatch`] (seed,
-    /// workstation count or task count differ) or
-    /// [`JournalError::Diverged`] / [`JournalError::JournalAhead`] (anything
-    /// subtler).
-    pub fn resume(
-        config: FarmConfig,
-        bag: cs_tasks::TaskBag,
-        path: impl AsRef<Path>,
-    ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
-        let opts = JournalOptions::guideline(&config);
-        Self::resume_with(config, bag, path, opts)
-    }
-
-    /// [`Farm::resume`] with explicit fsync/snapshot cadences and the chaos
-    /// kill switch: `kill_after` counts total committed records (skipped +
-    /// replayed + appended), so a chaos run can kill the master again at a
-    /// later boundary.
-    pub fn resume_with(
-        config: FarmConfig,
-        bag: cs_tasks::TaskBag,
-        path: impl AsRef<Path>,
-        opts: JournalOptions,
-    ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
-        Self::resume_vfs(config, bag, path.as_ref(), opts, &StdVfs)
-    }
-
-    /// [`Farm::resume_with`] against an explicit [`Vfs`].
+    /// verifies it end to end and appends nothing. `opts` sets the
+    /// cadences for the rest of the run; its `kill_after` counts total
+    /// committed records (skipped + replayed + appended), so a chaos run
+    /// can kill the master again at a later boundary.
     ///
     /// Recovery walks the snapshot generation ring newest→oldest: the
     /// first sidecar that both binds to the surviving journal (record
@@ -554,13 +511,19 @@ impl Farm {
     /// segment in the same situation is a typed
     /// [`JournalError::SegmentUnrecoverable`] — redo history is gone by
     /// design, and no answer beats a silently wrong one.
-    pub fn resume_vfs(
+    ///
+    /// Mismatched inputs surface as [`JournalError::HeaderMismatch`] (seed,
+    /// workstation count or task count differ) or
+    /// [`JournalError::Diverged`] / [`JournalError::JournalAhead`] (anything
+    /// subtler).
+    pub fn resume(
         config: FarmConfig,
         bag: cs_tasks::TaskBag,
-        path: &Path,
+        path: impl AsRef<Path>,
         opts: JournalOptions,
         vfs: &dyn Vfs,
     ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
+        let path = path.as_ref();
         let ring = opts.snapshot_ring.clamp(1, RING_SCAN);
         sweep_stale(vfs, path, false);
         let restore_config = config.clone();
@@ -738,32 +701,22 @@ impl Farm {
     }
 
     /// Time travel for post-mortems: reconstructs the master's state as of
-    /// committed record `to` (clamped to the journal's length) by verified
-    /// replay, and summarizes it. `config` and `bag` must be the journaled
-    /// run's inputs, exactly as for [`Farm::resume`]. The journal is only
-    /// read, never written.
+    /// committed record `to` by verified replay, and summarizes it.
+    /// `config` and `bag` must be the journaled run's inputs, exactly as
+    /// for [`Farm::resume`]. The journal is only read, never written.
     ///
     /// Replay stops at the first event boundary at or past `to` — a single
     /// queue event can emit several records, and the engine's state is only
-    /// meaningful between events.
+    /// meaningful between events. `to` is clamped to the journal's length.
+    ///
+    /// `generation` picks the starting point: `Some(g)` restores
+    /// `<journal>.snap.<g>` and verifies only the tail after it, while
+    /// `None` replays from record zero on a whole journal and auto-selects
+    /// the oldest retained generation once GC has truncated the prefix.
+    /// `to` is clamped up to the starting snapshot's record count — state
+    /// earlier than a retained generation is only reachable while the
+    /// un-GC'd prefix exists.
     pub fn replay_to(
-        config: FarmConfig,
-        bag: cs_tasks::TaskBag,
-        path: impl AsRef<Path>,
-        to: u64,
-    ) -> Result<ReplayState, JournalError> {
-        Self::replay_to_from(config, bag, path, to, None)
-    }
-
-    /// [`Farm::replay_to`] starting from a retained snapshot generation
-    /// instead of record zero: `Some(g)` restores `<journal>.snap.<g>`
-    /// and verifies only the tail after it, while `None` replays from
-    /// scratch on a whole journal and auto-selects the oldest retained
-    /// generation once GC has truncated the prefix. `to` is clamped up to
-    /// the starting snapshot's record count — state earlier than a
-    /// retained generation is only reachable while the un-GC'd prefix
-    /// exists.
-    pub fn replay_to_from(
         config: FarmConfig,
         bag: cs_tasks::TaskBag,
         path: impl AsRef<Path>,
@@ -1485,7 +1438,7 @@ pub(crate) mod tests {
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
     use cs_life::{ArcLife, Uniform};
-    use cs_obs::read_journal;
+    use cs_obs::{read_journal, NoopSink};
     use cs_tasks::workloads;
     use std::sync::Arc;
 
@@ -1498,7 +1451,7 @@ pub(crate) mod tests {
 
     /// A small faulty farm exercising loss, stragglers, requeues and
     /// end-game replication — the full journal vocabulary.
-    fn faulty_config(seed: u64) -> FarmConfig {
+    pub(super) fn faulty_config(seed: u64) -> FarmConfig {
         let life: ArcLife = Arc::new(Uniform::new(200.0).unwrap());
         let ws = |faults: FaultPlan| WorkstationConfig {
             life: life.clone(),
@@ -1520,7 +1473,7 @@ pub(crate) mod tests {
         config
     }
 
-    fn bag() -> cs_tasks::TaskBag {
+    pub(super) fn bag() -> cs_tasks::TaskBag {
         workloads::uniform(120, 1.0).unwrap()
     }
 
@@ -1545,19 +1498,25 @@ pub(crate) mod tests {
     #[test]
     fn journaled_run_is_passthrough_and_matches_observed_trace() {
         let path = tmp("passthrough");
-        let plain = Farm::new(faulty_config(13), bag()).unwrap().run();
+        let plain = Farm::new(faulty_config(13), bag())
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         let (journaled, stats) = Farm::new(faulty_config(13), bag())
             .unwrap()
-            .run_journaled(&path)
+            .run_journaled(
+                &path,
+                JournalOptions::guideline(&faulty_config(13)),
+                &StdVfs,
+            )
             .unwrap();
         assert_reports_bitwise_equal(&plain, &journaled);
         assert!(stats.records > 0 && stats.syncs > 0, "{stats:?}");
 
-        // The journal is byte-for-byte the run_observed trace.
+        // The journal is byte-for-byte the traced `Farm::run` stream.
         let mut mem = cs_obs::MemorySink::new();
         Farm::new(faulty_config(13), bag())
             .unwrap()
-            .run_observed(&mut mem);
+            .run(&mut mem, &mut SpanProfiler::disabled());
         let expected: String = mem.events.iter().map(|e| e.to_jsonl() + "\n").collect();
         let actual = std::fs::read_to_string(&path).unwrap();
         assert_eq!(actual, expected);
@@ -1577,7 +1536,11 @@ pub(crate) mod tests {
         let ref_path = tmp("resume_ref");
         let (full_report, _) = Farm::new(faulty_config(29), bag())
             .unwrap()
-            .run_journaled(&ref_path)
+            .run_journaled(
+                &ref_path,
+                JournalOptions::guideline(&faulty_config(29)),
+                &StdVfs,
+            )
             .unwrap();
         let full_bytes = std::fs::read(&ref_path).unwrap();
         let records: Vec<&[u8]> = full_bytes.split_inclusive(|&b| b == b'\n').collect();
@@ -1591,7 +1554,14 @@ pub(crate) mod tests {
             torn.extend_from_slice(b"{\"v\":2,\"t\":9");
             std::fs::write(&path, &torn).unwrap();
 
-            let (resumed, info) = Farm::resume(faulty_config(29), bag(), &path).unwrap();
+            let (resumed, info) = Farm::resume(
+                faulty_config(29),
+                bag(),
+                &path,
+                JournalOptions::guideline(&faulty_config(29)),
+                &StdVfs,
+            )
+            .unwrap();
             assert_reports_bitwise_equal(&full_report, &resumed);
             // No sidecar next to this journal: recovery is full redo.
             assert_eq!(info.snapshot, SnapshotOutcome::None);
@@ -1613,9 +1583,16 @@ pub(crate) mod tests {
         let path = tmp("complete");
         let (report, stats) = Farm::new(faulty_config(7), bag())
             .unwrap()
-            .run_journaled(&path)
+            .run_journaled(&path, JournalOptions::guideline(&faulty_config(7)), &StdVfs)
             .unwrap();
-        let (resumed, info) = Farm::resume(faulty_config(7), bag(), &path).unwrap();
+        let (resumed, info) = Farm::resume(
+            faulty_config(7),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(7)),
+            &StdVfs,
+        )
+        .unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         // With the sidecar the run left behind, resume skips its prefix;
         // either way every committed record is accounted for and nothing
@@ -1637,7 +1614,11 @@ pub(crate) mod tests {
         let quiet = tmp("hb_quiet");
         let (base, _) = Farm::new(faulty_config(11), bag())
             .unwrap()
-            .run_journaled(&quiet)
+            .run_journaled(
+                &quiet,
+                JournalOptions::guideline(&faulty_config(11)),
+                &StdVfs,
+            )
             .unwrap();
         let noisy = tmp("hb_noisy");
         // `Some(0.0)` emits a heartbeat before every step — the loudest
@@ -1648,7 +1629,7 @@ pub(crate) mod tests {
         };
         let (report, _) = Farm::new(faulty_config(11), bag())
             .unwrap()
-            .run_journaled_with(&noisy, opts)
+            .run_journaled(&noisy, opts, &StdVfs)
             .unwrap();
         assert_reports_bitwise_equal(&base, &report);
         assert_eq!(
@@ -1666,10 +1647,16 @@ pub(crate) mod tests {
         let path = tmp("foreign");
         Farm::new(faulty_config(1), bag())
             .unwrap()
-            .run_journaled(&path)
+            .run_journaled(&path, JournalOptions::guideline(&faulty_config(1)), &StdVfs)
             .unwrap();
         // Wrong seed → different run_start → header mismatch.
-        match Farm::resume(faulty_config(2), bag(), &path) {
+        match Farm::resume(
+            faulty_config(2),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(2)),
+            &StdVfs,
+        ) {
             Err(JournalError::HeaderMismatch { expected, found }) => {
                 assert_ne!(expected, found);
             }
@@ -1680,7 +1667,13 @@ pub(crate) mod tests {
         let doctored = text.replacen("\"duplicate\":0}", "\"duplicate\":0.125}", 1);
         assert_ne!(text, doctored, "fixture must contain a bank record");
         std::fs::write(&path, doctored).unwrap();
-        match Farm::resume(faulty_config(1), bag(), &path) {
+        match Farm::resume(
+            faulty_config(1),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(1)),
+            &StdVfs,
+        ) {
             Err(JournalError::Diverged { record, .. }) => assert!(record > 1),
             other => panic!("expected Diverged, got {other:?}"),
         }
@@ -1693,14 +1686,20 @@ pub(crate) mod tests {
         let path = tmp("ahead");
         Farm::new(faulty_config(5), bag())
             .unwrap()
-            .run_journaled(&path)
+            .run_journaled(&path, JournalOptions::guideline(&faulty_config(5)), &StdVfs)
             .unwrap();
         // A journal strictly longer than what replay regenerates: append a
         // copy of the final run_end record.
         let text = std::fs::read_to_string(&path).unwrap();
         let last = text.lines().last().unwrap().to_string();
         std::fs::write(&path, format!("{text}{last}\n")).unwrap();
-        match Farm::resume(faulty_config(5), bag(), &path) {
+        match Farm::resume(
+            faulty_config(5),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(5)),
+            &StdVfs,
+        ) {
             Err(JournalError::JournalAhead {
                 journal_records,
                 replayed,
@@ -1723,7 +1722,7 @@ pub(crate) mod tests {
         };
         let (report, _) = Farm::new(faulty_config(seed), bag())
             .unwrap()
-            .run_journaled_with(&path, opts)
+            .run_journaled(&path, opts, &StdVfs)
             .unwrap();
         let full = std::fs::read(&path).unwrap();
         let meta = crate::snapshot::inspect_snapshot(default_snapshot_path(&path)).unwrap();
@@ -1748,7 +1747,14 @@ pub(crate) mod tests {
         // Kill after the snapshot point: the sidecar applies.
         let kill_at = n - 1;
         truncate_to(&path, &full, kill_at);
-        let (resumed, info) = Farm::resume(faulty_config(31), bag(), &path).unwrap();
+        let (resumed, info) = Farm::resume(
+            faulty_config(31),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(31)),
+            &StdVfs,
+        )
+        .unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(
             info.snapshot,
@@ -1775,7 +1781,14 @@ pub(crate) mod tests {
         bytes[mid] ^= 0x20;
         std::fs::write(&snap_path, &bytes).unwrap();
 
-        let (resumed, info) = Farm::resume(faulty_config(37), bag(), &path).unwrap();
+        let (resumed, info) = Farm::resume(
+            faulty_config(37),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(37)),
+            &StdVfs,
+        )
+        .unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(
             matches!(info.snapshot, SnapshotOutcome::Fallback(_)),
@@ -1795,7 +1808,14 @@ pub(crate) mod tests {
         // the journal no longer holds and must be rejected.
         assert!(snap_records > 1);
         truncate_to(&path, &full, snap_records as usize - 1);
-        let (resumed, info) = Farm::resume(faulty_config(41), bag(), &path).unwrap();
+        let (resumed, info) = Farm::resume(
+            faulty_config(41),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(41)),
+            &StdVfs,
+        )
+        .unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(
             info.snapshot,
@@ -1815,14 +1835,14 @@ pub(crate) mod tests {
         // Record 1 is the run_start header. Setup (header + one
         // episode_start per workstation) is atomic, so the replay lands
         // just past it: nothing dispatched, nothing banked.
-        let at_start = Farm::replay_to(faulty_config(43), bag(), &path, 1).unwrap();
+        let at_start = Farm::replay_to(faulty_config(43), bag(), &path, 1, None).unwrap();
         assert_eq!(at_start.records, 4, "run_start + 3 episode_start");
         assert_eq!(at_start.total_records, n);
         assert_eq!(at_start.banked_tasks, 0);
         assert_eq!(at_start.pending_tasks, 120);
 
         // Midway: progress is strictly between start and end.
-        let mid = Farm::replay_to(faulty_config(43), bag(), &path, n / 2).unwrap();
+        let mid = Farm::replay_to(faulty_config(43), bag(), &path, n / 2, None).unwrap();
         assert!(mid.records >= n / 2 && mid.records < n, "{mid:?}");
         assert!(mid.virtual_time > 0.0);
         assert!(mid.banked_tasks > 0 || mid.in_flight_chunks > 0, "{mid:?}");
@@ -1830,7 +1850,7 @@ pub(crate) mod tests {
 
         // The full journal replays to the final report's totals (clamped
         // even when asked for more records than exist).
-        let end = Farm::replay_to(faulty_config(43), bag(), &path, n + 500).unwrap();
+        let end = Farm::replay_to(faulty_config(43), bag(), &path, n + 500, None).unwrap();
         assert_eq!(end.records, n);
         assert_eq!(end.banked_tasks, 120);
         // (pending/in-flight need not be zero at the end: a requeued or
@@ -1845,7 +1865,7 @@ pub(crate) mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), full);
         // And it rejects foreign inputs like resume does.
         assert!(matches!(
-            Farm::replay_to(faulty_config(44), bag(), &path, 5),
+            Farm::replay_to(faulty_config(44), bag(), &path, 5, None),
             Err(JournalError::HeaderMismatch { .. })
         ));
         std::fs::remove_file(default_snapshot_path(&path)).ok();
@@ -1928,7 +1948,7 @@ pub(crate) mod tests {
         };
         let (report, stats) = Farm::new(faulty_config(seed), bag())
             .unwrap()
-            .run_journaled_with(&path, opts)
+            .run_journaled(&path, opts, &StdVfs)
             .unwrap();
         (path, report, opts, stats)
     }
@@ -1964,7 +1984,7 @@ pub(crate) mod tests {
         let full = std::fs::read(&path).unwrap();
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
-        let (resumed, info) = Farm::resume_with(faulty_config(47), bag(), &path, opts).unwrap();
+        let (resumed, info) = Farm::resume(faulty_config(47), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(info.generation.is_some(), "{info:?}");
         assert!(
@@ -1996,7 +2016,7 @@ pub(crate) mod tests {
         assert_eq!(seg.base_records, stats.gc_truncated_records);
 
         // A complete GC'd journal still verifies end to end.
-        let (resumed, info) = Farm::resume_with(faulty_config(53), bag(), &path, opts).unwrap();
+        let (resumed, info) = Farm::resume(faulty_config(53), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(info.segment_base > 0, "{info:?}");
         assert_eq!(info.records_appended, 0);
@@ -2004,15 +2024,15 @@ pub(crate) mod tests {
         // Every retained generation is a usable replay start, and the
         // whole surviving segment replays through the end.
         for g in 0..3 {
-            let st =
-                Farm::replay_to_from(faulty_config(53), bag(), &path, u64::MAX, Some(g)).unwrap();
+            let st = Farm::replay_to(faulty_config(53), bag(), &path, u64::MAX, Some(g)).unwrap();
             assert_eq!(st.records, st.total_records, "generation {g}");
             assert_eq!(st.banked_tasks, 120, "generation {g}");
         }
         // `replay_to` without a generation auto-picks one when record zero
         // is gone.
         let seg = SegmentMeta::load(&StdVfs, &segment_meta_path(&path)).unwrap();
-        let st = Farm::replay_to(faulty_config(53), bag(), &path, seg.base_records + 1).unwrap();
+        let st =
+            Farm::replay_to(faulty_config(53), bag(), &path, seg.base_records + 1, None).unwrap();
         assert!(st.records > seg.base_records);
         cleanup(&path);
     }
@@ -2031,7 +2051,7 @@ pub(crate) mod tests {
         let mut torn = full[..offsets[n - 3]].to_vec();
         torn.extend_from_slice(b"{\"v\":2,\"t\":1");
         std::fs::write(&path, &torn).unwrap();
-        let (resumed, info) = Farm::resume_with(faulty_config(59), bag(), &path, opts).unwrap();
+        let (resumed, info) = Farm::resume(faulty_config(59), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert!(info.torn_bytes_discarded > 0, "{info:?}");
         assert!(info.segment_base > 0, "{info:?}");
@@ -2058,7 +2078,7 @@ pub(crate) mod tests {
         let full = std::fs::read(&path).unwrap();
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
-        let (resumed, info) = Farm::resume_with(faulty_config(61), bag(), &path, opts).unwrap();
+        let (resumed, info) = Farm::resume(faulty_config(61), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(info.segment_base, real.base_records, "{info:?}");
         // The metadata was repaired on the way through.
@@ -2073,7 +2093,7 @@ pub(crate) mod tests {
         for g in 0..3 {
             std::fs::remove_file(ring_snapshot_path(&path, g)).unwrap();
         }
-        match Farm::resume_with(faulty_config(67), bag(), &path, opts) {
+        match Farm::resume(faulty_config(67), bag(), &path, opts, &StdVfs) {
             Err(JournalError::SegmentUnrecoverable { base, .. }) => assert!(base > 0),
             other => panic!("expected SegmentUnrecoverable, got {other:?}"),
         }
@@ -2095,7 +2115,7 @@ pub(crate) mod tests {
         }]);
         match Farm::new(faulty_config(71), bag())
             .unwrap()
-            .run_journaled_vfs(&path, opts, &vfs)
+            .run_journaled(&path, opts, &vfs)
         {
             Err(JournalError::Io(e)) => {
                 assert_eq!(injected_kind(&e), Some(FaultKind::FailedWrite), "{e:?}")
@@ -2109,7 +2129,9 @@ pub(crate) mod tests {
     fn degrade_mode_completes_bitwise_and_flags_the_run() {
         use cs_obs::{FaultAt, FaultKind, FaultyVfs};
         let path = tmp("degrade");
-        let reference = Farm::new(faulty_config(73), bag()).unwrap().run();
+        let reference = Farm::new(faulty_config(73), bag())
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         let opts = JournalOptions {
             fsync: guideline_fsync_policy(&faulty_config(73)),
             snapshot_every: Some(2.0),
@@ -2122,13 +2144,20 @@ pub(crate) mod tests {
         }]);
         let (report, stats) = Farm::new(faulty_config(73), bag())
             .unwrap()
-            .run_journaled_vfs(&path, opts, &vfs)
+            .run_journaled(&path, opts, &vfs)
             .unwrap();
         assert_reports_bitwise_equal(&reference, &report);
         assert!(stats.degraded, "{stats:?}");
         // What made it to disk is a valid prefix: a later resume on a
         // healthy disk finishes the episode exactly.
-        let (resumed, info) = Farm::resume(faulty_config(73), bag(), &path).unwrap();
+        let (resumed, info) = Farm::resume(
+            faulty_config(73),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(73)),
+            &StdVfs,
+        )
+        .unwrap();
         assert_reports_bitwise_equal(&reference, &resumed);
         assert!(!info.degraded);
         cleanup(&path);
@@ -2141,11 +2170,22 @@ pub(crate) mod tests {
         std::fs::write(&stale, b"half-written").unwrap();
         Farm::new(faulty_config(79), bag())
             .unwrap()
-            .run_journaled(&path)
+            .run_journaled(
+                &path,
+                JournalOptions::guideline(&faulty_config(79)),
+                &StdVfs,
+            )
             .unwrap();
         assert!(!stale.exists(), "fresh run must sweep stale tmp files");
         std::fs::write(&stale, b"half-written").unwrap();
-        Farm::resume(faulty_config(79), bag(), &path).unwrap();
+        Farm::resume(
+            faulty_config(79),
+            bag(),
+            &path,
+            JournalOptions::guideline(&faulty_config(79)),
+            &StdVfs,
+        )
+        .unwrap();
         assert!(!stale.exists(), "resume must sweep stale tmp files");
         cleanup(&path);
     }
@@ -2153,7 +2193,9 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod properties {
-    use super::tests::{assert_reports_bitwise_equal, cleanup, tmp};
+    use super::tests::{
+        assert_reports_bitwise_equal, bag, cleanup, faulty_config, ring_fixture, tmp,
+    };
     use super::*;
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
@@ -2210,7 +2252,7 @@ mod properties {
             let mk_bag = || workloads::uniform(tasks, 1.0).unwrap();
             let (reference, _) = Farm::new(prop_config(seed, intensity, workstations), mk_bag())
                 .unwrap()
-                .run_journaled(&path)
+                .run_journaled(&path, JournalOptions::guideline(&prop_config(seed, intensity, workstations)), &StdVfs)
                 .unwrap();
             let full = std::fs::read(&path).unwrap();
             let offsets: Vec<usize> = full
@@ -2229,7 +2271,7 @@ mod properties {
             }
             std::fs::write(&path, &prefix).unwrap();
             let (resumed, info) =
-                Farm::resume(prop_config(seed, intensity, workstations), mk_bag(), &path).unwrap();
+                Farm::resume(prop_config(seed, intensity, workstations), mk_bag(), &path, JournalOptions::guideline(&prop_config(seed, intensity, workstations)), &StdVfs).unwrap();
             // The reference run's sidecar is still next to the journal: when
             // the kill point is past the snapshot, resume restores it and
             // skips the covered records; otherwise it falls back to full
@@ -2275,7 +2317,7 @@ mod properties {
             };
             let (reference, _) = Farm::new(mk_cfg(), mk_bag())
                 .unwrap()
-                .run_journaled_with(&path, opts)
+                .run_journaled(&path, opts, &StdVfs)
                 .unwrap();
             let full = std::fs::read(&path).unwrap();
             let meta = snap_path
@@ -2299,7 +2341,7 @@ mod properties {
                 }
             }
 
-            let (resumed, info) = Farm::resume_with(mk_cfg(), mk_bag(), &path, opts).unwrap();
+            let (resumed, info) = Farm::resume(mk_cfg(), mk_bag(), &path, opts, &StdVfs).unwrap();
             assert_reports_bitwise_equal(&reference, &resumed);
             let stitched = std::fs::read(&path).unwrap();
             prop_assert!(stitched == full, "stitched journal differs from the reference");
@@ -2367,7 +2409,7 @@ mod properties {
             };
             let (reference, stats) = Farm::new(mk_cfg(), mk_bag())
                 .unwrap()
-                .run_journaled_with(&path, opts)
+                .run_journaled(&path, opts, &StdVfs)
                 .unwrap();
             prop_assume!(stats.gc_truncated_records > 0);
             let full = std::fs::read(&path).unwrap();
@@ -2397,7 +2439,7 @@ mod properties {
                 if meta.journal_records > seg.base_records + k as u64 {
                     continue; // ahead of the kill point; resume rejects it
                 }
-                let st = Farm::replay_to_from(mk_cfg(), mk_bag(), &path, u64::MAX, Some(g))
+                let st = Farm::replay_to(mk_cfg(), mk_bag(), &path, u64::MAX, Some(g))
                     .unwrap();
                 prop_assert_eq!(st.records, seg.base_records + k as u64);
                 usable += 1;
@@ -2406,7 +2448,7 @@ mod properties {
             // start, so at least one generation always survives any kill.
             prop_assert!(usable > 0, "no usable generation at kill point {k}/{n}");
 
-            let (resumed, info) = Farm::resume_with(mk_cfg(), mk_bag(), &path, opts).unwrap();
+            let (resumed, info) = Farm::resume(mk_cfg(), mk_bag(), &path, opts, &StdVfs).unwrap();
             assert_reports_bitwise_equal(&reference, &resumed);
             prop_assert!(
                 matches!(info.snapshot, SnapshotOutcome::Used { .. }),
@@ -2670,6 +2712,56 @@ mod properties {
                 other => panic!("{to:?}: expected Malformed, got {other:?}"),
             }
         }
+    }
+
+    /// Forged counts that parse but contradict the snapshot's contents:
+    /// restore used to size the lease table and banked set from them (a
+    /// `capacity overflow` panic and an allocation abort). Each is a typed
+    /// `Inconsistent` from restore now, while the unforged fixture passes.
+    #[test]
+    fn forged_counts_are_inconsistent_on_restore() {
+        let good = std::str::from_utf8(SNAPSHOT_FIXTURE).unwrap();
+        let restore = |text: &[u8]| {
+            FarmSnapshot::decode(text)
+                .unwrap()
+                .restore(prop_config(42, 0.6, 8))
+        };
+        assert!(!matches!(
+            restore(SNAPSHOT_FIXTURE),
+            Err(SnapshotError::Inconsistent { .. })
+        ));
+        for (from, to) in [
+            (" next_lease 8\n", " next_lease 1152921504606846975\n"),
+            (" tasks 300\n", " tasks 1152921504606846975\n"),
+        ] {
+            assert!(good.contains(from), "{from:?} not in the fixture");
+            let forged = with_checksum(body(good.replacen(from, to, 1).as_bytes()));
+            match restore(&forged) {
+                Err(SnapshotError::Inconsistent { .. }) => {}
+                Err(e) => panic!("{to:?}: expected Inconsistent, got {e:?}"),
+                Ok(_) => panic!("{to:?}: expected Inconsistent, got a restored run"),
+            }
+        }
+    }
+
+    /// Resume treats a sidecar with a forged `next_lease` like any other
+    /// unusable sidecar: a typed fallback to full redo, bitwise exact.
+    #[test]
+    fn resume_falls_back_past_a_forged_next_lease() {
+        let (path, report, opts, _) = ring_fixture("forged_lease", 83, 1, false);
+        let snap_path = default_snapshot_path(&path);
+        let text = String::from_utf8(std::fs::read(&snap_path).unwrap()).unwrap();
+        let at = text.find(" next_lease ").unwrap() + " next_lease ".len();
+        let end = at + text[at..].find('\n').unwrap();
+        let forged = format!("{}1152921504606846975{}", &text[..at], &text[end..]);
+        std::fs::write(&snap_path, with_checksum(body(forged.as_bytes()))).unwrap();
+        let (resumed, info) = Farm::resume(faulty_config(83), bag(), &path, opts, &StdVfs).unwrap();
+        assert_reports_bitwise_equal(&report, &resumed);
+        assert_eq!(
+            info.snapshot,
+            SnapshotOutcome::Fallback(SnapshotErrorKind::Inconsistent)
+        );
+        cleanup(&path);
     }
 
     /// Replacements for one token of a sidecar: canonical values, values

@@ -16,15 +16,14 @@
 //!   from the shared bag, so results are exactly reproducible and policy
 //!   comparisons are apples-to-apples. This is the engine the experiments
 //!   use.
-//! * [`live`] — a **real threaded executor**: one thread per borrowed
-//!   workstation, crossbeam channels for the A↔B work/result protocol, an
-//!   owner thread per workstation that reclaims it on schedule, and real
-//!   (synthetic-compute) task execution. This demonstrates the library
+//! * [`live`] — a **real threaded executor**: one scoped thread per
+//!   borrowed workstation, all sharing the master's bag behind one mutex,
+//!   each checking its owner's reclaim deadline at task boundaries, with
+//!   real (synthetic-compute) task execution. This demonstrates the library
 //!   driving actual concurrent workers; the virtual→wall-clock scale is
 //!   configurable.
 //! * [`replicate`] — parallel Monte-Carlo replication of farm simulations
-//!   across seeds (crossbeam scoped threads) with merged summary
-//!   statistics.
+//!   across seeds (scoped threads) with merged summary statistics.
 //! * [`faults`] — deterministic fault injection (message loss, stragglers,
 //!   crashes, reclaim storms, belief drift) plus the resilient master's
 //!   countermeasure knobs (leases, backoff, quarantine, tail replication).
@@ -53,8 +52,12 @@
 //!   fail-stop (typed [`JournalError::Io`]) or degrade (finish
 //!   in-memory with [`DurableStats::degraded`] set).
 //!
-//! Every master action can be traced through [`cs_obs`]: run the simulator
-//! via [`farm::Farm::run_observed`] with any [`cs_obs::EventSink`] to get a
+//! Each engine operation has one entry point: [`farm::Farm::run`],
+//! [`farm::Farm::run_journaled`], [`farm::Farm::resume`] and
+//! [`farm::Farm::replay_to`] (plus [`farm::Farm::fork_from_snapshot`]).
+//!
+//! Every master action can be traced through [`cs_obs`]: pass
+//! [`farm::Farm::run`] any [`cs_obs::EventSink`] to get a
 //! schema-versioned event stream (JSONL, in-memory, or folded into a
 //! [`cs_obs::MetricsRegistry`]) whose tallies reconcile exactly with the
 //! returned [`farm::FarmReport`]. Sinks are strictly pass-through: a traced

@@ -6,7 +6,7 @@
 //! concurrent task farm the way workstation A would:
 //!
 //! * one thread per borrowed workstation, sharing the master's
-//!   [`TaskBag`] behind a [`parking_lot::Mutex`];
+//!   [`TaskBag`] behind one [`std::sync::Mutex`];
 //! * per period: a simulated communication setup delay (`c`), chunk
 //!   check-out, CPU-burning execution of each task, result bank-in;
 //! * an owner "reclaim" deadline per workstation — reaching it mid-chunk
@@ -19,8 +19,8 @@
 
 use cs_core::Schedule;
 use cs_tasks::{Task, TaskBag};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One live borrowed workstation: the schedule its master-side driver will
@@ -83,6 +83,12 @@ struct LiveState {
     in_flight: usize,
 }
 
+/// Locks the shared state, recovering it from a poisoned lock, so a worker
+/// that panicked while holding it cannot take the bag down with it.
+fn lock(shared: &Mutex<LiveState>) -> MutexGuard<'_, LiveState> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs one episode per worker concurrently over the shared bag.
 ///
 /// `time_scale` converts virtual time units to wall time (e.g. `50 µs` per
@@ -100,8 +106,9 @@ pub fn run_live(bag: &mut TaskBag, workers: &[LiveWorker], time_scale: Duration)
 /// boundary, the in-flight chunk's tasks are requeued — still claimable by
 /// surviving workers, not lost work — the panicking worker's episode ends,
 /// and the panic is tallied in [`LiveOutcome::worker_panics`]. A panic
-/// never propagates to the master thread. (`parking_lot` mutexes don't
-/// poison, so the shared bag stays usable by design.)
+/// never propagates to the master thread. Task panics happen outside the
+/// bag lock; should anything panic while holding it, the poisoned lock is
+/// recovered ([`PoisonError::into_inner`]), so the shared bag stays usable.
 ///
 /// Workers retire on an empty bag only once nothing is in flight: a
 /// checked-out chunk can still be requeued (panic) or abandoned
@@ -121,12 +128,12 @@ pub fn run_live_with(
         in_flight: 0,
     });
     let scale = |v: f64| time_scale.mul_f64(v.max(0.0));
-    let outcomes: Vec<WorkerTally> = crossbeam::thread::scope(|scope| {
+    let outcomes: Vec<WorkerTally> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .iter()
             .map(|w| {
                 let shared = &shared;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let episode_start = Instant::now();
                     let deadline = episode_start + scale(w.reclaim_at);
                     let mut tally = WorkerTally::default();
@@ -137,7 +144,7 @@ pub fn run_live_with(
                             break 'episode;
                         }
                         let chunk = {
-                            let mut s = shared.lock();
+                            let mut s = lock(shared);
                             let chunk = cs_tasks::pack_chunk(&mut s.bag, t, w.c);
                             if !chunk.is_empty() {
                                 s.in_flight += 1;
@@ -153,7 +160,7 @@ pub fn run_live_with(
                             // outstanding chunk resolves.
                             loop {
                                 {
-                                    let s = shared.lock();
+                                    let s = lock(shared);
                                     if !s.bag.is_drained() {
                                         break;
                                     }
@@ -176,7 +183,7 @@ pub fn run_live_with(
                                 // destroyed nor delivered, so requeue it and
                                 // retire this worker.
                                 tally.panics += 1;
-                                let mut s = shared.lock();
+                                let mut s = lock(shared);
                                 s.bag.requeue(chunk);
                                 s.in_flight -= 1;
                                 break 'episode;
@@ -184,7 +191,7 @@ pub fn run_live_with(
                             if Instant::now() >= deadline {
                                 tally.lost += chunk.total_duration();
                                 tally.chunks_lost += 1;
-                                let mut s = shared.lock();
+                                let mut s = lock(shared);
                                 s.bag.abandon(chunk);
                                 s.in_flight -= 1;
                                 break 'episode;
@@ -192,7 +199,7 @@ pub fn run_live_with(
                         }
                         tally.completed += chunk.total_duration();
                         tally.tasks += chunk.len() as u64;
-                        let mut s = shared.lock();
+                        let mut s = lock(shared);
                         s.bag.complete(chunk);
                         s.in_flight -= 1;
                     }
@@ -213,9 +220,11 @@ pub fn run_live_with(
                 })
             })
             .collect()
-    })
-    .expect("scope panicked");
-    *bag = shared.into_inner().bag;
+    });
+    *bag = shared
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .bag;
     let mut out = LiveOutcome {
         wall: start.elapsed(),
         ..Default::default()
@@ -371,5 +380,23 @@ mod tests {
         assert_eq!(out.lost_work, 0.0);
         // Every checked-out task is back in the bag.
         assert_eq!(bag.pending_count(), 20);
+    }
+
+    #[test]
+    fn poisoned_bag_lock_is_recovered() {
+        let shared = Mutex::new(LiveState {
+            bag: workloads::uniform(3, 1.0).unwrap(),
+            in_flight: 0,
+        });
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let _guard = lock(&shared);
+                panic!("worker dies holding the bag lock");
+            });
+            assert!(worker.join().is_err());
+        });
+        assert!(shared.is_poisoned());
+        // Survivors still reach the bag, unchanged.
+        assert_eq!(lock(&shared).bag.pending_count(), 3);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! A single farm run is one sample of a stochastic system; policy
 //! comparisons need distributions. [`replicate_farm`] runs `n` independent
-//! replications (differing only in seed) across crossbeam scoped threads
+//! replications (differing only in seed) across scoped threads
 //! and merges the per-replication outcomes into summary statistics —
 //! reproducible for a fixed master seed regardless of thread count.
 
 use crate::farm::{Farm, FarmConfig, FarmConfigError, PolicySpec, WorkstationConfig};
+use cs_obs::{NoopSink, SpanProfiler};
 use cs_sim::Summary;
 use cs_tasks::TaskBag;
 
@@ -30,8 +31,8 @@ pub struct ReplicationReport {
     pub drained_fraction: f64,
 }
 
-/// Runs `replications` independent farm simulations over `threads` crossbeam
-/// scoped threads.
+/// Runs `replications` independent farm simulations over `threads` scoped
+/// threads.
 ///
 /// `template` supplies the workstations (with their fault plans), storms,
 /// resilience knobs, horizon and base seed; replication `r` runs with seed
@@ -82,7 +83,7 @@ pub fn replicate_farm(
             }
             let report = Farm::new(config, make_bag())
                 .expect("template validated above")
-                .run();
+                .run(&mut NoopSink, &mut SpanProfiler::disabled());
             if report.drained {
                 shard.drained += 1;
                 shard.makespan.push(report.makespan);
@@ -108,17 +109,16 @@ pub fn replicate_farm(
         out
     };
 
-    let results: Vec<Shard> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Shard> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .iter()
-            .map(|&(lo, hi)| scope.spawn(move |_| run_range(lo, hi)))
+            .map(|&(lo, hi)| scope.spawn(move || run_range(lo, hi)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("replication shard panicked"))
             .collect()
-    })
-    .expect("scope panicked");
+    });
 
     let mut makespan = Summary::new();
     let mut completed = Summary::new();

@@ -134,6 +134,13 @@ pub enum SnapshotError {
         /// What was wrong.
         reason: String,
     },
+    /// The snapshot parses, but a count it would be restored from
+    /// contradicts the snapshot's own contents (a forged `tasks` or
+    /// `next_lease`).
+    Inconsistent {
+        /// Which count, and what bounds it.
+        reason: String,
+    },
     /// The trailing FNV-1a checksum does not match the body.
     Checksum {
         /// Checksum recorded in the file.
@@ -174,6 +181,8 @@ pub enum SnapshotErrorKind {
     Version,
     /// Parse failure.
     Malformed,
+    /// A count contradicts the snapshot's contents.
+    Inconsistent,
     /// Body checksum mismatch.
     Checksum,
     /// Snapshot belongs to a different farm.
@@ -191,6 +200,7 @@ impl SnapshotError {
             SnapshotError::Io(_) => SnapshotErrorKind::Io,
             SnapshotError::Version { .. } => SnapshotErrorKind::Version,
             SnapshotError::Malformed { .. } => SnapshotErrorKind::Malformed,
+            SnapshotError::Inconsistent { .. } => SnapshotErrorKind::Inconsistent,
             SnapshotError::Checksum { .. } => SnapshotErrorKind::Checksum,
             SnapshotError::FarmMismatch { .. } => SnapshotErrorKind::FarmMismatch,
             SnapshotError::JournalAhead { .. } => SnapshotErrorKind::JournalAhead,
@@ -209,6 +219,9 @@ impl fmt::Display for SnapshotError {
             ),
             SnapshotError::Malformed { line, reason } => {
                 write!(f, "malformed snapshot at line {line}: {reason}")
+            }
+            SnapshotError::Inconsistent { reason } => {
+                write!(f, "inconsistent snapshot: {reason}")
             }
             SnapshotError::Checksum { expected, found } => write!(
                 f,
@@ -255,6 +268,7 @@ impl fmt::Display for SnapshotErrorKind {
             SnapshotErrorKind::Io => "io",
             SnapshotErrorKind::Version => "version",
             SnapshotErrorKind::Malformed => "malformed",
+            SnapshotErrorKind::Inconsistent => "inconsistent",
             SnapshotErrorKind::Checksum => "checksum",
             SnapshotErrorKind::FarmMismatch => "farm-mismatch",
             SnapshotErrorKind::JournalAhead => "journal-ahead",
@@ -478,6 +492,7 @@ impl FarmSnapshot {
                 ),
             });
         }
+        self.check_counts()?;
         let mut storms = config.storms.clone();
         storms.sort_by(f64::total_cmp);
         let queue: EventQueue = self
@@ -550,6 +565,46 @@ impl FarmSnapshot {
             now: self.now,
             root_span: SpanId::NONE,
         })
+    }
+
+    /// Checks the two counts `restore` sizes allocations from against
+    /// bounds the snapshot itself implies, so a forged count is a typed
+    /// error instead of an allocation failure:
+    /// - every task of the run is pending, leased or banked, so `tasks` is
+    ///   at most the task entries the snapshot holds;
+    /// - every lease is issued for a chunk its workstation counts as lost
+    ///   in transit, lost to a crash or straggling, so `next_lease` is at
+    ///   most the sum of those counters.
+    fn check_counts(&self) -> Result<(), SnapshotError> {
+        let held = self.bag.pending.len()
+            + self.leases.iter().map(|l| l.tasks.len()).sum::<usize>()
+            + self.banked.len();
+        if self.tasks > held as u64 {
+            return Err(SnapshotError::Inconsistent {
+                reason: format!(
+                    "tasks {} exceeds the {held} pending, leased and banked tasks it holds",
+                    self.tasks
+                ),
+            });
+        }
+        let issued = self
+            .ws
+            .iter()
+            .flat_map(|w| {
+                let s = &w.stats;
+                [s.messages_lost, s.chunks_lost, s.straggled_chunks]
+            })
+            .fold(0u64, u64::saturating_add);
+        if self.next_lease > issued {
+            return Err(SnapshotError::Inconsistent {
+                reason: format!(
+                    "next_lease {} exceeds the {issued} chunks its workstations lost or \
+                     straggled",
+                    self.next_lease
+                ),
+            });
+        }
+        Ok(())
     }
 
     // -- text encoding ------------------------------------------------------

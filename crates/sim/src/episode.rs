@@ -8,7 +8,7 @@
 //! the episode ends; work banked in *earlier* periods survives.
 
 use cs_core::Schedule;
-use cs_obs::{Event, EventKind, EventSink};
+use cs_obs::{Event, EventKind, EventSink, NoopSink};
 use cs_tasks::TaskBag;
 
 /// What happened in one simulated episode.
@@ -34,17 +34,13 @@ pub struct EpisodeOutcome {
 ///
 /// A period ending exactly at the reclamation instant counts as interrupted,
 /// matching `p(t) = P(R > t)` in the expectation (2.1).
-pub fn run_episode(schedule: &Schedule, c: f64, reclaim: f64) -> EpisodeOutcome {
-    // Monomorphized over NoopSink, so the untraced hot path pays nothing.
-    run_episode_observed(schedule, c, reclaim, cs_obs::NoopSink)
-}
-
-/// [`run_episode`] with episode-lifecycle events (`episode_start`,
-/// `period_start`, `period_commit`, `period_interrupt`) emitted to `sink`.
-/// Event times are within-episode virtual times (the episode starts at 0);
-/// the sink is pass-through, so the outcome is bit-identical to
-/// [`run_episode`].
-pub fn run_episode_observed<S: EventSink>(
+///
+/// Episode-lifecycle events (`episode_start`, `period_start`,
+/// `period_commit`, `period_interrupt`) go to `sink`, at within-episode
+/// virtual times (the episode starts at 0). The sink is pass-through, so
+/// the outcome is bit-identical with any sink; pass [`cs_obs::NoopSink`]
+/// for the untraced hot path, which then pays nothing.
+pub fn run_episode<S: EventSink>(
     schedule: &Schedule,
     c: f64,
     reclaim: f64,
@@ -102,8 +98,8 @@ pub fn run_episode_observed<S: EventSink>(
 /// periods and is interrupted iff `k < m`. The table stores `T_k` and `W_k`
 /// accumulated with the walk's exact float operations in the walk's order,
 /// so `work`, `periods_completed` and `interrupted` are bit-identical to
-/// [`run_episode`] by construction. Traced episodes still go through
-/// [`run_episode_observed`]: the table emits no events, only their count.
+/// [`run_episode`] by construction. Traced episodes still walk through
+/// [`run_episode`]: the table emits no events, only their count.
 ///
 /// Cache-line aligned: pooled workers reload its fields on every trial
 /// (the life function's dynamic call keeps them from being hoisted), so
@@ -171,7 +167,7 @@ impl EpisodeTable {
         self.banked[k]
     }
 
-    /// How many events [`run_episode_observed`] emits for an episode
+    /// How many events [`run_episode`] emits for an episode
     /// interrupted in period `k`: `episode_start`, a start/commit pair per
     /// completed period, and a start/interrupt pair if `k < m`.
     #[inline]
@@ -202,7 +198,7 @@ pub fn run_episode_tasks(
     reclaim: f64,
     bag: &mut TaskBag,
 ) -> TaskEpisodeOutcome {
-    let fluid = run_episode(schedule, c, reclaim);
+    let fluid = run_episode(schedule, c, reclaim, NoopSink);
     let mut task_work = 0.0;
     let mut tasks_completed = 0u64;
     let mut t_end = 0.0;
@@ -239,7 +235,7 @@ mod tests {
     #[test]
     fn uninterrupted_banks_everything() {
         let s = sched(&[5.0, 4.0, 3.0]);
-        let out = run_episode(&s, 1.0, f64::INFINITY);
+        let out = run_episode(&s, 1.0, f64::INFINITY, NoopSink);
         assert_eq!(out.work, 4.0 + 3.0 + 2.0);
         assert_eq!(out.periods_completed, 3);
         assert!(!out.interrupted);
@@ -251,7 +247,7 @@ mod tests {
     fn reclaim_mid_period_loses_that_period() {
         let s = sched(&[5.0, 4.0, 3.0]);
         // Reclaim at 7: period 0 done (T_0 = 5), period 1 in flight.
-        let out = run_episode(&s, 1.0, 7.0);
+        let out = run_episode(&s, 1.0, 7.0, NoopSink);
         assert_eq!(out.work, 4.0);
         assert_eq!(out.periods_completed, 1);
         assert!(out.interrupted);
@@ -262,7 +258,7 @@ mod tests {
     #[test]
     fn reclaim_exactly_at_period_end_counts_as_interrupted() {
         let s = sched(&[5.0, 4.0]);
-        let out = run_episode(&s, 1.0, 5.0);
+        let out = run_episode(&s, 1.0, 5.0, NoopSink);
         assert_eq!(out.work, 0.0);
         assert_eq!(out.periods_completed, 0);
         assert!(out.interrupted);
@@ -271,7 +267,7 @@ mod tests {
     #[test]
     fn reclaim_before_first_period_yields_nothing() {
         let s = sched(&[5.0]);
-        let out = run_episode(&s, 1.0, 0.5);
+        let out = run_episode(&s, 1.0, 0.5, NoopSink);
         assert_eq!(out.work, 0.0);
         assert!(out.interrupted);
         assert_eq!(out.ended_at, 0.5);
@@ -282,7 +278,7 @@ mod tests {
         let s = sched(&[7.0, 6.0, 2.0, 5.0]);
         let c = 1.5;
         for &r in &[0.0, 3.0, 7.0, 7.1, 13.0, 15.0, 100.0] {
-            let out = run_episode(&s, c, r);
+            let out = run_episode(&s, c, r, NoopSink);
             assert_eq!(out.work, s.work_if_reclaimed_at(r, c), "r = {r}");
         }
     }
@@ -290,7 +286,7 @@ mod tests {
     #[test]
     fn unproductive_period_banks_zero_but_elapses() {
         let s = sched(&[0.5, 5.0]);
-        let out = run_episode(&s, 1.0, f64::INFINITY);
+        let out = run_episode(&s, 1.0, f64::INFINITY, NoopSink);
         assert_eq!(out.work, 4.0);
         assert_eq!(out.periods_completed, 2);
     }

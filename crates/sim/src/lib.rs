@@ -13,10 +13,11 @@
 //!   accounting; task mode executes a real [`cs_tasks::TaskBag`] chunk by
 //!   chunk. [`EpisodeTable`] precomputes a fixed schedule's episode as a
 //!   function of the reclaim time, so a trial is a binary search.
-//! * [`montecarlo`] — estimates `E[work]` by simulating many episodes with
-//!   reclamation times drawn from the life function (inverse transform),
-//!   serially or on the `cs-pool` work-stealing runtime (bit-identical to
-//!   serial at every thread count). `exp_sim_validate` shows the
+//! * [`montecarlo`] — [`simulate`] estimates `E[work]` by simulating many
+//!   episodes with reclamation times drawn from the life function (inverse
+//!   transform), serially or on the `cs-pool` work-stealing runtime
+//!   (bit-identical to serial at every thread count), with one optional
+//!   event sink and span profiler. `exp_sim_validate` shows the
 //!   Monte-Carlo mean converging to the analytic `E(S; p)`.
 //! * [`policy`] — chunk-sizing policies as a trait, so the same simulator
 //!   drives guideline, fixed-size, greedy and adaptive scheduling (used by
@@ -31,14 +32,8 @@ pub mod montecarlo;
 pub mod policy;
 pub mod stats;
 
-pub use episode::{
-    run_episode, run_episode_observed, run_episode_tasks, EpisodeOutcome, EpisodeTable,
-};
-pub use montecarlo::{
-    simulate_expected_work, simulate_expected_work_observed, simulate_expected_work_parallel,
-    simulate_expected_work_parallel_metrics, simulate_expected_work_parallel_observed,
-    simulate_expected_work_parallel_profiled, simulate_expected_work_profiled, MonteCarlo,
-};
+pub use episode::{run_episode, run_episode_tasks, EpisodeOutcome, EpisodeTable};
+pub use montecarlo::{simulate, MonteCarlo};
 pub use policy::{
     run_policy_episode, ChunkPolicy, FixedSchedulePolicy, FixedSizePolicy, GreedyPolicy,
     GuidelineCache, GuidelinePolicy, PeriodOutcome,

@@ -5,13 +5,13 @@
 //! §2.1 kill semantics. The sample mean converges to the analytic `E(S; p)`
 //! of eq (2.1) — the model-validation experiment `exp_sim_validate`.
 //!
-//! Both drivers run each untraced trial's episode through one
-//! [`EpisodeTable`] built per run: a binary search for the interrupted
-//! period replaces the period-by-period walk, bit-identically. A serial
-//! run whose sink wants events walks each episode with
-//! [`run_episode_observed`] so the trace carries its lifecycle.
+//! [`simulate`] is the one entry point. Both of its trial loops run each
+//! untraced trial's episode through one [`EpisodeTable`] built per run: a
+//! binary search for the interrupted period replaces the period-by-period
+//! walk, bit-identically. A serial run whose sink wants events walks each
+//! episode with [`run_episode`] so the trace carries its lifecycle.
 //!
-//! The parallel driver runs trials on the `cs-pool` work-stealing runtime.
+//! The pooled loop runs trials on the `cs-pool` work-stealing runtime.
 //! The master pre-draws every trial's uniform variate from the *same* RNG
 //! stream the serial loop uses, workers run the (pure) inverse transform
 //! and table lookup for dynamically-balanced trial batches, and the master
@@ -20,16 +20,16 @@
 //! batch decomposition is pure load balancing and cannot leak into the
 //! numbers.
 
-use crate::episode::{run_episode_observed, EpisodeTable};
+use crate::episode::{run_episode, EpisodeTable};
 use crate::stats::Summary;
 use cs_core::Schedule;
 use cs_life::LifeFunction;
-use cs_obs::{Event, EventKind, EventSink, NoopSink, SpanId, SpanProfiler};
+use cs_obs::{Event, EventKind, EventSink, SpanId, SpanProfiler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Result of a Monte-Carlo run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct MonteCarlo {
     /// Summary of per-episode banked work.
     pub work: Summary,
@@ -47,31 +47,135 @@ pub struct MonteCarlo {
     /// equals the number of episode events the serial trace would contain —
     /// batch boundaries cannot skew it.
     pub shard_events: u64,
+    /// The work-stealing pool's scheduling snapshot (tasks, steals, batch
+    /// sizes, parks), so callers can surface worker utilization. `None`
+    /// when the run took the serial path. Scheduling-dependent, unlike
+    /// every other field.
+    pub pool: Option<cs_pool::PoolMetrics>,
 }
 
-/// The serial trial loop plus span profiling: each stride of trials
-/// (one `mc_progress` interval) runs inside an `mc.trial_batch` span, so
-/// the profiler's `span_ns.mc.trial_batch` histogram shows how batch
-/// latency is distributed across the run. The profiler only reads the
-/// wall clock — trial order, RNG draws and tallies are untouched.
-/// `progress_stride` must be at least 1.
+/// Monte-Carlo estimate of `E[work]` for `schedule` under `p`.
+///
+/// With `threads <= 1` (or fewer than 2 trials) the trials run serially on
+/// the caller's thread; otherwise on the `cs-pool` work-stealing runtime:
+/// the master pre-draws each trial's uniform variate from the unchanged
+/// serial RNG stream, workers run dynamically-balanced batches of pure
+/// per-trial work (inverse transform + episode lookup), and outcomes are
+/// merged back in trial order. The result is bit-identical for the same
+/// `(schedule, p, c, trials, seed)` regardless of `threads`.
+///
+/// The trace is `run_start`, `mc_progress` every `max(1, trials/20)`
+/// trials, and a closing `run_end`. A serial run also traces each
+/// episode's lifecycle (episode times restart at 0 each trial); pooled
+/// worker batches run untraced, since their events would interleave
+/// nondeterministically, and tally them into `shard_events` instead.
+///
+/// `prof` times the trial loop under an `mc.trials` root span: serially
+/// one `mc.trial_batch` child per progress stride; pooled, an `mc.draw`
+/// span per pre-draw window, `mc.pool` for the fan-out and `mc.merge` for
+/// the in-order merge, with pool counters under `span.mc.trials.pool.*`.
+/// Span events sit strictly between `run_start` and `run_end`. Sink and
+/// profiler are strictly pass-through: the result is bit-identical with
+/// tracing and profiling on or off.
+///
+/// # Examples
+///
+/// ```
+/// use cs_core::Schedule;
+/// use cs_life::Uniform;
+/// use cs_obs::{NoopSink, SpanProfiler};
+/// use cs_sim::simulate;
+/// let p = Uniform::new(100.0).unwrap();
+/// let s = Schedule::new(vec![30.0, 20.0]).unwrap();
+/// let mc = simulate(&s, &p, 2.0, 10_000, 42, 1, NoopSink, &mut SpanProfiler::disabled());
+/// let analytic = s.expected_work(&p, 2.0);
+/// assert!((mc.work.mean() - analytic).abs() < 5.0 * mc.work.std_error());
+/// ```
 #[allow(clippy::too_many_arguments)]
-fn run_trials_profiled<S: EventSink>(
+pub fn simulate<S: EventSink>(
+    schedule: &Schedule,
+    p: &dyn LifeFunction,
+    c: f64,
+    trials: u64,
+    seed: u64,
+    threads: usize,
+    mut sink: S,
+    prof: &mut SpanProfiler,
+) -> MonteCarlo {
+    sink.emit(&Event {
+        time: 0.0,
+        kind: EventKind::RunStart {
+            seed,
+            workstations: 0,
+            tasks: 0,
+        },
+    });
+    let root = prof.start("mc.trials", &mut sink);
+    let table = EpisodeTable::new(schedule, c);
+    let (work, tally, pool) = if threads <= 1 || trials < 2 {
+        let (work, tally) = serial_trials(schedule, c, p, &table, trials, seed, &mut sink, prof);
+        (work, tally, None)
+    } else {
+        let (work, tally, pm) = pooled_trials(p, &table, trials, seed, threads, &mut sink, prof);
+        (work, tally, Some(pm))
+    };
+    prof.end(root, &mut sink);
+    let mc = MonteCarlo {
+        work,
+        interrupted_fraction: tally.interrupted as f64 / trials.max(1) as f64,
+        mean_periods: tally.periods as f64 / trials.max(1) as f64,
+        shard_events: tally.events,
+        pool,
+    };
+    sink.emit(&Event {
+        time: trials as f64,
+        kind: EventKind::RunEnd {
+            banked: mc.work.mean(),
+            lost: 0.0,
+            drained: false,
+        },
+    });
+    mc
+}
+
+/// Integer tallies of a batch of trials.
+#[derive(Debug, Default)]
+struct BatchTally {
+    interrupted: u64,
+    periods: u64,
+    events: u64,
+}
+
+impl BatchTally {
+    fn add(&mut self, other: &BatchTally) {
+        self.interrupted += other.interrupted;
+        self.periods += other.periods;
+        self.events += other.events;
+    }
+}
+
+/// The serial trial loop. Each stride of trials (one `mc_progress`
+/// interval) runs inside an `mc.trial_batch` span, so the profiler's
+/// `span_ns.mc.trial_batch` histogram shows how batch latency is
+/// distributed across the run. The profiler only reads the wall clock —
+/// trial order, RNG draws and tallies are untouched. Every event reaches
+/// the sink, so `events` stays zero.
+#[allow(clippy::too_many_arguments)]
+fn serial_trials<S: EventSink>(
     schedule: &Schedule,
     c: f64,
     p: &dyn LifeFunction,
+    table: &EpisodeTable,
     trials: u64,
     seed: u64,
     mut sink: S,
-    progress_stride: u64,
     prof: &mut SpanProfiler,
-) -> (Summary, u64, u64) {
-    let table = EpisodeTable::new(schedule, c);
+) -> (Summary, BatchTally) {
     let traced = sink.wants_events();
+    let progress_stride = (trials / 20).max(1);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut work = Summary::new();
-    let mut interrupted = 0u64;
-    let mut periods = 0u64;
+    let mut tally = BatchTally::default();
     let mut batch = prof.start("mc.trial_batch", &mut sink);
     let mut batch_trials = 0u64;
     // Milestones: every multiple of the stride, and the last trial.
@@ -82,15 +186,15 @@ fn run_trials_profiled<S: EventSink>(
         // The walk and the table agree bit for bit on (work, k); only the
         // walk emits the episode's events.
         let (w, k) = if traced {
-            let out = run_episode_observed(schedule, c, r, &mut sink);
+            let out = run_episode(schedule, c, r, &mut sink);
             (out.work, out.periods_completed)
         } else {
             let k = table.interrupted_period(r);
             (table.banked(k), k)
         };
         work.push(w);
-        interrupted += u64::from(k < table.len());
-        periods += k as u64;
+        tally.interrupted += u64::from(k < table.len());
+        tally.periods += k as u64;
         batch_trials += 1;
         let done = i + 1;
         if done == next_tick {
@@ -114,222 +218,7 @@ fn run_trials_profiled<S: EventSink>(
     }
     // Zero-trial runs leave the opening batch span dangling; close it.
     prof.end(batch, &mut sink);
-    (work, interrupted, periods)
-}
-
-/// Serial Monte-Carlo estimate of `E[work]` for `schedule` under `p`.
-/// # Examples
-///
-/// ```
-/// use cs_core::Schedule;
-/// use cs_life::Uniform;
-/// use cs_sim::simulate_expected_work;
-/// let p = Uniform::new(100.0).unwrap();
-/// let s = Schedule::new(vec![30.0, 20.0]).unwrap();
-/// let mc = simulate_expected_work(&s, &p, 2.0, 10_000, 42);
-/// let analytic = s.expected_work(&p, 2.0);
-/// assert!((mc.work.mean() - analytic).abs() < 5.0 * mc.work.std_error());
-/// ```
-pub fn simulate_expected_work(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-) -> MonteCarlo {
-    // Monomorphized over NoopSink — the unobserved path pays nothing.
-    simulate_expected_work_observed(schedule, p, c, trials, seed, NoopSink)
-}
-
-/// [`simulate_expected_work`] with a trace: `run_start`, the full episode
-/// lifecycle of every trial (episode times restart at 0 each trial),
-/// `mc_progress` every `max(1, trials/20)` trials, and a closing `run_end`.
-/// The sink is strictly pass-through: the returned [`MonteCarlo`] is
-/// bit-identical to the untraced run for the same `(trials, seed)`.
-pub fn simulate_expected_work_observed<S: EventSink>(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    sink: S,
-) -> MonteCarlo {
-    serial_inner(
-        schedule,
-        p,
-        c,
-        trials,
-        seed,
-        sink,
-        &mut SpanProfiler::disabled(),
-    )
-}
-
-/// [`simulate_expected_work_observed`] plus span profiling: the trial
-/// loop runs under an `mc.trials` root span with one `mc.trial_batch`
-/// child per progress stride, all recorded into `prof` and emitted to the
-/// sink as v2 span events. The span events sit strictly between
-/// `run_start` and `run_end` (a trace's first and last lines stay run
-/// bookkeeping), and the profiler is pass-through: the returned
-/// [`MonteCarlo`] is bit-identical with profiling on or off.
-pub fn simulate_expected_work_profiled<S: EventSink>(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    sink: S,
-    prof: &mut SpanProfiler,
-) -> MonteCarlo {
-    serial_inner(schedule, p, c, trials, seed, sink, prof)
-}
-
-fn serial_inner<S: EventSink>(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    mut sink: S,
-    prof: &mut SpanProfiler,
-) -> MonteCarlo {
-    sink.emit(&Event {
-        time: 0.0,
-        kind: EventKind::RunStart {
-            seed,
-            workstations: 0,
-            tasks: 0,
-        },
-    });
-    let stride = (trials / 20).max(1);
-    let root = prof.start("mc.trials", &mut sink);
-    let (work, interrupted, periods) =
-        run_trials_profiled(schedule, c, p, trials, seed, &mut sink, stride, prof);
-    prof.end(root, &mut sink);
-    let mc = MonteCarlo {
-        work,
-        interrupted_fraction: interrupted as f64 / trials.max(1) as f64,
-        mean_periods: periods as f64 / trials.max(1) as f64,
-        shard_events: 0,
-    };
-    sink.emit(&Event {
-        time: trials as f64,
-        kind: EventKind::RunEnd {
-            banked: mc.work.mean(),
-            lost: 0.0,
-            drained: false,
-        },
-    });
-    mc
-}
-
-/// Parallel Monte-Carlo estimate on the `cs-pool` work-stealing runtime:
-/// the master pre-draws each trial's uniform variate from the unchanged
-/// serial RNG stream, workers run dynamically-balanced batches of pure
-/// per-trial work (inverse transform + episode), and outcomes are merged
-/// back in trial order.
-///
-/// Bit-identical to [`simulate_expected_work`] for the same
-/// `(schedule, p, c, trials, seed)` — regardless of `threads`.
-pub fn simulate_expected_work_parallel(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> MonteCarlo {
-    simulate_expected_work_parallel_observed(schedule, p, c, trials, seed, threads, NoopSink)
-}
-
-/// [`simulate_expected_work_parallel`] with a trace. Worker batches run
-/// untraced (episode events would interleave nondeterministically across
-/// threads; their production is tallied into `shard_events` instead); the
-/// master emits `run_start`, `mc_progress` at exactly the serial milestone
-/// set — every `max(1, trials/20)` trials during the in-order merge — and
-/// a closing `run_end`, so the trace is identical for every thread count.
-/// With `threads == 1` (or fewer than 2 trials) this falls back to the
-/// serial observed path, which also traces each episode's lifecycle.
-/// Either way the sink is strictly pass-through and the returned
-/// [`MonteCarlo`] is bit-identical to the untraced run.
-pub fn simulate_expected_work_parallel_observed<S: EventSink>(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    sink: S,
-) -> MonteCarlo {
-    parallel_inner(
-        schedule,
-        p,
-        c,
-        trials,
-        seed,
-        threads,
-        sink,
-        &mut SpanProfiler::disabled(),
-    )
-    .0
-}
-
-/// [`simulate_expected_work_parallel_observed`] plus span profiling: each
-/// pre-draw window records an `mc.draw` span (the serial RNG fraction), the
-/// pooled fan-out an `mc.pool` span, and the in-order merge an `mc.merge`
-/// span, all children of the `mc.trials` root; pool scheduling counters
-/// (tasks, steals, parks) are folded in under the root as
-/// `span.mc.trials.pool.*`. Workers themselves run unprofiled (the
-/// profiler is not shared across threads). With one thread this falls back
-/// to the serial profiled path, batch spans included. Pass-through:
-/// results are bit-identical with profiling on or off.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_expected_work_parallel_profiled<S: EventSink>(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    sink: S,
-    prof: &mut SpanProfiler,
-) -> MonteCarlo {
-    parallel_inner(schedule, p, c, trials, seed, threads, sink, prof).0
-}
-
-/// [`simulate_expected_work_parallel_profiled`] that also hands back the
-/// work-stealing pool's scheduling snapshot (`None` when the run fell
-/// back to the serial path), so callers can surface worker utilization —
-/// tasks, steals, batch sizes, parks — without re-deriving it. The
-/// [`MonteCarlo`] result stays bit-identical to every other entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_expected_work_parallel_metrics<S: EventSink>(
-    schedule: &Schedule,
-    p: &dyn LifeFunction,
-    c: f64,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    sink: S,
-    prof: &mut SpanProfiler,
-) -> (MonteCarlo, Option<cs_pool::PoolMetrics>) {
-    parallel_inner(schedule, p, c, trials, seed, threads, sink, prof)
-}
-
-/// Integer tallies of one pooled batch of trials.
-#[derive(Debug, Default)]
-struct BatchTally {
-    interrupted: u64,
-    periods: u64,
-    events: u64,
-}
-
-impl BatchTally {
-    fn add(&mut self, other: &BatchTally) {
-        self.interrupted += other.interrupted;
-        self.periods += other.periods;
-        self.events += other.events;
-    }
+    (work, tally)
 }
 
 /// Trials per pre-draw window. At most two windows are in flight (one on
@@ -342,32 +231,20 @@ impl BatchTally {
 /// window large enough to hide it.
 const MC_WINDOW: u64 = 1 << 16;
 
-#[allow(clippy::too_many_arguments)]
-fn parallel_inner<S: EventSink>(
-    schedule: &Schedule,
+/// The pooled trial loop: the master draws every variate from the serial
+/// RNG stream, the pool runs the pure per-trial lookups, and the master
+/// merges outcomes in trial order with the serial loop's exact `mc_progress`
+/// milestones.
+fn pooled_trials<S: EventSink>(
     p: &dyn LifeFunction,
-    c: f64,
+    table: &EpisodeTable,
     trials: u64,
     seed: u64,
     threads: usize,
     mut sink: S,
     prof: &mut SpanProfiler,
-) -> (MonteCarlo, Option<cs_pool::PoolMetrics>) {
-    let threads = threads.max(1);
-    if threads == 1 || trials < 2 {
-        return (serial_inner(schedule, p, c, trials, seed, sink, prof), None);
-    }
-    sink.emit(&Event {
-        time: 0.0,
-        kind: EventKind::RunStart {
-            seed,
-            workstations: 0,
-            tasks: 0,
-        },
-    });
-    let root = prof.start("mc.trials", &mut sink);
+) -> (Summary, BatchTally, cs_pool::PoolMetrics) {
     let pool = cs_pool::Pool::new(threads);
-    let table = EpisodeTable::new(schedule, c);
     // The exact RNG stream the serial loop would consume — every variate is
     // drawn here, in trial order, on the master.
     let mut rng = StdRng::seed_from_u64(seed);
@@ -388,7 +265,6 @@ fn parallel_inner<S: EventSink>(
         let (job_tx, job_rx) = std::sync::mpsc::channel::<(Vec<f64>, usize)>();
         let (res_tx, res_rx) = std::sync::mpsc::channel::<WindowOut>();
         let pool = &pool;
-        let table = &table;
         scope.spawn(move || {
             while let Ok((us, batch)) = job_rx.recv() {
                 let wlen = us.len();
@@ -479,28 +355,14 @@ fn parallel_inner<S: EventSink>(
     prof.bump("pool.steals", pm.steals);
     prof.bump("pool.stolen_tasks", pm.stolen_tasks);
     prof.bump("pool.parks", pm.parks);
-    prof.end(root, &mut sink);
-    let mc = MonteCarlo {
-        work,
-        interrupted_fraction: tally.interrupted as f64 / trials.max(1) as f64,
-        mean_periods: tally.periods as f64 / trials.max(1) as f64,
-        shard_events: tally.events,
-    };
-    sink.emit(&Event {
-        time: trials as f64,
-        kind: EventKind::RunEnd {
-            banked: mc.work.mean(),
-            lost: 0.0,
-            drained: false,
-        },
-    });
-    (mc, Some(pm))
+    (work, tally, pm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cs_life::{GeometricDecreasing, GeometricIncreasing, Polynomial, Uniform};
+    use cs_obs::NoopSink;
 
     fn sched(v: &[f64]) -> Schedule {
         Schedule::new(v.to_vec()).unwrap()
@@ -509,7 +371,16 @@ mod tests {
     /// The Monte-Carlo mean must match E(S;p) within ~4 standard errors.
     fn assert_matches_analytic(p: &dyn LifeFunction, s: &Schedule, c: f64) {
         let analytic = s.expected_work(p, c);
-        let mc = simulate_expected_work(s, p, c, 60_000, 42);
+        let mc = simulate(
+            s,
+            p,
+            c,
+            60_000,
+            42,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         let err = (mc.work.mean() - analytic).abs();
         let tol = 4.0 * mc.work.std_error() + 1e-9;
         assert!(
@@ -548,7 +419,16 @@ mod tests {
         // P(interrupted before schedule end) = 1 - p(T_last).
         let p = Uniform::new(100.0).unwrap();
         let s = sched(&[40.0]);
-        let mc = simulate_expected_work(&s, &p, 1.0, 50_000, 7);
+        let mc = simulate(
+            &s,
+            &p,
+            1.0,
+            50_000,
+            7,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         assert!((mc.interrupted_fraction - 0.4).abs() < 0.01);
         assert!(mc.mean_periods > 0.55 && mc.mean_periods < 0.65);
     }
@@ -557,8 +437,26 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let p = Uniform::new(100.0).unwrap();
         let s = sched(&[30.0, 20.0]);
-        let a = simulate_expected_work(&s, &p, 2.0, 5000, 99);
-        let b = simulate_expected_work(&s, &p, 2.0, 5000, 99);
+        let a = simulate(
+            &s,
+            &p,
+            2.0,
+            5000,
+            99,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
+        let b = simulate(
+            &s,
+            &p,
+            2.0,
+            5000,
+            99,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(a.work.mean(), b.work.mean());
     }
 
@@ -568,8 +466,26 @@ mod tests {
         let s = sched(&[60.0, 50.0, 40.0]);
         let c = 4.0;
         let analytic = s.expected_work(&p, c);
-        let a = simulate_expected_work_parallel(&s, &p, c, 80_000, 1234, 4);
-        let b = simulate_expected_work_parallel(&s, &p, c, 80_000, 1234, 4);
+        let a = simulate(
+            &s,
+            &p,
+            c,
+            80_000,
+            1234,
+            4,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
+        let b = simulate(
+            &s,
+            &p,
+            c,
+            80_000,
+            1234,
+            4,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(
             a.work.mean(),
             b.work.mean(),
@@ -587,9 +503,27 @@ mod tests {
         // matter how the batches were scheduled.
         let p = Polynomial::new(2, 80.0).unwrap();
         let s = sched(&[25.0, 15.0, 10.0]);
-        let serial = simulate_expected_work(&s, &p, 3.0, 30_000, 4242);
+        let serial = simulate(
+            &s,
+            &p,
+            3.0,
+            30_000,
+            4242,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         for threads in [2, 3, 4, 8] {
-            let par = simulate_expected_work_parallel(&s, &p, 3.0, 30_000, 4242, threads);
+            let par = simulate(
+                &s,
+                &p,
+                3.0,
+                30_000,
+                4242,
+                threads,
+                NoopSink,
+                &mut SpanProfiler::disabled(),
+            );
             assert_eq!(
                 serial.work.mean().to_bits(),
                 par.work.mean().to_bits(),
@@ -610,8 +544,26 @@ mod tests {
     fn parallel_single_thread_falls_back() {
         let p = Uniform::new(50.0).unwrap();
         let s = sched(&[10.0]);
-        let a = simulate_expected_work_parallel(&s, &p, 1.0, 1000, 5, 1);
-        let b = simulate_expected_work(&s, &p, 1.0, 1000, 5);
+        let a = simulate(
+            &s,
+            &p,
+            1.0,
+            1000,
+            5,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
+        let b = simulate(
+            &s,
+            &p,
+            1.0,
+            1000,
+            5,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(a.work.mean(), b.work.mean());
     }
 
@@ -620,9 +572,27 @@ mod tests {
         use cs_obs::MemorySink;
         let p = Uniform::new(100.0).unwrap();
         let s = sched(&[30.0, 20.0]);
-        let plain = simulate_expected_work(&s, &p, 2.0, 400, 99);
+        let plain = simulate(
+            &s,
+            &p,
+            2.0,
+            400,
+            99,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         let mut sink = MemorySink::new();
-        let traced = simulate_expected_work_observed(&s, &p, 2.0, 400, 99, &mut sink);
+        let traced = simulate(
+            &s,
+            &p,
+            2.0,
+            400,
+            99,
+            1,
+            &mut sink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(plain.work.mean().to_bits(), traced.work.mean().to_bits());
         assert_eq!(plain.work.count(), traced.work.count());
         let progress: Vec<_> = sink
@@ -646,9 +616,27 @@ mod tests {
         use cs_obs::MemorySink;
         let p = Uniform::new(200.0).unwrap();
         let s = sched(&[60.0, 50.0]);
-        let plain = simulate_expected_work_parallel(&s, &p, 4.0, 8000, 7, 4);
+        let plain = simulate(
+            &s,
+            &p,
+            4.0,
+            8000,
+            7,
+            4,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         let mut sink = MemorySink::new();
-        let traced = simulate_expected_work_parallel_observed(&s, &p, 4.0, 8000, 7, 4, &mut sink);
+        let traced = simulate(
+            &s,
+            &p,
+            4.0,
+            8000,
+            7,
+            4,
+            &mut sink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(plain.work.mean().to_bits(), traced.work.mean().to_bits());
         assert_eq!(plain.work.max().to_bits(), traced.work.max().to_bits());
         // run_start + the serial milestone set (trials/20 stride → 20
@@ -676,10 +664,19 @@ mod tests {
         use cs_obs::{EventKind as K, MemorySink};
         let p = Uniform::new(100.0).unwrap();
         let s = sched(&[30.0, 20.0]);
-        let plain = simulate_expected_work(&s, &p, 2.0, 400, 99);
+        let plain = simulate(
+            &s,
+            &p,
+            2.0,
+            400,
+            99,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         let mut sink = MemorySink::new();
         let mut prof = SpanProfiler::new();
-        let profiled = simulate_expected_work_profiled(&s, &p, 2.0, 400, 99, &mut sink, &mut prof);
+        let profiled = simulate(&s, &p, 2.0, 400, 99, 1, &mut sink, &mut prof);
         // Pass-through: bit-identical tallies.
         assert_eq!(plain.work.mean().to_bits(), profiled.work.mean().to_bits());
         assert_eq!(plain.work.count(), profiled.work.count());
@@ -721,11 +718,19 @@ mod tests {
         use cs_obs::MemorySink;
         let p = Uniform::new(200.0).unwrap();
         let s = sched(&[60.0, 50.0]);
-        let plain = simulate_expected_work_parallel(&s, &p, 4.0, 8000, 7, 4);
+        let plain = simulate(
+            &s,
+            &p,
+            4.0,
+            8000,
+            7,
+            4,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         let mut sink = MemorySink::new();
         let mut prof = SpanProfiler::new();
-        let profiled =
-            simulate_expected_work_parallel_profiled(&s, &p, 4.0, 8000, 7, 4, &mut sink, &mut prof);
+        let profiled = simulate(&s, &p, 4.0, 8000, 7, 4, &mut sink, &mut prof);
         assert_eq!(plain.work.mean().to_bits(), profiled.work.mean().to_bits());
         assert_eq!(plain.work.max().to_bits(), profiled.work.max().to_bits());
         assert_eq!(prof.open_spans(), 0);
@@ -756,7 +761,16 @@ mod tests {
         let s = sched(&[60.0, 50.0]);
         // Serial: every event reaches the sink, so nothing is shard-only.
         let mut sink = MemorySink::new();
-        let serial = simulate_expected_work_observed(&s, &p, 4.0, 2000, 7, &mut sink);
+        let serial = simulate(
+            &s,
+            &p,
+            4.0,
+            2000,
+            7,
+            1,
+            &mut sink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(serial.shard_events, 0);
         let serial_episode_events = sink
             .events
@@ -774,7 +788,16 @@ mod tests {
         // production is tallied — and because the pooled path replays the
         // exact serial trial stream, the tally EQUALS the serial trace's
         // episode event count, independent of batch boundaries.
-        let par = simulate_expected_work_parallel(&s, &p, 4.0, 2000, 7, 4);
+        let par = simulate(
+            &s,
+            &p,
+            4.0,
+            2000,
+            7,
+            4,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
         assert_eq!(par.shard_events, serial_episode_events);
         assert!(
             par.shard_events >= 2 * 2000,

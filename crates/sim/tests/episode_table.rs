@@ -1,5 +1,5 @@
 //! Property tests for the Monte-Carlo episode kernel: [`EpisodeTable`]
-//! lookups must reproduce the period walk of [`run_episode_observed`]
+//! lookups must reproduce the period walk of [`run_episode`]
 //! bit for bit — banked work, completed periods, the interrupted flag and
 //! the closed-form event count. Both Monte-Carlo drivers run the table, so
 //! the pooled ≡ serial property alone cannot catch a drift from the walk;
@@ -7,10 +7,8 @@
 
 use cs_core::Schedule;
 use cs_life::Uniform;
-use cs_obs::MemorySink;
-use cs_sim::{
-    run_episode_observed, simulate_expected_work, simulate_expected_work_observed, EpisodeTable,
-};
+use cs_obs::{MemorySink, NoopSink, SpanProfiler};
+use cs_sim::{run_episode, simulate, EpisodeTable};
 use proptest::prelude::*;
 
 /// The next representable `f64` above a finite, non-negative `x`.
@@ -21,7 +19,7 @@ fn next_up(x: f64) -> f64 {
 /// Runs one reclaim through the traced walk and the table, and compares.
 fn check(schedule: &Schedule, table: &EpisodeTable, c: f64, r: f64) {
     let mut walk_sink = MemorySink::new();
-    let walk = run_episode_observed(schedule, c, r, &mut walk_sink);
+    let walk = run_episode(schedule, c, r, &mut walk_sink);
     let k = table.interrupted_period(r);
     assert_eq!(k, walk.periods_completed, "r = {r}");
     assert_eq!(table.banked(k).to_bits(), walk.work.to_bits(), "r = {r}");
@@ -68,9 +66,9 @@ proptest! {
     ) {
         let schedule = Schedule::new(periods).unwrap();
         let p = Uniform::new(schedule.total_length() * 1.2).unwrap();
-        let plain = simulate_expected_work(&schedule, &p, c, 300, seed);
+        let plain = simulate(&schedule, &p, c, 300, seed, 1, NoopSink, &mut SpanProfiler::disabled());
         let traced =
-            simulate_expected_work_observed(&schedule, &p, c, 300, seed, MemorySink::new());
+            simulate(&schedule, &p, c, 300, seed, 1, MemorySink::new(), &mut SpanProfiler::disabled());
         prop_assert_eq!(plain.work.mean().to_bits(), traced.work.mean().to_bits());
         prop_assert_eq!(plain.work.std_error().to_bits(), traced.work.std_error().to_bits());
         prop_assert_eq!(plain.interrupted_fraction.to_bits(), traced.interrupted_fraction.to_bits());

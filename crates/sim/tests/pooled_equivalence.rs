@@ -7,7 +7,8 @@
 
 use cs_core::Schedule;
 use cs_life::{GeometricDecreasing, GeometricIncreasing, LifeFunction, Polynomial, Uniform};
-use cs_sim::{simulate_expected_work, simulate_expected_work_parallel};
+use cs_obs::{NoopSink, SpanProfiler};
+use cs_sim::simulate;
 use proptest::prelude::*;
 
 /// Builds one of the four paper life functions from drawn parameters.
@@ -35,9 +36,9 @@ proptest! {
     ) {
         let schedule = Schedule::new(periods).unwrap();
         let p = life(kind, a, degree);
-        let serial = simulate_expected_work(&schedule, p.as_ref(), c, trials, seed);
+        let serial = simulate(&schedule, p.as_ref(), c, trials, seed, 1, NoopSink, &mut SpanProfiler::disabled());
         let pooled =
-            simulate_expected_work_parallel(&schedule, p.as_ref(), c, trials, seed, threads);
+            simulate(&schedule, p.as_ref(), c, trials, seed, threads, NoopSink, &mut SpanProfiler::disabled());
         prop_assert_eq!(
             serial.work.mean().to_bits(),
             pooled.work.mean().to_bits(),

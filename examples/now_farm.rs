@@ -15,6 +15,7 @@ use cs_life::{ArcLife, GeometricDecreasing, Polynomial, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::live::{run_live, LiveWorker};
+use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +57,9 @@ fn main() {
     ] {
         let bag = workloads::uniform(tasks, 1.0).expect("bag");
         let config = FarmConfig::new(workstations(policy), 1e6, 7);
-        let report = Farm::new(config, bag).expect("valid farm config").run();
+        let report = Farm::new(config, bag)
+            .expect("valid farm config")
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         table.row(&[
             policy.label(),
             fmt(report.makespan, 1),

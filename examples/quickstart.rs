@@ -10,7 +10,8 @@
 use cs_apps::{fmt, Table};
 use cs_core::{dp, optimal};
 use cs_life::Uniform;
-use cs_sim::simulate_expected_work;
+use cs_obs::{NoopSink, SpanProfiler};
+use cs_sim::simulate;
 
 fn main() {
     let l = 1000.0;
@@ -40,7 +41,16 @@ fn main() {
     let oracle = dp::solve_auto(&p, c, 4000).expect("dp oracle");
 
     // 3. Validate the expected-work model by Monte-Carlo simulation.
-    let mc = simulate_expected_work(&plan.schedule, &p, c, 200_000, 42);
+    let mc = simulate(
+        &plan.schedule,
+        &p,
+        c,
+        200_000,
+        42,
+        1,
+        NoopSink,
+        &mut SpanProfiler::disabled(),
+    );
 
     let mut table = Table::new(&["schedule", "periods", "t0", "E(S;p)", "vs optimal"]);
     let e_opt = opt.expected_work(&p, c);

@@ -7,6 +7,7 @@ use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::live::{run_live, LiveWorker};
 use cs_now::replicate::replicate_farm;
+use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,7 +38,9 @@ fn farm_conserves_work_across_policies() {
         let total = 400.0;
         let bag = workloads::uniform(400, 1.0).unwrap();
         let config = FarmConfig::new(homogeneous(4, 120.0, 2.0, policy), 1e5, 99);
-        let r = Farm::new(config, bag).unwrap().run();
+        let r = Farm::new(config, bag)
+            .unwrap()
+            .run(&mut NoopSink, &mut SpanProfiler::disabled());
         assert!(
             (r.completed_work + r.remaining_work - total).abs() < 1e-9,
             "{}: conservation violated",
@@ -88,7 +91,9 @@ fn heterogeneous_workstations_all_contribute() {
     });
     let bag = workloads::uniform(600, 1.0).unwrap();
     let config = FarmConfig::new(ws, 1e6, 5);
-    let r = Farm::new(config, bag).unwrap().run();
+    let r = Farm::new(config, bag)
+        .unwrap()
+        .run(&mut NoopSink, &mut SpanProfiler::disabled());
     assert!(r.drained);
     for (i, w) in r.per_workstation.iter().enumerate() {
         assert!(w.completed_work > 0.0, "workstation {i} banked nothing");
@@ -109,7 +114,9 @@ fn hostile_now_still_drains_with_one_healthy_workstation() {
     let bag = workloads::uniform(300, 1.0).unwrap();
     let mut config = FarmConfig::new(ws, 1e6, 77);
     config.storms = vec![60.0, 200.0, 500.0];
-    let r = Farm::new(config, bag).unwrap().run();
+    let r = Farm::new(config, bag)
+        .unwrap()
+        .run(&mut NoopSink, &mut SpanProfiler::disabled());
     assert!(r.drained, "remaining = {}", r.remaining_work);
     assert!((r.completed_work - total).abs() < 1e-9);
     // The fault layer actually fired and was accounted.

@@ -17,6 +17,8 @@ use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::{default_snapshot_path, guideline_fsync_policy, JournalOptions};
+use cs_obs::vfs::StdVfs;
+use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::{workloads, TaskBag};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -155,7 +157,7 @@ fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: Op
     };
     let (report, _stats) = Farm::new(config, bag)
         .unwrap()
-        .run_journaled_with(&journal_path, opts)
+        .run_journaled(&journal_path, opts, &StdVfs)
         .unwrap();
     let journal = std::fs::read(&journal_path).unwrap();
     check_fixture(&format!("{tag}.journal.jsonl"), &journal);
@@ -187,6 +189,8 @@ fn farm_faulty_matches_golden_fixture() {
 #[test]
 fn plain_run_matches_golden_report() {
     let (config, bag) = clean_farm();
-    let report = Farm::new(config, bag).unwrap().run();
+    let report = Farm::new(config, bag)
+        .unwrap()
+        .run(&mut NoopSink, &mut SpanProfiler::disabled());
     check_fixture("farm_clean.report.txt", report_digest(&report).as_bytes());
 }

@@ -11,7 +11,9 @@
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_obs::{analyze_lineage_lines, Event, LineageAnalysis, MemorySink, ProgressSink, TeeSink};
+use cs_obs::{
+    analyze_lineage_lines, Event, LineageAnalysis, MemorySink, ProgressSink, SpanProfiler, TeeSink,
+};
 use cs_tasks::workloads;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -40,7 +42,7 @@ fn faulty_farm(seed: u64, tasks: usize) -> Farm {
 
 fn trace_lines(seed: u64, tasks: usize) -> (Vec<String>, cs_now::farm::FarmReport) {
     let mut sink = MemorySink::new();
-    let report = faulty_farm(seed, tasks).run_observed(&mut sink);
+    let report = faulty_farm(seed, tasks).run(&mut sink, &mut SpanProfiler::disabled());
     (sink.events.iter().map(Event::to_jsonl).collect(), report)
 }
 
@@ -160,7 +162,7 @@ proptest! {
         let mut tee = TeeSink::new();
         tee.push(&mut events);
         tee.push(&mut heartbeat);
-        let report = faulty_farm(seed, 120).run_observed(&mut tee);
+        let report = faulty_farm(seed, 120).run(&mut tee, &mut SpanProfiler::disabled());
         let lines: Vec<String> = events.events.iter().map(Event::to_jsonl).collect();
         prop_assert_eq!(&lines, &plain_lines);
         prop_assert_eq!(

@@ -8,14 +8,24 @@ use cs_life::{
     ArcLife, Conditional, GeometricDecreasing, GeometricIncreasing, LifeFunction, Pareto,
     Polynomial, Uniform, Weibull,
 };
-use cs_sim::{simulate_expected_work, simulate_expected_work_parallel};
+use cs_obs::{NoopSink, SpanProfiler};
+use cs_sim::simulate;
 use cs_tasks::workloads;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn check(p: &dyn LifeFunction, s: &Schedule, c: f64, trials: u64) {
     let analytic = s.expected_work(p, c);
-    let mc = simulate_expected_work(s, p, c, trials, 0xC0FFEE);
+    let mc = simulate(
+        s,
+        p,
+        c,
+        trials,
+        0xC0FFEE,
+        1,
+        NoopSink,
+        &mut SpanProfiler::disabled(),
+    );
     let err = (mc.work.mean() - analytic).abs();
     let tol = 4.5 * mc.work.std_error() + 1e-9;
     assert!(
@@ -52,7 +62,16 @@ fn parallel_and_serial_agree_with_analytic() {
     let s = Schedule::new(vec![30.0, 22.0, 15.0]).unwrap();
     let c = 3.0;
     let analytic = s.expected_work(&p, c);
-    let par = simulate_expected_work_parallel(&s, &p, c, 120_000, 5, 6);
+    let par = simulate(
+        &s,
+        &p,
+        c,
+        120_000,
+        5,
+        6,
+        NoopSink,
+        &mut SpanProfiler::disabled(),
+    );
     let err = (par.work.mean() - analytic).abs();
     assert!(err <= 4.5 * par.work.std_error() + 1e-9);
 }
@@ -88,7 +107,7 @@ proptest! {
         let p = Uniform::new(70.0).unwrap();
         let s = Schedule::new(periods).unwrap();
         let analytic = s.expected_work(&p, c);
-        let mc = simulate_expected_work(&s, &p, c, 25_000, 99);
+        let mc = simulate(&s, &p, c, 25_000, 99, 1, NoopSink, &mut SpanProfiler::disabled());
         let err = (mc.work.mean() - analytic).abs();
         // 5 sigma + slack: keeps the flake rate negligible across cases.
         prop_assert!(err <= 5.0 * mc.work.std_error() + 1e-6);

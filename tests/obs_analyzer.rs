@@ -9,7 +9,7 @@
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_obs::{analyze_lines, check_lines, JsonlSink, SpanProfiler};
+use cs_obs::{analyze_lines, check_lines, JsonlSink, NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,13 +34,13 @@ fn faulty_farm(seed: u64) -> Farm {
 
 #[test]
 fn profiled_faulty_farm_trace_checks_and_reconciles() {
-    let plain = faulty_farm(77).run();
+    let plain = faulty_farm(77).run(&mut NoopSink, &mut SpanProfiler::disabled());
 
     let path = std::env::temp_dir().join("cs_obs_analyzer_e2e.jsonl");
     let mut sink = JsonlSink::create(&path).unwrap();
     let mut prof = SpanProfiler::new();
     let start = Instant::now();
-    let report = faulty_farm(77).run_profiled(&mut sink, &mut prof);
+    let report = faulty_farm(77).run(&mut sink, &mut prof);
     let wall_ns = start.elapsed().as_nanos() as f64;
     sink.finish().unwrap();
 
@@ -118,7 +118,7 @@ fn corrupted_trace_fails_the_check_gate() {
     let path = std::env::temp_dir().join("cs_obs_analyzer_corrupt.jsonl");
     let mut sink = JsonlSink::create(&path).unwrap();
     let mut prof = SpanProfiler::new();
-    faulty_farm(78).run_profiled(&mut sink, &mut prof);
+    faulty_farm(78).run(&mut sink, &mut prof);
     sink.finish().unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();

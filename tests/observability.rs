@@ -7,8 +7,10 @@ use cs_core::search;
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_obs::{validate_line, EventKind, JsonlSink, MemorySink, MetricsSink, NoopSink, TeeSink};
-use cs_sim::{simulate_expected_work, simulate_expected_work_observed};
+use cs_obs::{
+    validate_line, EventKind, JsonlSink, MemorySink, MetricsSink, NoopSink, SpanProfiler, TeeSink,
+};
+use cs_sim::simulate;
 use cs_tasks::workloads;
 use std::sync::Arc;
 
@@ -43,10 +45,13 @@ fn assert_reports_identical(a: &FarmReport, b: &FarmReport) {
 /// file.
 #[test]
 fn farm_trace_is_passthrough_across_all_sinks() {
-    let plain = faulty_farm(4242).run();
+    let plain = faulty_farm(4242).run(&mut NoopSink, &mut SpanProfiler::disabled());
 
     let mut mem = MemorySink::new();
-    assert_reports_identical(&plain, &faulty_farm(4242).run_observed(&mut mem));
+    assert_reports_identical(
+        &plain,
+        &faulty_farm(4242).run(&mut mem, &mut SpanProfiler::disabled()),
+    );
 
     let path = std::env::temp_dir().join("cs_obs_test_passthrough.jsonl");
     let mut jsonl = JsonlSink::create(&path).unwrap();
@@ -55,7 +60,7 @@ fn farm_trace_is_passthrough_across_all_sinks() {
         let mut tee = TeeSink::new();
         tee.push(&mut jsonl);
         tee.push(&mut metrics);
-        faulty_farm(4242).run_observed(&mut tee)
+        faulty_farm(4242).run(&mut tee, &mut SpanProfiler::disabled())
     };
     assert_reports_identical(&plain, &teed);
     let lines = jsonl.finish().unwrap();
@@ -91,7 +96,7 @@ fn farm_trace_is_passthrough_across_all_sinks() {
 #[test]
 fn bank_events_reconcile_bitwise_with_the_report() {
     let mut mem = MemorySink::new();
-    let report = faulty_farm(99).run_observed(&mut mem);
+    let report = faulty_farm(99).run(&mut mem, &mut SpanProfiler::disabled());
     let mut bank_sum = vec![0.0f64; report.per_workstation.len()];
     let mut timeouts = 0u64;
     for e in &mem.events {
@@ -121,9 +126,27 @@ fn monte_carlo_trace_is_passthrough_with_progress() {
     let p = Uniform::new(100.0).unwrap();
     let plan = search::best_guideline_schedule(&p, 2.0).unwrap();
     let trials = 500u64;
-    let plain = simulate_expected_work(&plan.schedule, &p, 2.0, trials, 31);
+    let plain = simulate(
+        &plan.schedule,
+        &p,
+        2.0,
+        trials,
+        31,
+        1,
+        NoopSink,
+        &mut SpanProfiler::disabled(),
+    );
     let mut mem = MemorySink::new();
-    let traced = simulate_expected_work_observed(&plan.schedule, &p, 2.0, trials, 31, &mut mem);
+    let traced = simulate(
+        &plan.schedule,
+        &p,
+        2.0,
+        trials,
+        31,
+        1,
+        &mut mem,
+        &mut SpanProfiler::disabled(),
+    );
     assert_eq!(plain.work.mean().to_bits(), traced.work.mean().to_bits());
     assert_eq!(plain.interrupted_fraction, traced.interrupted_fraction);
 
@@ -148,6 +171,15 @@ fn monte_carlo_trace_is_passthrough_with_progress() {
     ));
 
     // And the no-op sink really is a no-op path.
-    let noop = simulate_expected_work_observed(&plan.schedule, &p, 2.0, trials, 31, NoopSink);
+    let noop = simulate(
+        &plan.schedule,
+        &p,
+        2.0,
+        trials,
+        31,
+        1,
+        NoopSink,
+        &mut SpanProfiler::disabled(),
+    );
     assert_eq!(plain.work.mean().to_bits(), noop.work.mean().to_bits());
 }
