@@ -9,9 +9,11 @@
 //!   banked work) with the [`FarmReport`].
 //! * **File mode** (`cyclesteal exp --id exp_obs_validate --input
 //!   <events.jsonl>`): validates a trace
-//!   emitted by `cyclesteal farm --trace-out` — every line parses, every
-//!   event type and field set is in the schema, and the per-workstation
-//!   `bank` sums reconcile bitwise with the trace's own `run_end.banked`.
+//!   emitted by `cyclesteal farm --trace-out` with the strict `obs check`
+//!   gate — every line decodes, every invariant holds, and the
+//!   per-workstation `bank` sums reconcile bitwise with the trace's own
+//!   `run_end.banked` — and requires it to open with `run_start` and
+//!   close with `run_end`.
 //!
 //! Fails (non-zero exit from `cyclesteal exp`) on the first violated
 //! check, so CI can gate on it.
@@ -21,8 +23,7 @@ use crate::outln;
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_obs::{
-    validate_line, EventKind, JsonlSink, MemorySink, NoopSink, RunSummary, SpanProfiler,
-    ValidatedEvent,
+    check_text, Event, EventKind, JsonlSink, MemorySink, NoopSink, RunSummary, SpanProfiler,
 };
 use cs_tasks::workloads;
 
@@ -164,61 +165,44 @@ fn reconcile_memory(mem: &MemorySink, report: &FarmReport) -> Result<(), String>
 }
 
 /// Validates an on-disk JSONL trace without access to the run that made it:
-/// schema per line, and internal consistency — per-workstation `bank` sums
-/// (accumulated in file order, then totalled in workstation order) must
-/// equal `run_end.banked` bit for bit.
+/// the strict `obs check` gate ([`check_text`]: schema per line, run
+/// bracketing, chunk conservation, and per-workstation `bank` sums that
+/// equal `run_end.banked` bit for bit), plus a trace that opens with
+/// `run_start` and closes with `run_end`.
 fn validate_file(ctx: &mut ExpContext<'_>, path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut events: Vec<ValidatedEvent> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let ev = validate_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        events.push(ev);
+    let summary = check_text(&text, true);
+    if let Some(violation) = summary.violations.first() {
+        return Err(format!("{path}: {violation}"));
     }
-    let first = events
-        .first()
-        .ok_or_else(|| format!("{path}: empty trace"))?;
-    if first.kind != "run_start" {
+    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+    let first = lines.next().ok_or_else(|| format!("{path}: empty trace"))?;
+    let last = lines.next_back().unwrap_or(first);
+    let kind = |line| {
+        Event::from_jsonl(line)
+            .map(|e| e.kind)
+            .map_err(|e| format!("{path}: {e}"))
+    };
+    let first = kind(first)?;
+    if !matches!(first, EventKind::RunStart { .. }) {
         return Err(format!(
             "{path}: first event must be run_start, got {}",
-            first.kind
+            first.name()
         ));
     }
-    let last = events.last().expect("nonempty");
-    if last.kind != "run_end" {
-        return Err(format!(
-            "{path}: last event must be run_end, got {}",
-            last.kind
-        ));
-    }
-    let n = first
-        .u64("workstations")
-        .map_err(|e| format!("{path}: {e}"))? as usize;
-    let banked = last.f64("banked").map_err(|e| format!("{path}: {e}"))?;
-    // Monte-Carlo traces (workstations = 0) have no farm banking to
-    // reconcile; farm traces must balance bitwise.
-    if n > 0 {
-        let mut bank_sum = vec![0.0f64; n];
-        for e in &events {
-            if e.kind == "bank" {
-                let ws = e.u64("ws")? as usize;
-                let work = e.f64("work")?;
-                if ws >= n {
-                    return Err(format!("{path}: bank names ws {ws} of {n}"));
-                }
-                bank_sum[ws] += work;
-            }
-        }
-        let total: f64 = bank_sum.iter().sum();
-        if total.to_bits() != banked.to_bits() {
+    let banked = match kind(last)? {
+        EventKind::RunEnd { banked, .. } => banked,
+        other => {
             return Err(format!(
-                "{path}: bank events sum to {total} but run_end.banked = {banked}"
-            ));
+                "{path}: last event must be run_end, got {}",
+                other.name()
+            ))
         }
-    }
+    };
     outln!(
         ctx,
         "PASS: {path}: {} events schema-valid, banked {} reconciles",
-        events.len(),
+        summary.lines,
         banked
     );
     Ok(())

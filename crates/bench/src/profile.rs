@@ -27,7 +27,7 @@ use cs_now::faults::FaultPlan;
 use cs_now::{default_snapshot_path, JournalOptions, SnapshotOutcome};
 use cs_now::{ring_snapshot_path, segment_meta_path};
 use cs_obs::vfs::StdVfs;
-use cs_obs::{check_lines, Event, EventSink, MemorySink, MetricsRegistry, SpanProfiler};
+use cs_obs::{check_text, Event, EventSink, MemorySink, MetricsRegistry, SpanProfiler};
 use cs_sim::simulate;
 use cs_tasks::{workloads, TaskBag};
 use std::path::Path;
@@ -380,11 +380,12 @@ fn durable_scenario() -> Result<ScenarioResult, String> {
     })
 }
 
-/// Times [`check_lines`] over a recorded trace (the analyzer is itself a
+/// Times [`check_text`] over a recorded trace (the analyzer is itself a
 /// perf surface: `obs check` gates CI).
 fn analyzer_scenario(lines: &[String]) -> ScenarioResult {
+    let text = lines.join("\n");
     let start = Instant::now();
-    let summary = check_lines(lines.iter().map(String::as_str));
+    let summary = check_text(&text, true);
     let wall_ns = start.elapsed().as_nanos() as u64;
     ScenarioResult {
         id: "analyzer_check",
@@ -397,13 +398,14 @@ fn analyzer_scenario(lines: &[String]) -> ScenarioResult {
     }
 }
 
-/// Times [`cs_obs::analyze_lineage_lines`] over the same faulty farm
-/// trace: the lineage reconstruction behind `obs path` / `obs chunks`
-/// walks every event and runs the critical-path extraction, so it gets
-/// its own throughput row next to the checker's.
+/// Times decoding the same faulty farm trace and folding it with
+/// [`cs_obs::analyze_lineage`]: the lineage reconstruction behind
+/// `obs path` / `obs chunks` walks every event and runs the critical-path
+/// extraction, so it gets its own throughput row next to the checker's.
 fn lineage_scenario(lines: &[String]) -> Result<ScenarioResult, String> {
     let start = Instant::now();
-    let analysis = cs_obs::analyze_lineage_lines(lines.iter().map(String::as_str))
+    let analysis = cs_obs::decode_lines(lines.iter().map(String::as_str))
+        .and_then(|events| cs_obs::analyze_lineage(&events))
         .map_err(|e| format!("analyze_lineage: {e}"))?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     if analysis.chunks.is_empty() {

@@ -1,7 +1,8 @@
 //! The `cyclesteal obs` subcommand: trace reports, invariant checks,
 //! regression diffs over `--trace-out` JSONL files and `BENCH.json`
 //! baselines, and time-travel replay over journals. Thin shell over
-//! `cs_obs::{analyze_lines, check_lines, diff_registries, diff_bench}`
+//! `cs_obs::{decode_lines, analyze_trace, analyze_lineage, check_text,
+//! diff_registries, diff_bench}`
 //! and `cs_now::{Farm::replay_to, Farm::fork_from_snapshot}`; all the
 //! logic (and its tests) lives in the libraries.
 
@@ -11,8 +12,8 @@ use cs_apps::{fmt, fmt_opt, Table};
 use cs_now::farm::Farm;
 use cs_now::{default_snapshot_path, ring_snapshot_path};
 use cs_obs::{
-    analyze_lineage_lines, analyze_lines, check_text, diff_bench, diff_registries, DiffRow,
-    LineageAnalysis, PhaseAttribution, TraceAnalysis,
+    analyze_lineage, analyze_trace, check_text, decode_lines, diff_bench, diff_registries, DiffRow,
+    Event, LineageAnalysis, PhaseAttribution, TraceAnalysis,
 };
 use std::path::Path;
 
@@ -195,14 +196,17 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Decodes every line of a trace file's text once.
+fn decode<'a>(path: &str, text: &'a str) -> Result<Vec<(usize, Event<'a>)>, String> {
+    decode_lines(text.lines()).map_err(|e| format!("{path}: {e}"))
+}
+
 fn analyze_file(path: &str) -> Result<TraceAnalysis, String> {
-    let text = read(path)?;
-    analyze_lines(text.lines()).map_err(|e| format!("{path}: {e}"))
+    Ok(analyze_trace(&decode(path, &read(path)?)?))
 }
 
 fn lineage_file(path: &str) -> Result<LineageAnalysis, String> {
-    let text = read(path)?;
-    analyze_lineage_lines(text.lines()).map_err(|e| format!("{path}: {e}"))
+    analyze_lineage(&decode(path, &read(path)?)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The wall-time phase attribution table shared by `obs path` and
@@ -509,7 +513,9 @@ fn parse_flag_f64(flags: &ParsedFlags, key: &str, default: f64) -> Result<f64, S
 
 fn cmd_report(path: &str) -> Result<(), String> {
     let text = read(path)?;
-    let a = analyze_lines(text.lines()).map_err(|e| format!("{path}: {e}"))?;
+    // One decode feeds both the analysis and the lineage fold.
+    let events = decode(path, &text)?;
+    let a = analyze_trace(&events);
     println!("trace         : {path}");
     println!(
         "events        : {} lines, {} complete runs (schema v{})",
@@ -519,7 +525,7 @@ fn cmd_report(path: &str) -> Result<(), String> {
     );
     let mut kinds = Table::new(&["event kind", "count"]);
     for (kind, n) in &a.kind_counts {
-        kinds.row(&[kind.clone(), n.to_string()]);
+        kinds.row(&[kind.to_string(), n.to_string()]);
     }
     println!("{}", kinds.render());
     if !a.per_ws.is_empty() {
@@ -560,7 +566,7 @@ fn cmd_report(path: &str) -> Result<(), String> {
     }
     // Farm traces also get the lineage phase summary; other trace shapes
     // (episode sims, Monte-Carlo sweeps) simply don't reconstruct.
-    if let Ok(lin) = analyze_lineage_lines(text.lines()) {
+    if let Ok(lin) = analyze_lineage(&events) {
         println!(
             "phase attribution ({} chunks; run `obs path` for the critical path):\n{}",
             lin.chunks.len(),

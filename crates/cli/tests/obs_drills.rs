@@ -1,7 +1,9 @@
 //! Observability drills through the real `cyclesteal` binary: the
-//! `exp_obs_validate` contract check over a live farm trace, and forged
-//! snapshot sidecars failing `obs replay --fork` with a typed message
-//! instead of a panic or an allocation abort.
+//! `exp_obs_validate` contract check and every `obs` reader over a live
+//! farm trace, a heartbeating run staying pass-through, seeds above 2^53
+//! surviving the trace and the journal, and forged snapshot sidecars
+//! failing `obs replay --fork` with a typed message instead of a panic or
+//! an allocation abort.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -29,9 +31,8 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-#[test]
-fn obs_validate_passes_on_a_profiled_farm_trace() {
-    let dir = scratch("obs_validate");
+/// Writes the `farm --seed 42 --metrics --profile` trace into `dir`.
+fn profiled_trace(dir: &Path) -> PathBuf {
     let trace = dir.join("events.jsonl");
     let farm = cyclesteal(&[
         "farm",
@@ -43,6 +44,20 @@ fn obs_validate_passes_on_a_profiled_farm_trace() {
         "--profile",
     ]);
     assert!(farm.status.success(), "farm: {farm:?}");
+    trace
+}
+
+/// Runs `cyclesteal obs <cmd> <trace>`, asserts exit 0, returns stdout.
+fn obs_ok(cmd: &str, trace: &Path) -> String {
+    let out = cyclesteal(&["obs", cmd, arg(trace)]);
+    assert!(out.status.success(), "obs {cmd}: {out:?}");
+    stdout(&out)
+}
+
+#[test]
+fn obs_validate_passes_on_a_profiled_farm_trace() {
+    let dir = scratch("obs_validate");
+    let trace = profiled_trace(&dir);
 
     // Self-test: traced runs are bit-identical to untraced, every line is
     // schema-valid and the tallies reconcile.
@@ -68,6 +83,79 @@ fn obs_validate_passes_on_a_profiled_farm_trace() {
     let rejected = cyclesteal(&["exp", "--id", "exp_obs_validate", "--input", arg(&bad)]);
     assert_eq!(rejected.status.code(), Some(1), "{rejected:?}");
     assert!(String::from_utf8_lossy(&rejected.stderr).contains("unknown event type"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn obs_readers_pass_on_a_profiled_farm_trace() {
+    let dir = scratch("obs_readers");
+    let trace = profiled_trace(&dir);
+    let check = obs_ok("check", &trace);
+    assert!(check.contains("PASS: every invariant holds"), "{check}");
+    let report = obs_ok("report", &trace);
+    assert!(
+        report
+            .lines()
+            .any(|l| l.starts_with("events ") && l.contains(" lines")),
+        "{report}"
+    );
+    // `obs path` exits non-zero unless the lost work reconciles bitwise.
+    let path = obs_ok("path", &trace);
+    assert!(path.contains("bitwise IDENTICAL"), "{path}");
+    obs_ok("chunks", &trace);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn heartbeating_run_writes_the_plain_trace() {
+    let dir = scratch("heartbeat");
+    let plain = dir.join("events.plain.jsonl");
+    let hb = dir.join("events.hb.jsonl");
+    let out = cyclesteal(&["farm", "--seed", "42", "--trace-out", arg(&plain)]);
+    assert!(out.status.success(), "plain: {out:?}");
+    let out = cyclesteal(&[
+        "farm",
+        "--seed",
+        "42",
+        "--trace-out",
+        arg(&hb),
+        "--progress-every",
+        "0",
+    ]);
+    assert!(out.status.success(), "heartbeat: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("RUN-PROGRESS"));
+    assert!(
+        std::fs::read(&plain).unwrap() == std::fs::read(&hb).unwrap(),
+        "a heartbeat changed the trace bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 2^60 + 1: exact in `u64`, not in `f64`.
+const BIG_SEED: &str = "1152921504606846977";
+
+#[test]
+fn seeds_above_2_pow_53_survive_the_trace_and_the_journal() {
+    let dir = scratch("big_seed");
+    let trace = dir.join("t.jsonl");
+    let out = cyclesteal(&["farm", "--seed", BIG_SEED, "--trace-out", arg(&trace)]);
+    assert!(out.status.success(), "farm: {out:?}");
+    let check = obs_ok("check", &trace);
+    assert!(check.contains("PASS: every invariant holds"), "{check}");
+    obs_ok("report", &trace);
+    let path = obs_ok("path", &trace);
+    assert!(path.contains(&format!("seed {BIG_SEED}")), "{path}");
+
+    // The journal of the same farm resumes: the finished run verifies
+    // every record and prints the same report.
+    let journal = dir.join("j.jsonl");
+    let run = cyclesteal(&["farm", "--seed", BIG_SEED, "--journal", arg(&journal)]);
+    assert!(run.status.success(), "journaled: {run:?}");
+    let resume = cyclesteal(&["farm", "--seed", BIG_SEED, "--resume", arg(&journal)]);
+    assert!(resume.status.success(), "resume: {resume:?}");
+    let report = |out: &Output| stdout(out).split("\n\n").next().unwrap().to_string();
+    assert_eq!(report(&run), report(&resume));
+    assert!(report(&run).contains("banked work"), "{}", report(&run));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1670,7 +1670,7 @@ mod tests {
             .count();
         assert!(starts > 0 && starts == ends, "{starts} starts, {ends} ends");
         for e in sink.events.iter().take(50) {
-            cs_obs::validate_line(&e.to_jsonl()).unwrap();
+            assert_eq!(ObsEvent::from_jsonl(&e.to_jsonl()).as_ref(), Ok(e));
         }
     }
 

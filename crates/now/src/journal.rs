@@ -425,7 +425,7 @@ impl JournalSink {
 }
 
 impl EventSink for JournalSink {
-    fn emit(&mut self, event: &Event) {
+    fn emit(&mut self, event: &Event<'static>) {
         if self.diverged.is_some() {
             return;
         }

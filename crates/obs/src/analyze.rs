@@ -3,13 +3,16 @@
 //! consumer half of the observability loop; `cyclesteal obs` is a thin
 //! CLI shell over these functions.
 //!
-//! * [`analyze_lines`] — folds a validated trace into a [`TraceAnalysis`]:
+//! Every analysis reads events decoded by [`Event::from_jsonl`]; none
+//! looks a field up by name.
+//!
+//! * [`analyze_trace`] — folds a decoded trace into a [`TraceAnalysis`]:
 //!   per-kind counts, the span timing tree (rebuilt from
 //!   `span_start`/`span_end` parent links, one [`Histogram`] per tree
-//!   path), per-workstation bank/loss attribution and a
-//!   [`MetricsRegistry`] equivalent to what a live
-//!   [`crate::MetricsSink`] would have folded.
-//! * [`check_lines`] — the invariant gate behind `obs check`: schema
+//!   path), per-workstation bank/loss attribution and the
+//!   [`MetricsRegistry`] a live [`MetricsSink`] folds, built by feeding
+//!   each decoded event through that same sink.
+//! * [`check_text`] — the invariant gate behind `obs check`: schema
 //!   validation plus structural checks (run bracketing, monotone span
 //!   timestamps and Monte-Carlo progress, balanced span nesting,
 //!   bitwise bank-sum reconciliation against `run_end`, and — for farm
@@ -26,10 +29,10 @@
 //! monotone wall-clock span timestamps, monotone `mc_progress.done`
 //! within a run, and well-bracketed runs.
 
-use crate::event::SCHEMA_VERSION;
+use crate::event::{Event, EventKind, SCHEMA_VERSION};
 use crate::json::{parse_json, Json};
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::schema::{validate_line, ValidatedEvent};
+use crate::sink::MetricsSink;
 use std::collections::BTreeMap;
 
 /// Per-workstation attribution folded from the event stream.
@@ -61,13 +64,13 @@ pub struct SpanNode {
     pub hist: Histogram,
 }
 
-/// Everything [`analyze_lines`] extracts from one trace.
+/// Everything [`analyze_trace`] extracts from one trace.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAnalysis {
     /// Number of event lines.
     pub lines: usize,
     /// Events per kind.
-    pub kind_counts: BTreeMap<String, u64>,
+    pub kind_counts: BTreeMap<&'static str, u64>,
     /// Complete `run_start`..`run_end` pairs seen.
     pub runs: usize,
     /// Per-workstation attribution (farm traces; empty for pure MC).
@@ -76,88 +79,6 @@ pub struct TraceAnalysis {
     pub span_tree: Vec<SpanNode>,
     /// The metrics a live [`crate::MetricsSink`] would have folded.
     pub registry: MetricsRegistry,
-}
-
-/// Folds one validated event into a registry, mirroring what
-/// [`crate::MetricsSink`] does on the live stream (so `obs diff` compares
-/// like with like, including for v1 traces).
-fn fold_metrics(r: &mut MetricsRegistry, ev: &ValidatedEvent) {
-    let f = |key: &str| ev.f64(key).unwrap_or(f64::NAN);
-    let u = |key: &str| ev.u64(key).unwrap_or(0);
-    match ev.kind.as_str() {
-        "run_start" => {
-            r.gauge_set("workstations", u("workstations") as f64);
-            r.gauge_set("tasks", u("tasks") as f64);
-        }
-        "episode_start" => r.counter_add("episodes", 1),
-        "period_start" => {
-            r.counter_add("periods", 1);
-            r.observe("period_len", f("len"));
-        }
-        "period_commit" => {
-            r.counter_add("periods_committed", 1);
-            r.observe("period_work", f("work"));
-        }
-        "period_interrupt" => {
-            r.counter_add("periods_interrupted", 1);
-            r.observe("period_lost", f("lost"));
-        }
-        "dispatch" => {
-            r.counter_add("dispatches", 1);
-            r.counter_add("tasks_dispatched", u("tasks"));
-            r.observe("chunk_work", f("work"));
-        }
-        "bank" => {
-            r.counter_add("chunks_banked", 1);
-            r.gauge_add("banked_work", f("work"));
-            r.gauge_add("duplicate_work", f("duplicate"));
-            r.observe("bank_work", f("work"));
-        }
-        "lease_timeout" => r.counter_add("lease_timeouts", 1),
-        "requeue" => {
-            r.counter_add("requeues", 1);
-            r.counter_add("tasks_requeued", u("tasks"));
-        }
-        "backoff" => {
-            r.counter_add("backoff_delays", 1);
-            r.observe("backoff_delay", f("delay"));
-        }
-        "quarantine" => r.counter_add("quarantines", 1),
-        "storm_kill" => r.counter_add("storm_kills", 1),
-        "crash" => r.counter_add("crashes", 1),
-        "message_lost" => r.counter_add("messages_lost", 1),
-        "straggle" => r.counter_add("straggled_chunks", 1),
-        "replica" => {
-            r.counter_add("replicas_dispatched", 1);
-            r.counter_add("replica_tasks", u("tasks"));
-        }
-        "mc_progress" => {
-            r.gauge_set("mc_done", u("done") as f64);
-            r.gauge_set("mc_total", u("total") as f64);
-        }
-        "run_end" => {
-            r.gauge_set("run_banked", f("banked"));
-            r.gauge_set("run_lost", f("lost"));
-            let drained = ev
-                .fields
-                .get("drained")
-                .and_then(crate::json::JsonValue::as_bool);
-            r.gauge_set("run_drained", if drained == Some(true) { 1.0 } else { 0.0 });
-            r.gauge_set("run_end_time", ev.time);
-        }
-        "span_start" => r.counter_add("spans_opened", 1),
-        "span_end" => {
-            r.counter_add("spans_closed", 1);
-            if let Some(name) = ev
-                .fields
-                .get("name")
-                .and_then(crate::json::JsonValue::as_str)
-            {
-                r.observe(&format!("span_ns.{name}"), f("dur_ns"));
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Open-span bookkeeping shared by the analyzer and the checker.
@@ -178,27 +99,17 @@ impl SpanState {
         self.stack.push((id, path));
     }
 
-    /// Closes span `id` if it is the innermost open span; returns the
-    /// path, or `None` on a nesting violation (the span is still removed
-    /// if present, so one bad line doesn't cascade).
-    fn end(&mut self, id: u64, dur_ns: f64) -> Option<String> {
-        match self.stack.last() {
-            Some((top, _)) if *top == id => {
-                let (_, path) = self.stack.pop().expect("non-empty");
-                self.by_path
-                    .entry(path.clone())
-                    .or_default()
-                    .observe(dur_ns);
-                Some(path)
-            }
-            _ => {
-                if let Some(pos) = self.stack.iter().rposition(|(sid, _)| *sid == id) {
-                    let (_, path) = self.stack.remove(pos);
-                    self.by_path.entry(path).or_default().observe(dur_ns);
-                }
-                None
-            }
-        }
+    /// Closes span `id`, recording its duration under its path. Returns
+    /// `false` on a nesting violation: `id` is not the innermost open span
+    /// (it is still closed if open, so one bad line doesn't cascade).
+    fn end(&mut self, id: u64, dur_ns: f64) -> bool {
+        let Some(pos) = self.stack.iter().rposition(|(sid, _)| *sid == id) else {
+            return false;
+        };
+        let innermost = pos + 1 == self.stack.len();
+        let (_, path) = self.stack.remove(pos);
+        self.by_path.entry(path).or_default().observe(dur_ns);
+        innermost
     }
 
     fn into_tree(self) -> Vec<SpanNode> {
@@ -218,54 +129,46 @@ impl SpanState {
     }
 }
 
-/// Validates and folds a trace into a [`TraceAnalysis`]. The first
-/// malformed line aborts with `Err` naming the line number; structural
-/// oddities (unbalanced spans, odd nesting) are tolerated here — use
-/// [`check_lines`] to gate on them.
-pub fn analyze_lines<'a>(
-    lines: impl IntoIterator<Item = &'a str>,
-) -> Result<TraceAnalysis, String> {
-    let mut a = TraceAnalysis::default();
+/// Folds a decoded trace (see [`crate::decode_lines`]) into a
+/// [`TraceAnalysis`]. Structural oddities (unbalanced spans, odd nesting)
+/// are tolerated here — use [`check_text`] to gate on them.
+pub fn analyze_trace(events: &[(usize, Event<'_>)]) -> TraceAnalysis {
+    let mut a = TraceAnalysis {
+        lines: events.len(),
+        ..TraceAnalysis::default()
+    };
+    let mut metrics = MetricsSink::new();
     let mut spans = SpanState::default();
-    for (i, line) in lines.into_iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        a.lines += 1;
-        *a.kind_counts.entry(ev.kind.clone()).or_insert(0) += 1;
-        fold_metrics(&mut a.registry, &ev);
-        match ev.kind.as_str() {
-            "run_end" => a.runs += 1,
-            "dispatch" => a.per_ws.entry(ev.u64("ws")?).or_default().dispatches += 1,
-            "bank" => {
-                let row = a.per_ws.entry(ev.u64("ws")?).or_default();
+    for (_, ev) in events {
+        *a.kind_counts.entry(ev.kind.name()).or_insert(0) += 1;
+        metrics.record(ev);
+        match ev.kind {
+            EventKind::RunEnd { .. } => a.runs += 1,
+            EventKind::Dispatch { ws, .. } => a.per_ws.entry(ws).or_default().dispatches += 1,
+            EventKind::Bank {
+                ws,
+                work,
+                duplicate,
+            } => {
+                let row = a.per_ws.entry(ws).or_default();
                 row.banks += 1;
-                row.banked += ev.f64("work")?;
-                row.duplicate += ev.f64("duplicate")?;
+                row.banked += work;
+                row.duplicate += duplicate;
             }
-            "period_interrupt" => {
-                a.per_ws.entry(ev.u64("ws")?).or_default().lost += ev.f64("lost")?;
-            }
-            "span_start" => spans.start(ev.u64("id")?, span_name(&ev)),
-            "span_end" => {
-                spans.end(ev.u64("id")?, ev.f64("dur_ns")?);
+            EventKind::PeriodInterrupt { ws, lost } => a.per_ws.entry(ws).or_default().lost += lost,
+            EventKind::SpanStart { id, name, .. } => spans.start(id, name),
+            EventKind::SpanEnd { id, dur_ns, .. } => {
+                spans.end(id, dur_ns);
             }
             _ => {}
         }
     }
+    a.registry = metrics.registry;
     a.span_tree = spans.into_tree();
-    Ok(a)
+    a
 }
 
-fn span_name(ev: &ValidatedEvent) -> &str {
-    ev.fields
-        .get("name")
-        .and_then(crate::json::JsonValue::as_str)
-        .unwrap_or("?")
-}
-
-/// What [`check_lines`] verified, plus every violation found.
+/// What [`check_text`] verified, plus every violation found.
 #[derive(Debug, Clone, Default)]
 pub struct CheckSummary {
     /// Event lines checked.
@@ -294,14 +197,10 @@ impl CheckSummary {
 
 const MAX_VIOLATIONS: usize = 25;
 
-/// Runs the full invariant suite over a trace (see the module docs for
-/// the invariant list). Never aborts early: all violations up to a cap
-/// are collected so one bad line still yields a useful report.
-pub fn check_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> CheckSummary {
-    check_impl(lines, false)
-}
-
-/// [`check_lines`] over raw trace text, with torn-tail awareness.
+/// Runs the full invariant suite over a trace's text (see the module docs
+/// for the invariant list). Never aborts early: all violations up to a cap
+/// are collected so one bad line still yields a useful report. Blank lines
+/// are skipped.
 ///
 /// A process killed mid-write (the crash the `cs-obs` journal exists to
 /// survive) leaves a final partial JSONL line. In the default lenient
@@ -309,11 +208,10 @@ pub fn check_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> CheckSummary
 /// the remaining trace is checked as a known prefix of a run (so an
 /// unfinished run bracket or still-open spans are expected, not
 /// violations), and mid-trace damage still fails. With `strict` the torn
-/// line is a schema violation and incompleteness fails, exactly as
-/// [`check_lines`] behaves.
+/// line is a schema violation and incompleteness fails.
 pub fn check_text(text: &str, strict: bool) -> CheckSummary {
     let tail_is_torn = match text.rsplit('\n').next() {
-        Some(tail) if !tail.trim().is_empty() => validate_line(tail).is_err(),
+        Some(tail) if !tail.trim().is_empty() => Event::from_jsonl(tail).is_err(),
         _ => false, // empty text or newline-terminated
     };
     if !tail_is_torn || strict {
@@ -340,7 +238,7 @@ fn preview(tail: &str) -> String {
     }
 }
 
-/// Shared body of [`check_lines`] / [`check_text`]. With
+/// The body of [`check_text`]. With
 /// `tolerate_prefix`, end-of-trace incompleteness (open run, open spans)
 /// is not a violation — the caller knows the trace is a torn prefix.
 fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: bool) -> CheckSummary {
@@ -377,7 +275,7 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
         if line.trim().is_empty() {
             continue;
         }
-        let ev = match validate_line(line) {
+        let ev = match Event::from_jsonl(line) {
             Ok(ev) => ev,
             Err(e) => {
                 violate(&mut s, format!("line {n}: schema: {e}"));
@@ -385,19 +283,33 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
             }
         };
         s.lines += 1;
-        match ev.kind.as_str() {
-            "run_start" => {
+        if let EventKind::SpanStart { .. } | EventKind::SpanEnd { .. } = ev.kind {
+            if ev.time < last_span_time {
+                violate(
+                    &mut s,
+                    format!(
+                        "line {n}: span timestamp {} before previous span event {}",
+                        ev.time, last_span_time
+                    ),
+                );
+            }
+            last_span_time = ev.time;
+        }
+        match ev.kind {
+            EventKind::RunStart {
+                workstations: w, ..
+            } => {
                 if in_run {
                     violate(&mut s, format!("line {n}: run_start inside an open run"));
                 }
                 in_run = true;
-                workstations = ev.u64("workstations").unwrap_or(0);
+                workstations = w;
                 run_is_farm = workstations > 0;
                 bank_sums.clear();
                 last_mc_done = None;
                 ws_life.clear();
             }
-            "run_end" => {
+            EventKind::RunEnd { banked, .. } => {
                 if !in_run {
                     violate(&mut s, format!("line {n}: run_end without run_start"));
                 } else {
@@ -407,7 +319,6 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
                         // (in index order) of per-ws bank sums (in event
                         // order); f64 addition is order-sensitive, so this
                         // recomputation is bitwise, not approximate.
-                        let banked = ev.f64("banked").unwrap_or(f64::NAN);
                         let mut total = 0.0f64;
                         for ws in 0..workstations {
                             total += bank_sums.get(&ws).copied().unwrap_or(0.0);
@@ -445,9 +356,7 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
                 in_run = false;
                 ws_life.clear();
             }
-            "bank" => {
-                let ws = ev.u64("ws").unwrap_or(0);
-                let work = ev.f64("work").unwrap_or(f64::NAN);
+            EventKind::Bank { ws, work, .. } => {
                 if work < 0.0 || work.is_nan() {
                     violate(
                         &mut s,
@@ -476,8 +385,7 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
                     }
                 }
             }
-            "dispatch" if run_is_farm => {
-                let ws = ev.u64("ws").unwrap_or(0);
+            EventKind::Dispatch { ws, .. } if run_is_farm => {
                 let life = ws_life.entry(ws).or_default();
                 if let Some(open_line) = life.open.replace(n) {
                     violate(
@@ -489,32 +397,22 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
                     );
                 }
             }
-            "period_interrupt" if run_is_farm => {
-                let ws = ev.u64("ws").unwrap_or(0);
-                if ws_life.entry(ws).or_default().open.take().is_none() {
-                    violate(
-                        &mut s,
-                        format!("line {n}: period_interrupt on ws {ws} with no open chunk"),
-                    );
-                }
+            // A reclaim or a lost message settles the open chunk (the
+            // guard takes it); with none open there was nothing to settle.
+            EventKind::PeriodInterrupt { ws, .. } | EventKind::MessageLost { ws }
+                if run_is_farm && ws_life.entry(ws).or_default().open.take().is_none() =>
+            {
+                violate(
+                    &mut s,
+                    format!("line {n}: {} on ws {ws} with no open chunk", ev.kind.name()),
+                );
             }
-            "message_lost" if run_is_farm => {
-                let ws = ev.u64("ws").unwrap_or(0);
-                if ws_life.entry(ws).or_default().open.take().is_none() {
-                    violate(
-                        &mut s,
-                        format!("line {n}: message_lost on ws {ws} with no open chunk"),
-                    );
-                }
-            }
-            "crash" if run_is_farm => {
+            EventKind::Crash { ws } if run_is_farm => {
                 // Legal with or without an open chunk: a crash can strike
                 // mid-compute (killing the chunk) or between chunks.
-                let ws = ev.u64("ws").unwrap_or(0);
                 ws_life.entry(ws).or_default().open.take();
             }
-            "straggle" if run_is_farm => {
-                let ws = ev.u64("ws").unwrap_or(0);
+            EventKind::Straggle { ws } if run_is_farm => {
                 let life = ws_life.entry(ws).or_default();
                 match life.open.take() {
                     Some(open_line) => {
@@ -534,9 +432,7 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
                     ),
                 }
             }
-            "mc_progress" => {
-                let done = ev.u64("done").unwrap_or(0);
-                let total = ev.u64("total").unwrap_or(0);
+            EventKind::McProgress { done, total } => {
                 if done > total {
                     violate(
                         &mut s,
@@ -553,49 +449,28 @@ fn check_impl<'a>(lines: impl IntoIterator<Item = &'a str>, tolerate_prefix: boo
                 }
                 last_mc_done = Some(done);
             }
-            "span_start" => {
+            EventKind::SpanStart { id, name, .. } => {
                 s.spans += 1;
-                let id = ev.u64("id").unwrap_or(0);
                 if open_ids.insert(id, n).is_some() {
                     violate(
                         &mut s,
                         format!("line {n}: span id {id} reopened while open"),
                     );
                 }
-                if ev.time < last_span_time {
-                    violate(
-                        &mut s,
-                        format!(
-                            "line {n}: span timestamp {} before previous span event {}",
-                            ev.time, last_span_time
-                        ),
-                    );
-                }
-                last_span_time = ev.time;
-                spans.start(id, span_name(&ev));
+                spans.start(id, name);
             }
-            "span_end" => {
-                let id = ev.u64("id").unwrap_or(0);
-                let dur = ev.f64("dur_ns").unwrap_or(f64::NAN);
+            EventKind::SpanEnd {
+                id, dur_ns: dur, ..
+            } => {
                 if dur < 0.0 || dur.is_nan() {
                     violate(&mut s, format!("line {n}: span_end dur_ns = {dur:?}"));
                 }
-                if ev.time < last_span_time {
-                    violate(
-                        &mut s,
-                        format!(
-                            "line {n}: span timestamp {} before previous span event {}",
-                            ev.time, last_span_time
-                        ),
-                    );
-                }
-                last_span_time = ev.time;
                 if open_ids.remove(&id).is_none() {
                     violate(
                         &mut s,
                         format!("line {n}: span_end for id {id} that is not open"),
                     );
-                } else if spans.end(id, dur).is_none() {
+                } else if !spans.end(id, dur) {
                     violate(
                         &mut s,
                         format!("line {n}: span id {id} closed out of nesting order"),
@@ -825,6 +700,11 @@ mod tests {
     use crate::sink::{EventSink, MemorySink};
     use crate::span::SpanProfiler;
 
+    /// [`check_text`] in strict mode over lines joined into one text.
+    fn check<S: std::borrow::Borrow<str>>(lines: &[S]) -> CheckSummary {
+        check_text(&lines.join("\n"), true)
+    }
+
     fn farm_like_trace() -> Vec<String> {
         // A tiny hand-built farm trace: 2 workstations, profiled,
         // conservation-clean (every dispatch gets exactly one fate).
@@ -887,7 +767,7 @@ mod tests {
     #[test]
     fn analyze_folds_counts_spans_and_attribution() {
         let lines = farm_like_trace();
-        let a = analyze_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = analyze_trace(&crate::decode_lines(lines.iter().map(String::as_str)).unwrap());
         assert_eq!(a.lines, lines.len());
         assert_eq!(a.runs, 1);
         assert_eq!(a.kind_counts["bank"], 3);
@@ -911,7 +791,7 @@ mod tests {
     #[test]
     fn check_passes_a_well_formed_trace() {
         let lines = farm_like_trace();
-        let s = check_lines(lines.iter().map(String::as_str));
+        let s = check(&lines);
         assert!(s.ok(), "{:?}", s.violations);
         assert_eq!(s.runs, 1);
         assert_eq!(s.reconciled_runs, 1);
@@ -924,7 +804,7 @@ mod tests {
         // Tamper with one bank amount: reconciliation must break.
         let idx = lines.iter().position(|l| l.contains("\"bank\"")).unwrap();
         lines[idx] = lines[idx].replace("\"work\":3", "\"work\":2.75");
-        let s = check_lines(lines.iter().map(String::as_str));
+        let s = check(&lines);
         assert!(!s.ok());
         assert!(
             s.violations.iter().any(|v| v.contains("reconcile")),
@@ -935,7 +815,7 @@ mod tests {
         // Truncation: drop the tail (run_end + span ends) — must be caught.
         let lines = farm_like_trace();
         let cut = &lines[..lines.len() - 2];
-        let s = check_lines(cut.iter().map(String::as_str));
+        let s = check(cut);
         assert!(!s.ok());
         assert!(
             s.violations.iter().any(|v| v.contains("never closed"))
@@ -947,7 +827,7 @@ mod tests {
         // Garbage line: schema violation.
         let mut lines = farm_like_trace();
         lines[2] = "{not json".to_string();
-        let s = check_lines(lines.iter().map(String::as_str));
+        let s = check(&lines);
         assert!(
             s.violations.iter().any(|v| v.contains("schema")),
             "{:?}",
@@ -963,7 +843,7 @@ mod tests {
             r#"{"v":2,"t":1,"type":"bank","ws":1,"work":4,"duplicate":0}"#,
             r#"{"v":2,"t":1,"type":"run_end","banked":4,"lost":0,"drained":true}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(
             s.violations.iter().any(|v| v.contains("double bank")),
             "{:?}",
@@ -976,7 +856,7 @@ mod tests {
             r#"{"v":2,"t":0,"type":"dispatch","ws":0,"tasks":4,"work":4}"#,
             r#"{"v":2,"t":1,"type":"run_end","banked":0,"lost":0,"drained":false}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(
             s.violations
                 .iter()
@@ -993,7 +873,7 @@ mod tests {
             r#"{"v":2,"t":4,"type":"bank","ws":0,"work":4,"duplicate":0}"#,
             r#"{"v":2,"t":4,"type":"run_end","banked":4,"lost":0,"drained":true}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(
             s.violations.iter().any(|v| v.contains("unresolved")),
             "{:?}",
@@ -1006,7 +886,7 @@ mod tests {
             r#"{"v":2,"t":1,"type":"period_interrupt","ws":0,"lost":1}"#,
             r#"{"v":2,"t":2,"type":"run_end","banked":0,"lost":1,"drained":false}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(
             s.violations.iter().any(|v| v.contains("no open chunk")),
             "{:?}",
@@ -1035,7 +915,7 @@ mod tests {
             r#"{"v":2,"t":1,"type":"crash","ws":2}"#,
             r#"{"v":2,"t":7,"type":"run_end","banked":9,"lost":0,"drained":true}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(s.ok(), "{:?}", s.violations);
         assert_eq!(s.reconciled_runs, 1);
     }
@@ -1048,7 +928,7 @@ mod tests {
             r#"{"v":1,"t":10,"type":"mc_progress","done":10,"total":10}"#,
             r#"{"v":1,"t":10,"type":"run_end","banked":4.5,"lost":1.5,"drained":false}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(s.ok(), "{:?}", s.violations);
         assert_eq!(s.runs, 1);
     }
@@ -1061,7 +941,7 @@ mod tests {
             r#"{"v":1,"t":5,"type":"mc_progress","done":5,"total":10}"#,
             r#"{"v":1,"t":10,"type":"run_end","banked":4.5,"lost":1.5,"drained":false}"#,
         ];
-        let s = check_lines(lines);
+        let s = check(&lines);
         assert!(
             s.violations.iter().any(|v| v.contains("not after")),
             "{:?}",
@@ -1182,7 +1062,7 @@ mod tests {
     }
 
     #[test]
-    fn check_text_on_a_clean_trace_matches_check_lines() {
+    fn check_text_lenient_matches_strict_on_a_clean_trace() {
         let lines = farm_like_trace();
         let mut text = lines.join("\n");
         text.push('\n');

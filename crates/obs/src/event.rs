@@ -14,8 +14,8 @@
 /// an existing event's fields; adding a new event type is also a bump.
 ///
 /// History: v1 = the original 18 kinds (PR 2); v2 adds the span profiler
-/// kinds `span_start`/`span_end`. Consumers ([`crate::validate_line`])
-/// accept every version from [`MIN_SCHEMA_VERSION`] up, rejecting only
+/// kinds `span_start`/`span_end`. The decoder ([`Event::from_jsonl`])
+/// accepts every version from [`MIN_SCHEMA_VERSION`] up, rejecting only
 /// kinds newer than the line's declared version.
 pub const SCHEMA_VERSION: u32 = 2;
 
@@ -49,13 +49,17 @@ pub const ALL_KINDS: &[&str] = &[
 ];
 
 /// One observable fact about a run.
+///
+/// The lifetime is that of a span name: producers name spans with string
+/// literals (`Event<'static>`), and a decoded event borrows the name from
+/// its line.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
+pub struct Event<'a> {
     /// Virtual time of the fact (trials completed, for Monte-Carlo
     /// progress).
     pub time: f64,
     /// What happened.
-    pub kind: EventKind,
+    pub kind: EventKind<'a>,
 }
 
 /// The closed set of event types.
@@ -66,7 +70,7 @@ pub struct Event {
 /// `Crash`, `MessageLost`, `Straggle`, `Replica`) and *run bookkeeping*
 /// (`RunStart`, `McProgress`, `RunEnd`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+pub enum EventKind<'a> {
     /// A run began.
     RunStart {
         /// Master RNG seed.
@@ -198,8 +202,8 @@ pub enum EventKind {
         id: u64,
         /// Enclosing span's id, or 0 for a root span.
         parent: u64,
-        /// Span name (static identifier, e.g. `farm.dispatch`).
-        name: &'static str,
+        /// Span name (an identifier such as `farm.dispatch`).
+        name: &'a str,
     },
     /// A profiler span closed (v2).
     SpanEnd {
@@ -208,13 +212,13 @@ pub enum EventKind {
         /// Enclosing span's id, or 0 for a root span.
         parent: u64,
         /// Span name (same as the start event's).
-        name: &'static str,
+        name: &'a str,
         /// Inclusive wall-clock duration in nanoseconds.
         dur_ns: f64,
     },
 }
 
-impl EventKind {
+impl EventKind<'_> {
     /// The event's `"type"` string (member of [`ALL_KINDS`]).
     pub fn name(&self) -> &'static str {
         match self {
@@ -253,7 +257,7 @@ pub(crate) fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-impl Event {
+impl Event<'_> {
     /// Serializes to one JSONL line (no trailing newline):
     /// `{"v":1,"t":12.5,"type":"bank","ws":0,"work":18,"duplicate":0}`.
     pub fn to_jsonl(&self) -> String {
@@ -482,7 +486,7 @@ mod tests {
 
     #[test]
     fn f64_round_trips_through_display() {
-        // The validator relies on shortest-round-trip Display formatting.
+        // The decoder relies on shortest-round-trip Display formatting.
         for v in [0.1, 1.0 / 3.0, 435.8123456789, 1e-300, 123456789.123456] {
             let mut s = String::new();
             push_json_f64(&mut s, v);

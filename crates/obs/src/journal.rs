@@ -1,7 +1,7 @@
 //! Durable write-ahead journal over the v2 event schema.
 //!
 //! A journal is an ordinary JSONL event trace (same lines [`JsonlSink`]
-//! writes, same [`crate::validate_line`] contract) with two extra
+//! writes, same [`Event::from_jsonl`] contract) with two extra
 //! guarantees that turn it into a WAL:
 //!
 //! * **fsync-on-commit** — [`JournalWriter`] writes every record straight
@@ -21,7 +21,6 @@
 //! [`JsonlSink`]: crate::JsonlSink
 
 use crate::event::{Event, EventKind};
-use crate::schema::validate_line;
 use crate::sink::EventSink;
 use crate::vfs::{StdVfs, StdVfsFile, Vfs, VfsFile};
 use std::fs::File;
@@ -189,7 +188,7 @@ impl JournalWriter {
 }
 
 impl EventSink for JournalWriter {
-    fn emit(&mut self, event: &Event) {
+    fn emit(&mut self, event: &Event<'static>) {
         if self.error.is_some() {
             return;
         }
@@ -273,7 +272,7 @@ pub enum JournalReadError {
     Corrupt {
         /// 1-based line number of the bad record.
         line: usize,
-        /// What the schema validator rejected.
+        /// Why the decoder rejected it.
         reason: String,
     },
 }
@@ -299,11 +298,11 @@ impl From<std::io::Error> for JournalReadError {
 
 /// Reads a journal, tolerating a torn final record.
 ///
-/// A record is *complete* when it is newline-terminated and passes
-/// [`validate_line`]. The scan stops at the first incomplete record:
+/// A record is *complete* when it is newline-terminated and decodes with
+/// [`Event::from_jsonl`]. The scan stops at the first incomplete record:
 ///
 /// * trailing bytes with no newline → torn tail (discarded, reported);
-/// * a final newline-terminated line that fails validation → also treated
+/// * a final newline-terminated line that does not decode → also treated
 ///   as torn (a kernel may persist the newline of a partially synced
 ///   write);
 /// * an invalid line *followed by* further records → hard
@@ -326,7 +325,7 @@ pub fn read_journal_with(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, 
         let line = &bytes[offset..offset + nl];
         let parsed = std::str::from_utf8(line)
             .map_err(|e| e.to_string())
-            .and_then(|s| validate_line(s).map(|_| s));
+            .and_then(|s| Event::from_jsonl(s).map(|_| s));
         match parsed {
             Ok(s) => {
                 out.records.push(s.to_string());
@@ -337,7 +336,7 @@ pub fn read_journal_with(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, 
                 let rest = &bytes[offset + nl + 1..];
                 let has_later_record = rest
                     .split(|&b| b == b'\n')
-                    .any(|l| std::str::from_utf8(l).is_ok_and(|s| validate_line(s).is_ok()));
+                    .any(|l| std::str::from_utf8(l).is_ok_and(|s| Event::from_jsonl(s).is_ok()));
                 if has_later_record {
                     return Err(JournalReadError::Corrupt {
                         line: lineno,
@@ -358,7 +357,7 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
 
-    fn ev(time: f64, kind: EventKind) -> Event {
+    fn ev(time: f64, kind: EventKind<'static>) -> Event<'static> {
         Event { time, kind }
     }
 
@@ -369,7 +368,7 @@ mod tests {
         ))
     }
 
-    fn sample_events() -> Vec<Event> {
+    fn sample_events() -> Vec<Event<'static>> {
         vec![
             ev(
                 0.0,

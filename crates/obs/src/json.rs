@@ -1,67 +1,14 @@
-//! A minimal JSON parser, two entry points:
+//! A minimal JSON reader with one tokenizer and two users:
 //!
-//! * [`parse_object`] — **flat objects only**, exactly the shape the event
-//!   stream emits: one object per line, string keys, scalar values
-//!   (number, string, bool, null). Nested containers are rejected, which
-//!   keeps the event-line fast path strict and simple.
 //! * [`parse_json`] — full nested values ([`Json`]), used by the analyzer
-//!   to read `BENCH.json` perf baselines. Same scalar grammar, plus
-//!   arrays and objects.
+//!   to read `BENCH.json` perf baselines.
+//! * [`crate::Event::from_jsonl`] — the event-line decoder, which walks
+//!   one flat object with the same cursor and borrows every string and
+//!   integer token from the line instead of building a value tree.
 
 use std::collections::BTreeMap;
 
-/// A scalar JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A number (integers parse to the same `f64` they were printed from).
-    Num(f64),
-    /// A string (escapes `\"`, `\\`, `\n`, `\t`, `\r` decoded).
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// `null` (this crate serializes non-finite floats as `null`).
-    Null,
-}
-
-impl JsonValue {
-    /// The value as a float: numbers verbatim, `null` as NaN, else `None`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            JsonValue::Null => Some(f64::NAN),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => {
-                Some(*v as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// A full JSON value, containers included (used for `BENCH.json`; event
-/// lines stay on the strict flat [`parse_object`] path).
+/// A full JSON value, containers included (used for `BENCH.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// A number.
@@ -87,7 +34,7 @@ impl Json {
         }
     }
 
-    /// The value as a float (`null` reads as NaN, like the event parser).
+    /// The value as a float (`null` reads as NaN, like the event decoder).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(v) => Some(*v),
@@ -121,20 +68,43 @@ impl Json {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
+/// One scalar token, borrowed from the input.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scalar<'a> {
+    /// A number written as plain decimal digits, kept as text so an
+    /// integer field can read the whole `u64` range exactly.
+    Digits(&'a str),
+    /// Any other number, parsed as `f64`.
+    Num(f64),
+    /// A string's raw text between its quotes, escapes left as written
+    /// (each one already checked).
+    Str(&'a str),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// A byte cursor over one JSON text.
+pub(crate) struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -151,52 +121,44 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
+    /// Reads a string literal and returns its raw text between the quotes.
+    fn raw_string(&mut self) -> Result<&'a str, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let bytes = self.text.as_bytes();
         loop {
-            match self.peek() {
+            match bytes.get(self.pos) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(&self.text[start..self.pos - 1]);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => return Err(format!("unsupported escape \\{}", other as char)),
-                    });
+                    let esc = *bytes.get(self.pos + 1).ok_or("unterminated escape")?;
+                    if !matches!(esc, b'"' | b'\\' | b'/' | b'n' | b't' | b'r') {
+                        return Err(format!("unsupported escape \\{}", esc as char));
+                    }
+                    self.pos += 2;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("empty string tail")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                // Multi-byte UTF-8 never contains `"` or `\`, so stepping
+                // byte by byte stays on the string's own characters.
+                Some(_) => self.pos += 1,
             }
         }
     }
 
-    fn parse_scalar(&mut self) -> Result<JsonValue, String> {
+    /// Reads one scalar value (leading whitespace skipped). Containers are
+    /// an error: event lines are flat.
+    pub(crate) fn scalar(&mut self) -> Result<Scalar<'a>, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') | Some(b'f') | Some(b'n') => {
-                let rest = &self.bytes[self.pos..];
+            Some(b'"') => Ok(Scalar::Str(self.raw_string()?)),
+            Some(b't' | b'f' | b'n') => {
+                let rest = &self.text[self.pos..];
                 for (lit, val) in [
-                    (&b"true"[..], JsonValue::Bool(true)),
-                    (&b"false"[..], JsonValue::Bool(false)),
-                    (&b"null"[..], JsonValue::Null),
+                    ("true", Scalar::Bool(true)),
+                    ("false", Scalar::Bool(false)),
+                    ("null", Scalar::Null),
                 ] {
                     if rest.starts_with(lit) {
                         self.pos += lit.len();
@@ -214,50 +176,76 @@ impl<'a> Cursor<'a> {
                         break;
                     }
                 }
-                let text =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|_| format!("bad number {text:?}"))
+                let text = &self.text[start..self.pos];
+                if text.bytes().all(|b| b.is_ascii_digit()) {
+                    Ok(Scalar::Digits(text))
+                } else {
+                    parse_f64(text).map(Scalar::Num)
+                }
             }
-            Some(b'{') | Some(b'[') => Err("nested containers are not supported".into()),
+            Some(b'{' | b'[') => Err("nested containers are not supported".into()),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
     }
 
-    fn parse_value(&mut self, depth: u32) -> Result<Json, String> {
+    /// Reads an object, calling `member` with each raw key to read its
+    /// value (and to reject duplicate keys); separators are checked here.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &'a str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b'{')?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.raw_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            member(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                other => return Err(format!("expected ',' or '}}', found {other:?}")),
+            }
+        }
+    }
+
+    /// Checks that only whitespace remains.
+    pub(crate) fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing garbage at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    fn value(&mut self, depth: u32) -> Result<Json, String> {
         if depth > 64 {
             return Err("JSON nesting too deep".into());
         }
         self.skip_ws();
         match self.peek() {
             Some(b'{') => {
-                self.pos += 1;
                 let mut out = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(out));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value(depth + 1)?;
-                    if out.insert(key.clone(), value).is_some() {
+                self.object(|cur, raw| {
+                    let key = unescape(raw);
+                    let value = cur.value(depth + 1)?;
+                    if out.contains_key(&key) {
                         return Err(format!("duplicate key {key:?}"));
                     }
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(out));
-                        }
-                        other => return Err(format!("expected ',' or '}}', found {other:?}")),
-                    }
-                }
+                    out.insert(key, value);
+                    Ok(())
+                })?;
+                Ok(Json::Obj(out))
             }
             Some(b'[') => {
                 self.pos += 1;
@@ -268,7 +256,7 @@ impl<'a> Cursor<'a> {
                     return Ok(Json::Arr(out));
                 }
                 loop {
-                    out.push(self.parse_value(depth + 1)?);
+                    out.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -280,69 +268,52 @@ impl<'a> Cursor<'a> {
                     }
                 }
             }
-            _ => Ok(match self.parse_scalar()? {
-                JsonValue::Num(v) => Json::Num(v),
-                JsonValue::Str(s) => Json::Str(s),
-                JsonValue::Bool(b) => Json::Bool(b),
-                JsonValue::Null => Json::Null,
+            _ => Ok(match self.scalar()? {
+                Scalar::Digits(text) => Json::Num(parse_f64(text)?),
+                Scalar::Num(v) => Json::Num(v),
+                Scalar::Str(raw) => Json::Str(unescape(raw)),
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::Null => Json::Null,
             }),
         }
     }
 }
 
-/// Parses one flat JSON object (`{"k": scalar, ...}`) into a key → value
-/// map. Duplicate keys and trailing garbage are errors.
-pub fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut cur = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    let mut out = BTreeMap::new();
-    cur.skip_ws();
-    cur.expect(b'{')?;
-    cur.skip_ws();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            cur.skip_ws();
-            let key = cur.parse_string()?;
-            cur.skip_ws();
-            cur.expect(b':')?;
-            let value = cur.parse_scalar()?;
-            if out.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            cur.skip_ws();
-            match cur.peek() {
-                Some(b',') => cur.pos += 1,
-                Some(b'}') => {
-                    cur.pos += 1;
-                    break;
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
+/// Parses a number token as `f64`.
+pub(crate) fn parse_f64(text: &str) -> Result<f64, String> {
+    text.parse::<f64>()
+        .map_err(|_| format!("bad number {text:?}"))
+}
+
+/// Decodes the escapes of a raw string already checked by the cursor.
+pub(crate) fn unescape(raw: &str) -> String {
+    if !raw.contains('\\') {
+        return raw.to_string();
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
         }
+        out.push(match chars.next() {
+            Some('n') => '\n',
+            Some('t') => '\t',
+            Some('r') => '\r',
+            Some(other) => other, // `"`, `\` and `/` stand for themselves
+            None => break,
+        });
     }
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", cur.pos));
-    }
-    Ok(out)
+    out
 }
 
 /// Parses one complete JSON value of any shape (nested objects/arrays
 /// allowed). Trailing garbage is an error.
 pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut cur = Cursor {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = cur.parse_value(0)?;
-    cur.skip_ws();
-    if cur.pos != cur.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", cur.pos));
-    }
+    let mut cur = Cursor::new(text);
+    let value = cur.value(0)?;
+    cur.finish()?;
     Ok(value)
 }
 
@@ -375,46 +346,58 @@ mod tests {
         assert!(parse_json("[1,2").is_err());
         assert!(parse_json(r#"{"a":}"#).is_err());
         assert!(parse_json(r#"{"a":1} x"#).is_err());
+        assert!(parse_json(r#"{"a":1,"a":2}"#).is_err());
+        assert!(parse_json(r#"{"a\/b":1,"a/b":2}"#).is_err()); // same key unescaped
+        assert!(parse_json(r#"{"a":tru}"#).is_err());
+        assert!(parse_json(r#"{"a":"\u0041"}"#).is_err()); // unsupported escape
         assert!(parse_json(&("[".repeat(100) + &"]".repeat(100))).is_err()); // too deep
     }
 
     #[test]
     fn parses_flat_object() {
-        let m = parse_object(r#"{"v":1,"t":12.5,"type":"bank","ok":true,"x":null}"#).unwrap();
-        assert_eq!(m["v"].as_u64(), Some(1));
-        assert_eq!(m["t"].as_f64(), Some(12.5));
-        assert_eq!(m["type"].as_str(), Some("bank"));
-        assert_eq!(m["ok"].as_bool(), Some(true));
-        assert!(m["x"].as_f64().unwrap().is_nan());
+        let j = parse_json(r#"{"v":1,"t":12.5,"type":"bank","ok":true,"x":null}"#).unwrap();
+        assert_eq!(j.get("v").unwrap().as_f64(), Some(1.0));
+        assert_eq!(j.get("t").unwrap().as_f64(), Some(12.5));
+        assert_eq!(j.get("type").unwrap().as_str(), Some("bank"));
+        assert_eq!(j.get("ok"), Some(&Json::Bool(true)));
+        assert!(j.get("x").unwrap().as_f64().unwrap().is_nan());
     }
 
     #[test]
     fn parses_empty_and_escapes() {
-        assert!(parse_object("{}").unwrap().is_empty());
-        let m = parse_object(r#"{"s":"a\"b\\c\nd"}"#).unwrap();
-        assert_eq!(m["s"].as_str(), Some("a\"b\\c\nd"));
+        assert_eq!(parse_json("{}").unwrap(), Json::Obj(BTreeMap::new()));
+        let j = parse_json(r#"{"s":"a\"b\\c\nd\/"}"#).unwrap();
+        assert_eq!(j.get("s").unwrap().as_str(), Some("a\"b\\c\nd/"));
+        assert_eq!(unescape(r#"t\tr\r"#), "t\tr\r");
     }
 
     #[test]
     fn parses_negative_and_exponent_numbers() {
-        let m = parse_object(r#"{"a":-2.5,"b":1e-3,"c":1234567890}"#).unwrap();
-        assert_eq!(m["a"].as_f64(), Some(-2.5));
-        assert_eq!(m["b"].as_f64(), Some(1e-3));
-        assert_eq!(m["c"].as_u64(), Some(1_234_567_890));
-        assert_eq!(m["a"].as_u64(), None);
+        let j = parse_json(r#"{"a":-2.5,"b":1e-3,"c":1234567890}"#).unwrap();
+        assert_eq!(j.get("a").unwrap().as_f64(), Some(-2.5));
+        assert_eq!(j.get("b").unwrap().as_f64(), Some(1e-3));
+        assert_eq!(j.get("c").unwrap().as_f64(), Some(1_234_567_890.0));
     }
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(parse_object("").is_err());
-        assert!(parse_object("{").is_err());
-        assert!(parse_object(r#"{"a":1"#).is_err());
-        assert!(parse_object(r#"{"a":1} extra"#).is_err());
-        assert!(parse_object(r#"{"a":{"nested":1}}"#).is_err());
-        assert!(parse_object(r#"{"a":[1,2]}"#).is_err());
-        assert!(parse_object(r#"{"a":1,"a":2}"#).is_err());
-        assert!(parse_object(r#"{"a":tru}"#).is_err());
-        assert!(parse_object(r#"not json"#).is_err());
+        for text in [
+            "",
+            "{",
+            r#"{"a":1"#,
+            r#"{"a":1} extra"#,
+            r#"{"a":tru}"#,
+            "not json",
+        ] {
+            assert!(parse_json(text).is_err(), "{text:?}");
+        }
+        // Event lines are flat: the decoder sharing this tokenizer rejects
+        // containers that `parse_json` accepts.
+        for line in [r#"{"a":{"nested":1}}"#, r#"{"a":[1,2]}"#] {
+            assert!(parse_json(line).is_ok());
+            let err = crate::Event::from_jsonl(line).unwrap_err();
+            assert!(err.contains("nested containers"), "{err}");
+        }
     }
 
     #[test]
@@ -428,8 +411,9 @@ mod tests {
                 work: 17.0,
             },
         };
-        let m = parse_object(&e.to_jsonl()).unwrap();
-        assert_eq!(m["t"].as_f64().unwrap().to_bits(), e.time.to_bits());
-        assert_eq!(m["tasks"].as_u64(), Some(17));
+        let line = e.to_jsonl();
+        let back = Event::from_jsonl(&line).unwrap();
+        assert_eq!(back.time.to_bits(), e.time.to_bits());
+        assert_eq!(back, e);
     }
 }

@@ -15,10 +15,11 @@
 //!   registry).
 //! * [`metrics`] — [`MetricsRegistry`] of counters, gauges and streaming
 //!   power-of-two-bucket [`Histogram`]s.
-//! * [`json`] / [`schema`] — a minimal JSON parser (strict flat objects
-//!   for event lines, nested values for `BENCH.json`) and the
-//!   consumer-side line validator ([`validate_line`]) used by CI smoke
-//!   checks.
+//! * [`schema`] / [`json`] — the one typed trace decoder,
+//!   [`Event::from_jsonl`] (the inverse of [`Event::to_jsonl`], decoding
+//!   straight into [`EventKind`] in one pass), with [`decode_lines`] over
+//!   a whole trace; and a minimal JSON reader ([`parse_json`]) for
+//!   `BENCH.json`, sharing the decoder's tokenizer.
 //! * [`journal`] — a **durable write-ahead journal** over the same event
 //!   schema: [`JournalWriter`] (fsync-on-commit [`EventSink`]) and
 //!   [`read_journal`] (torn-tail-tolerant reader), the substrate for
@@ -27,13 +28,13 @@
 //!   wall-clock spans recorded as `span_ns.*` histograms and emitted as
 //!   v2 `span_start`/`span_end` events.
 //! * [`analyze`] — the **trace analyzer** behind `cyclesteal obs`:
-//!   [`analyze_lines`] (report), [`check_lines`] (invariant gate,
+//!   [`analyze_trace`] (report), [`check_text`] (invariant gate,
 //!   including chunk conservation for farm traces) and
 //!   [`diff_registries`]/[`diff_bench`] (regression flagging).
-//! * [`lineage`] — **causal chunk lineage**: [`analyze_lineage_lines`]
-//!   replays a farm trace into per-chunk waterfall records, a wall-time
-//!   phase attribution that sums to `workstations × makespan`, a bitwise
-//!   lost-work reconciliation and the makespan critical path (behind
+//! * [`lineage`] — **causal chunk lineage**: [`analyze_lineage`]
+//!   replays a decoded farm trace into per-chunk waterfall records, a
+//!   wall-time phase attribution that sums to `workstations × makespan`, a
+//!   bitwise lost-work reconciliation and the makespan critical path (behind
 //!   `cyclesteal obs path` / `obs chunks`).
 //! * [`flight`] — **live telemetry**: [`FlightRecorder`] (bounded
 //!   drop-oldest ring with dump-on-demand/panic) and [`ProgressSink`]
@@ -68,8 +69,7 @@ pub mod summary;
 pub mod vfs;
 
 pub use analyze::{
-    analyze_lines, check_lines, check_text, diff_bench, diff_registries, CheckSummary, DiffRow,
-    TraceAnalysis,
+    analyze_trace, check_text, diff_bench, diff_registries, CheckSummary, DiffRow, TraceAnalysis,
 };
 pub use event::{Event, EventKind, ALL_KINDS, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 pub use flight::{FlightRecorder, ProgressSink};
@@ -78,11 +78,9 @@ pub use journal::{
     JournalWriter,
 };
 pub use json::{parse_json, Json};
-pub use lineage::{
-    analyze_lineage_lines, ChunkFate, ChunkRecord, LineageAnalysis, PhaseAttribution,
-};
+pub use lineage::{analyze_lineage, ChunkFate, ChunkRecord, LineageAnalysis, PhaseAttribution};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use schema::{validate_line, ValidatedEvent};
+pub use schema::decode_lines;
 pub use sink::{EventSink, JsonlSink, MemorySink, MetricsSink, NoopSink, TeeSink};
 pub use span::{SpanGuard, SpanId, SpanProfiler};
 pub use summary::RunSummary;

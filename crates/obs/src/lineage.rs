@@ -1,6 +1,6 @@
 //! Causal chunk lineage: from a farm trace to *where the makespan went*.
 //!
-//! [`analyze_lineage_lines`] replays a farm's v2 event stream through a
+//! [`analyze_lineage`] replays a farm's decoded v2 event stream through a
 //! small per-workstation lifecycle state machine and reconstructs every
 //! chunk's waterfall record — queue wait, service time, fate, wasted
 //! work, retries — then derives three run-level artifacts:
@@ -34,7 +34,7 @@
 //! event timestamp and a warning is recorded, so `obs path` still works
 //! on the wreckage — which is exactly when it is needed.
 
-use crate::schema::validate_line;
+use crate::event::{Event, EventKind};
 
 /// How a dispatched chunk's story ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +166,7 @@ impl PhaseAttribution {
     }
 }
 
-/// Everything [`analyze_lineage_lines`] reconstructs from one farm trace.
+/// Everything [`analyze_lineage`] reconstructs from one farm trace.
 #[derive(Debug, Clone, Default)]
 pub struct LineageAnalysis {
     /// Workstations in the run.
@@ -235,13 +235,11 @@ struct WsState {
 }
 
 /// Reconstructs chunk lineage, phase attribution and the critical path
-/// from a farm trace (see the module docs). The first malformed line
-/// aborts with `Err` naming the line number, as does a trace with no farm
-/// run; structural oddities inside the run are reported as warnings.
-/// Only the first farm run in the trace is analyzed.
-pub fn analyze_lineage_lines<'a>(
-    lines: impl IntoIterator<Item = &'a str>,
-) -> Result<LineageAnalysis, String> {
+/// from a decoded farm trace (see [`crate::decode_lines`] and the module
+/// docs). A trace with no farm run is an `Err`; structural oddities inside
+/// the run are reported as warnings naming their line. Only the first
+/// farm run in the trace is analyzed.
+pub fn analyze_lineage(events: &[(usize, Event<'_>)]) -> Result<LineageAnalysis, String> {
     let mut a = LineageAnalysis::default();
     let mut ws_states: Vec<WsState> = Vec::new();
     // Mirrors the farm's dense lease-id counter: leases are created, in
@@ -266,49 +264,62 @@ pub fn analyze_lineage_lines<'a>(
         }
     };
 
-    for (i, line) in lines.into_iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+    for &(n, ev) in events {
         if !in_run {
             if run_seen {
                 continue; // only the first farm run is analyzed
             }
-            if ev.kind == "run_start" && ev.u64("workstations").unwrap_or(0) > 0 {
-                a.workstations = ev.u64("workstations")?;
-                a.tasks = ev.u64("tasks")?;
-                a.seed = ev.u64("seed")?;
-                ws_states = (0..a.workstations).map(|_| WsState::default()).collect();
-                in_run = true;
-                run_seen = true;
+            if let EventKind::RunStart {
+                seed,
+                workstations,
+                tasks,
+            } = ev.kind
+            {
+                if workstations > 0 {
+                    a.workstations = workstations;
+                    a.tasks = tasks;
+                    a.seed = seed;
+                    ws_states = (0..workstations).map(|_| WsState::default()).collect();
+                    in_run = true;
+                    run_seen = true;
+                }
             }
             continue;
         }
         max_time = max_time.max(ev.time);
-        match ev.kind.as_str() {
-            "run_end" => {
+        if let EventKind::Bank { work, .. } = ev.kind {
+            bank_sum += work;
+        }
+        // A chunk event naming a workstation the run does not have cannot
+        // belong to any chunk.
+        if let EventKind::Dispatch { ws, .. }
+        | EventKind::Bank { ws, .. }
+        | EventKind::PeriodInterrupt { ws, .. }
+        | EventKind::Crash { ws }
+        | EventKind::MessageLost { ws }
+        | EventKind::Straggle { ws } = ev.kind
+        {
+            if ws >= a.workstations {
+                let kind = ev.kind.name();
+                warn(&mut a, format!("line {n}: {kind}.ws {ws} out of range"));
+                continue;
+            }
+        }
+        match ev.kind {
+            EventKind::RunEnd { banked, lost, .. } => {
                 a.run_complete = true;
-                a.banked = ev.f64("banked")?;
-                a.run_end_lost = Some(ev.f64("lost")?);
+                a.banked = banked;
+                a.run_end_lost = Some(lost);
                 run_end_time = Some(ev.time);
                 in_run = false;
             }
-            "dispatch" => {
-                let ws = ev.u64("ws")?;
-                let Some(st) = ws_states.get_mut(ws as usize) else {
-                    warn(
-                        &mut a,
-                        format!("line {}: dispatch.ws {ws} out of range", i + 1),
-                    );
-                    continue;
-                };
+            EventKind::Dispatch { ws, tasks, work } => {
+                let st = &mut ws_states[ws as usize];
                 if let Some(open) = st.pending_fate.take() {
                     warn(
                         &mut a,
                         format!(
-                            "line {}: dispatch on ws {ws} while chunk #{open} awaits its fate",
-                            i + 1
+                            "line {n}: dispatch on ws {ws} while chunk #{open} awaits its fate"
                         ),
                     );
                     a.chunks[open].fate = ChunkFate::InFlight;
@@ -324,8 +335,8 @@ pub fn analyze_lineage_lines<'a>(
                 a.chunks.push(ChunkRecord {
                     id,
                     ws,
-                    tasks: ev.u64("tasks")?,
-                    work: ev.f64("work")?,
+                    tasks,
+                    work,
                     dispatched_at: ev.time,
                     resolved_at: ev.time,
                     queue_wait: (ev.time - prev_end.unwrap_or(0.0)).max(0.0),
@@ -343,15 +354,12 @@ pub fn analyze_lineage_lines<'a>(
                 st.order.push(id);
                 st.pending_fate = Some(id);
             }
-            "bank" => {
-                let ws = ev.u64("ws")?;
-                let work = ev.f64("work")?;
-                let dup = ev.f64("duplicate")?;
-                bank_sum += work;
-                let Some(st) = ws_states.get_mut(ws as usize) else {
-                    warn(&mut a, format!("line {}: bank.ws {ws} out of range", i + 1));
-                    continue;
-                };
+            EventKind::Bank {
+                ws,
+                work,
+                duplicate: dup,
+            } => {
+                let st = &mut ws_states[ws as usize];
                 let idx = match (st.pending_fate.take(), st.straggling.take()) {
                     (Some(idx), straggle) => {
                         st.straggling = straggle;
@@ -361,7 +369,7 @@ pub fn analyze_lineage_lines<'a>(
                     (None, None) => {
                         warn(
                             &mut a,
-                            format!("line {}: bank on ws {ws} with no open chunk", i + 1),
+                            format!("line {n}: bank on ws {ws} with no open chunk"),
                         );
                         None
                     }
@@ -375,17 +383,8 @@ pub fn analyze_lineage_lines<'a>(
                     c.winning_replica = c.replica && work > 0.0;
                 }
             }
-            "period_interrupt" => {
-                let ws = ev.u64("ws")?;
-                let lost = ev.f64("lost")?;
-                max_time = max_time.max(ev.time);
-                let Some(st) = ws_states.get_mut(ws as usize) else {
-                    warn(
-                        &mut a,
-                        format!("line {}: period_interrupt.ws {ws} out of range", i + 1),
-                    );
-                    continue;
-                };
+            EventKind::PeriodInterrupt { ws, lost } => {
+                let st = &mut ws_states[ws as usize];
                 st.lost_work += lost;
                 match st.pending_fate.take() {
                     Some(idx) => {
@@ -396,22 +395,12 @@ pub fn analyze_lineage_lines<'a>(
                     }
                     None => warn(
                         &mut a,
-                        format!(
-                            "line {}: period_interrupt on ws {ws} with no open chunk",
-                            i + 1
-                        ),
+                        format!("line {n}: period_interrupt on ws {ws} with no open chunk"),
                     ),
                 }
             }
-            "crash" => {
-                let ws = ev.u64("ws")?;
-                let Some(st) = ws_states.get_mut(ws as usize) else {
-                    warn(
-                        &mut a,
-                        format!("line {}: crash.ws {ws} out of range", i + 1),
-                    );
-                    continue;
-                };
+            EventKind::Crash { ws } => {
+                let st = &mut ws_states[ws as usize];
                 st.crashed_at = Some(ev.time);
                 match st.pending_fate.take() {
                     Some(idx) => {
@@ -428,15 +417,8 @@ pub fn analyze_lineage_lines<'a>(
                     None => a.dispatch_crashes += 1,
                 }
             }
-            "message_lost" => {
-                let ws = ev.u64("ws")?;
-                let Some(st) = ws_states.get_mut(ws as usize) else {
-                    warn(
-                        &mut a,
-                        format!("line {}: message_lost.ws {ws} out of range", i + 1),
-                    );
-                    continue;
-                };
+            EventKind::MessageLost { ws } => {
+                let st = &mut ws_states[ws as usize];
                 match st.pending_fate.take() {
                     Some(idx) => {
                         lease_chunks.push(idx);
@@ -449,19 +431,12 @@ pub fn analyze_lineage_lines<'a>(
                     }
                     None => warn(
                         &mut a,
-                        format!("line {}: message_lost on ws {ws} with no open chunk", i + 1),
+                        format!("line {n}: message_lost on ws {ws} with no open chunk"),
                     ),
                 }
             }
-            "straggle" => {
-                let ws = ev.u64("ws")?;
-                let Some(st) = ws_states.get_mut(ws as usize) else {
-                    warn(
-                        &mut a,
-                        format!("line {}: straggle.ws {ws} out of range", i + 1),
-                    );
-                    continue;
-                };
+            EventKind::Straggle { ws } => {
+                let st = &mut ws_states[ws as usize];
                 match st.pending_fate.take() {
                     Some(idx) => {
                         lease_chunks.push(idx);
@@ -469,42 +444,38 @@ pub fn analyze_lineage_lines<'a>(
                             warn(
                                 &mut a,
                                 format!(
-                                    "line {}: ws {ws} straggles again while chunk #{prev} \
-                                     is still in flight",
-                                    i + 1
+                                    "line {n}: ws {ws} straggles again while chunk #{prev} \
+                                     is still in flight"
                                 ),
                             );
                         }
                     }
                     None => warn(
                         &mut a,
-                        format!("line {}: straggle on ws {ws} with no open chunk", i + 1),
+                        format!("line {n}: straggle on ws {ws} with no open chunk"),
                     ),
                 }
             }
-            "lease_timeout" => {
-                let lease = ev.u64("lease")?;
-                match lease_chunks.get(lease as usize) {
-                    Some(&idx) => {
-                        last_timeout_chunk = Some(idx);
-                        let c = &mut a.chunks[idx];
-                        c.retries += 1;
-                        c.timed_out = true;
-                        if c.fate == ChunkFate::MessageLost {
-                            c.resolved_at = c.resolved_at.min(ev.time);
-                            let st = &mut ws_states[c.ws as usize];
-                            if st.lost_in_transit == Some(idx) {
-                                st.lost_in_transit = None;
-                            }
+            EventKind::LeaseTimeout { lease, .. } => match lease_chunks.get(lease as usize) {
+                Some(&idx) => {
+                    last_timeout_chunk = Some(idx);
+                    let c = &mut a.chunks[idx];
+                    c.retries += 1;
+                    c.timed_out = true;
+                    if c.fate == ChunkFate::MessageLost {
+                        c.resolved_at = c.resolved_at.min(ev.time);
+                        let st = &mut ws_states[c.ws as usize];
+                        if st.lost_in_transit == Some(idx) {
+                            st.lost_in_transit = None;
                         }
                     }
-                    None => warn(
-                        &mut a,
-                        format!("line {}: lease_timeout for unknown lease {lease}", i + 1),
-                    ),
                 }
-            }
-            "requeue" => {
+                None => warn(
+                    &mut a,
+                    format!("line {n}: lease_timeout for unknown lease {lease}"),
+                ),
+            },
+            EventKind::Requeue { .. } => {
                 a.requeues += 1;
                 // The requeue follows its lease_timeout immediately; charge
                 // the hand-off to the chunk whose lease just timed out.
@@ -512,15 +483,14 @@ pub fn analyze_lineage_lines<'a>(
                     requeues.push((ev.time, idx));
                 }
             }
-            "replica" => {
-                let ws = ev.u64("ws")?;
+            EventKind::Replica { ws, .. } => {
                 a.replicas += 1;
                 first_replica_at = Some(first_replica_at.map_or(ev.time, |t: f64| t.min(ev.time)));
                 if let Some(st) = ws_states.get_mut(ws as usize) {
                     st.pending_replica = true;
                 }
             }
-            "episode_start" => a.episodes += 1,
+            EventKind::EpisodeStart { .. } => a.episodes += 1,
             _ => {}
         }
     }
@@ -681,13 +651,17 @@ fn critical_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventKind};
+
+    /// Decodes `lines` and reconstructs their lineage.
+    fn lineage<'a>(lines: impl IntoIterator<Item = &'a str>) -> Result<LineageAnalysis, String> {
+        analyze_lineage(&crate::decode_lines(lines)?)
+    }
 
     fn jsonl(events: &[Event]) -> Vec<String> {
         events.iter().map(Event::to_jsonl).collect()
     }
 
-    fn run_start(ws: u64, tasks: u64) -> Event {
+    fn run_start(ws: u64, tasks: u64) -> Event<'static> {
         Event {
             time: 0.0,
             kind: EventKind::RunStart {
@@ -698,14 +672,14 @@ mod tests {
         }
     }
 
-    fn dispatch(time: f64, ws: u64, tasks: u64, work: f64) -> Event {
+    fn dispatch(time: f64, ws: u64, tasks: u64, work: f64) -> Event<'static> {
         Event {
             time,
             kind: EventKind::Dispatch { ws, tasks, work },
         }
     }
 
-    fn bank(time: f64, ws: u64, work: f64, duplicate: f64) -> Event {
+    fn bank(time: f64, ws: u64, work: f64, duplicate: f64) -> Event<'static> {
         Event {
             time,
             kind: EventKind::Bank {
@@ -716,7 +690,7 @@ mod tests {
         }
     }
 
-    fn run_end(time: f64, banked: f64, lost: f64) -> Event {
+    fn run_end(time: f64, banked: f64, lost: f64) -> Event<'static> {
         Event {
             time,
             kind: EventKind::RunEnd {
@@ -741,7 +715,7 @@ mod tests {
             run_end(6.0, 9.0, 0.0),
         ];
         let lines = jsonl(&events);
-        let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = lineage(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(a.chunks.len(), 3);
         assert!(a.run_complete);
         assert_eq!(a.phases.makespan, 6.0);
@@ -786,7 +760,7 @@ mod tests {
             run_end(10.0, 7.0, 2.5 + 4.5),
         ];
         let lines = jsonl(&events);
-        let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = lineage(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(a.chunks[0].fate, ChunkFate::Reclaimed);
         assert_eq!(a.chunks[0].wasted, 2.5);
         assert_eq!(a.chunks[1].fate, ChunkFate::Crashed);
@@ -840,7 +814,7 @@ mod tests {
             run_end(8.0, 7.0, 0.0),
         ];
         let lines = jsonl(&events);
-        let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = lineage(lines.iter().map(String::as_str)).unwrap();
         assert_eq!(a.chunks[0].fate, ChunkFate::LateBanked);
         assert!(a.chunks[0].timed_out);
         assert_eq!(a.chunks[0].banked, 6.0);
@@ -876,7 +850,7 @@ mod tests {
             run_end(8.0, 4.0, 0.0),
         ];
         let lines = jsonl(&events);
-        let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = lineage(lines.iter().map(String::as_str)).unwrap();
         let ml = &a.chunks[0];
         assert_eq!(ml.fate, ChunkFate::MessageLost);
         assert_eq!(ml.resolved_at, 2.0); // the timeout, not the redispatch
@@ -900,7 +874,7 @@ mod tests {
             // killed here: no fate, no run_end
         ];
         let lines = jsonl(&events);
-        let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = lineage(lines.iter().map(String::as_str)).unwrap();
         assert!(!a.run_complete);
         assert!(a.warnings.iter().any(|w| w.contains("run_end")));
         assert_eq!(a.chunks[1].fate, ChunkFate::InFlight);
@@ -915,8 +889,16 @@ mod tests {
             r#"{"v":2,"t":0,"type":"run_start","seed":1,"workstations":0,"tasks":0}"#,
             r#"{"v":2,"t":1,"type":"run_end","banked":1,"lost":0,"drained":false}"#,
         ];
-        let err = analyze_lineage_lines(lines).unwrap_err();
+        let err = lineage(lines).unwrap_err();
         assert!(err.contains("no farm run"), "{err}");
+    }
+
+    #[test]
+    fn seed_above_2_pow_53_is_exact() {
+        let lines = [
+            r#"{"v":2,"t":0,"type":"run_start","seed":9007199254740993,"workstations":1,"tasks":0}"#,
+        ];
+        assert_eq!(lineage(lines).unwrap().seed, 9_007_199_254_740_993);
     }
 
     #[test]
@@ -925,7 +907,7 @@ mod tests {
             r#"{"v":2,"t":0,"type":"run_start","seed":1,"workstations":1,"tasks":1}"#,
             "{broken",
         ];
-        let err = analyze_lineage_lines(lines).unwrap_err();
+        let err = lineage(lines).unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
     }
 }

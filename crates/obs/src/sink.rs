@@ -17,8 +17,9 @@ use std::path::Path;
 /// Implementations must be pass-through (no effect on the producer) and
 /// cheap: `emit` sits inside simulation loops.
 pub trait EventSink {
-    /// Receives one event.
-    fn emit(&mut self, event: &Event);
+    /// Receives one event. Sinks may keep it, so its span name must be
+    /// `'static`, as every producer's is.
+    fn emit(&mut self, event: &Event<'static>);
 
     /// Flushes buffered output (no-op for unbuffered sinks).
     fn flush_sink(&mut self) {}
@@ -36,7 +37,7 @@ pub trait EventSink {
 /// Every `&mut` sink is itself a sink, so generic producers accept both
 /// concrete sinks and `&mut dyn EventSink`.
 impl<S: EventSink + ?Sized> EventSink for &mut S {
-    fn emit(&mut self, event: &Event) {
+    fn emit(&mut self, event: &Event<'static>) {
         (**self).emit(event);
     }
     fn flush_sink(&mut self) {
@@ -53,7 +54,7 @@ pub struct NoopSink;
 
 impl EventSink for NoopSink {
     #[inline(always)]
-    fn emit(&mut self, _event: &Event) {}
+    fn emit(&mut self, _event: &Event<'static>) {}
 
     #[inline(always)]
     fn wants_events(&self) -> bool {
@@ -65,7 +66,7 @@ impl EventSink for NoopSink {
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     /// The captured events.
-    pub events: Vec<Event>,
+    pub events: Vec<Event<'static>>,
 }
 
 impl MemorySink {
@@ -76,7 +77,7 @@ impl MemorySink {
 }
 
 impl EventSink for MemorySink {
-    fn emit(&mut self, event: &Event) {
+    fn emit(&mut self, event: &Event<'static>) {
         self.events.push(*event);
     }
 }
@@ -101,7 +102,7 @@ impl EventSink for MemorySink {
 pub struct JsonlSink {
     writer: Option<BufWriter<File>>,
     /// Events emitted but not yet rendered to text.
-    buffer: Vec<Event>,
+    buffer: Vec<Event<'static>>,
     lines: u64,
     error: Option<std::io::Error>,
     /// Live-tail mode: render *and flush to the OS* every this many
@@ -197,7 +198,7 @@ impl JsonlSink {
 }
 
 impl EventSink for JsonlSink {
-    fn emit(&mut self, event: &Event) {
+    fn emit(&mut self, event: &Event<'static>) {
         // After the first failure the sink goes quiet: the error is latched
         // for `finish`.
         if self.error.is_some() || self.writer.is_none() {
@@ -269,7 +270,7 @@ impl<'a> TeeSink<'a> {
 }
 
 impl EventSink for TeeSink<'_> {
-    fn emit(&mut self, event: &Event) {
+    fn emit(&mut self, event: &Event<'static>) {
         for s in &mut self.sinks {
             s.emit(event);
         }
@@ -300,10 +301,10 @@ impl MetricsSink {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl EventSink for MetricsSink {
-    fn emit(&mut self, event: &Event) {
+    /// Folds one event into the registry. Unlike [`EventSink::emit`] this
+    /// takes any event, so the analyzer folds decoded traces through it.
+    pub fn record(&mut self, event: &Event<'_>) {
         use crate::event::EventKind as K;
         let r = &mut self.registry;
         match event.kind {
@@ -384,12 +385,18 @@ impl EventSink for MetricsSink {
     }
 }
 
+impl EventSink for MetricsSink {
+    fn emit(&mut self, event: &Event<'static>) {
+        self.record(event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::EventKind;
 
-    fn ev(kind: EventKind) -> Event {
+    fn ev(kind: EventKind<'static>) -> Event<'static> {
         Event { time: 1.0, kind }
     }
 

@@ -225,7 +225,7 @@ mod tests {
     use super::*;
     use crate::sink::MemorySink;
 
-    fn names(events: &[Event]) -> Vec<(&'static str, &'static str)> {
+    fn names(events: &[Event<'static>]) -> Vec<(&'static str, &'static str)> {
         events
             .iter()
             .map(|e| match e.kind {
@@ -338,9 +338,9 @@ mod tests {
             names(&sink.events),
             vec![("start", "scoped"), ("end", "scoped")]
         );
-        // Emitted lines validate under schema v2.
+        // Emitted lines decode back to the same events.
         for e in &sink.events {
-            crate::validate_line(&e.to_jsonl()).unwrap();
+            assert_eq!(crate::Event::from_jsonl(&e.to_jsonl()).as_ref(), Ok(e));
         }
     }
 

@@ -3,16 +3,16 @@
 //! Each experiment prints a human table; a [`RunSummary`] adds one
 //! greppable JSON line (`RUN-SUMMARY {...}`) so downstream tooling can
 //! scrape headline numbers without parsing the tables. Fields keep
-//! insertion order; values are scalars only, matching [`crate::json`].
+//! insertion order; values are scalars only.
 
 use crate::event::push_json_f64;
-use crate::json::JsonValue;
 
 /// Builder for one experiment's summary line.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     name: String,
-    fields: Vec<(String, JsonValue)>,
+    /// `(key, value already rendered as JSON)`, in insertion order.
+    fields: Vec<(String, String)>,
 }
 
 impl RunSummary {
@@ -26,7 +26,9 @@ impl RunSummary {
 
     /// Adds a numeric field (NaN/∞ serialize as `null`).
     pub fn num(mut self, key: &str, v: f64) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Num(v)));
+        let mut value = String::new();
+        push_json_f64(&mut value, v);
+        self.fields.push((key.to_string(), value));
         self
     }
 
@@ -37,14 +39,16 @@ impl RunSummary {
 
     /// Adds a string field (quotes and backslashes escaped).
     pub fn text(mut self, key: &str, v: &str) -> Self {
-        self.fields
-            .push((key.to_string(), JsonValue::Str(v.to_string())));
+        let mut value = String::from("\"");
+        escape_into(&mut value, v);
+        value.push('"');
+        self.fields.push((key.to_string(), value));
         self
     }
 
     /// Adds a boolean field.
     pub fn flag(mut self, key: &str, v: bool) -> Self {
-        self.fields.push((key.to_string(), JsonValue::Bool(v)));
+        self.fields.push((key.to_string(), v.to_string()));
         self
     }
 
@@ -58,16 +62,7 @@ impl RunSummary {
             s.push_str(",\"");
             escape_into(&mut s, k);
             s.push_str("\":");
-            match v {
-                JsonValue::Num(x) => push_json_f64(&mut s, *x),
-                JsonValue::Str(x) => {
-                    s.push('"');
-                    escape_into(&mut s, x);
-                    s.push('"');
-                }
-                JsonValue::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-                JsonValue::Null => s.push_str("null"),
-            }
+            s.push_str(v);
         }
         s.push('}');
         s
@@ -101,7 +96,7 @@ fn escape_into(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse_object;
+    use crate::json::parse_json;
 
     #[test]
     fn summary_round_trips_through_the_parser() {
@@ -112,19 +107,20 @@ mod tests {
             .flag("drained", true)
             .num("ci", f64::NAN)
             .to_json();
-        let m = parse_object(&json).unwrap();
+        let m = parse_json(&json).unwrap();
+        let m = m.as_obj().unwrap();
         assert_eq!(m["summary"].as_str(), Some("exp_now_farm"));
         assert_eq!(m["policy"].as_str(), Some("guideline"));
         assert_eq!(m["makespan"].as_f64(), Some(123.5));
-        assert_eq!(m["replications"].as_u64(), Some(12));
-        assert_eq!(m["drained"].as_bool(), Some(true));
+        assert_eq!(m["replications"].as_f64(), Some(12.0));
+        assert_eq!(m["drained"], crate::json::Json::Bool(true));
         assert!(m["ci"].as_f64().unwrap().is_nan());
     }
 
     #[test]
     fn strings_are_escaped() {
         let json = RunSummary::new("x").text("s", "a\"b\\c").to_json();
-        let m = parse_object(&json).unwrap();
-        assert_eq!(m["s"].as_str(), Some("a\"b\\c"));
+        let m = parse_json(&json).unwrap();
+        assert_eq!(m.get("s").unwrap().as_str(), Some("a\"b\\c"));
     }
 }

@@ -748,9 +748,9 @@ mod tests {
         }
         // Pool scheduling counters land under the root span.
         assert!(prof.registry().counter("span.mc.trials.pool.tasks") > 0);
-        // Every emitted line validates under the v2 schema.
+        // Every emitted line decodes back to the event it came from.
         for e in &sink.events {
-            cs_obs::validate_line(&e.to_jsonl()).unwrap();
+            assert_eq!(cs_obs::Event::from_jsonl(&e.to_jsonl()).as_ref(), Ok(e));
         }
     }
 

@@ -12,7 +12,8 @@ use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_obs::{
-    analyze_lineage_lines, Event, LineageAnalysis, MemorySink, ProgressSink, SpanProfiler, TeeSink,
+    analyze_lineage, decode_lines, Event, LineageAnalysis, MemorySink, ProgressSink, SpanProfiler,
+    TeeSink,
 };
 use cs_tasks::workloads;
 use proptest::prelude::*;
@@ -115,7 +116,7 @@ fn render_waterfall(a: &LineageAnalysis) -> String {
 #[test]
 fn pinned_faulty_trace_matches_the_golden_waterfall() {
     let (lines, report) = trace_lines(77, 300);
-    let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+    let a = analyze_lineage(&decode_lines(lines.iter().map(String::as_str)).unwrap()).unwrap();
     assert!(a.warnings.is_empty(), "warnings: {:?}", a.warnings);
     // The reconstruction agrees with the farm's own report bitwise on
     // both totals before any rendering is compared.
@@ -138,7 +139,7 @@ proptest! {
     #[test]
     fn phases_sum_to_wall_and_losses_reconcile(seed in 0u64..1000, tasks in 50usize..400) {
         let (lines, report) = trace_lines(seed, tasks);
-        let a = analyze_lineage_lines(lines.iter().map(String::as_str)).unwrap();
+        let a = analyze_lineage(&decode_lines(lines.iter().map(String::as_str)).unwrap()).unwrap();
         prop_assert!(a.run_complete);
         prop_assert!(a.warnings.is_empty(), "warnings: {:?}", a.warnings);
         let wall = a.phases.wall;

@@ -1,6 +1,6 @@
 //! End-to-end analyzer contract (`obs check` / `obs report` semantics):
 //! a seeded, fault-injected, *profiled* farm run written through a real
-//! `JsonlSink` file passes every `check_lines` invariant, the analyzer's
+//! `JsonlSink` file passes every `check_text` invariant, the analyzer's
 //! per-workstation bank attribution reconciles **bitwise** with the
 //! `FarmReport`, and the span timing tree is consistent with the measured
 //! wall clock (root span within the run's elapsed time, children nested
@@ -9,7 +9,7 @@
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_obs::{analyze_lines, check_lines, JsonlSink, NoopSink, SpanProfiler};
+use cs_obs::{analyze_trace, check_text, decode_lines, JsonlSink, NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,13 +56,13 @@ fn profiled_faulty_farm_trace_checks_and_reconciles() {
 
     // The invariant gate passes, including the bitwise bank/run_end
     // reconciliation that `cyclesteal obs check` exits non-zero on.
-    let summary = check_lines(text.lines());
+    let summary = check_text(&text, true);
     assert!(summary.ok(), "violations: {:?}", summary.violations);
     assert_eq!(summary.runs, 1);
     assert_eq!(summary.reconciled_runs, 1);
     assert!(summary.spans > 0, "profiled run must carry spans");
 
-    let a = analyze_lines(text.lines()).unwrap();
+    let a = analyze_trace(&decode_lines(text.lines()).unwrap());
 
     // Per-workstation bank attribution is bitwise equal to the report:
     // both sides accumulate the same f64 bank amounts in the same order.
@@ -139,7 +139,7 @@ fn corrupted_trace_fails_the_check_gate() {
         })
         .collect();
     assert!(done, "trace has at least one bank event");
-    let summary = check_lines(tampered.iter().map(String::as_str));
+    let summary = check_text(&tampered.join("\n"), true);
     assert!(
         summary.violations.iter().any(|v| v.contains("reconcile")),
         "tampered bank amount must break reconciliation: {:?}",
@@ -148,6 +148,6 @@ fn corrupted_trace_fails_the_check_gate() {
 
     // Truncation (lost tail) must also fail.
     let lines: Vec<&str> = text.lines().collect();
-    let summary = check_lines(lines[..lines.len() - 1].iter().copied());
+    let summary = check_text(&lines[..lines.len() - 1].join("\n"), true);
     assert!(!summary.ok(), "truncated trace must fail the gate");
 }
