@@ -21,7 +21,7 @@ use cs_core::{dp, search};
 use cs_life::LifeFunction;
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{IoErrorPolicy, JournalOptions, SnapshotOutcome};
+use cs_now::{IoErrorPolicy, JournalOptions, SnapshotOutcome, MAX_SNAPSHOT_RING};
 use cs_obs::vfs::StdVfs;
 use cs_obs::{JsonlSink, MetricsSink, NoopSink, ProgressSink, RunSummary, SpanProfiler, TeeSink};
 use cs_scenarios::{LifeSpec, PolicyParseError, LIFE_OPTS};
@@ -689,8 +689,10 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
         None => 1u32,
         Some(_) => {
             let n = args.u64_or("snapshot-ring", 1)?;
-            if !(1..=64).contains(&n) {
-                return Err("--snapshot-ring: ring size must be between 1 and 64".into());
+            if !(1..=u64::from(MAX_SNAPSHOT_RING)).contains(&n) {
+                return Err(format!(
+                    "--snapshot-ring: ring size must be between 1 and {MAX_SNAPSHOT_RING}"
+                ));
             }
             n as u32
         }

@@ -10,7 +10,7 @@ use crate::args::Args;
 use crate::{farm_scenario_from_args, FarmScenario, FARM_SCENARIO_OPTS};
 use cs_apps::{fmt, fmt_opt, Table};
 use cs_now::farm::Farm;
-use cs_now::{default_snapshot_path, ring_snapshot_path};
+use cs_now::{default_snapshot_path, ring_snapshot_path, MAX_SNAPSHOT_RING};
 use cs_obs::{
     analyze_lineage, analyze_trace, check_text, decode_lines, diff_bench, diff_registries, DiffRow,
     Event, LineageAnalysis, PhaseAttribution, TraceAnalysis,
@@ -115,8 +115,11 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
         None => None,
         Some(_) => {
             let g = args.u64_or("generation", 0)?;
-            if g >= 64 {
-                return Err("obs replay: --generation must be between 0 and 63".to_string());
+            if g >= u64::from(MAX_SNAPSHOT_RING) {
+                return Err(format!(
+                    "obs replay: --generation must be between 0 and {}",
+                    MAX_SNAPSHOT_RING - 1
+                ));
             }
             Some(g as u32)
         }
@@ -873,8 +876,11 @@ mod tests {
         let err = run(&to_args("replay --journal /no/such/j.jsonl --to 3")).unwrap_err();
         assert!(err.contains("obs replay"), "{err}");
         // --generation is range-checked against the ring-scan cap.
-        let err = run(&to_args("replay --journal j.jsonl --fork --generation 64")).unwrap_err();
-        assert!(err.contains("between 0 and 63"), "{err}");
+        for mode in ["--fork", "--to 3"] {
+            let args = format!("replay --journal j.jsonl {mode} --generation 64");
+            let err = run(&to_args(&args)).unwrap_err();
+            assert!(err.contains("between 0 and 63"), "{err}");
+        }
         // A pinned generation over a missing sidecar is a clean error too.
         let err = run(&to_args(
             "replay --journal /no/such/j.jsonl --fork --generation 2",

@@ -2,8 +2,8 @@
 //! `exp_obs_validate` contract check and every `obs` reader over a live
 //! farm trace, a heartbeating run staying pass-through, seeds above 2^53
 //! surviving the trace and the journal, and forged snapshot sidecars
-//! failing `obs replay --fork` with a typed message instead of a panic or
-//! an allocation abort.
+//! (counts, or task ids past the bag's `next_id`) failing `obs replay
+//! --fork` with a typed message instead of a panic or an allocation abort.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -176,6 +176,9 @@ fn forged_snapshot_counts_fail_fork_with_a_typed_error() {
     for (from, to) in [
         (" next_lease 8\n", " next_lease 1152921504606846975\n"),
         (" tasks 300\n", " tasks 1152921504606846975\n"),
+        ("298 299\n", "298 1152921504606846975\n"),
+        ("task 86 ", "task 1152921504606846975 "),
+        (" 264:", " 1152921504606846975:"),
     ] {
         assert!(body.contains(from), "{from:?} not in the fixture");
         let forged = body.replacen(from, to, 1);

@@ -23,7 +23,7 @@ use std::cmp::Ordering;
 /// `BinaryHeap`. `total_cmp` keeps NaN times ordered after every finite
 /// time instead of comparing `Equal` to everything.
 #[inline]
-fn cmp_events(a: &Event, b: &Event) -> Ordering {
+pub(crate) fn cmp_events(a: &Event, b: &Event) -> Ordering {
     a.time
         .total_cmp(&b.time)
         .then_with(|| a.kind.rank().cmp(&b.kind.rank()))

@@ -47,7 +47,7 @@ use cs_tasks::{Chunk, Task, TaskBag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 pub use cs_scenarios::PolicySpec;
 
@@ -465,29 +465,23 @@ impl WsTable {
     }
 }
 
-/// The set of banked task ids as a flat bitset ([`TaskBag`] assigns ids
-/// densely from zero, so id-indexed words stay compact). `insert` grows on
-/// demand; `contains` beyond the high water mark is simply `false`.
+/// The set of banked task ids: a flat bitset over the ids below the run's
+/// task count ([`TaskBag`] assigns ids densely from zero, so id-indexed
+/// words stay compact), and an ordered set for any id past it. A bag
+/// checked out from before [`Farm::new`] holds such ids; keying them
+/// sparsely means no id's value, however large, sizes an allocation.
 pub(crate) struct BankedSet {
     words: Vec<u64>,
+    beyond: BTreeSet<u64>,
     count: usize,
 }
 
 impl BankedSet {
-    /// An empty set with no preallocation (tests; runs size via
-    /// [`BankedSet::with_bits`]).
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        Self {
-            words: Vec::new(),
-            count: 0,
-        }
-    }
-
-    /// An empty set preallocated for ids below `bits`.
+    /// An empty set with a bitset for the ids below `bits`.
     pub(crate) fn with_bits(bits: u64) -> Self {
         Self {
             words: vec![0; (bits as usize).div_ceil(64)],
+            beyond: BTreeSet::new(),
             count: 0,
         }
     }
@@ -496,22 +490,21 @@ impl BankedSet {
     /// (first-bank-wins).
     pub(crate) fn insert(&mut self, id: u64) -> bool {
         let (w, mask) = ((id / 64) as usize, 1u64 << (id % 64));
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        if self.words[w] & mask != 0 {
-            false
-        } else {
-            self.words[w] |= mask;
-            self.count += 1;
-            true
-        }
+        let new = match self.words.get_mut(w) {
+            Some(word) => std::mem::replace(word, *word | mask) & mask == 0,
+            None => self.beyond.insert(id),
+        };
+        self.count += usize::from(new);
+        new
     }
 
     #[inline]
     pub(crate) fn contains(&self, id: u64) -> bool {
         let (w, mask) = ((id / 64) as usize, 1u64 << (id % 64));
-        self.words.get(w).is_some_and(|word| word & mask != 0)
+        match self.words.get(w) {
+            Some(word) => word & mask != 0,
+            None => self.beyond.contains(&id),
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -524,12 +517,13 @@ impl BankedSet {
 
     /// The banked ids in ascending order (what the snapshot serializes).
     pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+        let bits = self.words.iter().enumerate().flat_map(|(wi, &word)| {
             let base = wi as u64 * 64;
             (0..64)
                 .filter(move |b| word & (1u64 << b) != 0)
                 .map(move |b| base + b)
-        })
+        });
+        bits.chain(self.beyond.iter().copied())
     }
 }
 
@@ -1748,18 +1742,26 @@ mod tests {
 
     #[test]
     fn banked_set_matches_hash_set_semantics() {
-        let mut set = BankedSet::new();
+        let mut set = BankedSet::with_bits(0);
         assert!(set.is_empty());
         assert!(!set.contains(0));
         assert!(set.insert(5));
         assert!(!set.insert(5), "second insert reports already-present");
         assert!(set.insert(0));
-        assert!(set.insert(200)); // forces word growth
+        assert!(set.insert(200));
         assert_eq!(set.len(), 3);
         assert!(set.contains(200) && !set.contains(199));
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![0, 5, 200]);
-        let pre = BankedSet::with_bits(128);
+        let mut pre = BankedSet::with_bits(128);
         assert!(pre.is_empty() && !pre.contains(127));
+        // Ids past the bitset are keyed sparsely, in order after it: the
+        // largest id allocates nothing by its value.
+        for id in [u64::MAX, 127, 300, 3] {
+            assert!(pre.insert(id));
+        }
+        assert!(!pre.insert(u64::MAX) && pre.contains(300) && !pre.contains(128));
+        assert_eq!(pre.iter().collect::<Vec<_>>(), vec![3, 127, 300, u64::MAX]);
+        assert_eq!(pre.len(), 4);
     }
 
     #[test]

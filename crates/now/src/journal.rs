@@ -8,39 +8,31 @@
 //! the journal and the final [`FarmReport`] is **bitwise identical** to the
 //! uninterrupted run.
 //!
-//! # Recovery by deterministic redo
+//! # Redo is the ground truth; snapshots shortcut it
 //!
 //! The farm is a deterministic function of `(FarmConfig, TaskBag)`: the
 //! seed fixes the master RNG and every per-workstation fault stream, and
-//! the event queue breaks ties totally. Rather than snapshotting live
-//! master state (the lease table, the policy's internal state behind
-//! `Box<dyn ChunkPolicy>`, the RNG cursors), resume **re-runs the seeded
-//! engine** and verifies it against the journal: each regenerated event is
-//! string-compared with the corresponding journal record, and once the
-//! committed prefix is exhausted the sink switches to appending (and
-//! fsyncing) new records. Any divergence — wrong config, wrong seed, a
-//! different task bag, corrupted journal — is a typed [`JournalError`],
-//! never a silently different answer. Bitwise equality of the resumed
-//! report is then true by construction *and* independently enforced by the
-//! chaos harness in `cs-bench`.
+//! the event queue breaks ties totally. Recovery therefore **re-runs the
+//! seeded engine** and string-compares each regenerated event with the
+//! journal record it must reproduce; once the committed prefix is
+//! exhausted, the sink switches to appending (and fsyncing) new records.
+//! Any divergence — wrong config, seed or task bag, a corrupted journal —
+//! is a typed [`JournalError`], never a silently different answer. A torn
+//! final record is discarded and the file truncated to the last complete
+//! record before appending resumes.
 //!
-//! A torn final record (the crash landed mid-write) is detected by
-//! [`cs_obs::read_journal`], discarded, and the file truncated to the last
-//! complete record before appending resumes.
-//!
-//! # Snapshots: O(snapshot-interval) recovery
-//!
-//! Full redo replay costs time proportional to the whole journaled run.
-//! Journaled runs therefore also write periodic state snapshots (see
-//! [`crate::snapshot`]) to a sidecar next to the journal, and resume first
-//! tries the sidecar: restore the captured state, verify and replay only
-//! the records *after* the snapshot, then append — recovery cost drops to
-//! O(snapshot interval), independent of run length. The sidecar is
-//! advisory: if it is missing, corrupt, truncated past the journal, for a
-//! different farm, or fails any checksum, resume reports a typed
-//! [`SnapshotOutcome::Fallback`] and silently degrades to full redo — the
-//! answer is never wrong, only slower. Equally, a failed snapshot *write*
-//! never kills a healthy run; snapshotting just stops.
+//! Redo from record zero costs the whole run, so journaled runs also write
+//! snapshot sidecars ([`crate::snapshot`]) holding the engine's complete
+//! state — lease table, policy state, RNG cursors and all. Recovery
+//! restores the newest sidecar that binds to the surviving journal and
+//! verifies only the records after it: O(snapshot interval). Sidecars are
+//! advisory: a missing, corrupt, foreign or unbound one is a typed
+//! [`SnapshotOutcome::Fallback`] toward older generations and finally full
+//! redo — slower, never wrong — and a failed snapshot *write* only stops
+//! snapshotting. Once journal GC has cut the prefix, redo history is gone
+//! and a retained generation is the only way back in.
+//! [`Farm::resume`] and [`Farm::replay_to`] share one recovery front end
+//! and one verifier; only resume writes.
 //!
 //! # The paper picks its own checkpoint period
 //!
@@ -64,15 +56,14 @@ use crate::snapshot::{
 };
 use cs_obs::vfs::{StdVfs, Vfs};
 use cs_obs::{
-    read_journal_with, Event, EventKind, EventSink, FsyncPolicy, JournalReadError, JournalWriter,
-    SpanProfiler,
+    read_journal_with, Event, EventKind, EventSink, FsyncPolicy, JournalContents, JournalReadError,
+    JournalWriter, SpanProfiler,
 };
 use std::path::{Path, PathBuf};
 
-/// How many ring slots resume probes for sidecar generations. Rings
-/// larger than this are clamped (the cap only bounds the existence scan —
-/// far beyond any sane retention depth).
-const RING_SCAN: u32 = 64;
+/// The largest snapshot ring: [`JournalOptions::snapshot_ring`] is
+/// clamped to it, and recovery probes generations `0..MAX_SNAPSHOT_RING`.
+pub const MAX_SNAPSHOT_RING: u32 = 64;
 
 /// What a journaled run does when the journal's disk dies mid-run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -372,25 +363,104 @@ pub fn guideline_snapshot_interval(config: &FarmConfig) -> Option<f64> {
     }
 }
 
+/// Checks regenerated events against the journal's committed records, one
+/// record at a time. It is the sink of the read-only [`Farm::replay_to`];
+/// [`JournalSink`] wraps it with the writer that takes over once every
+/// committed record has matched.
+struct Verifier {
+    /// The journal's surviving records.
+    records: Vec<String>,
+    /// Index into `records` of the next record to match.
+    next: usize,
+    /// Records truncated by GC before `records[0]`.
+    base: u64,
+    /// First mismatch as (1-based record, journal line, replayed line),
+    /// latched: the run cannot be stopped mid-flight, so the caller turns
+    /// it into an error afterwards.
+    diverged: Option<(u64, String, String)>,
+}
+
+impl Verifier {
+    /// A verifier over `records` (which start at record `base`) that
+    /// begins matching at record `from`: zero, or the record count a
+    /// restored snapshot covers.
+    fn new(records: Vec<String>, base: u64, from: u64) -> Self {
+        Self {
+            records,
+            next: (from - base) as usize,
+            base,
+            diverged: None,
+        }
+    }
+
+    /// Committed records accounted for so far: skipped by a snapshot,
+    /// truncated by GC, or matched.
+    fn position(&self) -> u64 {
+        self.base + self.next as u64
+    }
+
+    /// Committed records in the journal, counting the GC'd prefix.
+    fn total(&self) -> u64 {
+        self.base + self.records.len() as u64
+    }
+
+    /// True once no committed record is left to match.
+    fn exhausted(&self) -> bool {
+        self.next >= self.records.len()
+    }
+
+    /// Matches `line` against the next committed record, latching the
+    /// first mismatch. Returns whether it matched.
+    fn check(&mut self, line: &str) -> bool {
+        let expected = &self.records[self.next];
+        if expected != line {
+            self.diverged = Some((self.position() + 1, expected.clone(), line.to_owned()));
+            return false;
+        }
+        self.next += 1;
+        true
+    }
+
+    /// Ends verification: the latched mismatch is [`JournalError::Diverged`],
+    /// a replay that stopped short of record `target` is
+    /// [`JournalError::JournalAhead`]; otherwise the records accounted for.
+    fn finish(&mut self, target: u64) -> Result<u64, JournalError> {
+        if let Some((record, journal, replayed)) = self.diverged.take() {
+            return Err(JournalError::Diverged {
+                record,
+                journal,
+                replayed,
+            });
+        }
+        let replayed = self.position();
+        if replayed < target {
+            return Err(JournalError::JournalAhead {
+                journal_records: target,
+                replayed,
+            });
+        }
+        Ok(replayed)
+    }
+}
+
+impl EventSink for Verifier {
+    fn emit(&mut self, event: &Event<'static>) {
+        if self.diverged.is_none() && !self.exhausted() {
+            self.check(&event.to_jsonl());
+        }
+    }
+}
+
 /// The sink driving a journaled (or resuming) run: verifies replayed
 /// events against the committed prefix, then appends; optionally pulls the
 /// kill switch for the chaos harness.
 struct JournalSink {
+    /// The committed prefix (empty for a fresh run).
+    verifier: Verifier,
     writer: JournalWriter,
-    /// Committed records to verify against (empty for a fresh run; for a
-    /// snapshot restore, only the tail after the snapshot).
-    prefix: Vec<String>,
-    /// Records of the prefix verified so far.
-    pos: u64,
-    /// Committed records *before* the prefix — skipped via a snapshot
-    /// restore instead of replayed. Zero for fresh runs and full redo.
-    base: u64,
     /// Running FNV-1a 64 over every committed record's bytes (line + `\n`),
     /// from the start of the journal; snapshots bind to it.
     hash: u64,
-    /// First replay/journal mismatch, latched (the run itself cannot be
-    /// stopped mid-flight; the caller turns this into an error).
-    diverged: Option<(u64, String, String)>,
     kill_after: Option<u64>,
     /// Records / syncs written by writers retired across GC segment
     /// rotations (the live `writer` only counts its own).
@@ -399,20 +469,11 @@ struct JournalSink {
 }
 
 impl JournalSink {
-    fn new(
-        writer: JournalWriter,
-        prefix: Vec<String>,
-        base: u64,
-        hash: u64,
-        opts: &JournalOptions,
-    ) -> Self {
+    fn new(verifier: Verifier, writer: JournalWriter, hash: u64, opts: &JournalOptions) -> Self {
         Self {
+            verifier,
             writer,
-            prefix,
-            pos: 0,
-            base,
             hash,
-            diverged: None,
             kill_after: opts.kill_after,
             flushed_records: 0,
             flushed_syncs: 0,
@@ -420,25 +481,20 @@ impl JournalSink {
     }
 
     fn committed(&self) -> u64 {
-        self.base + self.pos + self.flushed_records + self.writer.records()
+        self.verifier.position() + self.flushed_records + self.writer.records()
     }
 }
 
 impl EventSink for JournalSink {
     fn emit(&mut self, event: &Event<'static>) {
-        if self.diverged.is_some() {
+        if self.verifier.diverged.is_some() {
             return;
         }
         let line = event.to_jsonl();
-        if (self.pos as usize) < self.prefix.len() {
-            let expected = &self.prefix[self.pos as usize];
-            if *expected != line {
-                self.diverged = Some((self.pos + 1, expected.clone(), line));
-                return;
-            }
-            self.pos += 1;
-        } else {
+        if self.verifier.exhausted() {
             self.writer.emit(event);
+        } else if !self.verifier.check(&line) {
+            return;
         }
         self.hash = fnv1a64(self.hash, line.as_bytes());
         self.hash = fnv1a64(self.hash, b"\n");
@@ -479,8 +535,8 @@ impl Farm {
         let path = path.as_ref();
         sweep_stale(vfs, path, true);
         let writer = JournalWriter::create_with(vfs, path, opts.fsync)?;
-        let mut sink = JournalSink::new(writer, Vec::new(), 0, FNV_OFFSET, &opts);
-        let mut ctx = DriveCtx::fresh(vfs, path, &opts);
+        let mut sink = JournalSink::new(Verifier::new(Vec::new(), 0, 0), writer, FNV_OFFSET, &opts);
+        let mut ctx = DriveCtx::new(vfs, path, &opts);
         let mut prof = SpanProfiler::disabled();
         let run = FarmRun::start(self, &mut sink, &mut prof);
         let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
@@ -524,177 +580,40 @@ impl Farm {
         vfs: &dyn Vfs,
     ) -> Result<(FarmReport, RecoveryInfo), JournalError> {
         let path = path.as_ref();
-        let ring = opts.snapshot_ring.clamp(1, RING_SCAN);
         sweep_stale(vfs, path, false);
-        let restore_config = config.clone();
-        let farm = Farm::new(config, bag)?;
-        let journal = read_journal_with(vfs, path)?;
-        let torn_bytes = journal.torn_bytes;
-        let expected_header = header_line(&farm);
-
-        // Where does this file start? After GC the journal is a *segment*
-        // whose truncated prefix is described by the `.seg` sidecar (or,
-        // if a crash caught GC between the two renames, inferred from the
-        // ring itself).
-        let seg = resolve_segment(vfs, path, &journal.records, &expected_header)?;
-        let (mut candidates, mut reject) = collect_candidates(vfs, path, &farm);
-        let (base, base_hash) = match seg {
-            SegmentBase::Whole => {
-                check_header(&farm, &journal.records)?;
-                (0, FNV_OFFSET)
-            }
-            SegmentBase::At { base, hash } => (base, hash),
-            SegmentBase::Hypothesis => {
-                let inferred =
-                    infer_segment_base(&candidates, &journal.records).ok_or_else(|| {
-                        JournalError::SegmentCorrupt {
-                            reason:
-                                "segment metadata is stale and no retained snapshot generation \
-                                 binds to the surviving journal"
-                                    .into(),
-                        }
-                    })?;
-                let meta = SegmentMeta::for_cut(
-                    inferred.0,
-                    inferred.1,
-                    journal.records.first().map(String::as_str),
+        let rec = recover(config, bag, path, vfs, Start::Newest)?;
+        if let Some(meta) = rec.repair {
+            if meta.store(vfs, &segment_meta_path(path)).is_ok() {
+                eprintln!(
+                    "note: repaired stale segment metadata ({} records truncated)",
+                    rec.base
                 );
-                if meta.store(vfs, &segment_meta_path(path)).is_ok() {
-                    eprintln!(
-                        "note: repaired stale segment metadata ({} records truncated)",
-                        inferred.0
-                    );
-                }
-                inferred
-            }
-        };
-
-        // Bind each candidate to the records actually on disk, then walk
-        // newest→oldest; the first generation that binds *and* restores
-        // wins. Anything wrong degrades toward older generations — slower,
-        // never incorrect.
-        candidates.retain(|c| {
-            let r = c.snap.journal_records;
-            if r < base {
-                reject = Some(SnapshotErrorKind::JournalMismatch);
-                return false;
-            }
-            if r - base > journal.records.len() as u64 {
-                reject = Some(SnapshotErrorKind::JournalAhead);
-                return false;
-            }
-            if extend_hash(base_hash, &journal.records[..(r - base) as usize])
-                != c.snap.journal_hash
-            {
-                reject = Some(SnapshotErrorKind::JournalMismatch);
-                return false;
-            }
-            true
-        });
-        candidates.sort_by(|a, b| {
-            (b.snap.journal_records, b.generation).cmp(&(a.snap.journal_records, a.generation))
-        });
-        let mut ring_meta = vec![None; RING_SCAN as usize];
-        for c in &candidates {
-            if let Some(g) = c.generation {
-                ring_meta[g as usize] = Some((c.snap.journal_records, c.snap.journal_hash));
             }
         }
-        let next_gen = candidates
-            .iter()
-            .filter_map(|c| c.generation.map(|g| (c.snap.journal_records, g)))
-            .max()
-            .map_or(0, |(_, g)| (g + 1) % ring);
-
-        let mut outcome = match reject {
-            Some(kind) => SnapshotOutcome::Fallback(kind),
-            None => SnapshotOutcome::None,
-        };
-        let mut restored = None;
-        for c in candidates {
-            let (skipped, hash, at) = (c.snap.journal_records, c.snap.journal_hash, c.snap.now);
-            match c.snap.restore(restore_config.clone()) {
-                Ok(run) => {
-                    outcome = SnapshotOutcome::Used {
-                        records_skipped: skipped,
-                    };
-                    restored = Some((run, skipped, hash, at, c.generation));
-                    break;
-                }
-                Err(e) => outcome = SnapshotOutcome::Fallback(e.kind()),
-            }
-        }
-        if restored.is_none() && base > 0 {
-            return Err(JournalError::SegmentUnrecoverable {
-                base,
-                reason: match outcome {
-                    SnapshotOutcome::Fallback(kind) => {
-                        format!("every retained snapshot generation was rejected (last: {kind})")
-                    }
-                    _ => "no snapshot generation survives".into(),
-                },
-            });
-        }
-
-        let writer = JournalWriter::append_at_with(vfs, path, journal.complete_bytes, opts.fsync)?;
+        let writer =
+            JournalWriter::append_at_with(vfs, path, rec.journal.complete_bytes, opts.fsync)?;
+        let mut ctx = DriveCtx::new(vfs, path, &opts);
+        ctx.seg_base = rec.base;
+        ctx.ring_meta = rec.ring_meta;
+        ctx.next_gen = rec.newest.map_or(0, |g| (g + 1) % ctx.ring);
+        let from = rec.verifier.position();
+        let mut sink = JournalSink::new(rec.verifier, writer, rec.hash, &opts);
         let mut prof = SpanProfiler::disabled();
-        let mut generation = None;
-        let (run, mut sink, last_snapshot) = match restored {
-            Some((run, skipped, hash, at, gen)) => {
-                generation = gen;
-                let prefix = journal.records[(skipped - base) as usize..].to_vec();
-                (
-                    run,
-                    JournalSink::new(writer, prefix, skipped, hash, &opts),
-                    at,
-                )
-            }
-            None => {
-                let mut sink = JournalSink::new(writer, journal.records, 0, FNV_OFFSET, &opts);
-                let run = FarmRun::start(farm, &mut sink, &mut prof);
-                (run, sink, 0.0)
-            }
-        };
-        let mut ctx = DriveCtx {
-            vfs,
-            path: path.to_path_buf(),
-            fsync: opts.fsync,
-            snapshot_every: opts.snapshot_every,
-            last_snapshot,
-            ring,
-            next_gen,
-            ring_meta,
-            gc: opts.gc,
-            on_io_error: opts.on_io_error,
-            seg_base: base,
-            stats: DurableStats::default(),
-            pending_error: None,
-        };
+        let run = rec.origin.start(&mut sink, &mut prof);
+        ctx.last_snapshot = run.now;
         let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
-        if let Some((record, journal_line, replayed)) = sink.diverged {
-            return Err(JournalError::Diverged {
-                record: sink.base + record,
-                journal: journal_line,
-                replayed,
-            });
-        }
-        let prefix_len = sink.prefix.len() as u64;
-        if sink.pos < prefix_len {
-            return Err(JournalError::JournalAhead {
-                journal_records: sink.base + prefix_len,
-                replayed: sink.base + sink.pos,
-            });
-        }
+        let total = sink.verifier.total();
+        sink.verifier.finish(total)?;
         let stats = finish_stats(sink, ctx)?;
         Ok((
             report,
             RecoveryInfo {
-                records_replayed: prefix_len,
+                records_replayed: total - from,
                 records_appended: stats.records,
-                torn_bytes_discarded: torn_bytes,
-                snapshot: outcome,
-                generation,
-                segment_base: base,
+                torn_bytes_discarded: rec.journal.torn_bytes,
+                snapshot: rec.outcome,
+                generation: rec.generation,
+                segment_base: rec.base,
                 degraded: stats.degraded,
             },
         ))
@@ -723,146 +642,26 @@ impl Farm {
         to: u64,
         generation: Option<u32>,
     ) -> Result<ReplayState, JournalError> {
-        let path = path.as_ref();
-        let vfs: &dyn Vfs = &StdVfs;
-        let restore_config = config.clone();
-        let farm = Farm::new(config, bag)?;
-        let journal = read_journal_with(vfs, path)?;
-        let expected_header = header_line(&farm);
-        let seg = resolve_segment(vfs, path, &journal.records, &expected_header)?;
-        let (base, base_hash) = match seg {
-            SegmentBase::Whole => {
-                check_header(&farm, &journal.records)?;
-                (0, FNV_OFFSET)
-            }
-            SegmentBase::At { base, hash } => (base, hash),
-            SegmentBase::Hypothesis => {
-                let (candidates, _) = collect_candidates(vfs, path, &farm);
-                infer_segment_base(&candidates, &journal.records).ok_or_else(|| {
-                    JournalError::SegmentCorrupt {
-                        reason: "segment metadata is stale and no retained snapshot generation \
-                                 binds to the surviving journal"
-                            .into(),
-                    }
-                })?
-            }
-        };
-        let total_records = base + journal.records.len() as u64;
-        let to = to.min(total_records);
-
-        // Pick a starting snapshot: the explicit generation, or (on a GC'd
-        // segment) the oldest retained one — record zero is gone.
-        let bind = |snap: &FarmSnapshot| -> Result<(), String> {
-            let r = snap.journal_records;
-            if r < base || r - base > journal.records.len() as u64 {
-                return Err(format!(
-                    "snapshot at record {r} does not lie inside the journal segment \
-                     ({base}..{total_records})"
-                ));
-            }
-            if extend_hash(base_hash, &journal.records[..(r - base) as usize]) != snap.journal_hash
-            {
-                return Err(format!(
-                    "snapshot does not bind to the journal at record {r}"
-                ));
-            }
-            Ok(())
-        };
-        let start = match generation {
-            Some(g) => {
-                let p = ring_snapshot_path(path, g);
-                let snap = load_snapshot(vfs, &p, &farm).map_err(|e| JournalError::Generation {
-                    generation: g,
-                    reason: e.to_string(),
-                })?;
-                bind(&snap).map_err(|reason| JournalError::Generation {
-                    generation: g,
-                    reason,
-                })?;
-                Some(snap)
-            }
-            None if base > 0 => {
-                let (candidates, _) = collect_candidates(vfs, path, &farm);
-                let snap = candidates
-                    .into_iter()
-                    .map(|c| c.snap)
-                    .filter(|s| bind(s).is_ok())
-                    .min_by_key(|s| s.journal_records)
-                    .ok_or_else(|| JournalError::SegmentUnrecoverable {
-                        base,
-                        reason: "no retained snapshot generation binds to the surviving journal"
-                            .into(),
-                    })?;
-                Some(snap)
-            }
-            None => None,
-        };
-
+        let start = generation.map_or(Start::Earliest, Start::Generation);
+        let rec = recover(config, bag, path.as_ref(), &StdVfs, start)?;
+        let mut sink = rec.verifier;
+        let total = sink.total();
+        let to = to.min(total).max(sink.position());
         let mut prof = SpanProfiler::disabled();
-        let mut sink = VerifySink {
-            prefix: &journal.records,
-            pos: 0,
-            diverged: None,
-        };
-        let (mut run, skipped) = match start {
-            Some(snap) => {
-                let r = snap.journal_records;
-                let run = snap.restore(restore_config).map_err(|e| match generation {
-                    Some(g) => JournalError::Generation {
-                        generation: g,
-                        reason: e.to_string(),
-                    },
-                    None => JournalError::SegmentUnrecoverable {
-                        base,
-                        reason: e.to_string(),
-                    },
-                })?;
-                sink.prefix = &journal.records[(r - base) as usize..];
-                (run, r)
-            }
-            None => (FarmRun::start(farm, &mut sink, &mut prof), 0),
-        };
-        let to = to.max(skipped);
-        let mut ended = false;
-        while skipped + sink.pos < to {
-            if !run.step(&mut sink, &mut prof) {
-                ended = true;
-                break;
-            }
+        let mut run = rec.origin.start(&mut sink, &mut prof);
+        let mut live = true;
+        while live && sink.position() < to {
+            live = run.step(&mut sink, &mut prof);
         }
         // Summarize before `finish` consumes the run; the trailing
         // `run_end` record is only emitted by `finish`, so a replay to the
         // journal's end still needs it for verification.
-        let stats = || run.states.stats.iter();
-        let state = ReplayState {
-            records: 0, // patched below, after finish
-            total_records,
-            virtual_time: run.now,
-            pending_tasks: run.eng.bag.pending_count() as u64,
-            banked_tasks: run.eng.banked.len() as u64,
-            in_flight_chunks: run.eng.in_flight.len() as u64,
-            completed_work: stats().map(|s| s.completed_work).sum(),
-            lost_work: stats().map(|s| s.lost_work).sum(),
-            episodes: stats().map(|s| s.episodes).sum(),
-        };
-        if ended && skipped + sink.pos < to {
+        let state = ReplayState::of(&run, 0, total);
+        if !live && sink.position() < to {
             run.finish(&mut sink, &mut prof);
         }
-        if let Some((record, journal_line, replayed)) = sink.diverged {
-            return Err(JournalError::Diverged {
-                record: skipped + record,
-                journal: journal_line,
-                replayed,
-            });
-        }
-        if skipped + sink.pos < to {
-            return Err(JournalError::JournalAhead {
-                journal_records: to,
-                replayed: skipped + sink.pos,
-            });
-        }
         Ok(ReplayState {
-            records: skipped + sink.pos,
+            records: sink.finish(to)?,
             ..state
         })
     }
@@ -895,6 +694,26 @@ pub struct ReplayState {
     pub episodes: u64,
 }
 
+impl ReplayState {
+    /// Summarizes `run` between two events: the one place the run's
+    /// banked, pending, in-flight and lost counts are read, for replay and
+    /// for the `RUN-PROGRESS` heartbeat alike.
+    fn of(run: &FarmRun, records: u64, total_records: u64) -> Self {
+        let stats = || run.states.stats.iter();
+        ReplayState {
+            records,
+            total_records,
+            virtual_time: run.now,
+            pending_tasks: run.eng.bag.pending_count() as u64,
+            banked_tasks: run.eng.banked.len() as u64,
+            in_flight_chunks: run.eng.in_flight.len() as u64,
+            completed_work: stats().map(|s| s.completed_work).sum(),
+            lost_work: stats().map(|s| s.lost_work).sum(),
+            episodes: stats().map(|s| s.episodes).sum(),
+        }
+    }
+}
+
 /// Emits `RUN-PROGRESS` heartbeat lines to stderr at a wall-clock cadence
 /// while a journaled run is in flight. Strictly an observer of the run's
 /// state between steps — the journal bytes and the [`FarmReport`] are
@@ -905,27 +724,22 @@ struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn new(every: Option<f64>) -> Self {
-        Self {
-            every,
-            last: std::time::Instant::now(),
-        }
-    }
-
     fn tick(&mut self, run: &FarmRun, committed: u64) {
         let Some(every) = self.every else { return };
         if every > 0.0 && self.last.elapsed().as_secs_f64() < every {
             return;
         }
         self.last = std::time::Instant::now();
-        let lost: f64 = run.states.stats.iter().map(|s| s.lost_work).sum();
+        let s = ReplayState::of(run, committed, committed);
         eprintln!(
-            "RUN-PROGRESS {{\"t\":{},\"records\":{committed},\"banked_tasks\":{},\
-             \"pending_tasks\":{},\"in_flight\":{},\"lost_work\":{lost}}}",
-            run.now,
-            run.eng.banked.len(),
-            run.eng.bag.pending_count(),
-            run.eng.in_flight.len(),
+            "RUN-PROGRESS {{\"t\":{},\"records\":{},\"banked_tasks\":{},\
+             \"pending_tasks\":{},\"in_flight\":{},\"lost_work\":{}}}",
+            s.virtual_time,
+            s.records,
+            s.banked_tasks,
+            s.pending_tasks,
+            s.in_flight_chunks,
+            s.lost_work,
         );
     }
 }
@@ -956,16 +770,18 @@ struct DriveCtx<'v> {
 }
 
 impl<'v> DriveCtx<'v> {
-    fn fresh(vfs: &'v dyn Vfs, path: &Path, opts: &JournalOptions) -> Self {
+    /// The context of a run journaling from record zero; resume then
+    /// moves the segment base, ring and snapshot clock to where it starts.
+    fn new(vfs: &'v dyn Vfs, path: &Path, opts: &JournalOptions) -> Self {
         Self {
             vfs,
             path: path.to_path_buf(),
             fsync: opts.fsync,
             snapshot_every: opts.snapshot_every,
             last_snapshot: 0.0,
-            ring: opts.snapshot_ring.clamp(1, RING_SCAN),
+            ring: opts.snapshot_ring.clamp(1, MAX_SNAPSHOT_RING),
             next_gen: 0,
-            ring_meta: vec![None; RING_SCAN as usize],
+            ring_meta: vec![None; MAX_SNAPSHOT_RING as usize],
             gc: opts.gc,
             on_io_error: opts.on_io_error,
             seg_base: 0,
@@ -980,6 +796,23 @@ impl<'v> DriveCtx<'v> {
         } else {
             ring_snapshot_path(&self.path, generation)
         }
+    }
+
+    /// The one place the [`IoErrorPolicy`] is applied to a journal I/O
+    /// failure: fail-stop returns it as a typed [`JournalError::Io`];
+    /// degrade warns once (`fate` says how the run goes on), flags the run,
+    /// stops snapshots and GC, and keeps computing.
+    fn io_failed(&mut self, err: std::io::Error, fate: &str) -> Result<(), JournalError> {
+        if self.on_io_error == IoErrorPolicy::FailStop {
+            return Err(JournalError::Io(err));
+        }
+        if !self.stats.degraded {
+            eprintln!("warning: journal I/O failed ({err}); {fate}");
+            self.stats.degraded = true;
+            self.snapshot_every = None;
+            self.gc = false;
+        }
+        Ok(())
     }
 }
 
@@ -996,7 +829,10 @@ fn drive(
     ctx: &mut DriveCtx<'_>,
     progress_every: Option<f64>,
 ) -> Result<FarmReport, JournalError> {
-    let mut heartbeat = Heartbeat::new(progress_every);
+    let mut heartbeat = Heartbeat {
+        every: progress_every,
+        last: std::time::Instant::now(),
+    };
     loop {
         check_io(sink, ctx)?;
         if let Some(dt) = ctx.snapshot_every {
@@ -1042,41 +878,39 @@ fn drive(
     Ok(run.finish(sink, prof))
 }
 
-/// Applies the I/O-error policy to any latched writer (or GC rotation)
-/// failure: fail-stop turns it into a typed error at this event boundary;
-/// degrade warns once, stops snapshotting/GC, and keeps computing.
+/// Hands any latched writer (or GC rotation) failure to the I/O-error
+/// policy at this event boundary.
 fn check_io(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) -> Result<(), JournalError> {
-    if ctx.pending_error.is_none() && sink.writer.io_error().is_none() {
-        return Ok(());
+    let latched = ctx.pending_error.take().or_else(|| {
+        sink.writer.io_error()?;
+        sink.writer.finish_parts().1
+    });
+    match latched {
+        Some(err) => ctx.io_failed(
+            err,
+            "continuing degraded — in-memory only, no further journaling or snapshots",
+        ),
+        None => Ok(()),
     }
-    match ctx.on_io_error {
-        IoErrorPolicy::FailStop => {
-            let err = ctx
-                .pending_error
-                .take()
-                .or_else(|| sink.writer.finish_parts().1)
-                .unwrap_or_else(|| std::io::Error::other("journal I/O failed"));
-            Err(JournalError::Io(err))
-        }
-        IoErrorPolicy::Degrade => {
-            if !ctx.stats.degraded {
-                let msg = ctx
-                    .pending_error
-                    .as_ref()
-                    .or_else(|| sink.writer.io_error())
-                    .map(|e| e.to_string())
-                    .unwrap_or_default();
-                eprintln!(
-                    "warning: journal I/O failed ({msg}); continuing degraded — in-memory \
-                     only, no further journaling or snapshots"
-                );
-                ctx.stats.degraded = true;
-                ctx.snapshot_every = None;
-                ctx.gc = false;
-            }
-            Ok(())
-        }
+}
+
+/// Folds the final writer stats into [`DurableStats`], handing anything
+/// surfacing only at flush/close time to the I/O-error policy — errors
+/// latched while heartbeats held the sink in line-buffered mode must not
+/// be swallowed by a clean-looking exit.
+fn finish_stats(
+    mut sink: JournalSink,
+    mut ctx: DriveCtx<'_>,
+) -> Result<DurableStats, JournalError> {
+    let (wstats, werr) = sink.writer.finish_parts();
+    if let Some(e) = ctx.pending_error.take().or(werr) {
+        ctx.io_failed(e, "run completed degraded — the journal tail is missing")?;
     }
+    Ok(DurableStats {
+        records: sink.flushed_records + wstats.records,
+        syncs: sink.flushed_syncs + wstats.syncs,
+        ..ctx.stats
+    })
 }
 
 /// Journal-prefix GC: truncates the records the *oldest retained* ring
@@ -1088,7 +922,7 @@ fn check_io(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) -> Result<(), Journa
 /// ring ([`infer_segment_base`]). GC failures are advisory: the journal is
 /// left whole and the run carries on.
 fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
-    if ctx.ring < 2 || (sink.pos as usize) < sink.prefix.len() {
+    if ctx.ring < 2 || !sink.verifier.exhausted() {
         return; // never GC while replaying an unverified prefix
     }
     // The slot the next snapshot overwrites holds the oldest retained
@@ -1171,36 +1005,6 @@ fn byte_offset_of_line(bytes: &[u8], n: usize) -> Option<usize> {
     Some(offset)
 }
 
-/// Folds the final writer stats into [`DurableStats`], applying the
-/// I/O-error policy to anything surfacing only at flush/close time —
-/// errors latched while heartbeats held the sink in line-buffered mode
-/// must not be swallowed by a clean-looking exit.
-fn finish_stats(
-    mut sink: JournalSink,
-    mut ctx: DriveCtx<'_>,
-) -> Result<DurableStats, JournalError> {
-    let (wstats, werr) = sink.writer.finish_parts();
-    if let Some(e) = ctx.pending_error.take().or(werr) {
-        match ctx.on_io_error {
-            IoErrorPolicy::FailStop => return Err(JournalError::Io(e)),
-            IoErrorPolicy::Degrade => {
-                if !ctx.stats.degraded {
-                    eprintln!(
-                        "warning: journal I/O failed ({e}); run completed degraded — the \
-                         journal tail is missing"
-                    );
-                    ctx.stats.degraded = true;
-                }
-            }
-        }
-    }
-    Ok(DurableStats {
-        records: sink.flushed_records + wstats.records,
-        syncs: sink.flushed_syncs + wstats.syncs,
-        ..ctx.stats
-    })
-}
-
 /// Sweeps stale `*.tmp` files left by a crash mid-snapshot or mid-GC
 /// (with a stderr note); a fresh run additionally clears sidecars from
 /// any previous incarnation of this journal path, so resume never sees
@@ -1210,7 +1014,7 @@ fn sweep_stale(vfs: &dyn Vfs, path: &Path, fresh: bool) {
     let seg = segment_meta_path(path);
     let mut tmps = vec![tmp_path(path), tmp_path(&snap), tmp_path(&seg)];
     let mut sidecars = vec![snap, seg];
-    for g in 0..RING_SCAN {
+    for g in 0..MAX_SNAPSHOT_RING {
         let p = ring_snapshot_path(path, g);
         tmps.push(tmp_path(&p));
         sidecars.push(p);
@@ -1242,118 +1046,266 @@ fn header_line(farm: &Farm) -> String {
     .to_jsonl()
 }
 
-/// Rejects a journal whose `run_start` header does not match this farm.
-fn check_header(farm: &Farm, records: &[String]) -> Result<(), JournalError> {
-    if let Some(first) = records.first() {
-        let expected = header_line(farm);
-        if *first != expected {
-            return Err(JournalError::HeaderMismatch {
-                expected,
-                found: first.clone(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Where the journal file starts relative to the original run's record
-/// stream.
-enum SegmentBase {
-    /// A whole journal from record zero (no, or ignorable, `.seg`
-    /// metadata).
-    Whole,
-    /// A GC'd segment: `base` records (with running hash `hash`) were
-    /// truncated before the file's first line.
-    At {
-        /// Records truncated before the file.
-        base: u64,
-        /// Running FNV-1a 64 over those records.
-        hash: u64,
-    },
-    /// A GC'd segment whose metadata is stale (crash between the journal
-    /// rotation and the metadata store): the base must be inferred from
-    /// the snapshot ring.
-    Hypothesis,
-}
-
-/// Reads and validates the `.seg` sidecar, deciding how to interpret the
-/// journal file (see [`SegmentBase`]). The staleness check hashes the
-/// journal's actual first line against the metadata's recorded one.
-fn resolve_segment(
+/// Where the journal file starts in the run's record stream: the records
+/// GC truncated before its first line, the running hash over them, and
+/// whether they had to be inferred from the ring. A whole journal (no, or
+/// ignorable, `.seg` metadata) must open with this farm's header. A GC'd
+/// segment takes its base from the metadata unless that is stale — a crash
+/// between the journal rotation and the metadata store, detected by
+/// hashing the journal's actual first line against the recorded one.
+fn segment_base(
     vfs: &dyn Vfs,
     path: &Path,
     records: &[String],
-    expected_header: &str,
-) -> Result<SegmentBase, JournalError> {
+    farm: &Farm,
+    candidates: &[Candidate],
+) -> Result<(u64, u64, bool), JournalError> {
     let seg_path = segment_meta_path(path);
-    if !vfs.exists(&seg_path) {
-        return Ok(SegmentBase::Whole);
-    }
     let first = records.first().map(String::as_str);
-    let meta = match SegmentMeta::load(vfs, &seg_path) {
-        Ok(meta) => meta,
-        Err(e) => {
-            // A corrupt sidecar next to a whole journal is ignorable
-            // noise; next to a headerless segment the base is unknown.
-            return if first == Some(expected_header) || first.is_none() {
+    let header = header_line(farm);
+    let whole = first == Some(header.as_str());
+    let stale = vfs.exists(&seg_path)
+        && match SegmentMeta::load(vfs, &seg_path) {
+            Ok(meta) if meta.matches_first(first) => {
+                return Ok((meta.base_records, meta.base_hash, false));
+            }
+            Ok(_) if whole => {
+                // The journal was rewritten from scratch after the metadata
+                // was stored (GC rotation that never renamed).
+                eprintln!(
+                    "warning: ignoring stale segment metadata (journal starts at its header)"
+                );
+                false
+            }
+            // A corrupt sidecar next to a whole journal is ignorable noise;
+            // next to a headerless segment the base is unknown.
+            Err(e) if whole || first.is_none() => {
                 eprintln!("warning: ignoring corrupt segment metadata ({e})");
-                Ok(SegmentBase::Whole)
-            } else {
-                Ok(SegmentBase::Hypothesis)
-            };
-        }
-    };
-    if meta.matches_first(first) {
-        return Ok(SegmentBase::At {
-            base: meta.base_records,
-            hash: meta.base_hash,
-        });
+                false
+            }
+            _ => true,
+        };
+    if stale {
+        let (base, hash) = infer_segment_base(candidates, records).ok_or_else(|| {
+            JournalError::SegmentCorrupt {
+                reason: "segment metadata is stale and no retained snapshot generation binds \
+                         to the surviving journal"
+                    .into(),
+            }
+        })?;
+        return Ok((base, hash, true));
     }
-    if first == Some(expected_header) {
-        // The journal was rewritten from scratch after the metadata was
-        // stored (GC rotation that never renamed); the file is whole.
-        eprintln!("warning: ignoring stale segment metadata (journal starts at its header)");
-        return Ok(SegmentBase::Whole);
+    match first {
+        Some(found) if found != header => Err(JournalError::HeaderMismatch {
+            expected: header,
+            found: found.into(),
+        }),
+        _ => Ok((0, FNV_OFFSET, false)),
     }
-    Ok(SegmentBase::Hypothesis)
 }
 
-/// A snapshot sidecar found on disk during resume.
+/// Where verified replay starts. [`recover`] takes it from its caller.
+#[derive(Clone, Copy)]
+enum Start {
+    /// The newest sidecar that binds and restores, else record zero on a
+    /// whole journal: [`Farm::resume`].
+    Newest,
+    /// One named ring generation: [`Farm::replay_to`] with a generation.
+    Generation(u32),
+    /// Record zero on a whole journal, else the oldest generation that
+    /// binds: [`Farm::replay_to`] without one.
+    Earliest,
+}
+
+/// The engine where verified replay begins.
+enum Origin {
+    /// Record zero: the farm still has to start.
+    Zero(Farm),
+    /// A run restored from a snapshot.
+    Restored(Box<FarmRun>),
+}
+
+impl Origin {
+    /// The run, paused where replay begins; from record zero, its setup
+    /// records go to `sink` first.
+    fn start(self, sink: &mut dyn EventSink, prof: &mut SpanProfiler) -> FarmRun {
+        match self {
+            Origin::Zero(farm) => FarmRun::start(farm, sink, prof),
+            Origin::Restored(run) => *run,
+        }
+    }
+}
+
+/// What [`recover`] found on disk, and where verified replay begins.
+struct Recovery {
+    /// The journal's byte counts (its records are in `verifier`).
+    journal: JournalContents,
+    /// Records truncated by GC before the journal's first line.
+    base: u64,
+    /// Fresh `.seg` metadata when the stored one was stale and `base` was
+    /// inferred from the ring; resume stores it.
+    repair: Option<SegmentMeta>,
+    /// `(records, hash)` per ring slot whose sidecar binds, and the newest
+    /// such slot: where the resumed ring picks up.
+    ring_meta: Vec<Option<(u64, u64)>>,
+    newest: Option<u32>,
+    outcome: SnapshotOutcome,
+    /// Ring generation of the restored snapshot, if one restored.
+    generation: Option<u32>,
+    /// The running journal hash where replay begins.
+    hash: u64,
+    /// The surviving records, positioned where replay begins.
+    verifier: Verifier,
+    origin: Origin,
+}
+
+/// The recovery front end of [`Farm::resume`] and [`Farm::replay_to`]. It
+/// reads the journal, resolves where its segment starts (whole, from the
+/// `.seg` metadata, or inferred from the ring), loads and farm-checks every
+/// sidecar, binds each to the surviving records, and picks the start. It
+/// only reads: cutting the torn tail and repairing stale `.seg` metadata
+/// are resume's.
+fn recover(
+    config: FarmConfig,
+    bag: cs_tasks::TaskBag,
+    path: &Path,
+    vfs: &dyn Vfs,
+    start: Start,
+) -> Result<Recovery, JournalError> {
+    let restore_config = config.clone();
+    let farm = Farm::new(config, bag)?;
+    let mut journal = read_journal_with(vfs, path)?;
+    let records = std::mem::take(&mut journal.records);
+    let candidates = collect_candidates(vfs, path, &farm);
+    let (base, base_hash, inferred) = segment_base(vfs, path, &records, &farm, &candidates)?;
+    let repair = inferred
+        .then(|| SegmentMeta::for_cut(base, base_hash, records.first().map(String::as_str)));
+
+    // Bind each sidecar to the records actually on disk; anything wrong
+    // degrades toward older generations — slower, never incorrect.
+    let mut reject = candidates
+        .iter()
+        .filter_map(|s| s.snap.as_ref().err())
+        .next_back()
+        .map(SnapshotError::kind);
+    let (mut named, mut bound) = (None, Vec::new());
+    for s in candidates {
+        if matches!(start, Start::Generation(g) if s.generation == Some(g)) {
+            named = Some(s.snap);
+        } else if let Ok(snap) = s.snap {
+            match bind(&snap, &records, base, base_hash) {
+                Ok(()) => bound.push((snap, s.generation)),
+                Err((kind, _)) => reject = Some(kind),
+            }
+        }
+    }
+    let mut ring_meta = vec![None; MAX_SNAPSHOT_RING as usize];
+    for (s, g) in &bound {
+        if let Some(g) = *g {
+            ring_meta[g as usize] = Some((s.journal_records, s.journal_hash));
+        }
+    }
+    let newest = bound
+        .iter()
+        .filter_map(|(s, g)| Some((s.journal_records, (*g)?)))
+        .max()
+        .map(|(_, g)| g);
+    let restore = |snap: FarmSnapshot, generation| {
+        let (records, hash) = (snap.journal_records, snap.journal_hash);
+        Ok::<_, SnapshotError>((
+            snap.restore(restore_config.clone())?,
+            records,
+            hash,
+            generation,
+        ))
+    };
+    let restored = match start {
+        Start::Generation(g) => {
+            let unusable = |reason| JournalError::Generation {
+                generation: g,
+                reason,
+            };
+            // A generation the scan did not find still reports the
+            // loader's own error.
+            let snap = named
+                .unwrap_or_else(|| load_snapshot(vfs, &ring_snapshot_path(path, g), &farm))
+                .map_err(|e| unusable(e.to_string()))?;
+            bind(&snap, &records, base, base_hash).map_err(|(_, reason)| unusable(reason))?;
+            Some(restore(snap, Some(g)).map_err(|e| unusable(e.to_string()))?)
+        }
+        Start::Earliest if base > 0 => {
+            let unrecoverable = |reason| JournalError::SegmentUnrecoverable { base, reason };
+            let (snap, g) = bound
+                .into_iter()
+                .min_by_key(|(s, _)| s.journal_records)
+                .ok_or_else(|| {
+                    unrecoverable(
+                        "no retained snapshot generation binds to the surviving journal".into(),
+                    )
+                })?;
+            Some(restore(snap, g).map_err(|e| unrecoverable(e.to_string()))?)
+        }
+        Start::Earliest => None,
+        Start::Newest => {
+            bound.sort_by(|(a, ga), (b, gb)| (b.journal_records, gb).cmp(&(a.journal_records, ga)));
+            let restored = bound
+                .into_iter()
+                .find_map(|(snap, g)| restore(snap, g).map_err(|e| reject = Some(e.kind())).ok());
+            if restored.is_none() && base > 0 {
+                let reason = match reject {
+                    Some(kind) => {
+                        format!("every retained snapshot generation was rejected (last: {kind})")
+                    }
+                    None => "no snapshot generation survives".into(),
+                };
+                return Err(JournalError::SegmentUnrecoverable { base, reason });
+            }
+            restored
+        }
+    };
+    let outcome = match &restored {
+        Some((_, from, ..)) => SnapshotOutcome::Used {
+            records_skipped: *from,
+        },
+        None => reject.map_or(SnapshotOutcome::None, SnapshotOutcome::Fallback),
+    };
+    let (origin, from, hash, generation) = match restored {
+        Some((run, from, hash, g)) => (Origin::Restored(Box::new(run)), from, hash, g),
+        None => (Origin::Zero(farm), 0, FNV_OFFSET, None),
+    };
+    Ok(Recovery {
+        journal,
+        base,
+        repair,
+        ring_meta,
+        newest,
+        outcome,
+        generation,
+        hash,
+        verifier: Verifier::new(records, base, from),
+        origin,
+    })
+}
+
+/// A snapshot sidecar found next to the journal.
 struct Candidate {
-    snap: FarmSnapshot,
     /// Ring generation, or `None` for the legacy un-numbered sidecar.
     generation: Option<u32>,
+    /// The sidecar, loaded and checked against this farm.
+    snap: Result<FarmSnapshot, SnapshotError>,
 }
 
 /// Loads every snapshot sidecar next to `path` — the legacy `.snap` plus
-/// ring generations `.snap.0..` — keeping those that describe this farm.
-/// Returns the survivors and the most recent rejection kind (for
-/// [`SnapshotOutcome::Fallback`] reporting).
-fn collect_candidates(
-    vfs: &dyn Vfs,
-    path: &Path,
-    farm: &Farm,
-) -> (Vec<Candidate>, Option<SnapshotErrorKind>) {
-    let mut found = Vec::new();
-    let legacy = default_snapshot_path(path);
-    if vfs.exists(&legacy) {
-        found.push((legacy, None));
-    }
-    for g in 0..RING_SCAN {
-        let p = ring_snapshot_path(path, g);
-        if vfs.exists(&p) {
-            found.push((p, Some(g)));
-        }
-    }
-    let mut candidates = Vec::new();
-    let mut reject = None;
-    for (p, generation) in found {
-        match load_snapshot(vfs, &p, farm) {
-            Ok(snap) => candidates.push(Candidate { snap, generation }),
-            Err(e) => reject = Some(e.kind()),
-        }
-    }
-    (candidates, reject)
+/// ring generations `.snap.0..` — and checks each describes this farm.
+fn collect_candidates(vfs: &dyn Vfs, path: &Path, farm: &Farm) -> Vec<Candidate> {
+    std::iter::once((default_snapshot_path(path), None))
+        .chain((0..MAX_SNAPSHOT_RING).map(|g| (ring_snapshot_path(path, g), Some(g))))
+        .filter(|(p, _)| vfs.exists(p))
+        .map(|(p, generation)| Candidate {
+            generation,
+            snap: load_snapshot(vfs, &p, farm),
+        })
+        .collect()
 }
 
 /// Loads a sidecar and verifies it describes this farm (seed, workstation
@@ -1381,6 +1333,36 @@ fn load_snapshot(
     Ok(snap)
 }
 
+/// Binds a snapshot to the surviving journal `records`, which start at
+/// record `base` with running hash `base_hash`: its record count must lie
+/// inside the segment, and the hash extended to it must match. A failure
+/// comes with its [`SnapshotErrorKind`] and a reason.
+fn bind(
+    snap: &FarmSnapshot,
+    records: &[String],
+    base: u64,
+    base_hash: u64,
+) -> Result<(), (SnapshotErrorKind, String)> {
+    let (r, total) = (snap.journal_records, base + records.len() as u64);
+    let outside = |kind| {
+        let reason = format!(
+            "snapshot at record {r} does not lie inside the journal segment ({base}..{total})"
+        );
+        Err((kind, reason))
+    };
+    if r < base {
+        return outside(SnapshotErrorKind::JournalMismatch);
+    }
+    if r > total {
+        return outside(SnapshotErrorKind::JournalAhead);
+    }
+    if extend_hash(base_hash, &records[..(r - base) as usize]) != snap.journal_hash {
+        let reason = format!("snapshot does not bind to the journal at record {r}");
+        return Err((SnapshotErrorKind::JournalMismatch, reason));
+    }
+    Ok(())
+}
+
 /// Extends a running FNV-1a 64 journal hash over `records` (line + `\n`
 /// each), exactly as [`JournalSink::emit`] does.
 fn extend_hash(mut hash: u64, records: &[String]) -> u64 {
@@ -1392,44 +1374,16 @@ fn extend_hash(mut hash: u64, records: &[String]) -> u64 {
 }
 
 /// Infers a stale segment's base from the snapshot ring: the oldest
-/// retained generation must sit exactly at the segment start (GC always
-/// cuts there), and every other retained generation must be reachable
-/// from it by hashing the surviving records. Any inconsistency returns
-/// `None` — the caller fails typed rather than guessing.
+/// loaded generation must sit exactly at the segment start (GC always
+/// cuts there), and every other one must bind from it. Any inconsistency
+/// returns `None` — the caller fails typed rather than guessing.
 fn infer_segment_base(candidates: &[Candidate], records: &[String]) -> Option<(u64, u64)> {
-    let oldest = candidates.iter().min_by_key(|c| c.snap.journal_records)?;
-    let (base, hash) = (oldest.snap.journal_records, oldest.snap.journal_hash);
-    for c in candidates {
-        let tail = (c.snap.journal_records - base) as usize;
-        if tail > records.len() || extend_hash(hash, &records[..tail]) != c.snap.journal_hash {
-            return None;
-        }
-    }
-    Some((base, hash))
-}
-
-/// The read-only verifying sink behind [`Farm::replay_to`]: like
-/// `JournalSink` but with nothing to write — replay never extends the
-/// journal.
-struct VerifySink<'a> {
-    prefix: &'a [String],
-    pos: u64,
-    diverged: Option<(u64, String, String)>,
-}
-
-impl EventSink for VerifySink<'_> {
-    fn emit(&mut self, event: &Event) {
-        if self.diverged.is_some() || (self.pos as usize) >= self.prefix.len() {
-            return;
-        }
-        let line = event.to_jsonl();
-        let expected = &self.prefix[self.pos as usize];
-        if *expected != line {
-            self.diverged = Some((self.pos + 1, expected.clone(), line));
-            return;
-        }
-        self.pos += 1;
-    }
+    let loaded = || candidates.iter().filter_map(|s| s.snap.as_ref().ok());
+    let oldest = loaded().min_by_key(|s| s.journal_records)?;
+    let (base, hash) = (oldest.journal_records, oldest.journal_hash);
+    loaded()
+        .all(|s| bind(s, records, base, hash).is_ok())
+        .then_some((base, hash))
 }
 
 #[cfg(test)]
@@ -2163,6 +2117,41 @@ pub(crate) mod tests {
         cleanup(&path);
     }
 
+    /// A bag checked out before `Farm::new` keeps ids past its task count,
+    /// so its `next_id` exceeds the snapshot's `tasks`: such snapshots
+    /// still restore, and resume through one is bitwise exact.
+    #[test]
+    fn a_bag_with_ids_past_its_task_count_resumes_through_a_snapshot() {
+        let mk_bag = || {
+            let mut bag = workloads::uniform(150, 1.0).unwrap();
+            let _ = bag.check_out(30.0);
+            bag
+        };
+        assert_eq!(mk_bag().pending_count(), 120);
+        let path = tmp("checked_out");
+        let opts = JournalOptions {
+            fsync: guideline_fsync_policy(&faulty_config(97)),
+            snapshot_every: Some(2.0),
+            ..Default::default()
+        };
+        let (report, _) = Farm::new(faulty_config(97), mk_bag())
+            .unwrap()
+            .run_journaled(&path, opts, &StdVfs)
+            .unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let n = full.iter().filter(|&&b| b == b'\n').count();
+        truncate_to(&path, &full, n - 1);
+        let (resumed, info) =
+            Farm::resume(faulty_config(97), mk_bag(), &path, opts, &StdVfs).unwrap();
+        assert_reports_bitwise_equal(&report, &resumed);
+        assert!(
+            matches!(info.snapshot, SnapshotOutcome::Used { .. }),
+            "{info:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        cleanup(&path);
+    }
+
     #[test]
     fn stale_tmp_files_are_swept_on_start_and_resume() {
         let path = tmp("sweep");
@@ -2197,9 +2186,10 @@ mod properties {
         assert_reports_bitwise_equal, bag, cleanup, faulty_config, ring_fixture, tmp,
     };
     use super::*;
+    use crate::farm::{Event as QueueEvent, EventKind as QueueKind};
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
-    use crate::snapshot::{LeaseSnap, QueuedEvent};
+    use crate::snapshot::LeaseSnap;
     use cs_life::{ArcLife, Uniform};
     use cs_tasks::workloads;
     use cs_tasks::Task;
@@ -2485,11 +2475,10 @@ mod properties {
         w.push(s.banked.len() as u64);
         w.extend(&s.banked);
         w.push(s.queue.len() as u64);
-        w.extend(
-            s.queue
-                .iter()
-                .flat_map(|q| [q.time.to_bits(), q.tag.into(), q.id]),
-        );
+        w.extend(s.queue.iter().flat_map(|e| {
+            let (tag, id) = e.kind.rank();
+            [e.time.to_bits(), tag.into(), id]
+        }));
         w.push(s.leases.len() as u64);
         for l in &s.leases {
             w.extend([l.lease, l.ws, l.expiry.to_bits(), l.replicas.into()]);
@@ -2632,10 +2621,9 @@ mod properties {
             duration: -subnormal,
         });
         s.banked.push(u64::MAX);
-        s.queue.push(QueuedEvent {
+        s.queue.push(QueueEvent {
             time: f64::NEG_INFINITY,
-            tag: 1,
-            id: u64::MAX,
+            kind: QueueKind::LeaseExpiry(u64::MAX),
         });
         s.leases.push(LeaseSnap {
             lease: u64::MAX - 1,
@@ -2714,10 +2702,12 @@ mod properties {
         }
     }
 
-    /// Forged counts that parse but contradict the snapshot's contents:
-    /// restore used to size the lease table and banked set from them (a
-    /// `capacity overflow` panic and an allocation abort). Each is a typed
-    /// `Inconsistent` from restore now, while the unforged fixture passes.
+    /// Forged counts and task ids that parse but contradict the snapshot's
+    /// contents: restore used to size the lease table and banked set from
+    /// them (a `capacity overflow` panic and an allocation abort). Each is
+    /// a typed `Inconsistent` from restore now, while the unforged fixture
+    /// passes. A banked, pending or leased id must be below the bag's
+    /// `next_id`.
     #[test]
     fn forged_counts_are_inconsistent_on_restore() {
         let good = std::str::from_utf8(SNAPSHOT_FIXTURE).unwrap();
@@ -2733,6 +2723,10 @@ mod properties {
         for (from, to) in [
             (" next_lease 8\n", " next_lease 1152921504606846975\n"),
             (" tasks 300\n", " tasks 1152921504606846975\n"),
+            ("298 299\n", "298 1152921504606846975\n"),
+            ("task 86 ", "task 1152921504606846975 "),
+            (" 264:", " 1152921504606846975:"),
+            ("298 299\n", "298 300\n"),
         ] {
             assert!(good.contains(from), "{from:?} not in the fixture");
             let forged = with_checksum(body(good.replacen(from, to, 1).as_bytes()));
@@ -2761,6 +2755,66 @@ mod properties {
             info.snapshot,
             SnapshotOutcome::Fallback(SnapshotErrorKind::Inconsistent)
         );
+        cleanup(&path);
+    }
+
+    /// A forged `next_id` admits a huge id, but sizes nothing: the banked
+    /// set keys ids past the run's task count sparsely, so the restored run
+    /// plays to the end instead of aborting on an allocation.
+    #[test]
+    fn huge_ids_below_a_forged_next_id_allocate_nothing() {
+        let good = std::str::from_utf8(SNAPSHOT_FIXTURE).unwrap();
+        let forged = good
+            .replacen("bag next_id 300 ", "bag next_id 1152921504606846976 ", 1)
+            .replacen("298 299\n", "298 1152921504606846975\n", 1)
+            .replacen("task 86 ", "task 1152921504606846974 ", 1);
+        let forged = with_checksum(body(forged.as_bytes()));
+        let mut run = FarmSnapshot::decode(&forged)
+            .unwrap()
+            .restore(prop_config(42, 0.6, 8))
+            .unwrap();
+        assert!(run.eng.banked.contains(1152921504606846975));
+        let (mut sink, mut prof) = (cs_obs::NoopSink, SpanProfiler::disabled());
+        while run.step(&mut sink, &mut prof) {}
+        assert!(run.eng.banked.contains(1152921504606846974));
+        run.finish(&mut sink, &mut prof);
+    }
+
+    /// Resume treats a sidecar with a forged task id like any other
+    /// unusable sidecar: a typed fallback to full redo on a whole journal,
+    /// bitwise exact, and a typed `SegmentUnrecoverable` on a GC'd segment
+    /// with no other generation left.
+    #[test]
+    fn resume_falls_back_past_a_forged_task_id() {
+        let forge = |snap_path: &std::path::Path| {
+            let text = String::from_utf8(std::fs::read(snap_path).unwrap()).unwrap();
+            let at = text.rfind("\nids ").unwrap() + 1;
+            let end = at + text[at..].find('\n').unwrap();
+            let last = at + text[at..end].rfind(' ').unwrap() + 1;
+            let forged = format!("{}1152921504606846975{}", &text[..last], &text[end..]);
+            std::fs::write(snap_path, with_checksum(body(forged.as_bytes()))).unwrap();
+        };
+        let (path, report, opts, _) = ring_fixture("forged_id", 89, 1, false);
+        forge(&default_snapshot_path(&path));
+        let (resumed, info) = Farm::resume(faulty_config(89), bag(), &path, opts, &StdVfs).unwrap();
+        assert_reports_bitwise_equal(&report, &resumed);
+        assert_eq!(
+            info.snapshot,
+            SnapshotOutcome::Fallback(SnapshotErrorKind::Inconsistent)
+        );
+        cleanup(&path);
+
+        let (path, _, opts, _) = ring_fixture("forged_id_gc", 89, 3, true);
+        forge(&ring_snapshot_path(&path, 0));
+        for g in 1..3 {
+            std::fs::remove_file(ring_snapshot_path(&path, g)).unwrap();
+        }
+        match Farm::resume(faulty_config(89), bag(), &path, opts, &StdVfs) {
+            Err(e @ JournalError::SegmentUnrecoverable { .. }) => {
+                assert!(e.to_string().contains("(last: inconsistent)"), "{e}")
+            }
+            other => panic!("expected SegmentUnrecoverable, got {other:?}"),
+        }
         cleanup(&path);
     }
 

@@ -81,7 +81,7 @@ pub use farm::{
 pub use faults::{BeliefDrift, FaultPlan, FaultPlanError, ResilienceConfig};
 pub use journal::{
     guideline_fsync_policy, guideline_snapshot_interval, DurableStats, IoErrorPolicy, JournalError,
-    JournalOptions, RecoveryInfo, ReplayState,
+    JournalOptions, RecoveryInfo, ReplayState, MAX_SNAPSHOT_RING,
 };
 pub use replicate::{replicate_farm, ReplicationReport};
 pub use snapshot::{

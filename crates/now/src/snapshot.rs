@@ -1,58 +1,39 @@
-//! Periodic state snapshots: O(snapshot-interval) crash recovery and
-//! time-travel forking for journaled farm runs.
-//!
-//! PR 5's recovery is *redo replay*: re-run the seeded engine from virtual
-//! time zero and verify every regenerated event against the journal —
-//! O(run length). This module captures the farm's **complete** mid-run
-//! state between two queue events, so [`crate::journal`]'s resume can skip
-//! straight to the last snapshot and replay only the tail: the re-execution
-//! cost becomes O(snapshot interval), independent of how long the run had
-//! been going (ROADMAP item 5's blocker for mega-scale farms).
+//! Periodic state snapshots: the shortcut past redo replay that makes
+//! crash recovery O(snapshot interval), and the fork points of time travel.
 //!
 //! # What a snapshot holds
 //!
-//! Everything the steppable farm engine (`FarmRun`) owns that is not
-//! derivable from the
-//! configuration: the master RNG stream and every per-workstation fault
-//! stream (raw xoshiro256** state words), the pending-event queue, the
-//! task bag's raw parts, the lease table, the banked-id set, and each
-//! workstation's episode/lease/quarantine/backoff/crash cursors and stats.
-//! Policies are rebuilt from the [`FarmConfig`] and re-hydrated through
-//! [`cs_sim::policy::ChunkPolicy::save_state`] (the paper's three policies
-//! are stateless; the hook covers stateful ones like replayed schedules).
-//! Floats are serialized as `f64::to_bits` hex, so restore is bitwise — a
-//! resumed run continues the exact event/RNG trajectory of the original.
+//! Everything the steppable engine (`FarmRun`) owns that the configuration
+//! does not fix: the master and per-workstation fault RNG streams (raw
+//! xoshiro256** words), the event queue as `farm::Event`s in pop order,
+//! the task bag's raw parts, the lease table, the banked ids, and each
+//! workstation's episode/quarantine/backoff/crash cursors, policy state
+//! ([`cs_sim::policy::ChunkPolicy::save_state`]) and stats. Floats are
+//! written as `f64::to_bits` hex, so a restored run continues the exact
+//! event and RNG trajectory of the original. `FarmSnapshot` is plain
+//! data: it decodes without a [`FarmConfig`], so [`inspect_snapshot`] and
+//! the farm check before restore read it as it is on disk.
 //!
 //! # Format, versioning, integrity
 //!
-//! The sidecar (`<journal>.snap`, see [`default_snapshot_path`]) is a
-//! line-oriented text file opening with the version banner
+//! A sidecar (`<journal>.snap` or ring generation `<journal>.snap.<g>`)
+//! is a line-oriented text file opening with the banner
 //! `cs-now-snapshot v1` and closing with an FNV-1a 64 checksum of the
-//! preceding bytes. A `journal` line binds the snapshot to a committed
-//! journal prefix: record count plus a running FNV-1a hash of those
-//! records' bytes, verified at load so a snapshot can never be applied to
-//! a journal it does not describe. Any failure — unknown version, parse
-//! error, checksum or binding mismatch, foreign farm — is a typed
-//! [`SnapshotError`], and resume degrades gracefully to full redo replay
-//! (reported as [`SnapshotOutcome::Fallback`], never a wrong answer).
-//! One writer and one strict parser serve both this file and the `.seg`
-//! segment metadata: the parser accepts exactly the bytes the writer
-//! writes, so any accepted file re-encodes to itself.
-//!
-//! Snapshots are written atomically (temp file + rename) on the same
-//! `cs_saves::guideline_interval` cadence as the fsync policy — the paper's
-//! §4.2 Remark prices state saves exactly like cycle-stealing chunks, and
-//! both durability knobs take its answer.
-//!
-//! # Time travel
+//! bytes before it. Its `journal` line binds it to a committed journal
+//! prefix (record count plus a running FNV-1a hash of those records), so
+//! it is never applied to a journal it does not describe. Every failure —
+//! version, parse, checksum, binding, foreign farm, a count or id its own
+//! contents contradict — is a typed [`SnapshotError`], which recovery
+//! reports as [`SnapshotOutcome::Fallback`]. One writer and one strict
+//! parser serve this file and the `.seg` segment metadata: the parser
+//! accepts exactly the bytes the writer writes. Sidecars are published
+//! atomically (temp file, fsync, rename).
 //!
 //! A snapshot is also a fork point: [`Farm::fork_from_snapshot`] restores
-//! the state under a *perturbed* configuration (typically a different
-//! [`crate::FaultPlan`]) and plays the rest of the run as a what-if, while
-//! [`Farm::replay_to`] in [`crate::journal`] reconstructs the state at any
-//! record for inspection.
+//! it under a perturbed configuration (say another [`crate::FaultPlan`])
+//! and plays the rest of the run as a what-if.
 
-use crate::equeue::EventQueue;
+use crate::equeue::{cmp_events, EventQueue};
 use crate::farm::{
     BankedSet, Engine, Event, EventKind, Farm, FarmConfig, FarmReport, FarmRun, Lease, LeaseTable,
     WorkstationState, WorkstationStats, WsTable,
@@ -323,16 +304,6 @@ pub fn inspect_snapshot(path: impl AsRef<Path>) -> Result<SnapshotMeta, Snapshot
 // The structured snapshot
 // ---------------------------------------------------------------------------
 
-/// One serialized queue event.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QueuedEvent {
-    pub(crate) time: f64,
-    /// 0 = Arrival(id), 1 = LeaseExpiry(id), 2 = Dispatch(ws) — the same
-    /// ranks the queue's tie-break uses.
-    pub(crate) tag: u8,
-    pub(crate) id: u64,
-}
-
 /// One serialized lease-table entry.
 #[derive(Debug, Clone)]
 pub(crate) struct LeaseSnap {
@@ -381,7 +352,8 @@ pub(crate) struct FarmSnapshot {
     pub(crate) next_lease: u64,
     pub(crate) bag: TaskBagState,
     pub(crate) banked: Vec<u64>,
-    pub(crate) queue: Vec<QueuedEvent>,
+    /// The pending events in ascending `(time, rank)` pop order.
+    pub(crate) queue: Vec<Event>,
     pub(crate) leases: Vec<LeaseSnap>,
     pub(crate) ws: Vec<WsSnap>,
 }
@@ -405,24 +377,8 @@ impl FarmRun {
         // The heap serializes as its ascending pop order. The event order
         // is total and ties are content-identical, so rebuilding a heap
         // from this list pops the exact same event sequence.
-        let mut queue: Vec<QueuedEvent> = self
-            .eng
-            .queue
-            .iter()
-            .map(|e| {
-                let (tag, id) = e.kind.rank();
-                QueuedEvent {
-                    time: e.time,
-                    tag,
-                    id,
-                }
-            })
-            .collect();
-        queue.sort_by(|a, b| {
-            a.time
-                .total_cmp(&b.time)
-                .then_with(|| (a.tag, a.id).cmp(&(b.tag, b.id)))
-        });
+        let mut queue: Vec<Event> = self.eng.queue.iter().copied().collect();
+        queue.sort_by(cmp_events);
         // The banked set iterates ascending already, which keeps identical
         // states producing identical bytes (it is only ever
         // membership-tested at runtime).
@@ -495,18 +451,7 @@ impl FarmSnapshot {
         self.check_counts()?;
         let mut storms = config.storms.clone();
         storms.sort_by(f64::total_cmp);
-        let queue: EventQueue = self
-            .queue
-            .into_iter()
-            .map(|q| {
-                let kind = match q.tag {
-                    0 => EventKind::Arrival(q.id),
-                    1 => EventKind::LeaseExpiry(q.id),
-                    _ => EventKind::Dispatch(q.id as usize),
-                };
-                Event { time: q.time, kind }
-            })
-            .collect();
+        let queue: EventQueue = self.queue.into_iter().collect();
         // Tombstones first so already-retired lease ids stay retired, then
         // place each live lease back at its captured id.
         let mut in_flight = LeaseTable::with_tombstones(self.next_lease);
@@ -567,11 +512,14 @@ impl FarmSnapshot {
         })
     }
 
-    /// Checks the two counts `restore` sizes allocations from against
-    /// bounds the snapshot itself implies, so a forged count is a typed
+    /// Checks the counts and ids `restore` sizes allocations from against
+    /// bounds the snapshot itself implies, so a forged value is a typed
     /// error instead of an allocation failure:
     /// - every task of the run is pending, leased or banked, so `tasks` is
     ///   at most the task entries the snapshot holds;
+    /// - the bag assigns ids below its `next_id`, so every pending, leased
+    ///   and banked id is below it (`next_id` itself sizes nothing: the
+    ///   banked set keys ids past the run's task count sparsely);
     /// - every lease is issued for a chunk its workstation counts as lost
     ///   in transit, lost to a crash or straggling, so `next_lease` is at
     ///   most the sum of those counters.
@@ -585,6 +533,17 @@ impl FarmSnapshot {
                     "tasks {} exceeds the {held} pending, leased and banked tasks it holds",
                     self.tasks
                 ),
+            });
+        }
+        let next_id = self.bag.next_id;
+        let leased = self.leases.iter().flat_map(|l| &l.tasks);
+        let ids = self.bag.pending.iter().chain(leased).map(|t| t.id);
+        if let Some(id) = ids
+            .chain(self.banked.iter().copied())
+            .find(|&id| id >= next_id)
+        {
+            return Err(SnapshotError::Inconsistent {
+                reason: format!("task id {id} is not below the bag's next_id {next_id}"),
             });
         }
         let issued = self
@@ -642,10 +601,9 @@ impl FarmSnapshot {
         }
         w.dec("\nqueue ", self.queue.len() as u64)
             .dec(" next_lease ", self.next_lease);
-        for q in &self.queue {
-            w.bits("\nevent ", q.time)
-                .dec(" ", q.tag.into())
-                .dec(" ", q.id);
+        for e in &self.queue {
+            let (tag, id) = e.kind.rank();
+            w.bits("\nevent ", e.time).dec(" ", tag.into()).dec(" ", id);
         }
         w.dec("\nleases ", self.leases.len() as u64);
         for l in &self.leases {
@@ -741,10 +699,13 @@ impl FarmSnapshot {
             let time = p.bits("\nevent ")?;
             let tag: u8 = p.narrow(" ")?;
             let id = p.dec(" ")?;
-            if tag > 2 || (tag == 2 && id >= workstations) {
-                return Err(p.malformed("event tag or workstation out of range"));
-            }
-            queue.push(QueuedEvent { time, tag, id });
+            let kind = match tag {
+                0 => EventKind::Arrival(id),
+                1 => EventKind::LeaseExpiry(id),
+                2 if id < workstations => EventKind::Dispatch(id as usize),
+                _ => return Err(p.malformed("event tag or workstation out of range")),
+            };
+            queue.push(Event { time, kind });
         }
         let (n_leases, mut leases) = p.vec::<LeaseSnap>("\nleases ")?;
         for _ in 0..n_leases {
@@ -832,20 +793,7 @@ impl FarmSnapshot {
         })
     }
 
-    /// Writes the snapshot atomically: temp file in the same directory,
-    /// fsync, rename over the destination. A crash mid-write leaves either
-    /// the old snapshot or the new one, never a torn file.
-    #[cfg(test)]
-    pub(crate) fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        write_atomic_bytes(&StdVfs, path, &self.encode())
-    }
-
-    /// Reads and fully validates a sidecar file.
-    pub(crate) fn load(path: &Path) -> Result<Self, SnapshotError> {
-        Self::load_with(&StdVfs, path)
-    }
-
-    /// [`FarmSnapshot::load`] through an injectable [`Vfs`].
+    /// Reads and fully validates a sidecar file through `vfs`.
     pub(crate) fn load_with(vfs: &dyn Vfs, path: &Path) -> Result<Self, SnapshotError> {
         Self::decode(&vfs.read(path)?)
     }
@@ -987,7 +935,7 @@ impl Farm {
         config: FarmConfig,
         snap_path: impl AsRef<Path>,
     ) -> Result<(FarmReport, SnapshotMeta), SnapshotError> {
-        let snap = FarmSnapshot::load(snap_path.as_ref())?;
+        let snap = FarmSnapshot::load_with(&StdVfs, snap_path.as_ref())?;
         let meta = snap.meta();
         let mut run = snap.restore(config)?;
         let mut sink = NoopSink;
@@ -1447,7 +1395,7 @@ mod tests {
         for _ in 0..30 {
             run.step(&mut sink, &mut prof);
         }
-        run.save_state(0, 0).write_atomic(&path).unwrap();
+        write_atomic_bytes(&StdVfs, &path, &run.save_state(0, 0).encode()).unwrap();
         while run.step(&mut sink, &mut prof) {}
         let reference = run.finish(&mut sink, &mut prof);
 
@@ -1485,7 +1433,7 @@ mod tests {
         for _ in 0..30 {
             run.step(&mut sink, &mut prof);
         }
-        run.save_state(29, 0xBEEF).write_atomic(&path).unwrap();
+        write_atomic_bytes(&StdVfs, &path, &run.save_state(29, 0xBEEF).encode()).unwrap();
         let meta = inspect_snapshot(&path).unwrap();
         assert_eq!(meta.seed, 7);
         assert_eq!(meta.workstations, 3);
