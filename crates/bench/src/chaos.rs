@@ -19,7 +19,7 @@
 //! journal), deliberately corrupted (graceful fallback to full redo), and
 //! absent (plain redo). The *same* bitwise guarantees must hold in every
 //! mode. Any deviation is collected as a mismatch, and mismatches fail
-//! the `exp_chaos` experiment and the `cyclesteal chaos` CI step.
+//! the `exp_chaos` experiment and the `cyclesteal chaos` command.
 //! Everything is seeded and virtual-time: no sleeps, no real signals,
 //! fully reproducible.
 //!

@@ -5,8 +5,8 @@
 //! EXPERIMENTS.md for paper-vs-measured) lives in [`experiments`] as an
 //! implementation of [`harness::Experiment`], registered in
 //! [`experiments::all`] and run by id with `cyclesteal exp --id`; the
-//! Criterion benches time the computational kernels behind each experiment
-//! group.
+//! `kernels` row of [`profile`] times the computational kernels behind
+//! each experiment.
 //!
 //! Scenario definitions (life-function specs, policies, the canonical
 //! named scenarios, parameter grids) come from `cs-scenarios`, so

@@ -17,19 +17,37 @@
 //! grows (it replays only the records after the last sidecar), while redo
 //! resume cost scales with the whole journal.
 //!
-//! Unlike the Criterion benches (statistical, minutes), this is one
-//! timed pass per scenario: coarse numbers, but cheap enough for CI and
-//! stable enough for a >20% regression gate.
+//! `kernels` times the analytic, simulator and farm kernels behind the
+//! experiments, one span per kernel, so a speed claim about any of them
+//! rests on a `BENCH.json` row too.
+//!
+//! Each scenario is one timed pass (the kernels a fixed number of
+//! batches): coarse numbers, but cheap enough for CI and stable enough
+//! for a >20% regression gate.
 
-use cs_life::{ArcLife, Polynomial, Uniform};
+use cs_core::adaptive::AdaptiveScheduler;
+use cs_core::competitive::{best_geometric, competitive_ratio, geometric_schedule};
+use cs_core::existence::{cor_3_2_test, horizon_sweep};
+use cs_core::greedy::{greedy_schedule, GreedyOptions};
+use cs_core::optimal::{geometric_decreasing_optimal, geometric_increasing_optimal};
+use cs_core::recurrence::{guideline_schedule, GuidelineOptions};
+use cs_core::structure::{check_growth_law, check_strictly_decreasing};
+use cs_core::{bounds, dp, perturb, search};
+use cs_life::{ArcLife, GeometricDecreasing, GeometricIncreasing, LifeFunction};
+use cs_life::{Pareto, Polynomial, Shape, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
+use cs_now::replicate::replicate_farm;
 use cs_now::{default_snapshot_path, JournalOptions, SnapshotOutcome};
 use cs_now::{ring_snapshot_path, segment_meta_path};
 use cs_obs::vfs::StdVfs;
-use cs_obs::{check_text, Event, EventSink, MemorySink, MetricsRegistry, SpanProfiler};
-use cs_sim::simulate;
+use cs_obs::{check_text, Event, EventSink, MemorySink, MetricsRegistry, NoopSink, SpanProfiler};
+use cs_sim::{run_episode, simulate};
+use cs_tasks::quantization::fluid_vs_packed;
 use cs_tasks::{workloads, TaskBag};
+use cs_trace::{estimate::estimate_life, fit::fit_best, owner::sample_absences};
+use rand::{rngs::StdRng, SeedableRng};
+use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -109,6 +127,24 @@ fn span_stats(registry: &MetricsRegistry) -> Vec<SpanStat> {
         .collect()
 }
 
+/// A row without the Monte-Carlo and scaling columns.
+fn row(
+    id: &'static str,
+    wall_ns: u64,
+    events_per_sec: Option<f64>,
+    spans: Vec<SpanStat>,
+) -> ScenarioResult {
+    ScenarioResult {
+        id,
+        wall_ns,
+        events_per_sec,
+        mc_trials_per_sec: None,
+        speedup: None,
+        efficiency: None,
+        spans,
+    }
+}
+
 fn per_sec(n: u64, wall_ns: u64) -> Option<f64> {
     (wall_ns > 0).then(|| n as f64 * 1e9 / wall_ns as f64)
 }
@@ -136,13 +172,13 @@ fn mc_scenario(
     // event throughput by ~the shard count × trials.
     let events = sink.events + mc.shard_events;
     Ok(ScenarioResult {
-        id,
-        wall_ns,
-        events_per_sec: per_sec(events, wall_ns),
         mc_trials_per_sec: per_sec(trials, wall_ns),
-        speedup: None,
-        efficiency: None,
-        spans: span_stats(prof.registry()),
+        ..row(
+            id,
+            wall_ns,
+            per_sec(events, wall_ns),
+            span_stats(prof.registry()),
+        )
     })
 }
 
@@ -151,7 +187,7 @@ fn farm_scenario(
     tasks: usize,
     faults: FaultPlan,
 ) -> Result<(ScenarioResult, Vec<String>), String> {
-    let (config, bag) = uniform_farm(8, faults, tasks, 42)?;
+    let (config, bag) = uniform_farm(8, PolicySpec::Guideline, faults, tasks, 42)?;
     let farm = Farm::new(config, bag).map_err(|e| e.to_string())?;
     let mut sink = MemorySink::new();
     let mut prof = SpanProfiler::new();
@@ -160,24 +196,22 @@ fn farm_scenario(
     let wall_ns = start.elapsed().as_nanos() as u64;
     let lines: Vec<String> = sink.events.iter().map(Event::to_jsonl).collect();
     Ok((
-        ScenarioResult {
+        row(
             id,
             wall_ns,
-            events_per_sec: per_sec(lines.len() as u64, wall_ns),
-            mc_trials_per_sec: None,
-            speedup: None,
-            efficiency: None,
-            spans: span_stats(prof.registry()),
-        },
+            per_sec(lines.len() as u64, wall_ns),
+            span_stats(prof.registry()),
+        ),
         lines,
     ))
 }
 
 /// The farm the CLI's `farm` command builds: `workstations` identical
-/// guideline-policy workstations (uniform life L = 150, c = 2, gap mean
-/// 10) under `faults`, and `tasks` unit tasks.
+/// `policy` workstations (uniform life L = 150, c = 2, gap mean 10) under
+/// `faults`, and `tasks` unit tasks.
 fn uniform_farm(
     workstations: usize,
+    policy: PolicySpec,
     faults: FaultPlan,
     tasks: usize,
     seed: u64,
@@ -188,7 +222,7 @@ fn uniform_farm(
             life: life.clone(),
             believed: life.clone(),
             c: 2.0,
-            policy: PolicySpec::Guideline,
+            policy,
             gap_mean: 10.0,
             faults: faults.clone(),
         })
@@ -200,7 +234,7 @@ fn uniform_farm(
 /// The recovery-latency farm: the `farm_faulty` shape at a configurable
 /// run length, rebuilt per resume (resuming consumes the config).
 fn recovery_farm(tasks: usize) -> Result<(FarmConfig, TaskBag), String> {
-    uniform_farm(8, FaultPlan::scaled(0.5), tasks, 42)
+    uniform_farm(8, PolicySpec::Guideline, FaultPlan::scaled(0.5), tasks, 42)
 }
 
 /// Times one resume of a complete journal. With the journal already
@@ -235,15 +269,12 @@ fn time_resume(
             if expect_snapshot { "fast path" } else { "redo" }
         ));
     }
-    Ok(ScenarioResult {
+    Ok(row(
         id,
         wall_ns,
-        events_per_sec: per_sec(info.records_replayed, wall_ns),
-        mc_trials_per_sec: None,
-        speedup: None,
-        efficiency: None,
-        spans: Vec::new(),
-    })
+        per_sec(info.records_replayed, wall_ns),
+        Vec::new(),
+    ))
 }
 
 /// One recovery-latency pair at a given run length: journal a reference
@@ -326,15 +357,12 @@ fn ring_scenario(tasks: usize) -> Result<ScenarioResult, String> {
             info.snapshot, info.segment_base
         ));
     }
-    Ok(ScenarioResult {
+    Ok(row(
         id,
         wall_ns,
-        events_per_sec: per_sec(info.records_replayed, wall_ns),
-        mc_trials_per_sec: None,
-        speedup: None,
-        efficiency: None,
-        spans: Vec::new(),
-    })
+        per_sec(info.records_replayed, wall_ns),
+        Vec::new(),
+    ))
 }
 
 /// The end-to-end durable farm (`e2e_farm_durable`): the straggler farm
@@ -350,7 +378,7 @@ fn durable_scenario() -> Result<ScenarioResult, String> {
         slowdown: 2.0,
         ..FaultPlan::none()
     };
-    let (config, bag) = uniform_farm(16, faults, 5_000, 1)?;
+    let (config, bag) = uniform_farm(16, PolicySpec::Guideline, faults, 5_000, 1)?;
     let opts = JournalOptions {
         snapshot_ring: 3,
         gc: true,
@@ -369,15 +397,12 @@ fn durable_scenario() -> Result<ScenarioResult, String> {
             "{id}: expected a GC'd, non-degraded run: {stats:?}"
         ));
     }
-    Ok(ScenarioResult {
+    Ok(row(
         id,
         wall_ns,
-        events_per_sec: per_sec(stats.records, wall_ns),
-        mc_trials_per_sec: None,
-        speedup: None,
-        efficiency: None,
-        spans: Vec::new(),
-    })
+        per_sec(stats.records, wall_ns),
+        Vec::new(),
+    ))
 }
 
 /// Times [`check_text`] over a recorded trace (the analyzer is itself a
@@ -387,15 +412,12 @@ fn analyzer_scenario(lines: &[String]) -> ScenarioResult {
     let start = Instant::now();
     let summary = check_text(&text, true);
     let wall_ns = start.elapsed().as_nanos() as u64;
-    ScenarioResult {
-        id: "analyzer_check",
+    row(
+        "analyzer_check",
         wall_ns,
-        events_per_sec: per_sec(summary.lines as u64, wall_ns),
-        mc_trials_per_sec: None,
-        speedup: None,
-        efficiency: None,
-        spans: Vec::new(),
-    }
+        per_sec(summary.lines as u64, wall_ns),
+        Vec::new(),
+    )
 }
 
 /// Times decoding the same faulty farm trace and folding it with
@@ -411,15 +433,138 @@ fn lineage_scenario(lines: &[String]) -> Result<ScenarioResult, String> {
     if analysis.chunks.is_empty() {
         return Err("analyze_lineage: faulty trace reconstructed no chunks".into());
     }
-    Ok(ScenarioResult {
-        id: "analyze_lineage",
+    Ok(row(
+        "analyze_lineage",
         wall_ns,
-        events_per_sec: per_sec(lines.len() as u64, wall_ns),
-        mc_trials_per_sec: None,
-        speedup: None,
-        efficiency: None,
-        spans: Vec::new(),
+        per_sec(lines.len() as u64, wall_ns),
+        Vec::new(),
+    ))
+}
+
+/// One call of a timed kernel; [`kernel`] passes its result through
+/// [`black_box`] so the optimizer cannot drop the work.
+type Kernel<'a> = Box<dyn FnMut() + 'a>;
+
+fn kernel<'a, T>(mut f: impl FnMut() -> T + 'a) -> Kernel<'a> {
+    Box::new(move || {
+        black_box(f());
     })
+}
+
+/// The `kernels` row: each kernel runs `batches` batches of `calls`
+/// calls, and the per-call nanoseconds of every batch land in the span
+/// `<name>`. The inputs are pinned, so an `unwrap` failing here is a bug
+/// in the kernel. Kernels that drain a task bag or run a farm build it
+/// inside the call, and their spans include that setup.
+fn kernels_scenario(batches: usize) -> ScenarioResult {
+    let pareto = Pareto::new(2.0).unwrap();
+    let geo_dec = GeometricDecreasing::new(2.0).unwrap();
+    let geo_inc = GeometricIncreasing::new(64.0).unwrap();
+    let poly4 = Polynomial::new(4, 10_000.0).unwrap();
+    let wide = Uniform::new(100_000.0).unwrap();
+    let wide_t0 = (2.0f64 * 5.0 * 100_000.0).sqrt();
+    let plan = |p: &dyn LifeFunction, c| search::best_guideline_schedule(p, c).unwrap();
+    let u1000 = Uniform::new(1_000.0).unwrap();
+    let u_plan = plan(&u1000, 5.0).schedule;
+    let poly2 = Polynomial::new(2, 1_000.0).unwrap();
+    let p_plan = plan(&poly2, 5.0).schedule;
+    let greedy_50 = GreedyOptions {
+        max_periods: 50,
+        min_gain: 1e-12,
+    };
+    let u400: ArcLife = Arc::new(Uniform::new(400.0).unwrap());
+    let adaptive = AdaptiveScheduler::new(u400.clone(), 4.0).unwrap();
+    let geometric = geometric_schedule(5.0, 1.05, 1000.0).unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+    let absences = sample_absences(&Uniform::new(50.0).unwrap(), 10_000, &mut rng).unwrap();
+    let (fixed, guideline) = (PolicySpec::FixedSize(15.0), PolicySpec::Guideline);
+    // `n` workstations over `tasks` unit tasks; a faulty farm also gets
+    // five reclaim storms.
+    let farm = |n, policy, intensity: f64, tasks| {
+        let faults = FaultPlan::scaled(intensity);
+        let (mut config, bag) = uniform_farm(n, policy, faults, tasks, 7).unwrap();
+        if intensity > 0.0 {
+            config.storms = (1..=5).map(|k| 300.0 * k as f64).collect();
+        }
+        Farm::new(config, bag).unwrap()
+    };
+    let untraced = |farm: Farm| farm.run(&mut NoopSink, &mut SpanProfiler::disabled());
+    let traced = |farm: Farm| farm.run(&mut MemorySink::new(), &mut SpanProfiler::disabled());
+    let (template, _) = uniform_farm(4, fixed, FaultPlan::none(), 0, 1).unwrap();
+    let bag_400 = || workloads::uniform(400, 1.0).unwrap();
+    let drain = |mut bag: TaskBag| {
+        while !bag.is_drained() {
+            let chunk = bag.check_out(black_box(64.0));
+            bag.complete(chunk);
+        }
+    };
+    let (guide_opts, greedy_opts) = (GuidelineOptions::default(), GreedyOptions::default());
+    let horizons = [20.0, 40.0, 80.0];
+    // `calls` keeps each batch near a millisecond on a 2-vCPU x86-64 host.
+    #[rustfmt::skip]
+    let mut table: Vec<(&str, u32, Kernel)> = vec![
+        ("cor_3_2_test", 30, kernel(|| cor_3_2_test(black_box(&pareto), 1.0).unwrap())),
+        ("horizon_sweep", 1, kernel(|| horizon_sweep(&geo_dec, 1.0, &horizons, 800).unwrap())),
+        ("dp_solve", 1, kernel(|| dp::solve(&pareto, 1.0, 100.0, 2_000).unwrap())),
+        ("t0_bracket", 200, kernel(|| bounds::t0_bracket(black_box(&poly4), 5.0).unwrap())),
+        ("guideline_schedule", 20, kernel(|| {
+            guideline_schedule(&wide, 5.0, wide_t0, &guide_opts).unwrap()
+        })),
+        ("guideline_search.uniform", 1, kernel(|| plan(&u1000, 5.0))),
+        ("guideline_search.geo_dec", 3, kernel(|| plan(&geo_dec, 1.0))),
+        ("guideline_search.geo_inc", 4, kernel(|| plan(&geo_inc, 1.0))),
+        ("optimal.geo_dec", 3000, kernel(|| geometric_decreasing_optimal(2.0, 1.0).unwrap())),
+        ("optimal.geo_inc", 1, kernel(|| geometric_increasing_optimal(64.0, 1.0).unwrap())),
+        ("local_optimality_margin", 50, kernel(|| {
+            perturb::local_optimality_margin(black_box(&p_plan), &poly2, 5.0, &[0.01, 0.1, 1.0])
+        })),
+        ("perturb_eval", 5000, kernel(|| {
+            perturb::perturb(black_box(&p_plan), 0, 0.1).unwrap().expected_work(&poly2, 5.0)
+        })),
+        ("growth_law", 10000, kernel(|| check_growth_law(black_box(&p_plan), Shape::Concave, 5.0))),
+        ("strictly_decreasing", 10000, kernel(|| check_strictly_decreasing(black_box(&p_plan)))),
+        ("greedy.uniform", 100, kernel(|| greedy_schedule(&u1000, 5.0, &greedy_opts).unwrap())),
+        ("greedy.geo_dec_50", 20, kernel(|| greedy_schedule(&geo_dec, 1.0, &greedy_50).unwrap())),
+        ("adaptive.next_period", 1, kernel(|| black_box(&adaptive).next_period())),
+        ("adaptive.episode", 1, kernel(|| {
+            AdaptiveScheduler::new(u400.clone(), 4.0).unwrap().run_to_completion(100).unwrap()
+        })),
+        ("competitive.ratio", 500, kernel(|| {
+            competitive_ratio(black_box(&geometric), 1.0, 10.0, 1000.0).unwrap()
+        })),
+        ("competitive.best_geometric", 1, kernel(|| best_geometric(1.0, 10.0, 1000.0).unwrap())),
+        ("run_episode", 10000, kernel(|| run_episode(black_box(&u_plan), 5.0, 550.0, NoopSink))),
+        ("expected_work", 10000, kernel(|| black_box(&u_plan).expected_work(&u1000, 5.0))),
+        ("estimate_life", 2, kernel(|| estimate_life(black_box(&absences), 24).unwrap())),
+        ("fit_best", 1, kernel(|| fit_best(black_box(&absences)).unwrap())),
+        ("farm.fixed_16ws", 20, kernel(|| untraced(farm(16, fixed, 0.0, 1_000)))),
+        ("farm.noop_sink", 20, kernel(|| untraced(farm(4, fixed, 0.0, 1_000)))),
+        ("farm.memory_sink", 20, kernel(|| traced(farm(4, fixed, 0.0, 1_000)))),
+        ("farm.replicate_8x4", 2, kernel(|| {
+            replicate_farm(&template, fixed, &bag_400, 8, 4).unwrap()
+        })),
+        ("bag.check_out_100k", 1, kernel(|| drain(workloads::uniform(100_000, 1.0).unwrap()))),
+        ("bag.fluid_vs_packed", 50, kernel(|| {
+            fluid_vs_packed(&u_plan, &mut workloads::uniform(10_000, 0.5).unwrap(), 5.0)
+        })),
+        ("farm.guideline_faults2", 1, kernel(|| untraced(farm(8, guideline, 2.0, 600)))),
+        ("farm.greedy_faults2", 3, kernel(|| untraced(farm(8, PolicySpec::Greedy, 2.0, 600)))),
+        ("farm.fixed_faults2", 10, kernel(|| untraced(farm(8, fixed, 2.0, 600)))),
+    ];
+    let mut registry = MetricsRegistry::new();
+    let start = Instant::now();
+    for (name, calls, call) in &mut table {
+        let span = format!("span_ns.{name}");
+        for _ in 0..batches {
+            let batch = Instant::now();
+            for _ in 0..*calls {
+                call();
+            }
+            registry.observe(&span, batch.elapsed().as_nanos() as f64 / f64::from(*calls));
+        }
+    }
+    let wall_ns = start.elapsed().as_nanos() as u64;
+    row("kernels", wall_ns, None, span_stats(&registry))
 }
 
 /// Runs the pinned scenario grid and returns the measured baselines, in
@@ -504,6 +649,7 @@ pub fn run_profile(opts: ProfileOptions) -> Result<Vec<ScenarioResult>, String> 
     // recovery_snapshot_medium.
     out.push(ring_scenario(recovery[1].0)?);
     out.push(durable_scenario()?);
+    out.push(kernels_scenario(if opts.quick { 2 } else { 20 }));
     Ok(out)
 }
 
@@ -670,6 +816,7 @@ mod tests {
                 "recovery_redo_long",
                 "recovery_ring",
                 "e2e_farm_durable",
+                "kernels",
             ]
         );
         for r in &results {
@@ -710,5 +857,22 @@ mod tests {
         assert!(results[10].events_per_sec.unwrap() > 0.0);
         // The durable farm reports journal records per second.
         assert!(results[16].events_per_sec.unwrap() > 0.0);
+        // One span per kernel, each with a real per-call time.
+        let kernels = &results[17].spans;
+        let names = "cor_3_2_test horizon_sweep dp_solve t0_bracket guideline_schedule \
+            guideline_search.uniform guideline_search.geo_dec guideline_search.geo_inc \
+            optimal.geo_dec optimal.geo_inc local_optimality_margin perturb_eval growth_law \
+            strictly_decreasing greedy.uniform greedy.geo_dec_50 adaptive.next_period \
+            adaptive.episode competitive.ratio competitive.best_geometric run_episode \
+            expected_work estimate_life fit_best farm.fixed_16ws farm.noop_sink \
+            farm.memory_sink farm.replicate_8x4 bag.check_out_100k bag.fluid_vs_packed \
+            farm.guideline_faults2 farm.greedy_faults2 farm.fixed_faults2";
+        for name in names.split_whitespace() {
+            let span = kernels.iter().find(|s| s.name == name);
+            let span = span.unwrap_or_else(|| panic!("kernels: no {name} span"));
+            assert!(span.count >= 1, "{name}: count {}", span.count);
+            assert!(span.p50_ns.is_finite(), "{name}: p50 {}", span.p50_ns);
+        }
+        assert_eq!(kernels.len(), 33, "one span per kernel");
     }
 }

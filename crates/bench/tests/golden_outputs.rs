@@ -9,7 +9,7 @@
 //!
 //! `exp_obs_validate` has no fixture: its self-test writes a temp-dir path
 //! into its own output, so it is covered by its PASS/FAIL contract (and the
-//! harness smoke in CI) instead.
+//! CLI's `exp --all --quick` drill, which runs every experiment) instead.
 
 use cs_bench::harness::{by_id, run_to_writer, ExpOptions};
 
@@ -57,20 +57,3 @@ golden_test!(exp_sim_validate);
 golden_test!(exp_trace_robust);
 golden_test!(exp_uniqueness);
 golden_test!(exp_utilization);
-
-/// Every experiment must also survive quick mode (the CI smoke): same
-/// code path the `cyclesteal exp --quick` smoke exercises, minus process
-/// spawning. `exp_obs_validate` runs its full self-test here too.
-#[test]
-fn quick_mode_runs_every_experiment() {
-    let opts = ExpOptions {
-        quick: true,
-        ..Default::default()
-    };
-    for exp in cs_bench::experiments::all() {
-        let mut out: Vec<u8> = Vec::new();
-        run_to_writer(exp, &opts, &mut out)
-            .unwrap_or_else(|e| panic!("{} failed under --quick: {e}", exp.id()));
-        assert!(!out.is_empty(), "{} printed nothing", exp.id());
-    }
-}

@@ -238,8 +238,13 @@ fn chain_link(c: &cs_obs::ChunkRecord) -> String {
 
 fn cmd_path(rest: &[String]) -> Result<(), String> {
     let (flags, path) = flags_and_path(rest, "obs path", &["l", "c"])?;
-    let l = parse_flag_f64(&flags, "l", 150.0)?;
-    let c = parse_flag_f64(&flags, "c", 2.0)?;
+    let l = parse_flag(&flags, "l", 150.0, "bad number")?;
+    let c = parse_flag(&flags, "c", 2.0, "bad number")?;
+    // The paper's prediction for the scenario's uniform life function,
+    // planned first so a bad --l or --c fails before any analysis prints.
+    let life = cs_life::Uniform::new(l).map_err(|e| format!("--l: {e}"))?;
+    let plan = cs_core::search::best_guideline_schedule(&life, c)
+        .map_err(|e| format!("guideline plan (L={l}, c={c}): {e}"))?;
     let a = lineage_file(path)?;
     println!("trace         : {path}");
     println!(
@@ -332,12 +337,8 @@ fn cmd_path(rest: &[String]) -> Result<(), String> {
         ),
     }
 
-    // Side-by-side with the paper's prediction for the scenario's uniform
-    // life function: expected banked work per episode from the guideline
+    // Side-by-side: expected banked work per episode from the guideline
     // schedule vs what the trace actually banked per episode.
-    let life = cs_life::Uniform::new(l).map_err(|e| format!("--l: {e}"))?;
-    let plan = cs_core::search::best_guideline_schedule(&life, c)
-        .map_err(|e| format!("guideline plan (L={l}, c={c}): {e}"))?;
     let observed = a.banked / (a.episodes.max(1) as f64);
     println!(
         "model         : uniform L = {l}, c = {c} -> expected work/episode {:.4}",
@@ -360,7 +361,7 @@ fn cmd_path(rest: &[String]) -> Result<(), String> {
 
 fn cmd_chunks(rest: &[String]) -> Result<(), String> {
     let (flags, path) = flags_and_path(rest, "obs chunks", &["top"])?;
-    let top = parse_flag_f64(&flags, "top", 10.0)? as usize;
+    let top = parse_flag(&flags, "top", 10, "expected an integer, got")?;
     let a = lineage_file(path)?;
     println!("trace         : {path}");
     println!(
@@ -478,7 +479,8 @@ fn cmd_chunks(rest: &[String]) -> Result<(), String> {
 type ParsedFlags = Vec<(String, String)>;
 
 /// Parses `[--key value ...] <trace>` for the lineage subcommands: only
-/// the listed keys are legal, exactly one positional path is required.
+/// the listed keys are legal, each at most once, and exactly one
+/// positional path is required.
 fn flags_and_path<'a>(
     rest: &'a [String],
     what: &str,
@@ -494,6 +496,9 @@ fn flags_and_path<'a>(
                 if !keys.contains(&key) {
                     return Err(format!("{what}: unknown option {flag}\n\n{USAGE}"));
                 }
+                if flags.iter().any(|(k, _)| k == key) {
+                    return Err(format!("{what}: duplicate option: {flag}"));
+                }
                 let v = it
                     .next()
                     .ok_or_else(|| format!("{what}: {flag} needs a value"))?;
@@ -507,10 +512,17 @@ fn flags_and_path<'a>(
     Ok((flags, path))
 }
 
-fn parse_flag_f64(flags: &ParsedFlags, key: &str, default: f64) -> Result<f64, String> {
-    match flags.iter().rev().find(|(k, _)| k == key) {
+/// The value of `--key`, or `default` when it is absent; a value that
+/// does not parse fails as `--key: <complaint> "<value>"`.
+fn parse_flag<T: std::str::FromStr>(
+    flags: &ParsedFlags,
+    key: &str,
+    default: T,
+    complaint: &str,
+) -> Result<T, String> {
+    match flags.iter().find(|(k, _)| k == key) {
         None => Ok(default),
-        Some((_, v)) => v.parse().map_err(|_| format!("--{key}: bad number {v:?}")),
+        Some((_, v)) => v.parse().map_err(|_| format!("--{key}: {complaint} {v:?}")),
     }
 }
 
@@ -830,8 +842,19 @@ mod tests {
         assert!(err.contains("--l: bad number"), "{err}");
         let err = run(&to_args("path --l 150 --c 2 /no/such/trace.jsonl")).unwrap_err();
         assert!(err.contains("/no/such/trace.jsonl"), "{err}");
-        let err = run(&to_args("chunks --top k a.jsonl")).unwrap_err();
-        assert!(err.contains("--top: bad number"), "{err}");
+        // `--top` is a chunk count: no sign, fraction or NaN.
+        for top in ["k", "-5", "NaN", "2.7"] {
+            let err = run(&to_args(&format!("chunks --top {top} a.jsonl"))).unwrap_err();
+            let want = format!("--top: expected an integer, got \"{top}\"");
+            assert!(err.contains(&want), "{err}");
+        }
+        let err = run(&to_args("chunks --top 3 --top 1 a.jsonl")).unwrap_err();
+        assert!(err.contains("duplicate option: --top"), "{err}");
+        let err = run(&to_args("path --c 2 --c 3 a.jsonl")).unwrap_err();
+        assert!(err.contains("duplicate option: --c"), "{err}");
+        // The model is planned before the trace is read.
+        let err = run(&to_args("path --l -3 /no/such/trace.jsonl")).unwrap_err();
+        assert!(err.contains("--l: ") && err.contains("lifespan"), "{err}");
         let err = run(&to_args("chunks --strict a.jsonl")).unwrap_err();
         assert!(err.contains("unknown option --strict"), "{err}");
         let err = run(&to_args("chunks /no/such/trace.jsonl")).unwrap_err();
