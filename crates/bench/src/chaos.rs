@@ -37,7 +37,7 @@ use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::{
     default_snapshot_path, inspect_snapshot, IoErrorPolicy, JournalError, JournalOptions,
-    SnapshotErrorKind, SnapshotOutcome,
+    SnapshotCadence, SnapshotErrorKind, SnapshotOutcome,
 };
 use cs_obs::vfs::StdVfs;
 use cs_obs::{injected_kind, FaultAt, FaultKind, FaultyVfs, ALL_FAULT_KINDS};
@@ -255,7 +255,7 @@ fn run_disk_trial(
         return;
     }
     let clean_opts = JournalOptions {
-        snapshot_every: Some(cfg.snapshot_every),
+        snapshot_every: SnapshotCadence::Every(cfg.snapshot_every),
         ..JournalOptions::guideline(&chaos_farm_config(cfg))
     };
     let vfs = FaultyVfs::with_plan(&[FaultAt { kind, index }]);
@@ -355,7 +355,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     let ref_snap = default_snapshot_path(&ref_path);
     let config = chaos_farm_config(cfg);
     let opts = JournalOptions {
-        snapshot_every: Some(cfg.snapshot_every),
+        snapshot_every: SnapshotCadence::Every(cfg.snapshot_every),
         progress_every: cfg.progress_every,
         ..JournalOptions::guideline(&config)
     };

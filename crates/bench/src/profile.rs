@@ -38,7 +38,7 @@ use cs_life::{Pareto, Polynomial, Shape, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::replicate::replicate_farm;
-use cs_now::{default_snapshot_path, JournalOptions, SnapshotOutcome};
+use cs_now::{default_snapshot_path, JournalOptions, SnapshotCadence, SnapshotOutcome};
 use cs_now::{ring_snapshot_path, segment_meta_path};
 use cs_obs::vfs::StdVfs;
 use cs_obs::{check_text, Event, EventSink, MemorySink, MetricsRegistry, NoopSink, SpanProfiler};
@@ -250,7 +250,7 @@ fn time_resume(
     let opts = JournalOptions {
         // Writing fresh sidecars during the timed replay would charge
         // snapshot *production* to recovery; measure restoration only.
-        snapshot_every: None,
+        snapshot_every: SnapshotCadence::Off,
         ..JournalOptions::guideline(&config)
     };
     let start = Instant::now();
@@ -337,7 +337,7 @@ fn ring_scenario(tasks: usize) -> Result<ScenarioResult, String> {
     }
     let (config, bag) = recovery_farm(tasks)?;
     let resume_opts = JournalOptions {
-        snapshot_every: None,
+        snapshot_every: SnapshotCadence::Off,
         snapshot_ring: 3,
         ..JournalOptions::guideline(&config)
     };

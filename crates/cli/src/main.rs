@@ -21,7 +21,7 @@ use cs_core::{dp, search};
 use cs_life::LifeFunction;
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{IoErrorPolicy, JournalOptions, SnapshotOutcome, MAX_SNAPSHOT_RING};
+use cs_now::{IoErrorPolicy, JournalOptions, SnapshotCadence, SnapshotOutcome, MAX_SNAPSHOT_RING};
 use cs_obs::vfs::StdVfs;
 use cs_obs::{JsonlSink, MetricsSink, NoopSink, ProgressSink, RunSummary, SpanProfiler, TeeSink};
 use cs_scenarios::{LifeSpec, PolicyParseError, LIFE_OPTS};
@@ -86,7 +86,10 @@ COMMANDS:
                                         n committed journal records
                --snapshot-every <dt>    state-snapshot cadence in virtual
                                         time (needs --journal or --resume;
-                                        default: the saves guideline)
+                                        default: priced, a snapshot once
+                                        replaying the records since the
+                                        last one costs more than writing
+                                        the next)
                --snapshot-ring <n>      keep n snapshot generations
                                         (<file>.snap.0..n-1) instead of one
                                         sidecar (needs --journal/--resume;
@@ -682,7 +685,7 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             if !dt.is_finite() || dt <= 0.0 {
                 return Err("--snapshot-every: cadence must be a finite positive time".into());
             }
-            Some(dt)
+            Some(SnapshotCadence::Every(dt))
         }
     };
     let snapshot_ring = match args.get("snapshot-ring") {
@@ -766,12 +769,13 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
     // `durable_lines` carries the journal/recovery stats printed after the
     // standard report (empty for plain runs).
     let mut durable_lines: Vec<String> = Vec::new();
-    // The §4.2 cadence, overridden by the durability flags.
+    // The default cadences (§4.2 fsync, priced snapshots), overridden by
+    // the durability flags.
     let durable_opts = |config: &FarmConfig| {
         let guideline = JournalOptions::guideline(config);
         JournalOptions {
             kill_after,
-            snapshot_every: snapshot_every.or(guideline.snapshot_every),
+            snapshot_every: snapshot_every.unwrap_or(guideline.snapshot_every),
             progress_every,
             snapshot_ring,
             gc: journal_gc,
@@ -845,15 +849,19 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             cs_obs::FsyncPolicy::EveryRecord => "every record".to_string(),
             cs_obs::FsyncPolicy::Interval(dt) => format!("cadence {dt:.2} virtual time"),
         };
+        let when = match opts.snapshot_every {
+            SnapshotCadence::Every(dt) => format!("every {dt:.2} virtual time"),
+            SnapshotCadence::Priced => "priced by record count and state size".to_string(),
+            SnapshotCadence::Off => String::new(),
+        };
         let snap_line = match opts.snapshot_every {
-            Some(dt) if snapshot_ring > 1 => format!(
-                "snapshots     : every {dt:.2} virtual time -> {path}.snap.0..{} \
-                 ({snapshot_ring}-generation ring{})",
+            SnapshotCadence::Off => "snapshots     : disabled (fsync-every-record farms)".into(),
+            _ if snapshot_ring > 1 => format!(
+                "snapshots     : {when} -> {path}.snap.0..{} ({snapshot_ring}-generation ring{})",
                 snapshot_ring - 1,
                 if journal_gc { ", journal gc" } else { "" }
             ),
-            Some(dt) => format!("snapshots     : every {dt:.2} virtual time -> {path}.snap"),
-            None => "snapshots     : disabled (fsync-every-record farms)".to_string(),
+            _ => format!("snapshots     : {when} -> {path}.snap"),
         };
         let (report, stats) = Farm::new(config, bag)
             .map_err(|e| e.to_string())?

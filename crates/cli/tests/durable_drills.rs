@@ -121,13 +121,17 @@ fn corrupt_sidecar_falls_back_then_the_snapshot_restores() {
     d.finish();
 }
 
+/// The ring drills' durability flags: a 3-generation ring, journal GC and
+/// a pinned cadence, so the files they check for do not hang on the
+/// default cadence.
+const RING: &str = "--snapshot-ring 3 --journal-gc --snapshot-every 7.07";
+
 /// Crashes a run with a 3-generation ring and journal GC, which leaves the
 /// ring and the segment metadata behind.
 fn ring_crash(d: &Drill) {
-    d.fails(
-        "farm --seed 5 --tasks 400 --faults 0.6 --journal ringwal.jsonl --snapshot-ring 3 \
-         --journal-gc --kill-after 60",
-    );
+    d.fails(&format!(
+        "farm --seed 5 --tasks 400 --faults 0.6 --journal ringwal.jsonl {RING} --kill-after 60"
+    ));
     d.assert_files(&[
         "ringwal.jsonl.snap.0",
         "ringwal.jsonl.snap.1",
@@ -144,9 +148,7 @@ fn ring_and_gc_resume_and_fork_every_generation() {
     let d = Drill::new("ring_round_trip");
     ring_crash(&d);
     let scenario = "--seed 5 --tasks 400 --faults 0.6";
-    let resumed = d.ok(&format!(
-        "farm {scenario} --resume ringwal.jsonl --snapshot-ring 3 --journal-gc"
-    ));
+    let resumed = d.ok(&format!("farm {scenario} --resume ringwal.jsonl {RING}"));
     let text = stdout(&resumed);
     assert!(text.contains("snapshot      : restored"), "{text}");
     assert!(text.contains("RUN-SUMMARY"), "{text}");
@@ -201,19 +203,18 @@ fn forge_id(sidecar: &Path, key: &str) {
 fn forged_task_ids_fail_typed_instead_of_aborting() {
     let d = Drill::new("forged_ids");
     let scenario = "--seed 5 --tasks 400 --faults 0.6";
-    let ring = "--snapshot-ring 3 --journal-gc";
-    d.ok(&format!("farm {scenario} --journal ringwal.jsonl {ring}"));
+    d.ok(&format!("farm {scenario} --journal ringwal.jsonl {RING}"));
     forge_id(&d.path("ringwal.jsonl.snap.0"), "ids");
     for g in [1, 2] {
         std::fs::remove_file(d.path(&format!("ringwal.jsonl.snap.{g}"))).unwrap();
     }
-    let resume = d.run(&format!("farm {scenario} --resume ringwal.jsonl {ring}"));
+    let resume = d.run(&format!("farm {scenario} --resume ringwal.jsonl {RING}"));
     assert_eq!(resume.status.code(), Some(1), "{resume:?}");
     let err = stderr(&resume);
     assert!(err.contains("cannot be recovered"), "{err}");
     assert!(err.contains("(last: inconsistent)"), "{err}");
 
-    d.ok(&format!("farm {scenario} --journal ringwal.jsonl {ring}"));
+    d.ok(&format!("farm {scenario} --journal ringwal.jsonl {RING}"));
     forge_id(&d.path("ringwal.jsonl.snap.0"), "task");
     let fork = d.run(&format!(
         "obs replay --journal ringwal.jsonl --fork --generation 0 {scenario}"

@@ -42,8 +42,7 @@ impl EventQueue {
         }
     }
 
-    /// Number of pending events (used by the ordering tests).
-    #[cfg(test)]
+    /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }

@@ -47,6 +47,14 @@
 //! observable interruption intensity (the episode life functions expose no
 //! closed-form mean) — so the flush cadence in virtual time is the
 //! theory's own answer.
+//!
+//! Snapshots weigh the same two things with their own costs: by default
+//! ([`SnapshotCadence::Priced`]) one is taken once replaying the records
+//! since the last would cost as much as writing the next. Both sides are
+//! priced from counts — records, and the sidecar's size estimated from
+//! the bag — so snapshots fall rarely while the bag is full and its
+//! sidecar large, often as it drains, and always at the same records for
+//! the same seed.
 
 use crate::farm::{Farm, FarmConfig, FarmConfigError, FarmReport, FarmRun};
 use crate::snapshot::{
@@ -89,6 +97,20 @@ impl std::fmt::Display for IoErrorPolicy {
     }
 }
 
+/// When a journaled run writes a state snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub enum SnapshotCadence {
+    /// No snapshots: recovery is full redo replay.
+    #[default]
+    Off,
+    /// Whenever virtual time has advanced this far past the last snapshot.
+    Every(f64),
+    /// Whenever replaying the records since the last snapshot would cost
+    /// as much as writing the next one, both priced from counts alone:
+    /// `records × 2700 ≥ 14000 + its estimated bytes` (DESIGN, "Cadence").
+    Priced,
+}
+
 /// Knobs for [`Farm::run_journaled`] and [`Farm::resume`].
 #[derive(Debug, Clone, Copy)]
 pub struct JournalOptions {
@@ -98,11 +120,11 @@ pub struct JournalOptions {
     /// record fragment and `abort()` the process — a deterministic stand-in
     /// for SIGKILL used by `cyclesteal farm --kill-after` and CI.
     pub kill_after: Option<u64>,
-    /// Virtual-time cadence for state snapshots written next to the journal
-    /// ([`default_snapshot_path`]); `None` disables them. With snapshots,
-    /// resume re-executes only the journal tail after the last snapshot —
-    /// O(snapshot interval) instead of O(run length).
-    pub snapshot_every: Option<f64>,
+    /// When state snapshots are written next to the journal
+    /// ([`default_snapshot_path`]). With snapshots, resume re-executes
+    /// only the journal tail after the last snapshot — O(snapshot
+    /// interval) instead of O(run length).
+    pub snapshot_every: SnapshotCadence,
     /// Wall-clock cadence (seconds) for `RUN-PROGRESS` heartbeat lines on
     /// stderr while the run is in flight; `None` disables them, `Some(0.0)`
     /// emits one per event step (tests). Heartbeats never touch the journal
@@ -130,7 +152,7 @@ impl Default for JournalOptions {
         Self {
             fsync: FsyncPolicy::EveryRecord,
             kill_after: None,
-            snapshot_every: None,
+            snapshot_every: SnapshotCadence::Off,
             progress_every: None,
             snapshot_ring: 1,
             gc: false,
@@ -140,13 +162,20 @@ impl Default for JournalOptions {
 }
 
 impl JournalOptions {
-    /// The §4.2-guideline durability cadence for `config`: fsync policy
-    /// and snapshot interval from [`guideline_fsync_policy`] /
-    /// [`guideline_snapshot_interval`], everything else at defaults.
+    /// The default durability cadence for `config`: the §4.2-guideline
+    /// fsync policy ([`guideline_fsync_policy`]) and priced snapshots,
+    /// everything else at defaults. A farm whose guideline says sync every
+    /// record (zero overhead: saving is free) takes no snapshots, since
+    /// redo replay is already exact.
     pub fn guideline(config: &FarmConfig) -> Self {
+        let fsync = guideline_fsync_policy(config);
+        let snapshot_every = match fsync {
+            FsyncPolicy::Interval(_) => SnapshotCadence::Priced,
+            FsyncPolicy::EveryRecord => SnapshotCadence::Off,
+        };
         Self {
-            fsync: guideline_fsync_policy(config),
-            snapshot_every: guideline_snapshot_interval(config),
+            fsync,
+            snapshot_every,
             ..Self::default()
         }
     }
@@ -155,7 +184,7 @@ impl JournalOptions {
 /// Durability counters reported by [`Farm::run_journaled`] — the
 /// journal-level [`cs_obs::JournalStats`] extended with snapshot-ring and
 /// GC accounting.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableStats {
     /// Records written (journal lines), across GC segment rotations.
     pub records: u64,
@@ -349,17 +378,43 @@ pub fn guideline_fsync_policy(config: &FarmConfig) -> FsyncPolicy {
     }
 }
 
-/// The snapshot cadence for this farm: the same §4.2-guideline interval
-/// the fsync policy group-commits on — the paper prices a state save
-/// exactly like a cycle-stealing chunk, and both durability knobs take its
-/// answer. `None` when the guideline says save constantly
-/// ([`FsyncPolicy::EveryRecord`], e.g. a zero-overhead farm): per-event
-/// snapshots would dwarf the work they save, and redo replay is already
-/// exact, so such farms skip snapshots entirely.
-pub fn guideline_snapshot_interval(config: &FarmConfig) -> Option<f64> {
-    match guideline_fsync_policy(config) {
-        FsyncPolicy::Interval(dt) => Some(dt),
-        _ => None,
+/// The priced cadence's constants (DESIGN, "Cadence"), calibrated once.
+/// Prices are in snapshot bytes; they set only where snapshots fall,
+/// never what a run computes. Replaying one journal record after a
+/// restore costs as much as writing this many snapshot bytes:
+const RECORD_PRICE: u64 = 2_700;
+/// What a snapshot costs on top of its bytes: the journal fsync, the
+/// sidecar's create, `fdatasync` and rename, and the GC rotation.
+const SNAPSHOT_PRICE: u64 = 14_000;
+
+/// Encoded sidecar bytes per item, from the format in `crate::snapshot`
+/// with 4-digit task ids: the fixed lines, a pending `task` line, a
+/// banked id, a queued `event` line, a `lease` line with a typical chunk,
+/// and a workstation's `ws` and `stats` lines.
+const HEADER_BYTES: u64 = 400;
+const PENDING_TASK_BYTES: u64 = 28;
+const BANKED_ID_BYTES: u64 = 5;
+const EVENT_BYTES: u64 = 28;
+const LEASE_BYTES: u64 = 480;
+const WORKSTATION_BYTES: u64 = 330;
+
+impl FarmRun {
+    /// The size of this state's snapshot sidecar, estimated in O(1) from
+    /// counts, so that snapshot placement is a function of the seed.
+    fn snapshot_bytes_estimate(&self) -> u64 {
+        HEADER_BYTES
+            + PENDING_TASK_BYTES * self.eng.bag.pending_count() as u64
+            + BANKED_ID_BYTES * self.eng.banked.len() as u64
+            + EVENT_BYTES * self.eng.queue.len() as u64
+            + LEASE_BYTES * self.eng.in_flight.len() as u64
+            + WORKSTATION_BYTES * self.states.len() as u64
+    }
+
+    /// What snapshotting this state costs, in snapshot bytes: the price
+    /// [`SnapshotCadence::Priced`] weighs against the records since the
+    /// last snapshot.
+    fn snapshot_price(&self) -> u64 {
+        SNAPSHOT_PRICE + self.snapshot_bytes_estimate()
     }
 }
 
@@ -490,14 +545,16 @@ impl EventSink for JournalSink {
         if self.verifier.diverged.is_some() {
             return;
         }
-        let line = event.to_jsonl();
-        if self.verifier.exhausted() {
-            self.writer.emit(event);
-        } else if !self.verifier.check(&line) {
+        let mut line = event.to_jsonl();
+        let appending = self.verifier.exhausted();
+        if !appending && !self.verifier.check(&line) {
             return;
         }
+        line.push('\n');
+        if appending {
+            self.writer.emit_line(event, &line);
+        }
         self.hash = fnv1a64(self.hash, line.as_bytes());
-        self.hash = fnv1a64(self.hash, b"\n");
         if let Some(kill_at) = self.kill_after {
             if self.committed() >= kill_at {
                 // Deterministic SIGKILL stand-in: make sure every committed
@@ -505,7 +562,7 @@ impl EventSink for JournalSink {
                 // and die without unwinding.
                 self.writer.flush_sink();
                 self.writer.write_raw(b"{\"v\":2,\"t\":");
-                std::process::abort();
+                die();
             }
         }
     }
@@ -515,13 +572,25 @@ impl EventSink for JournalSink {
     }
 }
 
+/// The kill switch's last act: die without unwinding. This crate's unit
+/// tests unwind with a [`tests::Killed`] panic instead, which leaves the
+/// same files behind (the writer is synced and holds nothing), so one
+/// test process can kill and resume many runs.
+fn die() -> ! {
+    #[cfg(test)]
+    std::panic::panic_any(tests::Killed);
+    #[cfg(not(test))]
+    std::process::abort()
+}
+
 impl Farm {
     /// [`Farm::run`] with the event stream written as a durable
     /// write-ahead journal at `path` through `vfs`: fsync policy, snapshot
     /// cadence and ring, prefix GC, I/O-error policy and the chaos kill
     /// switch all come from `opts` ([`JournalOptions::guideline`] is the
-    /// §4.2 cadence). Pass [`StdVfs`] for the real filesystem; the
-    /// disk-fault chaos harness injects [`cs_obs::FaultyVfs`]. The journal
+    /// default: §4.2 fsync and priced snapshots). Pass [`StdVfs`] for the
+    /// real filesystem; the disk-fault chaos harness injects
+    /// [`cs_obs::FaultyVfs`]. The journal
     /// is strictly pass-through: the returned [`FarmReport`] is
     /// bit-identical to [`Farm::run`] for the same configuration. If the
     /// process dies mid-run, [`Farm::resume`] with the same `(config, bag)`
@@ -539,6 +608,7 @@ impl Farm {
         let mut ctx = DriveCtx::new(vfs, path, &opts);
         let mut prof = SpanProfiler::disabled();
         let run = FarmRun::start(self, &mut sink, &mut prof);
+        ctx.mark_snapshot(&run, sink.committed());
         let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
         let stats = finish_stats(sink, ctx)?;
         Ok((report, stats))
@@ -600,7 +670,7 @@ impl Farm {
         let mut sink = JournalSink::new(rec.verifier, writer, rec.hash, &opts);
         let mut prof = SpanProfiler::disabled();
         let run = rec.origin.start(&mut sink, &mut prof);
-        ctx.last_snapshot = run.now;
+        ctx.mark_snapshot(&run, sink.committed());
         let report = drive(run, &mut sink, &mut prof, &mut ctx, opts.progress_every)?;
         let total = sink.verifier.total();
         sink.verifier.finish(total)?;
@@ -751,8 +821,11 @@ struct DriveCtx<'v> {
     vfs: &'v dyn Vfs,
     path: PathBuf,
     fsync: FsyncPolicy,
-    snapshot_every: Option<f64>,
+    cadence: SnapshotCadence,
+    /// Virtual time and committed record count of the last snapshot, or
+    /// of where the run started.
     last_snapshot: f64,
+    last_snapshot_records: u64,
     /// Ring size (1 = legacy single sidecar).
     ring: u32,
     /// Ring slot the next snapshot lands in.
@@ -771,14 +844,15 @@ struct DriveCtx<'v> {
 
 impl<'v> DriveCtx<'v> {
     /// The context of a run journaling from record zero; resume then
-    /// moves the segment base, ring and snapshot clock to where it starts.
+    /// moves the segment base and ring to where it starts.
     fn new(vfs: &'v dyn Vfs, path: &Path, opts: &JournalOptions) -> Self {
         Self {
             vfs,
             path: path.to_path_buf(),
             fsync: opts.fsync,
-            snapshot_every: opts.snapshot_every,
+            cadence: opts.snapshot_every,
             last_snapshot: 0.0,
+            last_snapshot_records: 0,
             ring: opts.snapshot_ring.clamp(1, MAX_SNAPSHOT_RING),
             next_gen: 0,
             ring_meta: vec![None; MAX_SNAPSHOT_RING as usize],
@@ -787,6 +861,28 @@ impl<'v> DriveCtx<'v> {
             seg_base: 0,
             stats: DurableStats::default(),
             pending_error: None,
+        }
+    }
+
+    /// Starts both snapshot clocks at `run` with `committed` records: at
+    /// each snapshot, and where a run or a resume begins. A fresh run
+    /// thus never counts its setup records (`run_start` and one
+    /// `episode_start` per workstation): replaying them costs next to
+    /// nothing, so they buy no snapshot.
+    fn mark_snapshot(&mut self, run: &FarmRun, committed: u64) {
+        self.last_snapshot = run.now;
+        self.last_snapshot_records = committed;
+    }
+
+    /// Whether the cadence wants a snapshot of `run` now, with `committed`
+    /// records in the journal.
+    fn snapshot_due(&self, run: &FarmRun, committed: u64) -> bool {
+        match self.cadence {
+            SnapshotCadence::Off => false,
+            SnapshotCadence::Every(dt) => run.now - self.last_snapshot >= dt,
+            SnapshotCadence::Priced => {
+                (committed - self.last_snapshot_records) * RECORD_PRICE >= run.snapshot_price()
+            }
         }
     }
 
@@ -809,7 +905,7 @@ impl<'v> DriveCtx<'v> {
         if !self.stats.degraded {
             eprintln!("warning: journal I/O failed ({err}); {fate}");
             self.stats.degraded = true;
-            self.snapshot_every = None;
+            self.cadence = SnapshotCadence::Off;
             self.gc = false;
         }
         Ok(())
@@ -817,11 +913,11 @@ impl<'v> DriveCtx<'v> {
 }
 
 /// The journaled-run event loop: step the farm to completion, capturing a
-/// state snapshot into the next ring slot whenever virtual time advances
-/// `snapshot_every` past the last one, GC'ing the journal prefix behind
-/// the ring when asked. Snapshot writes are advisory — a failed write
-/// stops snapshotting but never kills the run — while journal write
-/// failures go through the [`IoErrorPolicy`].
+/// state snapshot into the next ring slot whenever the [`SnapshotCadence`]
+/// says one is due, GC'ing the journal prefix behind the ring when asked.
+/// Snapshot writes are advisory — a failed write stops snapshotting but
+/// never kills the run — while journal write failures go through the
+/// [`IoErrorPolicy`].
 fn drive(
     mut run: FarmRun,
     sink: &mut JournalSink,
@@ -835,39 +931,8 @@ fn drive(
     };
     loop {
         check_io(sink, ctx)?;
-        if let Some(dt) = ctx.snapshot_every {
-            if run.now - ctx.last_snapshot >= dt {
-                ctx.last_snapshot = run.now;
-                // The snapshot binds to the committed prefix: make it
-                // durable first so the sidecar never describes records the
-                // journal does not hold — and never snapshot over a disk
-                // that is already failing.
-                sink.flush_sink();
-                if sink.writer.io_error().is_none() && ctx.pending_error.is_none() {
-                    let snap = run.save_state(sink.committed(), sink.hash);
-                    let gen = ctx.next_gen;
-                    let bytes = snap.encode();
-                    match write_atomic_bytes(ctx.vfs, &ctx.slot_path(gen), &bytes) {
-                        Ok(()) => {
-                            ctx.stats.snapshots_written += 1;
-                            ctx.stats.snapshot_bytes += bytes.len() as u64;
-                            ctx.ring_meta[gen as usize] =
-                                Some((snap.journal_records, snap.journal_hash));
-                            ctx.next_gen = (gen + 1) % ctx.ring;
-                            if ctx.gc {
-                                gc_rotate(sink, ctx);
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "warning: snapshot write failed ({e}); snapshots disabled for \
-                                 the rest of the run"
-                            );
-                            ctx.snapshot_every = None;
-                        }
-                    }
-                }
-            }
+        if ctx.snapshot_due(&run, sink.committed()) {
+            snapshot(&run, sink, ctx);
         }
         heartbeat.tick(&run, sink.committed());
         if !run.step(sink, prof) {
@@ -876,6 +941,41 @@ fn drive(
     }
     check_io(sink, ctx)?;
     Ok(run.finish(sink, prof))
+}
+
+/// Captures a state snapshot into the next ring slot, then GCs the
+/// journal prefix behind the ring when asked. A failed write stops
+/// snapshotting for the rest of the run.
+fn snapshot(run: &FarmRun, sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
+    ctx.mark_snapshot(run, sink.committed());
+    // The snapshot binds to the committed prefix: make it durable first so
+    // the sidecar never describes records the journal does not hold — and
+    // never snapshot over a disk that is already failing.
+    sink.flush_sink();
+    if sink.writer.io_error().is_some() || ctx.pending_error.is_some() {
+        return;
+    }
+    let snap = run.save_state(sink.committed(), sink.hash);
+    let gen = ctx.next_gen;
+    let bytes = snap.encode();
+    match write_atomic_bytes(ctx.vfs, &ctx.slot_path(gen), &bytes) {
+        Ok(()) => {
+            ctx.stats.snapshots_written += 1;
+            ctx.stats.snapshot_bytes += bytes.len() as u64;
+            ctx.ring_meta[gen as usize] = Some((snap.journal_records, snap.journal_hash));
+            ctx.next_gen = (gen + 1) % ctx.ring;
+            if ctx.gc {
+                gc_rotate(sink, ctx);
+            }
+        }
+        Err(e) => {
+            eprintln!(
+                "warning: snapshot write failed ({e}); snapshots disabled for the rest of the \
+                 run"
+            );
+            ctx.cadence = SnapshotCadence::Off;
+        }
+    }
 }
 
 /// Hands any latched writer (or GC rotation) failure to the I/O-error
@@ -1396,6 +1496,9 @@ pub(crate) mod tests {
     use cs_tasks::workloads;
     use std::sync::Arc;
 
+    /// The panic payload [`die`] unwinds with under test.
+    pub(crate) struct Killed;
+
     pub(super) fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
             "cs_now_journal_{name}_{}.jsonl",
@@ -1671,7 +1774,7 @@ pub(crate) mod tests {
         let path = tmp(name);
         let opts = JournalOptions {
             fsync: guideline_fsync_policy(&faulty_config(seed)),
-            snapshot_every: Some(2.0),
+            snapshot_every: SnapshotCadence::Every(2.0),
             ..Default::default()
         };
         let (report, _) = Farm::new(faulty_config(seed), bag())
@@ -1828,26 +1931,21 @@ pub(crate) mod tests {
 
     #[test]
     fn guideline_policy_has_a_finite_cadence_for_real_farms() {
-        match guideline_fsync_policy(&faulty_config(1)) {
+        let opts = JournalOptions::guideline(&faulty_config(1));
+        match opts.fsync {
             FsyncPolicy::Interval(dt) => assert!(dt.is_finite() && dt > 0.0, "dt = {dt}"),
             p => panic!("expected an interval cadence, got {p:?}"),
         }
-        // The snapshot cadence is the same guideline answer.
-        assert_eq!(
-            guideline_snapshot_interval(&faulty_config(1)),
-            match guideline_fsync_policy(&faulty_config(1)) {
-                FsyncPolicy::Interval(dt) => Some(dt),
-                _ => None,
-            }
-        );
-        // Zero overhead: saving is free, sync every record — and per-event
-        // snapshots would be absurd, so the interval degenerates to None.
+        assert_eq!(opts.snapshot_every, SnapshotCadence::Priced);
+        // Zero overhead: saving is free, sync every record — and redo
+        // replay is already exact, so no snapshots.
         let mut free = faulty_config(1);
         for w in &mut free.workstations {
             w.c = 0.0;
         }
-        assert_eq!(guideline_fsync_policy(&free), FsyncPolicy::EveryRecord);
-        assert_eq!(guideline_snapshot_interval(&free), None);
+        let opts = JournalOptions::guideline(&free);
+        assert_eq!(opts.fsync, FsyncPolicy::EveryRecord);
+        assert_eq!(opts.snapshot_every, SnapshotCadence::Off);
     }
 
     #[test]
@@ -1895,7 +1993,7 @@ pub(crate) mod tests {
         let path = tmp(name);
         let opts = JournalOptions {
             fsync: guideline_fsync_policy(&faulty_config(seed)),
-            snapshot_every: Some(2.0),
+            snapshot_every: SnapshotCadence::Every(2.0),
             snapshot_ring: ring,
             gc,
             ..Default::default()
@@ -1910,7 +2008,7 @@ pub(crate) mod tests {
     pub(super) fn cleanup(path: &std::path::Path) {
         std::fs::remove_file(default_snapshot_path(path)).ok();
         std::fs::remove_file(segment_meta_path(path)).ok();
-        for g in 0..8 {
+        for g in 0..MAX_SNAPSHOT_RING {
             std::fs::remove_file(ring_snapshot_path(path, g)).ok();
         }
         std::fs::remove_file(path).ok();
@@ -2088,7 +2186,7 @@ pub(crate) mod tests {
             .run(&mut NoopSink, &mut SpanProfiler::disabled());
         let opts = JournalOptions {
             fsync: guideline_fsync_policy(&faulty_config(73)),
-            snapshot_every: Some(2.0),
+            snapshot_every: SnapshotCadence::Every(2.0),
             on_io_error: IoErrorPolicy::Degrade,
             ..Default::default()
         };
@@ -2131,7 +2229,7 @@ pub(crate) mod tests {
         let path = tmp("checked_out");
         let opts = JournalOptions {
             fsync: guideline_fsync_policy(&faulty_config(97)),
-            snapshot_every: Some(2.0),
+            snapshot_every: SnapshotCadence::Every(2.0),
             ..Default::default()
         };
         let (report, _) = Farm::new(faulty_config(97), mk_bag())
@@ -2150,6 +2248,180 @@ pub(crate) mod tests {
         );
         assert_eq!(std::fs::read(&path).unwrap(), full);
         cleanup(&path);
+    }
+
+    /// The priced cadence's fixture: a 1000-task faulty farm under the
+    /// default options, with a `ring` and optional GC.
+    fn priced_opts(seed: u64, ring: u32, gc: bool) -> JournalOptions {
+        JournalOptions {
+            snapshot_ring: ring,
+            gc,
+            ..JournalOptions::guideline(&faulty_config(seed))
+        }
+    }
+
+    fn priced_bag() -> cs_tasks::TaskBag {
+        workloads::uniform(1000, 1.0).unwrap()
+    }
+
+    /// Every file a journaled run leaves at `path`, by name.
+    fn artifacts(path: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files = vec![path.to_path_buf(), segment_meta_path(path)];
+        files.extend((0..MAX_SNAPSHOT_RING).map(|g| ring_snapshot_path(path, g)));
+        files
+            .into_iter()
+            .filter_map(|p| {
+                let bytes = std::fs::read(&p).ok()?;
+                let name = p.file_name()?.to_string_lossy();
+                Some((name.rsplit('.').next()?.to_string(), bytes))
+            })
+            .collect()
+    }
+
+    /// Snapshot placement is a function of the seed and the engine's
+    /// counts: two runs of the same farm, one of them heartbeating on the
+    /// wall clock before every step, leave the same journal, segment
+    /// metadata and sidecars, byte for byte, and the same counters.
+    #[test]
+    fn priced_snapshots_fall_at_the_same_records_every_run() {
+        let (a, b) = (tmp("priced_a"), tmp("priced_b"));
+        let (report_a, stats_a) = Farm::new(faulty_config(101), priced_bag())
+            .unwrap()
+            .run_journaled(&a, priced_opts(101, 3, true), &StdVfs)
+            .unwrap();
+        let noisy = JournalOptions {
+            progress_every: Some(0.0),
+            ..priced_opts(101, 3, true)
+        };
+        let (report_b, stats_b) = Farm::new(faulty_config(101), priced_bag())
+            .unwrap()
+            .run_journaled(&b, noisy, &StdVfs)
+            .unwrap();
+        assert_reports_bitwise_equal(&report_a, &report_b);
+        assert_eq!(stats_a, stats_b);
+        assert!(stats_a.snapshots_written > 3, "{stats_a:?}");
+        assert!(stats_a.gc_truncated_records > 0, "{stats_a:?}");
+        let files = artifacts(&a);
+        assert_eq!(files.len(), 5, "journal, .seg and three generations");
+        assert!(files == artifacts(&b), "the two runs' files differ");
+        cleanup(&a);
+        cleanup(&b);
+    }
+
+    /// Counts records as the engine emits them.
+    struct Counter(u64);
+
+    impl EventSink for Counter {
+        fn emit(&mut self, _: &Event<'static>) {
+            self.0 += 1;
+        }
+    }
+
+    /// The priced rule, checked against what a 64-generation ring holds:
+    /// every sidecar sits at an event boundary whose records since the
+    /// previous sidecar pay for it, and the boundary before it did not —
+    /// so no gap overshoots the threshold by more than one event step.
+    #[test]
+    fn priced_gaps_meet_the_threshold_by_at_most_one_step() {
+        let path = tmp("priced_ring64");
+        let (_, stats) = Farm::new(faulty_config(103), priced_bag())
+            .unwrap()
+            .run_journaled(&path, priced_opts(103, 64, false), &StdVfs)
+            .unwrap();
+        assert!(stats.snapshots_written > 8, "{stats:?}");
+        let mut sidecars: Vec<u64> = (0..MAX_SNAPSHOT_RING)
+            .filter_map(|g| crate::snapshot::inspect_snapshot(ring_snapshot_path(&path, g)).ok())
+            .map(|m| m.journal_records)
+            .collect();
+        sidecars.sort_unstable();
+        assert_eq!(
+            sidecars.len() as u64,
+            stats.snapshots_written.min(u64::from(MAX_SNAPSHOT_RING))
+        );
+
+        // Every event boundary of the same farm, with the price the rule
+        // sees there; the size estimate stays close to the encoded size.
+        let farm = Farm::new(faulty_config(103), priced_bag()).unwrap();
+        let (mut sink, mut prof) = (Counter(0), SpanProfiler::disabled());
+        let mut run = FarmRun::start(farm, &mut sink, &mut prof);
+        let (mut boundaries, mut worst) = (Vec::new(), 0.0f64);
+        loop {
+            let (estimate, actual) = (
+                run.snapshot_bytes_estimate() as f64,
+                run.save_state(0, 0).encode().len() as f64,
+            );
+            worst = worst.max((estimate / actual - 1.0).abs());
+            boundaries.push((sink.0, run.snapshot_price()));
+            if !run.step(&mut sink, &mut prof) {
+                break;
+            }
+        }
+        // The per-item sizes assume 4-digit ids; this bag's are shorter.
+        assert!(worst < 0.25, "estimate off by {worst}");
+        // With the whole run retained, its start is the first gap's floor.
+        if stats.snapshots_written <= u64::from(MAX_SNAPSHOT_RING) {
+            sidecars.insert(0, boundaries[0].0);
+        }
+        for pair in sidecars.windows(2) {
+            let (from, at) = (pair[0], pair[1]);
+            let i = boundaries
+                .iter()
+                .position(|&(records, _)| records == at)
+                .unwrap_or_else(|| panic!("sidecar at record {at} is not an event boundary"));
+            let (_, price) = boundaries[i];
+            assert!(
+                (at - from) * RECORD_PRICE >= price,
+                "gap {from}..{at} is below its price {price}"
+            );
+            let (before, price_before) = boundaries[i - 1];
+            assert!(
+                before <= from || (before - from) * RECORD_PRICE < price_before,
+                "gap {from}..{at} overshoots: {before} already paid {price_before}"
+            );
+        }
+        cleanup(&path);
+    }
+
+    /// Resumed ≡ uninterrupted under the default priced cadence with a
+    /// 3-generation ring and GC: killed at several record counts, each run
+    /// resumes to the uninterrupted report and leaves the same journal,
+    /// segment metadata and sidecars, byte for byte.
+    #[test]
+    fn priced_ring_with_gc_resumes_bitwise_from_every_kill_point() {
+        let reference = tmp("priced_ref");
+        let opts = priced_opts(107, 3, true);
+        let (report, stats) = Farm::new(faulty_config(107), priced_bag())
+            .unwrap()
+            .run_journaled(&reference, opts, &StdVfs)
+            .unwrap();
+        let expected = artifacts(&reference);
+        let n = stats.records;
+        for kill_after in [5, n / 5, n / 3, n / 2, 2 * n / 3, n - 2] {
+            let path = tmp(&format!("priced_kill_{kill_after}"));
+            let killed = JournalOptions {
+                kill_after: Some(kill_after),
+                ..opts
+            };
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Farm::new(faulty_config(107), priced_bag())
+                    .unwrap()
+                    .run_journaled(&path, killed, &StdVfs)
+            }));
+            match died {
+                Err(payload) => assert!(payload.is::<Killed>(), "kill at {kill_after}"),
+                Ok(_) => panic!("the run outlived its kill at {kill_after}"),
+            }
+            let (resumed, info) =
+                Farm::resume(faulty_config(107), priced_bag(), &path, opts, &StdVfs).unwrap();
+            assert_reports_bitwise_equal(&report, &resumed);
+            assert!(info.torn_bytes_discarded > 0, "{info:?}");
+            assert!(
+                artifacts(&path) == expected,
+                "kill at {kill_after}: the resumed run's files differ"
+            );
+            cleanup(&path);
+        }
+        cleanup(&reference);
     }
 
     #[test]
@@ -2302,7 +2574,7 @@ mod properties {
             let mk_cfg = || prop_config(seed, intensity, workstations);
             let opts = JournalOptions {
                 fsync: guideline_fsync_policy(&mk_cfg()),
-                snapshot_every: Some(snap_every),
+                snapshot_every: SnapshotCadence::Every(snap_every),
                 ..Default::default()
             };
             let (reference, _) = Farm::new(mk_cfg(), mk_bag())
@@ -2392,7 +2664,7 @@ mod properties {
             let mk_cfg = || prop_config(seed, intensity, workstations);
             let opts = JournalOptions {
                 fsync: guideline_fsync_policy(&mk_cfg()),
-                snapshot_every: Some(snap_every),
+                snapshot_every: SnapshotCadence::Every(snap_every),
                 snapshot_ring: ring,
                 gc: true,
                 ..Default::default()

@@ -35,8 +35,8 @@
 //!   save-scheduling guideline ([`guideline_fsync_policy`]).
 //! * [`snapshot`] — **O(1) crash recovery**: journaled runs periodically
 //!   capture the farm's complete state (RNG streams, event queue, leases,
-//!   bag, fault cursors) to a versioned, checksummed sidecar on the same
-//!   guideline cadence; resume restores the latest snapshot and replays
+//!   bag, fault cursors) to a versioned, checksummed sidecar, priced by
+//!   default from record and state counts ([`SnapshotCadence`]); resume restores the latest snapshot and replays
 //!   only the journal tail, falling back gracefully to full redo replay
 //!   when the sidecar is missing or damaged
 //!   ([`snapshot::SnapshotOutcome`]). A snapshot is also a time-travel
@@ -80,8 +80,8 @@ pub use farm::{
 };
 pub use faults::{BeliefDrift, FaultPlan, FaultPlanError, ResilienceConfig};
 pub use journal::{
-    guideline_fsync_policy, guideline_snapshot_interval, DurableStats, IoErrorPolicy, JournalError,
-    JournalOptions, RecoveryInfo, ReplayState, MAX_SNAPSHOT_RING,
+    guideline_fsync_policy, DurableStats, IoErrorPolicy, JournalError, JournalOptions,
+    RecoveryInfo, ReplayState, SnapshotCadence, MAX_SNAPSHOT_RING,
 };
 pub use replicate::{replicate_farm, ReplicationReport};
 pub use snapshot::{

@@ -68,6 +68,9 @@ pub struct JournalWriter {
     synced_mark: f64,
     /// Largest finite event time seen so far.
     high_water: f64,
+    /// Bytes reached the file, or were cut from it, since the last sync:
+    /// a sync of a clean writer is skipped.
+    dirty: bool,
 }
 
 impl JournalWriter {
@@ -83,7 +86,8 @@ impl JournalWriter {
 
     /// Reopens an existing journal for appending, first truncating it to
     /// `valid_len` bytes (the [`read_journal`] `complete_bytes` — this is
-    /// how a resuming master discards a torn tail).
+    /// how a resuming master discards a torn tail). A cut leaves the
+    /// writer owing a sync; a file already `valid_len` long does not.
     pub fn append_at(
         path: impl AsRef<Path>,
         valid_len: u64,
@@ -99,7 +103,10 @@ impl JournalWriter {
         valid_len: u64,
         policy: FsyncPolicy,
     ) -> std::io::Result<Self> {
-        Ok(Self::from_handle(vfs.open_append(path, valid_len)?, policy))
+        let (file, cut) = vfs.open_append(path, valid_len)?;
+        let mut writer = Self::from_handle(file, policy);
+        writer.dirty = cut;
+        Ok(writer)
     }
 
     /// Wraps an already-open file (tests and special handles).
@@ -116,6 +123,7 @@ impl JournalWriter {
             error: None,
             synced_mark: 0.0,
             high_water: 0.0,
+            dirty: false,
         }
     }
 
@@ -150,7 +158,7 @@ impl JournalWriter {
     }
 
     fn sync(&mut self) {
-        if self.error.is_some() {
+        if self.error.is_some() || !self.dirty {
             return;
         }
         if let Some(f) = self.file.as_mut() {
@@ -158,14 +166,15 @@ impl JournalWriter {
                 Ok(()) => {
                     self.stats.syncs += 1;
                     self.synced_mark = self.high_water;
+                    self.dirty = false;
                 }
                 Err(e) => self.error = Some(e),
             }
         }
     }
 
-    /// Final sync, then surfaces the first latched I/O error. Returns the
-    /// durability counters on success.
+    /// Final sync (if anything is unsynced), then surfaces the first
+    /// latched I/O error. Returns the durability counters on success.
     pub fn finish(mut self) -> std::io::Result<JournalStats> {
         let (stats, err) = self.finish_parts();
         match err {
@@ -185,22 +194,21 @@ impl JournalWriter {
         }
         (self.stats, self.error.take())
     }
-}
 
-impl EventSink for JournalWriter {
-    fn emit(&mut self, event: &Event<'static>) {
+    /// [`EventSink::emit`] for a caller that has already encoded the
+    /// record: `line` must be `event.to_jsonl()` followed by `\n`.
+    pub fn emit_line(&mut self, event: &Event<'_>, line: &str) {
         if self.error.is_some() {
             return;
         }
         let Some(f) = self.file.as_mut() else {
             return;
         };
-        let mut line = event.to_jsonl();
-        line.push('\n');
         if let Err(e) = f.write_all(line.as_bytes()) {
             self.error = Some(e);
             return;
         }
+        self.dirty = true;
         self.stats.records += 1;
         if event.time.is_finite() && event.time > self.high_water {
             self.high_water = event.time;
@@ -218,6 +226,14 @@ impl EventSink for JournalWriter {
             self.sync();
         }
     }
+}
+
+impl EventSink for JournalWriter {
+    fn emit(&mut self, event: &Event<'static>) {
+        let mut line = event.to_jsonl();
+        line.push('\n');
+        self.emit_line(event, &line);
+    }
 
     fn flush_sink(&mut self) {
         self.sync();
@@ -230,7 +246,7 @@ impl Drop for JournalWriter {
         // journals dropped early (panics, error returns). Records were
         // written unbuffered, so only the final sync can still fail.
         if let Some(mut f) = self.file.take() {
-            let sync_err = f.sync_data().err();
+            let sync_err = self.dirty.then(|| f.sync_data().err()).flatten();
             if let Some(e) = self.error.take().or(sync_err) {
                 eprintln!(
                     "warning: journal incomplete ({} records committed): {e}",
@@ -461,6 +477,33 @@ mod tests {
         }
         assert_eq!(w.stats.syncs, 1, "run_end must sync despite the cadence");
         w.finish().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_clean_writer_skips_its_syncs() {
+        let path = tmp("clean");
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(1e12)).unwrap();
+        w.flush_sink();
+        assert_eq!(w.stats.syncs, 0, "nothing written yet");
+        w.emit(&sample_events()[0]);
+        w.flush_sink();
+        w.flush_sink();
+        assert_eq!(w.finish().unwrap().syncs, 1, "one write, one sync");
+
+        // Reopening at the file's own length cuts nothing: no sync owed.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let w = JournalWriter::append_at(&path, len, FsyncPolicy::EveryRecord).unwrap();
+        assert_eq!(w.finish().unwrap().syncs, 0);
+        // Cutting a torn tail is a change the disk must see.
+        std::fs::write(
+            &path,
+            [&std::fs::read(&path).unwrap()[..], b"{\"v\""].concat(),
+        )
+        .unwrap();
+        let w = JournalWriter::append_at(&path, len, FsyncPolicy::EveryRecord).unwrap();
+        assert_eq!(w.finish().unwrap().syncs, 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         std::fs::remove_file(&path).ok();
     }
 

@@ -47,7 +47,9 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
 
     /// Opens `path` for writing, truncates it to `valid_len` bytes and
     /// positions the cursor at the new end (the journal append path).
-    fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<Box<dyn VfsFile>>;
+    /// Also returns whether the length changed (a torn tail was cut): a
+    /// change not yet on stable storage.
+    fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<(Box<dyn VfsFile>, bool)>;
 
     /// Reads the whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
@@ -85,13 +87,15 @@ impl Vfs for StdVfs {
         Ok(Box::new(StdVfsFile(std::fs::File::create(path)?)))
     }
 
-    fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<Box<dyn VfsFile>> {
+    fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<(Box<dyn VfsFile>, bool)> {
         use std::io::Seek;
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
+        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+        let cut = file.metadata()?.len() != valid_len;
+        if cut {
+            file.set_len(valid_len)?;
+        }
         file.seek(io::SeekFrom::End(0))?;
-        Ok(Box::new(StdVfsFile(file)))
+        Ok((Box::new(StdVfsFile(file)), cut))
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -327,11 +331,13 @@ impl Vfs for FaultyVfs {
         }))
     }
 
-    fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<Box<dyn VfsFile>> {
-        Ok(Box::new(FaultyVfsFile {
-            inner: StdVfs.open_append(path, valid_len)?,
+    fn open_append(&self, path: &Path, valid_len: u64) -> io::Result<(Box<dyn VfsFile>, bool)> {
+        let (inner, cut) = StdVfs.open_append(path, valid_len)?;
+        let file = FaultyVfsFile {
+            inner,
             vfs: self.clone(),
-        }))
+        };
+        Ok((Box::new(file), cut))
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -390,10 +396,14 @@ mod tests {
         let path = tmp("append");
         std::fs::write(&path, b"keep\ntorn-tai").unwrap();
         {
-            let mut f = StdVfs.open_append(&path, 5).unwrap();
+            let (mut f, cut) = StdVfs.open_append(&path, 5).unwrap();
+            assert!(cut);
             f.write_all(b"more\n").unwrap();
         }
         assert_eq!(StdVfs.read(&path).unwrap(), b"keep\nmore\n");
+        // Already the right length: nothing is cut.
+        let (_, cut) = StdVfs.open_append(&path, 10).unwrap();
+        assert!(!cut);
         StdVfs.remove(&path).ok();
     }
 

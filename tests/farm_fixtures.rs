@@ -16,7 +16,7 @@
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{default_snapshot_path, guideline_fsync_policy, JournalOptions};
+use cs_now::{default_snapshot_path, guideline_fsync_policy, JournalOptions, SnapshotCadence};
 use cs_obs::vfs::StdVfs;
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::{workloads, TaskBag};
@@ -146,7 +146,7 @@ fn check_fixture(name: &str, actual: &[u8]) {
 
 /// Journals a run and checks journal bytes, snapshot sidecar bytes (if
 /// snapshotting) and the report digest against the goldens.
-fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: Option<f64>) {
+fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: SnapshotCadence) {
     let dir = std::env::temp_dir().join(format!("cs_fixture_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let journal_path = dir.join("run.jsonl");
@@ -161,7 +161,7 @@ fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: Op
         .unwrap();
     let journal = std::fs::read(&journal_path).unwrap();
     check_fixture(&format!("{tag}.journal.jsonl"), &journal);
-    if snapshot_every.is_some() {
+    if snapshot_every != SnapshotCadence::Off {
         let snap = std::fs::read(default_snapshot_path(&journal_path)).unwrap();
         check_fixture(&format!("{tag}.snapshot.txt"), &snap);
     }
@@ -175,13 +175,13 @@ fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: Op
 #[test]
 fn farm_clean_matches_golden_fixture() {
     let (config, bag) = clean_farm();
-    run_and_check("farm_clean", config, bag, None);
+    run_and_check("farm_clean", config, bag, SnapshotCadence::Off);
 }
 
 #[test]
 fn farm_faulty_matches_golden_fixture() {
     let (config, bag) = faulty_farm();
-    run_and_check("farm_faulty", config, bag, Some(25.0));
+    run_and_check("farm_faulty", config, bag, SnapshotCadence::Every(25.0));
 }
 
 /// The unjournaled path must agree with the journaled one bit-for-bit
