@@ -2308,15 +2308,6 @@ pub(crate) mod tests {
         cleanup(&b);
     }
 
-    /// Counts records as the engine emits them.
-    struct Counter(u64);
-
-    impl EventSink for Counter {
-        fn emit(&mut self, _: &Event<'static>) {
-            self.0 += 1;
-        }
-    }
-
     /// The priced rule, checked against what a 64-generation ring holds:
     /// every sidecar sits at an event boundary whose records since the
     /// previous sidecar pay for it, and the boundary before it did not —
@@ -2342,7 +2333,7 @@ pub(crate) mod tests {
         // Every event boundary of the same farm, with the price the rule
         // sees there; the size estimate stays close to the encoded size.
         let farm = Farm::new(faulty_config(103), priced_bag()).unwrap();
-        let (mut sink, mut prof) = (Counter(0), SpanProfiler::disabled());
+        let (mut sink, mut prof) = (cs_obs::MemorySink::new(), SpanProfiler::disabled());
         let mut run = FarmRun::start(farm, &mut sink, &mut prof);
         let (mut boundaries, mut worst) = (Vec::new(), 0.0f64);
         loop {
@@ -2351,7 +2342,7 @@ pub(crate) mod tests {
                 run.save_state(0, 0).encode().len() as f64,
             );
             worst = worst.max((estimate / actual - 1.0).abs());
-            boundaries.push((sink.0, run.snapshot_price()));
+            boundaries.push((sink.events.len() as u64, run.snapshot_price()));
             if !run.step(&mut sink, &mut prof) {
                 break;
             }
