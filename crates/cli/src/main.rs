@@ -849,19 +849,23 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             cs_obs::FsyncPolicy::EveryRecord => "every record".to_string(),
             cs_obs::FsyncPolicy::Interval(dt) => format!("cadence {dt:.2} virtual time"),
         };
-        let when = match opts.snapshot_every {
-            SnapshotCadence::Every(dt) => format!("every {dt:.2} virtual time"),
-            SnapshotCadence::Priced => "priced by record count and state size".to_string(),
-            SnapshotCadence::Off => String::new(),
+        let sidecars = if snapshot_ring > 1 {
+            format!(
+                "{path}.snap.0..{} ({snapshot_ring}-generation ring{})",
+                snapshot_ring - 1,
+                if journal_gc { ", journal gc" } else { "" }
+            )
+        } else {
+            format!("{path}.snap")
         };
         let snap_line = match opts.snapshot_every {
             SnapshotCadence::Off => "snapshots     : disabled (fsync-every-record farms)".into(),
-            _ if snapshot_ring > 1 => format!(
-                "snapshots     : {when} -> {path}.snap.0..{} ({snapshot_ring}-generation ring{})",
-                snapshot_ring - 1,
-                if journal_gc { ", journal gc" } else { "" }
-            ),
-            _ => format!("snapshots     : {when} -> {path}.snap"),
+            SnapshotCadence::Every(dt) => {
+                format!("snapshots     : every {dt:.2} virtual time -> {sidecars}")
+            }
+            SnapshotCadence::Priced => {
+                format!("snapshots     : priced by record count and state size -> {sidecars}")
+            }
         };
         let (report, stats) = Farm::new(config, bag)
             .map_err(|e| e.to_string())?
