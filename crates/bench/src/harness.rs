@@ -170,25 +170,21 @@ pub type SweepEntry = (&'static dyn Experiment, Result<Vec<u8>, String>);
 /// and returned in registry order, the concatenated output is
 /// byte-identical to a serial sweep for every thread count.
 ///
+/// Also hands back the work-stealing pool's scheduling snapshot for the
+/// sweep (`None` on the serial path), so the caller can surface worker
+/// utilization — the `cyclesteal exp --all` sweep turns it into a
+/// `RUN-SUMMARY` line.
+///
 /// `opts.trace_out` is not supported here (a single trace file cannot
 /// carry interleaved event streams) — callers run traced sweeps serially
 /// through [`run_to_writer`].
-pub fn run_all_buffered(opts: &ExpOptions, threads: usize) -> Vec<SweepEntry> {
-    run_all_buffered_metrics(opts, threads).0
-}
-
-/// [`run_all_buffered`] that also hands back the work-stealing pool's
-/// scheduling snapshot for the sweep (`None` on the serial path), so the
-/// caller can surface worker utilization — the `cyclesteal exp --all`
-/// sweep turns it into a `RUN-SUMMARY` line. The report bytes stay
-/// identical to [`run_all_buffered`] for every thread count.
 pub fn run_all_buffered_metrics(
     opts: &ExpOptions,
     threads: usize,
 ) -> (Vec<SweepEntry>, Option<cs_pool::PoolMetrics>) {
     assert!(
         opts.trace_out.is_none(),
-        "run_all_buffered cannot multiplex --trace-out"
+        "run_all_buffered_metrics cannot multiplex --trace-out"
     );
     let all = crate::experiments::all();
     let run_one = |i: usize| -> Result<Vec<u8>, String> {

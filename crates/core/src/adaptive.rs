@@ -12,7 +12,6 @@
 //! verified in tests); its value shows up when the life function is an
 //! estimate that can be refreshed mid-episode.
 
-use crate::recurrence::GuidelineOptions;
 use crate::search;
 use crate::{CoreError, Result, Schedule};
 use cs_life::{ArcLife, Conditional};
@@ -21,7 +20,6 @@ use cs_life::{ArcLife, Conditional};
 pub struct AdaptiveScheduler {
     base: ArcLife,
     c: f64,
-    opts: GuidelineOptions,
     elapsed: f64,
     history: Vec<f64>,
 }
@@ -35,16 +33,9 @@ impl AdaptiveScheduler {
         Ok(Self {
             base,
             c,
-            opts: GuidelineOptions::default(),
             elapsed: 0.0,
             history: Vec::new(),
         })
-    }
-
-    /// Overrides the guideline-generation options.
-    pub fn with_options(mut self, opts: GuidelineOptions) -> Self {
-        self.opts = opts;
-        self
     }
 
     /// Time elapsed across all periods committed so far.
@@ -67,8 +58,8 @@ impl AdaptiveScheduler {
             Some(Conditional::new(self.base.clone(), self.elapsed).ok()?)
         };
         let plan = match &q {
-            Some(q) => search::best_guideline_schedule_with(q, self.c, &self.opts),
-            None => search::best_guideline_schedule_with(&self.base, self.c, &self.opts),
+            Some(q) => search::best_guideline_schedule(q, self.c),
+            None => search::best_guideline_schedule(&self.base, self.c),
         }
         .ok()?;
         let t = plan.schedule.periods().first().copied()?;

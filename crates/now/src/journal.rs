@@ -64,7 +64,7 @@ use crate::snapshot::{
 };
 use cs_obs::vfs::{StdVfs, Vfs};
 use cs_obs::{
-    read_journal_with, Event, EventKind, EventSink, FsyncPolicy, JournalContents, JournalReadError,
+    read_journal, Event, EventKind, EventSink, FsyncPolicy, JournalContents, JournalReadError,
     JournalWriter, SpanProfiler,
 };
 use std::path::{Path, PathBuf};
@@ -603,7 +603,7 @@ impl Farm {
     ) -> Result<(FarmReport, DurableStats), JournalError> {
         let path = path.as_ref();
         sweep_stale(vfs, path, true);
-        let writer = JournalWriter::create_with(vfs, path, opts.fsync)?;
+        let writer = JournalWriter::create(vfs, path, opts.fsync)?;
         let mut sink = JournalSink::new(Verifier::new(Vec::new(), 0, 0), writer, FNV_OFFSET, &opts);
         let mut ctx = DriveCtx::new(vfs, path, &opts);
         let mut prof = SpanProfiler::disabled();
@@ -660,8 +660,7 @@ impl Farm {
                 );
             }
         }
-        let writer =
-            JournalWriter::append_at_with(vfs, path, rec.journal.complete_bytes, opts.fsync)?;
+        let writer = JournalWriter::append_at(vfs, path, rec.journal.complete_bytes, opts.fsync)?;
         let mut ctx = DriveCtx::new(vfs, path, &opts);
         ctx.seg_base = rec.base;
         ctx.ring_meta = rec.ring_meta;
@@ -1082,7 +1081,7 @@ fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
             bytes.len() as u64
         }
     };
-    match JournalWriter::append_at_with(ctx.vfs, &ctx.path, reopen_len, ctx.fsync) {
+    match JournalWriter::append_at(ctx.vfs, &ctx.path, reopen_len, ctx.fsync) {
         Ok(w) => sink.writer = w,
         Err(e) => {
             // The retired writer stays in place (it swallows further
@@ -1274,7 +1273,7 @@ fn recover(
 ) -> Result<Recovery, JournalError> {
     let restore_config = config.clone();
     let farm = Farm::new(config, bag)?;
-    let mut journal = read_journal_with(vfs, path)?;
+    let mut journal = read_journal(vfs, path)?;
     let records = std::mem::take(&mut journal.records);
     let candidates = collect_candidates(vfs, path, &farm);
     let (base, base_hash, inferred) = segment_base(vfs, path, &records, &farm, &candidates)?;
@@ -1492,7 +1491,7 @@ pub(crate) mod tests {
     use crate::farm::{PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
     use cs_life::{ArcLife, Uniform};
-    use cs_obs::{read_journal, NoopSink};
+    use cs_obs::NoopSink;
     use cs_tasks::workloads;
     use std::sync::Arc;
 
@@ -1579,7 +1578,7 @@ pub(crate) mod tests {
         assert_eq!(actual, expected);
 
         // And it reads back clean and passes the invariant gate.
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert!(!j.is_torn());
         assert_eq!(j.records.len() as u64, stats.records);
         let check = cs_obs::check_text(&actual, true);

@@ -9,19 +9,10 @@
 //! During an episode, A parcels chunks sized by a [`cs_sim::ChunkPolicy`] —
 //! guideline (the paper's contribution), greedy, or fixed-size.
 //!
-//! Two execution engines:
-//!
 //! * [`farm`] — a deterministic **virtual-time farm simulator**: chunk
 //!   requests from all workstations are served in global virtual-time order
 //!   from the shared bag, so results are exactly reproducible and policy
-//!   comparisons are apples-to-apples. This is the engine the experiments
-//!   use.
-//! * [`live`] — a **real threaded executor**: one scoped thread per
-//!   borrowed workstation, all sharing the master's bag behind one mutex,
-//!   each checking its owner's reclaim deadline at task boundaries, with
-//!   real (synthetic-compute) task execution. This demonstrates the library
-//!   driving actual concurrent workers; the virtual→wall-clock scale is
-//!   configurable.
+//!   comparisons are apples-to-apples. This is the one execution engine.
 //! * [`replicate`] — parallel Monte-Carlo replication of farm simulations
 //!   across seeds (scoped threads) with merged summary statistics.
 //! * [`faults`] — deterministic fault injection (message loss, stragglers,
@@ -70,7 +61,6 @@ mod equeue;
 pub mod farm;
 pub mod faults;
 pub mod journal;
-pub mod live;
 pub mod replicate;
 pub mod snapshot;
 

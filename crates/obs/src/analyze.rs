@@ -29,7 +29,7 @@
 //! monotone wall-clock span timestamps, monotone `mc_progress.done`
 //! within a run, and well-bracketed runs.
 
-use crate::event::{Event, EventKind, SCHEMA_VERSION};
+use crate::event::{Event, EventKind};
 use crate::json::{parse_json, Json};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::sink::MetricsSink;
@@ -687,12 +687,6 @@ pub fn diff_bench(a_text: &str, b_text: &str, threshold: f64) -> Result<Vec<Diff
     Ok(rows)
 }
 
-/// The schema version the analyzer writes and understands (re-exported
-/// so CLI help text stays in one place).
-pub fn analyzer_schema_version() -> u32 {
-    SCHEMA_VERSION
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1010,11 +1004,6 @@ mod tests {
         assert!(rows
             .iter()
             .any(|r| r.name == "farm.spans.farm.dispatch.mean_ns" && r.flagged));
-    }
-
-    #[test]
-    fn schema_version_accessor_matches() {
-        assert_eq!(analyzer_schema_version(), crate::SCHEMA_VERSION);
     }
 
     #[test]

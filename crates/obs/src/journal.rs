@@ -22,8 +22,7 @@
 
 use crate::event::{Event, EventKind};
 use crate::sink::EventSink;
-use crate::vfs::{StdVfs, StdVfsFile, Vfs, VfsFile};
-use std::fs::File;
+use crate::vfs::{Vfs, VfsFile};
 use std::path::Path;
 
 /// When [`JournalWriter`] forces records to stable storage.
@@ -74,13 +73,9 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) `path` and returns a journal writing to it.
-    pub fn create(path: impl AsRef<Path>, policy: FsyncPolicy) -> std::io::Result<Self> {
-        Self::create_with(&StdVfs, path.as_ref(), policy)
-    }
-
-    /// [`JournalWriter::create`] through an injectable [`Vfs`].
-    pub fn create_with(vfs: &dyn Vfs, path: &Path, policy: FsyncPolicy) -> std::io::Result<Self> {
+    /// Creates (truncating) `path` through `vfs` and returns a journal
+    /// writing to it.
+    pub fn create(vfs: &dyn Vfs, path: &Path, policy: FsyncPolicy) -> std::io::Result<Self> {
         Ok(Self::from_handle(vfs.create(path)?, policy))
     }
 
@@ -89,15 +84,6 @@ impl JournalWriter {
     /// how a resuming master discards a torn tail). A cut leaves the
     /// writer owing a sync; a file already `valid_len` long does not.
     pub fn append_at(
-        path: impl AsRef<Path>,
-        valid_len: u64,
-        policy: FsyncPolicy,
-    ) -> std::io::Result<Self> {
-        Self::append_at_with(&StdVfs, path.as_ref(), valid_len, policy)
-    }
-
-    /// [`JournalWriter::append_at`] through an injectable [`Vfs`].
-    pub fn append_at_with(
         vfs: &dyn Vfs,
         path: &Path,
         valid_len: u64,
@@ -109,13 +95,8 @@ impl JournalWriter {
         Ok(writer)
     }
 
-    /// Wraps an already-open file (tests and special handles).
-    pub fn from_file(file: File, policy: FsyncPolicy) -> Self {
-        Self::from_handle(Box::new(StdVfsFile(file)), policy)
-    }
-
     /// Wraps an already-open [`VfsFile`] handle.
-    pub fn from_handle(file: Box<dyn VfsFile>, policy: FsyncPolicy) -> Self {
+    fn from_handle(file: Box<dyn VfsFile>, policy: FsyncPolicy) -> Self {
         Self {
             file: Some(file),
             policy,
@@ -323,12 +304,7 @@ impl From<std::io::Error> for JournalReadError {
 ///   write);
 /// * an invalid line *followed by* further records → hard
 ///   [`JournalReadError::Corrupt`].
-pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalContents, JournalReadError> {
-    read_journal_with(&StdVfs, path.as_ref())
-}
-
-/// [`read_journal`] through an injectable [`Vfs`].
-pub fn read_journal_with(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, JournalReadError> {
+pub fn read_journal(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, JournalReadError> {
     let bytes = vfs.read(path)?;
     let mut out = JournalContents::default();
     let mut offset = 0usize;
@@ -372,6 +348,8 @@ pub fn read_journal_with(vfs: &dyn Vfs, path: &Path) -> Result<JournalContents, 
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::vfs::{StdVfs, StdVfsFile};
+    use std::fs::File;
 
     fn ev(time: f64, kind: EventKind<'static>) -> Event<'static> {
         Event { time, kind }
@@ -424,14 +402,14 @@ mod tests {
     #[test]
     fn writes_and_reads_round_trip() {
         let path = tmp("roundtrip");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
         let stats = w.finish().unwrap();
         assert_eq!(stats.records, 4);
         assert!(stats.syncs >= 4, "{stats:?}");
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 4);
         assert!(!j.is_torn());
         let text = std::fs::read_to_string(&path).unwrap();
@@ -449,7 +427,7 @@ mod tests {
     #[test]
     fn interval_policy_syncs_less_often() {
         let path = tmp("interval");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(100.0)).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::Interval(100.0)).unwrap();
         for i in 0..50u64 {
             w.emit(&ev(i as f64, EventKind::EpisodeStart { ws: 0 }));
         }
@@ -459,7 +437,7 @@ mod tests {
         // only the finish sync fires.
         assert_eq!(lazy.syncs, 1, "{lazy:?}");
 
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(10.0)).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::Interval(10.0)).unwrap();
         for i in 0..50u64 {
             w.emit(&ev(i as f64, EventKind::EpisodeStart { ws: 0 }));
         }
@@ -471,7 +449,7 @@ mod tests {
     #[test]
     fn run_end_forces_a_commit_under_interval_policy() {
         let path = tmp("runend");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(1e12)).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::Interval(1e12)).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
@@ -483,7 +461,7 @@ mod tests {
     #[test]
     fn a_clean_writer_skips_its_syncs() {
         let path = tmp("clean");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::Interval(1e12)).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::Interval(1e12)).unwrap();
         w.flush_sink();
         assert_eq!(w.stats.syncs, 0, "nothing written yet");
         w.emit(&sample_events()[0]);
@@ -493,7 +471,7 @@ mod tests {
 
         // Reopening at the file's own length cuts nothing: no sync owed.
         let len = std::fs::metadata(&path).unwrap().len();
-        let w = JournalWriter::append_at(&path, len, FsyncPolicy::EveryRecord).unwrap();
+        let w = JournalWriter::append_at(&StdVfs, &path, len, FsyncPolicy::EveryRecord).unwrap();
         assert_eq!(w.finish().unwrap().syncs, 0);
         // Cutting a torn tail is a change the disk must see.
         std::fs::write(
@@ -501,7 +479,7 @@ mod tests {
             [&std::fs::read(&path).unwrap()[..], b"{\"v\""].concat(),
         )
         .unwrap();
-        let w = JournalWriter::append_at(&path, len, FsyncPolicy::EveryRecord).unwrap();
+        let w = JournalWriter::append_at(&StdVfs, &path, len, FsyncPolicy::EveryRecord).unwrap();
         assert_eq!(w.finish().unwrap().syncs, 1);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         std::fs::remove_file(&path).ok();
@@ -510,14 +488,14 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
         let path = tmp("torn");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
         let clean_len = std::fs::metadata(&path).unwrap().len();
         w.write_raw(b"{\"v\":2,\"t\":12.5,\"ty");
         drop(w);
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 4);
         assert!(j.is_torn());
         assert_eq!(j.complete_bytes, clean_len);
@@ -528,13 +506,13 @@ mod tests {
     #[test]
     fn newline_terminated_garbage_tail_is_torn_too() {
         let path = tmp("garbage_tail");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
         w.write_raw(b"{\"v\":2,\"t\":\n");
         drop(w);
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 4);
         assert!(j.is_torn());
         std::fs::remove_file(&path).ok();
@@ -543,7 +521,7 @@ mod tests {
     #[test]
     fn mid_file_damage_is_corruption() {
         let path = tmp("corrupt");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         for e in sample_events() {
             w.emit(&e);
         }
@@ -551,7 +529,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replacen("\"type\":\"dispatch\"", "\"type\":\"disptach\"", 1);
         std::fs::write(&path, tampered).unwrap();
-        match read_journal(&path) {
+        match read_journal(&StdVfs, &path) {
             Err(JournalReadError::Corrupt { line: 2, reason }) => {
                 assert!(reason.contains("disptach"), "{reason}");
             }
@@ -563,20 +541,21 @@ mod tests {
     #[test]
     fn append_at_truncates_the_torn_tail_and_continues() {
         let path = tmp("append");
-        let mut w = JournalWriter::create(&path, FsyncPolicy::EveryRecord).unwrap();
+        let mut w = JournalWriter::create(&StdVfs, &path, FsyncPolicy::EveryRecord).unwrap();
         let events = sample_events();
         w.emit(&events[0]);
         w.emit(&events[1]);
         w.write_raw(b"{\"v\":2,\"t");
         drop(w);
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert_eq!(j.records.len(), 2);
         let mut w =
-            JournalWriter::append_at(&path, j.complete_bytes, FsyncPolicy::EveryRecord).unwrap();
+            JournalWriter::append_at(&StdVfs, &path, j.complete_bytes, FsyncPolicy::EveryRecord)
+                .unwrap();
         w.emit(&events[2]);
         w.emit(&events[3]);
         w.finish().unwrap();
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert!(!j.is_torn());
         assert_eq!(
             j.records,
@@ -589,7 +568,7 @@ mod tests {
     fn empty_journal_reads_empty() {
         let path = tmp("empty");
         std::fs::write(&path, b"").unwrap();
-        let j = read_journal(&path).unwrap();
+        let j = read_journal(&StdVfs, &path).unwrap();
         assert!(j.records.is_empty());
         assert!(!j.is_torn());
         assert_eq!(j.complete_bytes, 0);
@@ -601,7 +580,8 @@ mod tests {
         let path = tmp("readonly");
         std::fs::write(&path, b"").unwrap();
         let file = File::open(&path).unwrap(); // read-only handle
-        let mut w = JournalWriter::from_file(file, FsyncPolicy::EveryRecord);
+        let mut w =
+            JournalWriter::from_handle(Box::new(StdVfsFile(file)), FsyncPolicy::EveryRecord);
         for e in sample_events() {
             w.emit(&e);
         }

@@ -36,9 +36,8 @@
 //!   wall-time phase attribution that sums to `workstations × makespan`, a
 //!   bitwise lost-work reconciliation and the makespan critical path (behind
 //!   `cyclesteal obs path` / `obs chunks`).
-//! * [`flight`] — **live telemetry**: [`FlightRecorder`] (bounded
-//!   drop-oldest ring with dump-on-demand/panic) and [`ProgressSink`]
-//!   (wall-clock-cadenced `RUN-PROGRESS` heartbeat lines).
+//! * [`flight`] — **live telemetry** for runs still in flight:
+//!   [`ProgressSink`] (wall-clock-cadenced `RUN-PROGRESS` heartbeat lines).
 //! * [`summary`] — the shared `RUN-SUMMARY` JSON emitter for `exp_*`
 //!   binaries.
 //! * [`vfs`] — the **injectable filesystem** under the durability layer:
@@ -73,10 +72,9 @@ pub use analyze::{
     analyze_trace, check_text, diff_bench, diff_registries, CheckSummary, DiffRow, TraceAnalysis,
 };
 pub use event::{Event, EventKind, ALL_KINDS, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-pub use flight::{FlightRecorder, ProgressSink};
+pub use flight::ProgressSink;
 pub use journal::{
-    read_journal, read_journal_with, FsyncPolicy, JournalContents, JournalReadError, JournalStats,
-    JournalWriter,
+    read_journal, FsyncPolicy, JournalContents, JournalReadError, JournalStats, JournalWriter,
 };
 pub use json::{parse_json, Json};
 pub use lineage::{analyze_lineage, ChunkFate, ChunkRecord, LineageAnalysis, PhaseAttribution};

@@ -18,7 +18,7 @@
 //! [`injected_kind`].
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -360,18 +360,12 @@ impl Vfs for FaultyVfs {
     }
 }
 
-/// Convenience: full path helper for tests that stage files under a
-/// temp directory.
-pub fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        temp_path(&format!("cs_obs_vfs_{name}_{}", std::process::id()))
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cs_obs_vfs_{name}_{}", std::process::id()))
     }
 
     #[test]

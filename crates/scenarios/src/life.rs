@@ -7,8 +7,10 @@
 //!   round-tripped by the [`Display`](std::fmt::Display) impl), used by scenario strings and
 //!   the experiment harness, and
 //! * `--key value` option lookups ([`LifeSpec::from_lookup`]), used by the
-//!   `cyclesteal` CLI — its defaults and error messages are preserved
-//!   verbatim from the original `cs-cli::life_spec` module.
+//!   `cyclesteal` CLI.
+//!
+//! Both run the same per-family table, so a surface cannot accept a
+//! parameter the other rejects.
 
 use cs_life::{
     ArcLife, GeometricDecreasing, GeometricIncreasing, Pareto, Polynomial, Uniform, Weibull,
@@ -71,11 +73,14 @@ pub enum LifeSpec {
     },
 }
 
-/// One `key=val` parameter bag for [`LifeSpec::parse`], with CLI-grade
-/// duplicate/unknown rejection.
+/// One parameter bag, from either surface, with CLI-grade duplicate and
+/// unknown rejection.
 struct Params<'a> {
     family: &'a str,
     pairs: Vec<(&'a str, &'a str)>,
+    /// The keys came from `--key value` options, so errors name them as
+    /// flags.
+    flags: bool,
 }
 
 impl<'a> Params<'a> {
@@ -92,36 +97,45 @@ impl<'a> Params<'a> {
                 pairs.push((k, v));
             }
         }
-        Ok(Self { family, pairs })
+        Ok(Self {
+            family,
+            pairs,
+            flags: false,
+        })
     }
 
-    fn take(&mut self, key: &str) -> Option<&'a str> {
-        let at = self.pairs.iter().position(|&(k, _)| k == key)?;
-        Some(self.pairs.remove(at).1)
+    /// An error about `key`: `--key: …` for a flag, `family: key: …` in
+    /// the compact grammar.
+    fn error(&self, key: &str, msg: &str) -> String {
+        if self.flags {
+            format!("--{key}: {msg}")
+        } else {
+            format!("{}: {key}: {msg}", self.family)
+        }
+    }
+
+    fn take<T: std::str::FromStr>(&mut self, key: &str, what: &str) -> Result<Option<T>, String> {
+        let Some(at) = self.pairs.iter().position(|&(k, _)| k == key) else {
+            return Ok(None);
+        };
+        let v = self.pairs.remove(at).1;
+        v.parse()
+            .map(Some)
+            .map_err(|_| self.error(key, &format!("expected {what}, got {v:?}")))
     }
 
     fn take_f64(&mut self, key: &str, default: f64) -> Result<f64, String> {
-        match self.take(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{}: {key}: bad number {v:?}", self.family)),
-        }
+        Ok(self.take(key, "a number")?.unwrap_or(default))
     }
 
     fn take_u32(&mut self, key: &str, default: u32) -> Result<u32, String> {
-        match self.take(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{}: {key}: bad integer {v:?}", self.family)),
-        }
+        Ok(self.take(key, "an integer")?.unwrap_or(default))
     }
 
     fn finish(self) -> Result<(), String> {
         match self.pairs.first() {
             None => Ok(()),
-            Some(&(k, _)) => Err(format!("{}: unknown parameter {k:?}", self.family)),
+            Some(&(k, _)) => Err(self.error(k, &format!("unused by family {}", self.family))),
         }
     }
 }
@@ -133,8 +147,34 @@ impl LifeSpec {
             Some((f, b)) => (f, b),
             None => (s, ""),
         };
-        let mut p = Params::parse(family, body)?;
-        let spec = match family {
+        Self::from_params(Params::parse(family, body)?)
+    }
+
+    /// Builds a life-function spec from `--key value` option lookups (the
+    /// CLI surface) over the [`LIFE_OPTS`] keys, with the grammar of
+    /// [`LifeSpec::parse`]. The family defaults to `uniform`, `d` to 2, `a`
+    /// to 2, `k` to 1.5, and lifespans/scales to NaN so the family
+    /// constructor rejects their absence in [`LifeSpec::build`]. A flag
+    /// the family does not take is an error.
+    pub fn from_lookup<'a, F>(get: F) -> Result<Self, String>
+    where
+        F: Fn(&str) -> Option<&'a str>,
+    {
+        let pairs = LIFE_OPTS
+            .iter()
+            .filter(|&&k| k != "family")
+            .filter_map(|&k| get(k).map(|v| (k, v)))
+            .collect();
+        Self::from_params(Params {
+            family: get("family").unwrap_or("uniform"),
+            pairs,
+            flags: true,
+        })
+    }
+
+    /// The per-family parameter table both surfaces share.
+    fn from_params(mut p: Params<'_>) -> Result<Self, String> {
+        let spec = match p.family {
             "uniform" => LifeSpec::Uniform {
                 l: p.take_f64("l", f64::NAN)?,
             },
@@ -142,20 +182,16 @@ impl LifeSpec {
                 d: p.take_u32("d", 2)?,
                 l: p.take_f64("l", f64::NAN)?,
             },
-            "geometric" | "geo" => {
-                if let Some(h) = p.take("half-life") {
-                    let h: f64 = h
-                        .parse()
-                        .map_err(|_| format!("geometric: half-life: bad number {h:?}"))?;
+            "geometric" | "geo" => match p.take("half-life", "a number")? {
+                Some(h) => {
                     let g = GeometricDecreasing::from_half_life(h)
                         .map_err(|e| format!("geometric: {e}"))?;
                     LifeSpec::Geometric { a: g.a() }
-                } else {
-                    LifeSpec::Geometric {
-                        a: p.take_f64("a", 2.0)?,
-                    }
                 }
-            }
+                None => LifeSpec::Geometric {
+                    a: p.take_f64("a", 2.0)?,
+                },
+            },
             "increasing" | "coffee" => LifeSpec::Increasing {
                 l: p.take_f64("l", f64::NAN)?,
             },
@@ -174,69 +210,6 @@ impl LifeSpec {
         };
         p.finish()?;
         Ok(spec)
-    }
-
-    /// Builds a life-function spec from `--key value` option lookups (the
-    /// CLI surface). Defaults and error messages match the original
-    /// `cyclesteal` behaviour exactly: the family defaults to `uniform`,
-    /// `d` to 2, `a` to 2, `k` to 1.5, and lifespans/scales to NaN so the
-    /// family constructor rejects their absence in [`LifeSpec::build`].
-    pub fn from_lookup<'a, F>(get: F) -> Result<Self, String>
-    where
-        F: Fn(&str) -> Option<&'a str>,
-    {
-        let f64_or = |key: &str, default: f64| -> Result<f64, String> {
-            match get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| format!("--{key}: expected a number, got {v:?}")),
-            }
-        };
-        let usize_or = |key: &str, default: usize| -> Result<usize, String> {
-            match get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| format!("--{key}: expected an integer, got {v:?}")),
-            }
-        };
-        match get("family").unwrap_or("uniform") {
-            "uniform" => Ok(LifeSpec::Uniform {
-                l: f64_or("l", f64::NAN)?,
-            }),
-            "poly" | "polynomial" => Ok(LifeSpec::Poly {
-                d: usize_or("d", 2)? as u32,
-                l: f64_or("l", f64::NAN)?,
-            }),
-            "geometric" | "geo" => {
-                if let Some(h) = get("half-life") {
-                    let h: f64 = h
-                        .parse()
-                        .map_err(|_| format!("--half-life: bad number {h:?}"))?;
-                    let g = GeometricDecreasing::from_half_life(h)
-                        .map_err(|e| format!("geometric: {e}"))?;
-                    Ok(LifeSpec::Geometric { a: g.a() })
-                } else {
-                    Ok(LifeSpec::Geometric {
-                        a: f64_or("a", 2.0)?,
-                    })
-                }
-            }
-            "increasing" | "coffee" => Ok(LifeSpec::Increasing {
-                l: f64_or("l", f64::NAN)?,
-            }),
-            "pareto" => Ok(LifeSpec::Pareto {
-                d: f64_or("d", 2.0)?,
-            }),
-            "weibull" => Ok(LifeSpec::Weibull {
-                k: f64_or("k", 1.5)?,
-                lambda: f64_or("lambda", f64::NAN)?,
-            }),
-            other => Err(format!(
-                "unknown family {other:?}; expected uniform | poly | geometric | increasing | pareto | weibull"
-            )),
-        }
     }
 
     /// Instantiates the life function, validating parameters. Error
@@ -368,7 +341,21 @@ mod tests {
         assert_eq!(err, "--d: expected an integer, got \"x\"");
         let err =
             LifeSpec::from_lookup(get(&[("family", "geometric"), ("half-life", "x")])).unwrap_err();
-        assert_eq!(err, "--half-life: bad number \"x\"");
+        assert_eq!(err, "--half-life: expected a number, got \"x\"");
+        // An out-of-range integer is rejected, not truncated to d = 2.
+        let err =
+            LifeSpec::from_lookup(get(&[("family", "poly"), ("d", "4294967298")])).unwrap_err();
+        assert_eq!(err, "--d: expected an integer, got \"4294967298\"");
+        // A flag meant for another family is rejected, not ignored.
+        let err = LifeSpec::from_lookup(get(&[("family", "pareto"), ("a", "0")])).unwrap_err();
+        assert_eq!(err, "--a: unused by family pareto");
+        let err = LifeSpec::from_lookup(get(&[
+            ("family", "geometric"),
+            ("half-life", "10"),
+            ("a", "5"),
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "--a: unused by family geometric");
         let err = LifeSpec::from_lookup(get(&[("family", "martian")])).unwrap_err();
         assert!(err.starts_with("unknown family \"martian\""), "{err}");
         // Missing lifespan surfaces the family-prefixed constructor error.

@@ -7,7 +7,6 @@
 //! next period be?* This is exactly the progressive decision loop of §6.
 
 use cs_core::greedy::{greedy_step, GreedyOptions};
-use cs_core::recurrence::GuidelineOptions;
 use cs_core::search;
 use cs_core::Schedule;
 use cs_life::{ArcLife, Conditional};
@@ -194,7 +193,7 @@ impl ChunkPolicy for GreedyPolicy {
 
 /// Shared memo-cache for [`GuidelinePolicy`] searches.
 ///
-/// `next_period` is a pure function of `(life, c, opts, elapsed)`: the
+/// `next_period` is a pure function of `(life, c, elapsed)`: the
 /// bracket + grid search draws on nothing else. Within a run, `elapsed`
 /// values recur heavily — the elapsed chain is built by repeated
 /// `fl(fl(start + t) - start)` round-trips, which collapse onto a handful
@@ -204,7 +203,7 @@ impl ChunkPolicy for GreedyPolicy {
 /// the search produced, so cached and uncached runs are bit-identical.
 ///
 /// Sharing is the caller's contract: a cache must only be shared between
-/// policies constructed with the same life function, `c`, and options.
+/// policies constructed with the same life function and `c`.
 /// `cs_scenarios::PolicyCaches` enforces this by keying on
 /// `(Arc::as_ptr(life), c.to_bits())`.
 pub struct GuidelineCache {
@@ -272,7 +271,6 @@ impl Default for GuidelineCache {
 pub struct GuidelinePolicy {
     life: ArcLife,
     c: f64,
-    opts: GuidelineOptions,
     cache: Option<Arc<GuidelineCache>>,
 }
 
@@ -282,7 +280,6 @@ impl GuidelinePolicy {
         Self {
             life,
             c,
-            opts: GuidelineOptions::default(),
             cache: None,
         }
     }
@@ -294,17 +291,16 @@ impl GuidelinePolicy {
         Self {
             life,
             c,
-            opts: GuidelineOptions::default(),
             cache: Some(cache),
         }
     }
 
     fn search_period(&self, elapsed: f64) -> Option<f64> {
         let plan = if elapsed == 0.0 {
-            search::best_guideline_schedule_with(&self.life, self.c, &self.opts).ok()?
+            search::best_guideline_schedule(&self.life, self.c).ok()?
         } else {
             let q = Conditional::new(self.life.clone(), elapsed).ok()?;
-            search::best_guideline_schedule_with(&q, self.c, &self.opts).ok()?
+            search::best_guideline_schedule(&q, self.c).ok()?
         };
         let t = plan.schedule.periods().first().copied()?;
         if t <= self.c || plan.expected_work <= 0.0 {

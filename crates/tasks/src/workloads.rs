@@ -9,9 +9,7 @@
 //! * [`jittered`] — identical up to bounded multiplicative noise
 //!   (data-dependent inner loops);
 //! * [`bimodal`] — a fast/slow mixture (e.g. cheap rejection vs full
-//!   evaluation);
-//! * [`pareto_tail`] — heavy-tailed durations (render farms, adaptive
-//!   integration), the stress case for chunk packing.
+//!   evaluation).
 
 use crate::TaskBag;
 use rand::Rng;
@@ -74,33 +72,6 @@ pub fn bimodal(
     Ok(bag)
 }
 
-/// `n` tasks with Pareto-tailed durations: `min_duration · U^{−1/alpha}`
-/// (`U ~ U(0,1)`), capped at `cap` to keep single tasks schedulable.
-pub fn pareto_tail(
-    n: usize,
-    min_duration: f64,
-    alpha: f64,
-    cap: f64,
-    rng: &mut impl Rng,
-) -> Result<TaskBag, &'static str> {
-    if !(min_duration.is_finite() && min_duration > 0.0) {
-        return Err("min_duration must be positive");
-    }
-    if !(alpha.is_finite() && alpha > 0.0) {
-        return Err("alpha must be positive");
-    }
-    if !(cap >= min_duration) {
-        return Err("cap must be at least min_duration");
-    }
-    let mut bag = TaskBag::new();
-    for _ in 0..n {
-        let u: f64 = rng.random::<f64>().max(1e-12);
-        let d = (min_duration * u.powf(-1.0 / alpha)).min(cap);
-        bag.push(d)?;
-    }
-    Ok(bag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +105,6 @@ mod tests {
         // Expected mean = 0.9*1 + 0.1*10 = 1.9.
         assert!((mean - 1.9).abs() < 0.25, "mean = {mean}");
         assert!(bimodal(5, 1.0, 2.0, 1.5, &mut rng).is_err());
-    }
-
-    #[test]
-    fn pareto_tail_capped() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let bag = pareto_tail(500, 0.5, 1.5, 40.0, &mut rng).unwrap();
-        assert_eq!(bag.pending_count(), 500);
-        assert!(pareto_tail(5, 1.0, 1.0, 0.5, &mut rng).is_err());
-        assert!(pareto_tail(5, 1.0, 0.0, 10.0, &mut rng).is_err());
     }
 
     #[test]

@@ -4,23 +4,17 @@
 //! Eight borrowed workstations with heterogeneous owner behaviour chew
 //! through a bag of 2,000 independent tasks. The same farm runs under three
 //! chunk-sizing policies (the paper's guideline scheduler, myopic greedy,
-//! fixed-size chunks), first in the deterministic virtual-time simulator,
-//! then — smaller — on real threads with the live executor.
+//! fixed-size chunks) in the deterministic virtual-time simulator.
 //!
 //! Run with: `cargo run --release --example now_farm`
 
 use cs_apps::{fmt, Table};
-use cs_core::{search, Schedule};
 use cs_life::{ArcLife, GeometricDecreasing, Polynomial, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::live::{run_live, LiveWorker};
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A heterogeneous NOW: uniform-risk desktops, a half-life laptop dock, and
 /// slow-decay polynomial machines.
@@ -73,41 +67,4 @@ fn main() {
     }
     println!("Virtual-time farm simulator (identical seeds per policy):");
     println!("{}", table.render());
-
-    // --- Live threaded executor --------------------------------------------
-    println!("Live threaded executor (4 worker threads, real synthetic compute):");
-    let mut bag = workloads::uniform(200, 1.0).expect("bag");
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut workers = Vec::new();
-    for i in 0..4 {
-        let life = Uniform::new(120.0 + 20.0 * i as f64).expect("life");
-        let plan = search::best_guideline_schedule(&life, 2.0).expect("plan");
-        let reclaim = {
-            use rand::Rng;
-            let u: f64 = rng.random();
-            cs_life::LifeFunction::inverse_survival(&life, u)
-        };
-        workers.push(LiveWorker {
-            schedule: plan.schedule,
-            c: 2.0,
-            reclaim_at: reclaim,
-        });
-    }
-    // Also one naive worker with a single huge chunk, to show the kill cost.
-    workers.push(LiveWorker {
-        schedule: Schedule::new(vec![100.0]).expect("schedule"),
-        c: 2.0,
-        reclaim_at: 50.0,
-    });
-    let out = run_live(&mut bag, &workers, Duration::from_micros(60));
-    println!(
-        "  banked {:.0} task-units across {} tasks; lost {:.0} to reclamations \
-         ({} chunks killed); wall time {:?}",
-        out.completed_work, out.tasks_completed, out.lost_work, out.chunks_lost, out.wall
-    );
-    println!(
-        "  bag: {} completed / {} still pending",
-        bag.completed_count(),
-        bag.pending_count()
-    );
 }

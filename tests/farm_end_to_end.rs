@@ -1,16 +1,13 @@
-//! End-to-end NOW farm: task bag + policies + virtual-time farm + live
-//! threaded executor, spanning cs-tasks, cs-sim and cs-now.
+//! End-to-end NOW farm: task bag + policies + virtual-time farm, spanning
+//! cs-tasks, cs-sim and cs-now.
 
-use cs_core::{search, Schedule};
 use cs_life::{ArcLife, GeometricDecreasing, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::live::{run_live, LiveWorker};
 use cs_now::replicate::replicate_farm;
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn homogeneous(n: usize, l: f64, c: f64, policy: PolicyKind) -> Vec<WorkstationConfig> {
     (0..n)
@@ -123,39 +120,4 @@ fn hostile_now_still_drains_with_one_healthy_workstation() {
     let rb = &r.robustness;
     assert!(rb.messages_lost > 0, "{rb:?}");
     assert!(rb.lease_timeouts > 0, "{rb:?}");
-}
-
-#[test]
-fn live_executor_agrees_with_bag_accounting() {
-    let mut bag = workloads::jittered(
-        120,
-        1.0,
-        0.3,
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(8),
-    )
-    .unwrap();
-    let initial = bag.pending_work();
-    let life = Uniform::new(150.0).unwrap();
-    let plan = search::best_guideline_schedule(&life, 2.0).unwrap();
-    let workers = vec![
-        LiveWorker {
-            schedule: plan.schedule.clone(),
-            c: 2.0,
-            reclaim_at: 70.0,
-        },
-        LiveWorker {
-            schedule: plan.schedule,
-            c: 2.0,
-            reclaim_at: 1e9,
-        },
-        LiveWorker {
-            schedule: Schedule::new(vec![40.0, 40.0]).unwrap(),
-            c: 2.0,
-            reclaim_at: 55.0,
-        },
-    ];
-    let out = run_live(&mut bag, &workers, Duration::from_micros(30));
-    assert!((bag.completed_work() + bag.pending_work() - initial).abs() < 1e-9);
-    assert!((out.completed_work - bag.completed_work()).abs() < 1e-9);
-    assert!(out.tasks_completed > 0);
 }
