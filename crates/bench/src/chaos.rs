@@ -36,7 +36,7 @@ use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::{
-    default_snapshot_path, inspect_snapshot, IoErrorPolicy, JournalError, JournalOptions,
+    inspect_snapshot, ring_snapshot_path, IoErrorPolicy, JournalError, JournalOptions,
     SnapshotCadence, SnapshotErrorKind, SnapshotOutcome,
 };
 use cs_obs::vfs::StdVfs;
@@ -235,7 +235,7 @@ fn run_disk_trial(
     let (prefix, snap_bytes) = staged;
     let (ref_report, ref_bytes) = reference;
     let trial_path = scratch_path(&format!("trial_{}_{trial}", cfg.seed));
-    let trial_snap = default_snapshot_path(&trial_path);
+    let trial_snap = ring_snapshot_path(&trial_path, 0);
     t.disk_trial = true;
     let kind = ALL_FAULT_KINDS[trial % ALL_FAULT_KINDS.len()];
     let index = (trial / ALL_FAULT_KINDS.len()) as u64 % 3;
@@ -352,7 +352,7 @@ fn run_disk_trial(
 /// failures (unwritable temp dir, invalid scenario) are `Err`.
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     let ref_path = scratch_path(&format!("ref_{}", cfg.seed));
-    let ref_snap = default_snapshot_path(&ref_path);
+    let ref_snap = ring_snapshot_path(&ref_path, 0);
     let config = chaos_farm_config(cfg);
     let opts = JournalOptions {
         snapshot_every: SnapshotCadence::Every(cfg.snapshot_every),
@@ -418,7 +418,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         let k = kill_points[trial];
         let mut t = TrialOutcome::default();
         let trial_path = scratch_path(&format!("trial_{}_{trial}", cfg.seed));
-        let trial_snap = default_snapshot_path(&trial_path);
+        let trial_snap = ring_snapshot_path(&trial_path, 0);
         let torn = trial % 2 == 1 && k < n;
         let mut prefix: Vec<u8> = records[..k].concat();
         if torn {

@@ -39,8 +39,8 @@ use cs_life::{Pareto, Polynomial, Shape, Uniform};
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::replicate::replicate_farm;
-use cs_now::{default_snapshot_path, JournalOptions, SnapshotCadence, SnapshotOutcome};
 use cs_now::{ring_snapshot_path, segment_meta_path};
+use cs_now::{JournalOptions, SnapshotCadence, SnapshotOutcome};
 use cs_obs::vfs::StdVfs;
 use cs_obs::{check_text, Event, EventSink, MemorySink, MetricsRegistry, NoopSink, SpanProfiler};
 use cs_sim::{run_episode, simulate};
@@ -290,7 +290,7 @@ fn recovery_pair(
         "cs_bench_recovery_{tasks}_{}.jsonl",
         std::process::id()
     ));
-    let snap = default_snapshot_path(&path);
+    let snap = ring_snapshot_path(&path, 0);
     let (config, bag) = recovery_farm(tasks)?;
     let opts = JournalOptions::guideline(&config);
     Farm::new(config, bag)

@@ -79,9 +79,10 @@ COMMANDS:
                neither combines with --trace-out/--metrics/--profile):
                --journal <file>         run with a durable write-ahead journal
                --resume <file>          recover an interrupted journaled run
-                                        (restores <file>.snap when present;
-                                        falls back to full replay with a
-                                        warning when missing or corrupt)
+                                        (restores the newest usable
+                                        <file>.snap.<g>; falls back to full
+                                        replay with a warning when every
+                                        one is missing or corrupt)
                --kill-after <n>         crash drill: abort the process after
                                         n committed journal records
                --snapshot-every <dt>    state-snapshot cadence in virtual
@@ -91,9 +92,9 @@ COMMANDS:
                                         last one costs more than writing
                                         the next)
                --snapshot-ring <n>      keep n snapshot generations
-                                        (<file>.snap.0..n-1) instead of one
-                                        sidecar (needs --journal/--resume;
-                                        default 1 = legacy <file>.snap)
+                                        <file>.snap.0..n-1 (needs
+                                        --journal/--resume; default 1 =
+                                        <file>.snap.0 alone)
                --journal-gc             prune journal records the oldest
                                         retained generation makes redundant
                                         (bounded disk; needs
@@ -171,13 +172,16 @@ COMMANDS:
                                         time travel: reconstruct the farm's
                                         state as of a journal record
                replay --journal <file> --fork [farm scenario flags]
-                                        what-if: restore <file>.snap under a
-                                        (possibly perturbed) fault plan and
-                                        run the rest of the episode
+                                        what-if: restore <file>.snap.0 under
+                                        a (possibly perturbed) fault plan
+                                        and run the rest of the episode
                replay ... --generation <g>
-                                        pin --to/--fork to ring generation
-                                        <file>.snap.<g> instead of the
-                                        newest usable snapshot
+                                        start --to/--fork from ring
+                                        generation <file>.snap.<g> (default:
+                                        --to replays from record zero, or
+                                        the oldest retained generation
+                                        after journal gc; --fork forks
+                                        generation 0)
     help       Show this message.
 ";
 
@@ -785,6 +789,12 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
     };
     let report = if let Some(path) = resume {
         let opts = durable_opts(&config);
+        // The sidecars on disk before the resume writes its own, for the
+        // fallback warning.
+        let sidecars: Vec<String> = (0..MAX_SNAPSHOT_RING)
+            .map(|g| format!("{path}.snap.{g}"))
+            .filter(|p| std::path::Path::new(p).exists())
+            .collect();
         let (report, info) =
             Farm::resume(config, bag, &path, opts, &StdVfs).map_err(|e| e.to_string())?;
         let mut summary = RunSummary::new("farm_resume")
@@ -792,30 +802,25 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             .int("records_appended", info.records_appended)
             .int("segment_base", info.segment_base)
             .flag("degraded", info.degraded);
-        match info.snapshot {
-            SnapshotOutcome::Used { records_skipped } => {
-                let sidecar = match info.generation {
-                    Some(g) => format!("{path}.snap.{g} (generation {g})"),
-                    None => format!("{path}.snap"),
-                };
+        match (info.snapshot, info.generation) {
+            (SnapshotOutcome::Used { records_skipped }, Some(g)) => {
                 durable_lines.push(format!(
-                    "snapshot      : restored {sidecar}, {records_skipped} records skipped"
+                    "snapshot      : restored {path}.snap.{g} (generation {g}), \
+                     {records_skipped} records skipped"
                 ));
                 summary = summary
                     .text("snapshot", "used")
-                    .int("records_skipped", records_skipped);
-                if let Some(g) = info.generation {
-                    summary = summary.int("generation", u64::from(g));
-                }
+                    .int("records_skipped", records_skipped)
+                    .int("generation", u64::from(g));
             }
-            SnapshotOutcome::Fallback(kind) => {
+            (SnapshotOutcome::Fallback(kind), _) => {
                 eprintln!(
-                    "warning: snapshot {path}.snap unusable ({kind}); \
-                     falling back to full redo replay"
+                    "warning: snapshot {} unusable ({kind}); falling back to full redo replay",
+                    sidecars.join(", ")
                 );
                 summary = summary.text("snapshot", &format!("fallback:{kind}"));
             }
-            SnapshotOutcome::None => {
+            _ => {
                 summary = summary.text("snapshot", "none");
             }
         }
@@ -856,7 +861,7 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
                 if journal_gc { ", journal gc" } else { "" }
             )
         } else {
-            format!("{path}.snap")
+            format!("{path}.snap.0")
         };
         let snap_line = match opts.snapshot_every {
             SnapshotCadence::Off => "snapshots     : disabled (fsync-every-record farms)".into(),

@@ -10,7 +10,7 @@ use crate::args::Args;
 use crate::{farm_scenario_from_args, FarmScenario, FARM_SCENARIO_OPTS};
 use cs_apps::{fmt, fmt_opt, Table};
 use cs_now::farm::Farm;
-use cs_now::{default_snapshot_path, ring_snapshot_path, MAX_SNAPSHOT_RING};
+use cs_now::{ring_snapshot_path, MAX_SNAPSHOT_RING};
 use cs_obs::{
     analyze_lineage, analyze_trace, check_text, decode_lines, diff_bench, diff_registries, DiffRow,
     Event, LineageAnalysis, PhaseAttribution, TraceAnalysis,
@@ -64,16 +64,16 @@ usage:
         scenario flags (--workstations, --tasks, --seed, --faults, ...)
         must match the run that wrote the journal.
     cyclesteal obs replay --journal <file> --fork [scenario flags]
-        What-if fork: restore <file>.snap and run the rest of the episode
-        under the scenario the flags describe. Pass the original flags to
-        reproduce the recorded outcome bitwise; perturb the fault flags
-        (--faults, --loss, --slowdown, --crash) to ask what the same
+        What-if fork: restore <file>.snap.0 and run the rest of the
+        episode under the scenario the flags describe. Pass the original
+        flags to reproduce the recorded outcome bitwise; perturb the fault
+        flags (--faults, --loss, --slowdown, --crash) to ask what the same
         mid-run state would have done under different conditions.
-        Both replay forms accept --generation <g> to pin the snapshot to
-        ring generation <file>.snap.<g> (runs journaled with
-        --snapshot-ring) instead of the newest usable snapshot; a
-        GC-truncated journal replays from a retained generation
-        automatically.";
+        Both replay forms accept --generation <g> to start from ring
+        generation <file>.snap.<g> instead: --fork then forks it, and --to
+        verifies only the records after it. Without it, --to replays from
+        record zero, and a GC-truncated journal from its oldest retained
+        generation.";
 
 /// Entry point: `args` is everything after the `obs` token. Returns
 /// `Err` (non-zero exit) on usage errors, check violations, and flagged
@@ -152,24 +152,15 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
             state.completed_work, state.lost_work
         );
     } else {
-        let snap = match generation {
-            Some(g) => ring_snapshot_path(Path::new(&journal), g),
-            None => default_snapshot_path(Path::new(&journal)),
-        };
+        let g = generation.unwrap_or(0);
+        let snap = ring_snapshot_path(Path::new(&journal), g);
         let (report, meta) =
             Farm::fork_from_snapshot(config, &snap).map_err(|e| format!("obs replay: {e}"))?;
-        match generation {
-            Some(g) => println!(
-                "fork point    : {} (generation {g}, virtual time {:.2})",
-                snap.display(),
-                meta.virtual_time
-            ),
-            None => println!(
-                "fork point    : {} (virtual time {:.2})",
-                snap.display(),
-                meta.virtual_time
-            ),
-        }
+        println!(
+            "fork point    : {} (generation {g}, virtual time {:.2})",
+            snap.display(),
+            meta.virtual_time
+        );
         println!(
             "snapshot      : seed {}, {} workstations, {} tasks, {} journal records",
             meta.seed, meta.workstations, meta.tasks, meta.journal_records

@@ -94,10 +94,8 @@ fn corrupt_sidecar_falls_back_then_the_snapshot_restores() {
     d.fails(&format!(
         "{farm} --journal snapwal.jsonl --snapshot-every 15 --kill-after 60"
     ));
-    d.assert_files(&["snapwal.jsonl.snap"]);
-    let mut sidecar = std::fs::read(d.path("snapwal.jsonl.snap")).unwrap();
-    sidecar.extend_from_slice(b"garbage");
-    std::fs::write(d.path("snapwal.jsonl.snap"), sidecar).unwrap();
+    d.assert_files(&["snapwal.jsonl.snap.0"]);
+    corrupt(&d.path("snapwal.jsonl.snap.0"));
     let resumed = d.ok(&format!("{farm} --resume snapwal.jsonl"));
     assert!(
         stderr(&resumed).contains("falling back to full redo replay"),
@@ -118,7 +116,36 @@ fn corrupt_sidecar_falls_back_then_the_snapshot_restores() {
         "obs replay --journal snapwal.jsonl --fork {scenario}"
     ));
     d.ok("obs check --strict snapwal.jsonl");
+
+    // A ring of three without GC, every generation corrupted: the warning
+    // names the ring's files, and the resumed report is the uninterrupted
+    // run's, bitwise.
+    let ring = "--snapshot-ring 3 --snapshot-every 15";
+    d.fails(&format!(
+        "{farm} --journal ringwal.jsonl {ring} --kill-after 60"
+    ));
+    let sidecars = [
+        "ringwal.jsonl.snap.0",
+        "ringwal.jsonl.snap.1",
+        "ringwal.jsonl.snap.2",
+    ];
+    d.assert_files(&sidecars);
+    for name in sidecars {
+        corrupt(&d.path(name));
+    }
+    let resumed = d.ok(&format!("{farm} --resume ringwal.jsonl {ring}"));
+    let warning = format!("warning: snapshot {} unusable", sidecars.join(", "));
+    assert!(stderr(&resumed).contains(&warning), "{}", stderr(&resumed));
+    let report = |out: &Output| stdout(out).split("\n\n").next().unwrap().to_string();
+    assert_eq!(report(&resumed), report(&d.ok(farm)));
     d.finish();
+}
+
+/// Appends garbage to a sidecar, which breaks its checksum.
+fn corrupt(sidecar: &Path) {
+    let mut bytes = std::fs::read(sidecar).unwrap();
+    bytes.extend_from_slice(b"garbage");
+    std::fs::write(sidecar, bytes).unwrap();
 }
 
 /// The ring drills' durability flags: a 3-generation ring, journal GC and

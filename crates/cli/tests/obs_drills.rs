@@ -184,7 +184,7 @@ fn forged_snapshot_counts_fail_fork_with_a_typed_error() {
         let forged = body.replacen(from, to, 1);
         let journal = dir.join("j.jsonl");
         let sidecar = format!("{forged}checksum {:016x}\n", fnv1a64(forged.as_bytes()));
-        std::fs::write(dir.join("j.jsonl.snap"), sidecar).unwrap();
+        std::fs::write(dir.join("j.jsonl.snap.0"), sidecar).unwrap();
         let out = cyclesteal(&[
             "obs",
             "replay",

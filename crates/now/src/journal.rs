@@ -58,9 +58,8 @@
 
 use crate::farm::{Farm, FarmConfig, FarmConfigError, FarmReport, FarmRun};
 use crate::snapshot::{
-    default_snapshot_path, fnv1a64, ring_snapshot_path, segment_meta_path, tmp_path,
-    write_atomic_bytes, FarmSnapshot, SegmentMeta, SnapshotError, SnapshotErrorKind,
-    SnapshotOutcome, FNV_OFFSET,
+    fnv1a64, ring_snapshot_path, segment_meta_path, tmp_path, write_atomic_bytes, FarmSnapshot,
+    SegmentMeta, SnapshotError, SnapshotErrorKind, SnapshotOutcome, FNV_OFFSET,
 };
 use cs_obs::vfs::{StdVfs, Vfs};
 use cs_obs::{
@@ -121,7 +120,7 @@ pub struct JournalOptions {
     /// for SIGKILL used by `cyclesteal farm --kill-after` and CI.
     pub kill_after: Option<u64>,
     /// When state snapshots are written next to the journal
-    /// ([`default_snapshot_path`]). With snapshots, resume re-executes
+    /// ([`ring_snapshot_path`]). With snapshots, resume re-executes
     /// only the journal tail after the last snapshot — O(snapshot
     /// interval) instead of O(run length).
     pub snapshot_every: SnapshotCadence,
@@ -130,10 +129,10 @@ pub struct JournalOptions {
     /// emits one per event step (tests). Heartbeats never touch the journal
     /// itself, so journaled bytes stay identical with or without them.
     pub progress_every: Option<f64>,
-    /// Size of the snapshot generation ring. `1` (the default) keeps the
-    /// legacy single `<journal>.snap` sidecar; `N ≥ 2` cycles checksummed
-    /// generations `<journal>.snap.0 .. .snap.N-1`, giving resume several
-    /// restore points to walk newest→oldest.
+    /// Size of the snapshot generation ring: snapshots cycle checksummed
+    /// generations `<journal>.snap.0 .. .snap.N-1`. `1` (the default)
+    /// keeps generation 0 alone; `N ≥ 2` gives resume several restore
+    /// points to walk newest→oldest.
     pub snapshot_ring: u32,
     /// Journal-prefix garbage collection: once every ring generation
     /// exists, records the *oldest retained* snapshot makes redundant are
@@ -216,8 +215,8 @@ pub struct RecoveryInfo {
     /// Whether the snapshot sidecar restored, was absent, or was rejected
     /// (and recovery fell back to full redo replay).
     pub snapshot: SnapshotOutcome,
-    /// Ring generation the restored snapshot came from (`None` for the
-    /// legacy un-numbered sidecar, or when no snapshot restored).
+    /// Ring generation the restored snapshot came from (`None` when no
+    /// snapshot restored).
     pub generation: Option<u32>,
     /// Records truncated by GC before this journal segment (0 for a
     /// whole, un-GC'd journal).
@@ -387,29 +386,7 @@ const RECORD_PRICE: u64 = 2_700;
 /// sidecar's create, `fdatasync` and rename, and the GC rotation.
 const SNAPSHOT_PRICE: u64 = 14_000;
 
-/// Encoded sidecar bytes per item, from the format in `crate::snapshot`
-/// with 4-digit task ids: the fixed lines, a pending `task` line, a
-/// banked id, a queued `event` line, a `lease` line with a typical chunk,
-/// and a workstation's `ws` and `stats` lines.
-const HEADER_BYTES: u64 = 400;
-const PENDING_TASK_BYTES: u64 = 28;
-const BANKED_ID_BYTES: u64 = 5;
-const EVENT_BYTES: u64 = 28;
-const LEASE_BYTES: u64 = 480;
-const WORKSTATION_BYTES: u64 = 330;
-
 impl FarmRun {
-    /// The size of this state's snapshot sidecar, estimated in O(1) from
-    /// counts, so that snapshot placement is a function of the seed.
-    fn snapshot_bytes_estimate(&self) -> u64 {
-        HEADER_BYTES
-            + PENDING_TASK_BYTES * self.eng.bag.pending_count() as u64
-            + BANKED_ID_BYTES * self.eng.banked.len() as u64
-            + EVENT_BYTES * self.eng.queue.len() as u64
-            + LEASE_BYTES * self.eng.in_flight.len() as u64
-            + WORKSTATION_BYTES * self.states.len() as u64
-    }
-
     /// What snapshotting this state costs, in snapshot bytes: the price
     /// [`SnapshotCadence::Priced`] weighs against the records since the
     /// last snapshot.
@@ -825,7 +802,7 @@ struct DriveCtx<'v> {
     /// of where the run started.
     last_snapshot: f64,
     last_snapshot_records: u64,
-    /// Ring size (1 = legacy single sidecar).
+    /// Ring size.
     ring: u32,
     /// Ring slot the next snapshot lands in.
     next_gen: u32,
@@ -882,14 +859,6 @@ impl<'v> DriveCtx<'v> {
             SnapshotCadence::Priced => {
                 (committed - self.last_snapshot_records) * RECORD_PRICE >= run.snapshot_price()
             }
-        }
-    }
-
-    fn slot_path(&self, generation: u32) -> PathBuf {
-        if self.ring <= 1 {
-            default_snapshot_path(&self.path)
-        } else {
-            ring_snapshot_path(&self.path, generation)
         }
     }
 
@@ -954,10 +923,10 @@ fn snapshot(run: &FarmRun, sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
     if sink.writer.io_error().is_some() || ctx.pending_error.is_some() {
         return;
     }
-    let snap = run.save_state(sink.committed(), sink.hash);
+    let mut snap = run.save_state(sink.committed(), sink.hash);
     let gen = ctx.next_gen;
     let bytes = snap.encode();
-    match write_atomic_bytes(ctx.vfs, &ctx.slot_path(gen), &bytes) {
+    match write_atomic_bytes(ctx.vfs, &ring_snapshot_path(&ctx.path, gen), &bytes) {
         Ok(()) => {
             ctx.stats.snapshots_written += 1;
             ctx.stats.snapshot_bytes += bytes.len() as u64;
@@ -1109,10 +1078,9 @@ fn byte_offset_of_line(bytes: &[u8], n: usize) -> Option<usize> {
 /// any previous incarnation of this journal path, so resume never sees
 /// another run's ring.
 fn sweep_stale(vfs: &dyn Vfs, path: &Path, fresh: bool) {
-    let snap = default_snapshot_path(path);
     let seg = segment_meta_path(path);
-    let mut tmps = vec![tmp_path(path), tmp_path(&snap), tmp_path(&seg)];
-    let mut sidecars = vec![snap, seg];
+    let mut tmps = vec![tmp_path(path), tmp_path(&seg)];
+    let mut sidecars = vec![seg];
     for g in 0..MAX_SNAPSHOT_RING {
         let p = ring_snapshot_path(path, g);
         tmps.push(tmp_path(&p));
@@ -1289,7 +1257,7 @@ fn recover(
         .map(SnapshotError::kind);
     let (mut named, mut bound) = (None, Vec::new());
     for s in candidates {
-        if matches!(start, Start::Generation(g) if s.generation == Some(g)) {
+        if matches!(start, Start::Generation(g) if s.generation == g) {
             named = Some(s.snap);
         } else if let Ok(snap) = s.snap {
             match bind(&snap, &records, base, base_hash) {
@@ -1300,13 +1268,11 @@ fn recover(
     }
     let mut ring_meta = vec![None; MAX_SNAPSHOT_RING as usize];
     for (s, g) in &bound {
-        if let Some(g) = *g {
-            ring_meta[g as usize] = Some((s.journal_records, s.journal_hash));
-        }
+        ring_meta[*g as usize] = Some((s.journal_records, s.journal_hash));
     }
     let newest = bound
         .iter()
-        .filter_map(|(s, g)| Some((s.journal_records, (*g)?)))
+        .map(|(s, g)| (s.journal_records, *g))
         .max()
         .map(|(_, g)| g);
     let restore = |snap: FarmSnapshot, generation| {
@@ -1330,7 +1296,7 @@ fn recover(
                 .unwrap_or_else(|| load_snapshot(vfs, &ring_snapshot_path(path, g), &farm))
                 .map_err(|e| unusable(e.to_string()))?;
             bind(&snap, &records, base, base_hash).map_err(|(_, reason)| unusable(reason))?;
-            Some(restore(snap, Some(g)).map_err(|e| unusable(e.to_string()))?)
+            Some(restore(snap, g).map_err(|e| unusable(e.to_string()))?)
         }
         Start::Earliest if base > 0 => {
             let unrecoverable = |reason| JournalError::SegmentUnrecoverable { base, reason };
@@ -1369,7 +1335,7 @@ fn recover(
         None => reject.map_or(SnapshotOutcome::None, SnapshotOutcome::Fallback),
     };
     let (origin, from, hash, generation) = match restored {
-        Some((run, from, hash, g)) => (Origin::Restored(Box::new(run)), from, hash, g),
+        Some((run, from, hash, g)) => (Origin::Restored(Box::new(run)), from, hash, Some(g)),
         None => (Origin::Zero(farm), 0, FNV_OFFSET, None),
     };
     Ok(Recovery {
@@ -1388,17 +1354,17 @@ fn recover(
 
 /// A snapshot sidecar found next to the journal.
 struct Candidate {
-    /// Ring generation, or `None` for the legacy un-numbered sidecar.
-    generation: Option<u32>,
+    /// Ring generation.
+    generation: u32,
     /// The sidecar, loaded and checked against this farm.
     snap: Result<FarmSnapshot, SnapshotError>,
 }
 
-/// Loads every snapshot sidecar next to `path` — the legacy `.snap` plus
-/// ring generations `.snap.0..` — and checks each describes this farm.
+/// Loads every snapshot sidecar next to `path` — ring generations
+/// `.snap.0..` — and checks each describes this farm.
 fn collect_candidates(vfs: &dyn Vfs, path: &Path, farm: &Farm) -> Vec<Candidate> {
-    std::iter::once((default_snapshot_path(path), None))
-        .chain((0..MAX_SNAPSHOT_RING).map(|g| (ring_snapshot_path(path, g), Some(g))))
+    (0..MAX_SNAPSHOT_RING)
+        .map(|g| (ring_snapshot_path(path, g), g))
         .filter(|(p, _)| vfs.exists(p))
         .map(|(p, generation)| Candidate {
             generation,
@@ -1583,7 +1549,7 @@ pub(crate) mod tests {
         assert_eq!(j.records.len() as u64, stats.records);
         let check = cs_obs::check_text(&actual, true);
         assert!(check.ok(), "{:?}", check.violations);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1627,10 +1593,10 @@ pub(crate) mod tests {
             // The stitched journal is byte-identical to the uninterrupted
             // one.
             assert_eq!(std::fs::read(&path).unwrap(), full_bytes);
-            std::fs::remove_file(default_snapshot_path(&path)).ok();
+            std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
             std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(default_snapshot_path(&ref_path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&ref_path, 0)).ok();
         std::fs::remove_file(&ref_path).ok();
     }
 
@@ -1661,7 +1627,7 @@ pub(crate) mod tests {
         assert_eq!(skipped + info.records_replayed, stats.records);
         assert_eq!(info.records_appended, 0);
         assert_eq!(info.torn_bytes_discarded, 0);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1693,7 +1659,7 @@ pub(crate) mod tests {
             std::fs::read(&noisy).unwrap()
         );
         for p in [&quiet, &noisy] {
-            std::fs::remove_file(default_snapshot_path(p)).ok();
+            std::fs::remove_file(ring_snapshot_path(p, 0)).ok();
             std::fs::remove_file(p).ok();
         }
     }
@@ -1733,7 +1699,7 @@ pub(crate) mod tests {
             Err(JournalError::Diverged { record, .. }) => assert!(record > 1),
             other => panic!("expected Diverged, got {other:?}"),
         }
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1762,7 +1728,7 @@ pub(crate) mod tests {
             }) => assert_eq!(journal_records, replayed + 1),
             other => panic!("expected JournalAhead, got {other:?}"),
         }
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1781,7 +1747,7 @@ pub(crate) mod tests {
             .run_journaled(&path, opts, &StdVfs)
             .unwrap();
         let full = std::fs::read(&path).unwrap();
-        let meta = crate::snapshot::inspect_snapshot(default_snapshot_path(&path)).unwrap();
+        let meta = crate::snapshot::inspect_snapshot(ring_snapshot_path(&path, 0)).unwrap();
         assert!(meta.journal_records > 0, "fixture needs a real snapshot");
         (path, full, report, meta.journal_records)
     }
@@ -1821,7 +1787,7 @@ pub(crate) mod tests {
         assert_eq!(info.records_replayed, kill_at as u64 - snap_records);
         assert!(info.records_appended > 0);
         assert_eq!(std::fs::read(&path).unwrap(), full);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1831,7 +1797,7 @@ pub(crate) mod tests {
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
         // Flip one byte in the sidecar body.
-        let snap_path = default_snapshot_path(&path);
+        let snap_path = ring_snapshot_path(&path, 0);
         let mut bytes = std::fs::read(&snap_path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
@@ -1879,7 +1845,7 @@ pub(crate) mod tests {
         );
         assert_eq!(info.records_replayed, snap_records - 1);
         assert_eq!(std::fs::read(&path).unwrap(), full);
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -1924,7 +1890,7 @@ pub(crate) mod tests {
             Farm::replay_to(faulty_config(44), bag(), &path, 5, None),
             Err(JournalError::HeaderMismatch { .. })
         ));
-        std::fs::remove_file(default_snapshot_path(&path)).ok();
+        std::fs::remove_file(ring_snapshot_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
     }
 
@@ -2005,7 +1971,6 @@ pub(crate) mod tests {
     }
 
     pub(super) fn cleanup(path: &std::path::Path) {
-        std::fs::remove_file(default_snapshot_path(path)).ok();
         std::fs::remove_file(segment_meta_path(path)).ok();
         for g in 0..MAX_SNAPSHOT_RING {
             std::fs::remove_file(ring_snapshot_path(path, g)).ok();
@@ -2028,10 +1993,6 @@ pub(crate) mod tests {
             retained += len;
         }
         assert!(retained <= stats.snapshot_bytes, "{stats:?}");
-        assert!(
-            !default_snapshot_path(&path).exists(),
-            "ring mode must not write the legacy sidecar"
-        );
         let full = std::fs::read(&path).unwrap();
         let n = full.iter().filter(|&&b| b == b'\n').count();
         truncate_to(&path, &full, n - 1);
@@ -2417,7 +2378,7 @@ pub(crate) mod tests {
     #[test]
     fn stale_tmp_files_are_swept_on_start_and_resume() {
         let path = tmp("sweep");
-        let stale = crate::snapshot::tmp_path(&default_snapshot_path(&path));
+        let stale = crate::snapshot::tmp_path(&ring_snapshot_path(&path, 0));
         std::fs::write(&stale, b"half-written").unwrap();
         Farm::new(faulty_config(79), bag())
             .unwrap()
@@ -2537,7 +2498,7 @@ mod properties {
             let stitched = std::fs::read(&path).unwrap();
             prop_assert!(stitched == full, "stitched journal differs from the reference");
             assert_reports_bitwise_equal(&reference, &resumed);
-            let _ = std::fs::remove_file(crate::snapshot::default_snapshot_path(&path));
+            let _ = std::fs::remove_file(ring_snapshot_path(&path, 0));
             let _ = std::fs::remove_file(&path);
         }
 
@@ -2559,7 +2520,7 @@ mod properties {
         ) {
             let corrupt = corrupt_bit == 1;
             let path = tmp(&format!("snapprop_{seed}_{tasks}_{}", intensity.to_bits()));
-            let snap_path = crate::snapshot::default_snapshot_path(&path);
+            let snap_path = ring_snapshot_path(&path, 0);
             let mk_bag = || workloads::uniform(tasks, 1.0).unwrap();
             let mk_cfg = || prop_config(seed, intensity, workstations);
             let opts = JournalOptions {
@@ -2786,8 +2747,8 @@ mod properties {
 
     /// `decode(encode(s))` is `s` bitwise, and re-encodes to the same bytes.
     fn assert_codec_round_trips(s: &FarmSnapshot) {
-        let bytes = s.encode();
-        let back = FarmSnapshot::decode(&bytes).unwrap();
+        let bytes = s.clone().encode();
+        let mut back = FarmSnapshot::decode(&bytes).unwrap();
         assert_eq!(snapshot_words(&back), snapshot_words(s));
         assert_eq!(back.encode(), bytes);
     }
@@ -2924,7 +2885,7 @@ mod properties {
     /// Decodes `text` as a snapshot or as segment metadata and re-encodes it.
     fn decode_either(text: &[u8], snapshot: bool) -> Result<Vec<u8>, SnapshotError> {
         if snapshot {
-            FarmSnapshot::decode(text).map(|s| s.encode())
+            FarmSnapshot::decode(text).map(|mut s| s.encode())
         } else {
             SegmentMeta::decode(text).map(|m| m.encode())
         }
@@ -3005,7 +2966,7 @@ mod properties {
     #[test]
     fn resume_falls_back_past_a_forged_next_lease() {
         let (path, report, opts, _) = ring_fixture("forged_lease", 83, 1, false);
-        let snap_path = default_snapshot_path(&path);
+        let snap_path = ring_snapshot_path(&path, 0);
         let text = String::from_utf8(std::fs::read(&snap_path).unwrap()).unwrap();
         let at = text.find(" next_lease ").unwrap() + " next_lease ".len();
         let end = at + text[at..].find('\n').unwrap();
@@ -3057,7 +3018,7 @@ mod properties {
             std::fs::write(snap_path, with_checksum(body(forged.as_bytes()))).unwrap();
         };
         let (path, report, opts, _) = ring_fixture("forged_id", 89, 1, false);
-        forge(&default_snapshot_path(&path));
+        forge(&ring_snapshot_path(&path, 0));
         let (resumed, info) = Farm::resume(faulty_config(89), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
         assert_eq!(

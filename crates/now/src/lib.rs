@@ -75,6 +75,6 @@ pub use journal::{
 };
 pub use replicate::{replicate_farm, ReplicationReport};
 pub use snapshot::{
-    default_snapshot_path, inspect_snapshot, ring_snapshot_path, segment_meta_path, SegmentMeta,
-    SnapshotError, SnapshotErrorKind, SnapshotMeta, SnapshotOutcome,
+    inspect_snapshot, ring_snapshot_path, segment_meta_path, SegmentMeta, SnapshotError,
+    SnapshotErrorKind, SnapshotMeta, SnapshotOutcome,
 };

@@ -16,18 +16,19 @@
 //!
 //! # Format, versioning, integrity
 //!
-//! A sidecar (`<journal>.snap` or ring generation `<journal>.snap.<g>`)
-//! is a line-oriented text file opening with the banner
-//! `cs-now-snapshot v1` and closing with an FNV-1a 64 checksum of the
-//! bytes before it. Its `journal` line binds it to a committed journal
-//! prefix (record count plus a running FNV-1a hash of those records), so
-//! it is never applied to a journal it does not describe. Every failure —
-//! version, parse, checksum, binding, foreign farm, a count or id its own
-//! contents contradict — is a typed [`SnapshotError`], which recovery
-//! reports as [`SnapshotOutcome::Fallback`]. One writer and one strict
-//! parser serve this file and the `.seg` segment metadata: the parser
-//! accepts exactly the bytes the writer writes. Sidecars are published
-//! atomically (temp file, fsync, rename).
+//! A sidecar (ring generation `<journal>.snap.<g>`) is a line-oriented
+//! text file opening with the banner `cs-now-snapshot v1` and closing
+//! with an FNV-1a 64 checksum of the bytes before it. Its `journal` line
+//! binds it to a committed journal prefix (record count plus a running
+//! FNV-1a hash of those records), so it is never applied to a journal it
+//! does not describe. Every failure — version, parse, checksum, binding,
+//! foreign farm, a count or id its own contents contradict — is a typed
+//! [`SnapshotError`], which recovery reports as
+//! [`SnapshotOutcome::Fallback`]. Each format — this file and the `.seg`
+//! segment metadata — is described once, by a field walk that one
+//! [`Codec`] runs to write and, strictly, to read: the reader accepts
+//! exactly the bytes the writer writes. Sidecars are published atomically
+//! (temp file, fsync, rename).
 //!
 //! A snapshot is also a fork point: [`Farm::fork_from_snapshot`] restores
 //! it under a perturbed configuration (say another [`crate::FaultPlan`])
@@ -62,17 +63,8 @@ pub(crate) fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The sidecar path for a journal: `<journal>.snap` next to the journal
-/// file.
-pub fn default_snapshot_path(journal: &Path) -> PathBuf {
-    let mut name = journal.as_os_str().to_os_string();
-    name.push(".snap");
-    PathBuf::from(name)
-}
-
 /// The sidecar path of ring generation `g`: `<journal>.snap.<g>`. A
-/// snapshot ring of size N cycles generations `0..N`; ring size 1 uses
-/// the legacy un-numbered [`default_snapshot_path`].
+/// snapshot ring of size N cycles generations `0..N`.
 pub fn ring_snapshot_path(journal: &Path, generation: u32) -> PathBuf {
     let mut name = journal.as_os_str().to_os_string();
     name.push(format!(".snap.{generation}"));
@@ -305,7 +297,7 @@ pub fn inspect_snapshot(path: impl AsRef<Path>) -> Result<SnapshotMeta, Snapshot
 // ---------------------------------------------------------------------------
 
 /// One serialized lease-table entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LeaseSnap {
     pub(crate) lease: u64,
     pub(crate) ws: u64,
@@ -317,7 +309,7 @@ pub(crate) struct LeaseSnap {
 }
 
 /// One serialized workstation: cursors, fault stream, policy state, stats.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WsSnap {
     pub(crate) episode_start: f64,
     pub(crate) reclaim_at: f64,
@@ -336,7 +328,7 @@ pub(crate) struct WsSnap {
 /// data struct the engine can be rebuilt from.
 ///
 /// [aero `virtual_time`]: https://github.com/wilsonzlin/aero
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FarmSnapshot {
     pub(crate) seed: u64,
     pub(crate) workstations: u64,
@@ -427,6 +419,17 @@ impl FarmRun {
             leases,
             ws,
         }
+    }
+
+    /// The size of this state's snapshot sidecar, estimated in O(1) from
+    /// counts, so that snapshot placement is a function of the seed.
+    pub(crate) fn snapshot_bytes_estimate(&self) -> u64 {
+        HEADER_BYTES
+            + PENDING_TASK_BYTES * self.eng.bag.pending_count() as u64
+            + BANKED_ID_BYTES * self.eng.banked.len() as u64
+            + EVENT_BYTES * self.eng.queue.len() as u64
+            + LEASE_BYTES * self.eng.in_flight.len() as u64
+            + WORKSTATION_BYTES * self.states.len() as u64
     }
 }
 
@@ -566,231 +569,118 @@ impl FarmSnapshot {
         Ok(())
     }
 
-    // -- text encoding ------------------------------------------------------
-
-    /// Serializes to the versioned, checksummed line format: one pass, every
-    /// token written straight into one buffer.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(SNAPSHOT_VERSION);
-        w.dec("meta seed ", self.seed)
-            .dec(" workstations ", self.workstations)
-            .dec(" tasks ", self.tasks)
-            .dec("\njournal records ", self.journal_records)
-            .hex(" hash ", self.journal_hash)
-            .bits("\nclock now ", self.now)
-            .bits(" makespan ", self.makespan)
-            .lit("\nrng");
-        for word in self.rng {
-            w.hex(" ", word);
-        }
-        let bag = &self.bag;
-        w.dec("\nbag next_id ", bag.next_id)
-            .dec(" completed_tasks ", bag.completed_tasks)
-            .bits(" completed_work ", bag.completed_work)
-            .bits(" lost_work ", bag.lost_work)
-            .dec(" pending ", bag.pending.len() as u64);
-        for t in &bag.pending {
-            w.dec("\ntask ", t.id).bits(" ", t.duration);
-        }
-        w.dec("\nbanked ", self.banked.len() as u64);
-        for line in self.banked.chunks(IDS_PER_LINE) {
-            w.lit("\nids");
-            for &id in line {
-                w.dec(" ", id);
+    /// The sidecar format, field by field in file order: the one
+    /// description that [`FarmSnapshot::encode`] writes and
+    /// [`FarmSnapshot::decode`] reads.
+    fn walk(&mut self, c: &mut Codec<'_>) {
+        c.dec("meta seed ", &mut self.seed);
+        c.dec(" workstations ", &mut self.workstations);
+        c.dec(" tasks ", &mut self.tasks);
+        c.dec("\njournal records ", &mut self.journal_records);
+        c.hex(" hash ", &mut self.journal_hash);
+        c.bits("\nclock now ", &mut self.now);
+        c.bits(" makespan ", &mut self.makespan);
+        c.words("\nrng", &mut self.rng);
+        let bag = &mut self.bag;
+        c.dec("\nbag next_id ", &mut bag.next_id);
+        c.dec(" completed_tasks ", &mut bag.completed_tasks);
+        c.bits(" completed_work ", &mut bag.completed_work);
+        c.bits(" lost_work ", &mut bag.lost_work);
+        c.list(" pending ", &mut bag.pending, |c, _, t| {
+            c.dec("\ntask ", &mut t.id);
+            c.bits(" ", &mut t.duration);
+        });
+        c.list("\nbanked ", &mut self.banked, |c, done, id| {
+            if done.len() % IDS_PER_LINE == 0 {
+                c.lit("\nids");
             }
-        }
-        w.dec("\nqueue ", self.queue.len() as u64)
-            .dec(" next_lease ", self.next_lease);
-        for e in &self.queue {
-            let (tag, id) = e.kind.rank();
-            w.bits("\nevent ", e.time).dec(" ", tag.into()).dec(" ", id);
-        }
-        w.dec("\nleases ", self.leases.len() as u64);
-        for l in &self.leases {
-            w.dec("\nlease ", l.lease)
-                .dec(" ws ", l.ws)
-                .bits(" expiry ", l.expiry)
-                .flag(" arrives ", l.arrives)
-                .flag(" expired ", l.expired)
-                .dec(" replicas ", l.replicas.into())
-                .dec(" tasks ", l.tasks.len() as u64);
-            for t in &l.tasks {
-                w.dec(" ", t.id).bits(":", t.duration);
-            }
-        }
-        for (i, ws) in self.ws.iter().enumerate() {
-            w.dec("\nws ", i as u64)
-                .bits(" episode_start ", ws.episode_start)
-                .bits(" reclaim_at ", ws.reclaim_at)
-                .bits(" crash_at ", ws.crash_at)
-                .bits(" quarantined_until ", ws.quarantined_until)
-                .flag(" crashed ", ws.crashed)
-                .dec(" fail_streak ", ws.fail_streak.into())
-                .flag(" backoff ", ws.backoff_pending)
-                .lit(" frng");
-            for word in ws.fault_rng {
-                w.hex(" ", word);
-            }
-            w.bytes(" policy ", &ws.policy_state);
-            let st = &ws.stats;
-            w.dec("\nstats ", i as u64);
-            for v in [st.completed_work, st.lost_work, st.duplicate_work] {
-                w.bits(" ", v);
-            }
-            for v in [
-                st.chunks_completed,
-                st.chunks_lost,
-                st.episodes,
-                st.idle_periods,
-                st.messages_lost,
-                st.straggled_chunks,
-                st.crashes,
-                st.storm_kills,
-                st.lease_timeouts,
-                st.backoff_delays,
-                st.quarantines,
-                st.replicas_dispatched,
-                st.late_banks,
-            ] {
-                w.dec(" ", v);
-            }
-        }
-        w.finish()
-    }
-
-    /// Parses and integrity-checks the line format. The parser is strict:
-    /// it accepts exactly the bytes [`FarmSnapshot::encode`] writes, and
-    /// every count is checked against the input before it sizes anything.
-    pub(crate) fn decode(text: &[u8]) -> Result<Self, SnapshotError> {
-        let mut p = Parser::framed(text, SNAPSHOT_VERSION)?;
-        let seed = p.dec("meta seed ")?;
-        let workstations = p.dec(" workstations ")?;
-        let tasks = p.dec(" tasks ")?;
-        let journal_records = p.dec("\njournal records ")?;
-        let journal_hash = p.hex(" hash ")?;
-        let now = p.bits("\nclock now ")?;
-        let makespan = p.bits(" makespan ")?;
-        let rng = [p.hex("\nrng ")?, p.hex(" ")?, p.hex(" ")?, p.hex(" ")?];
-        let next_id = p.dec("\nbag next_id ")?;
-        let completed_tasks = p.dec(" completed_tasks ")?;
-        let completed_work = p.bits(" completed_work ")?;
-        let lost_work = p.bits(" lost_work ")?;
-        let (n_pending, mut pending) = p.vec(" pending ")?;
-        for _ in 0..n_pending {
-            pending.push(Task {
-                id: p.dec("\ntask ")?,
-                duration: p.bits(" ")?,
-            });
-        }
-        let (n_banked, mut banked) = p.vec::<u64>("\nbanked ")?;
-        while banked.len() < n_banked {
-            p.lit("\nids")?;
-            for _ in 0..IDS_PER_LINE.min(n_banked - banked.len()) {
-                let id = p.dec(" ")?;
-                if banked.last().is_some_and(|&prev| id <= prev) {
-                    return Err(p.malformed("banked ids not strictly ascending"));
-                }
-                banked.push(id);
-            }
-        }
-        let (n_queue, mut queue) = p.vec("\nqueue ")?;
-        let next_lease = p.dec(" next_lease ")?;
-        for _ in 0..n_queue {
-            let time = p.bits("\nevent ")?;
-            let tag: u8 = p.narrow(" ")?;
-            let id = p.dec(" ")?;
-            let kind = match tag {
+            c.dec(" ", id);
+            let ascending = done.last().is_none_or(|&prev| prev < *id);
+            c.check(ascending, "banked ids not strictly ascending");
+        });
+        let queued = c.len("\nqueue ", self.queue.len());
+        c.dec(" next_lease ", &mut self.next_lease);
+        let (workstations, next_lease) = (self.workstations, self.next_lease);
+        c.items(&mut self.queue, queued, |c, _, e| {
+            c.bits("\nevent ", &mut e.time);
+            let (tag, mut id) = e.kind.rank();
+            let mut tag = u64::from(tag);
+            c.dec(" ", &mut tag);
+            c.dec(" ", &mut id);
+            e.kind = match tag {
                 0 => EventKind::Arrival(id),
                 1 => EventKind::LeaseExpiry(id),
                 2 if id < workstations => EventKind::Dispatch(id as usize),
-                _ => return Err(p.malformed("event tag or workstation out of range")),
+                _ => {
+                    c.fail("event tag or workstation out of range");
+                    e.kind
+                }
             };
-            queue.push(Event { time, kind });
-        }
-        let (n_leases, mut leases) = p.vec::<LeaseSnap>("\nleases ")?;
-        for _ in 0..n_leases {
-            let lease = p.below("\nlease ", next_lease)?;
-            if leases.last().is_some_and(|prev| lease <= prev.lease) {
-                return Err(p.malformed("lease ids not strictly ascending"));
+        });
+        c.list("\nleases ", &mut self.leases, |c, done, l| {
+            c.below("\nlease ", &mut l.lease, next_lease);
+            let ascending = done.last().is_none_or(|prev| prev.lease < l.lease);
+            c.check(ascending, "lease ids not strictly ascending");
+            c.below(" ws ", &mut l.ws, workstations);
+            c.bits(" expiry ", &mut l.expiry);
+            c.flag(" arrives ", &mut l.arrives);
+            c.flag(" expired ", &mut l.expired);
+            c.dec32(" replicas ", &mut l.replicas);
+            c.list(" tasks ", &mut l.tasks, |c, _, t| {
+                c.dec(" ", &mut t.id);
+                c.bits(":", &mut t.duration);
+            });
+        });
+        c.items(&mut self.ws, workstations, |c, done, w| {
+            let i = done.len() as u64;
+            c.index("\nws ", i);
+            c.bits(" episode_start ", &mut w.episode_start);
+            c.bits(" reclaim_at ", &mut w.reclaim_at);
+            c.bits(" crash_at ", &mut w.crash_at);
+            c.bits(" quarantined_until ", &mut w.quarantined_until);
+            c.flag(" crashed ", &mut w.crashed);
+            c.dec32(" fail_streak ", &mut w.fail_streak);
+            c.flag(" backoff ", &mut w.backoff_pending);
+            c.words(" frng", &mut w.fault_rng);
+            c.bytes(" policy ", &mut w.policy_state);
+            c.index("\nstats ", i);
+            let st = &mut w.stats;
+            for v in [
+                &mut st.completed_work,
+                &mut st.lost_work,
+                &mut st.duplicate_work,
+            ] {
+                c.bits(" ", v);
             }
-            leases.push(LeaseSnap {
-                lease,
-                ws: p.below(" ws ", workstations)?,
-                expiry: p.bits(" expiry ")?,
-                arrives: p.flag(" arrives ")?,
-                expired: p.flag(" expired ")?,
-                replicas: p.narrow(" replicas ")?,
-                tasks: {
-                    let (n_tasks, mut tasks) = p.vec(" tasks ")?;
-                    for _ in 0..n_tasks {
-                        tasks.push(Task {
-                            id: p.dec(" ")?,
-                            duration: p.bits(":")?,
-                        });
-                    }
-                    tasks
-                },
-            });
-        }
-        let mut ws = p.alloc(workstations);
-        for i in 0..workstations {
-            p.index("\nws ", i)?;
-            ws.push(WsSnap {
-                episode_start: p.bits(" episode_start ")?,
-                reclaim_at: p.bits(" reclaim_at ")?,
-                crash_at: p.bits(" crash_at ")?,
-                quarantined_until: p.bits(" quarantined_until ")?,
-                crashed: p.flag(" crashed ")?,
-                fail_streak: p.narrow(" fail_streak ")?,
-                backoff_pending: p.flag(" backoff ")?,
-                fault_rng: [p.hex(" frng ")?, p.hex(" ")?, p.hex(" ")?, p.hex(" ")?],
-                policy_state: p.bytes(" policy ")?,
-                stats: {
-                    p.index("\nstats ", i)?;
-                    WorkstationStats {
-                        completed_work: p.bits(" ")?,
-                        lost_work: p.bits(" ")?,
-                        duplicate_work: p.bits(" ")?,
-                        chunks_completed: p.dec(" ")?,
-                        chunks_lost: p.dec(" ")?,
-                        episodes: p.dec(" ")?,
-                        idle_periods: p.dec(" ")?,
-                        messages_lost: p.dec(" ")?,
-                        straggled_chunks: p.dec(" ")?,
-                        crashes: p.dec(" ")?,
-                        storm_kills: p.dec(" ")?,
-                        lease_timeouts: p.dec(" ")?,
-                        backoff_delays: p.dec(" ")?,
-                        quarantines: p.dec(" ")?,
-                        replicas_dispatched: p.dec(" ")?,
-                        late_banks: p.dec(" ")?,
-                    }
-                },
-            });
-        }
-        p.finish()?;
-        Ok(FarmSnapshot {
-            seed,
-            workstations,
-            tasks,
-            journal_records,
-            journal_hash,
-            now,
-            rng,
-            makespan,
-            next_lease,
-            bag: TaskBagState {
-                pending,
-                next_id,
-                completed_tasks,
-                completed_work,
-                lost_work,
-            },
-            banked,
-            queue,
-            leases,
-            ws,
-        })
+            for v in [
+                &mut st.chunks_completed,
+                &mut st.chunks_lost,
+                &mut st.episodes,
+                &mut st.idle_periods,
+                &mut st.messages_lost,
+                &mut st.straggled_chunks,
+                &mut st.crashes,
+                &mut st.storm_kills,
+                &mut st.lease_timeouts,
+                &mut st.backoff_delays,
+                &mut st.quarantines,
+                &mut st.replicas_dispatched,
+                &mut st.late_banks,
+            ] {
+                c.dec(" ", v);
+            }
+        });
+    }
+
+    /// Serializes to the versioned, checksummed line format.
+    pub(crate) fn encode(&mut self) -> Vec<u8> {
+        Codec::write(SNAPSHOT_VERSION, |c| self.walk(c))
+    }
+
+    /// Parses and integrity-checks the line format, accepting exactly the
+    /// bytes [`FarmSnapshot::encode`] writes.
+    pub(crate) fn decode(text: &[u8]) -> Result<Self, SnapshotError> {
+        Codec::read(text, SNAPSHOT_VERSION, Self::walk)
     }
 
     /// Reads and fully validates a sidecar file through `vfs`.
@@ -834,7 +724,7 @@ pub const SEGMENT_VERSION: &str = "cs-now-segment v1";
 /// still bind by hash extension), and the hash of the segment's first
 /// surviving record line (so a stale sidecar from a crash between the two
 /// GC renames is *detected*, never silently trusted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Records truncated before the segment (the absolute index of the
     /// segment's first record).
@@ -850,35 +740,26 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
+    /// The `.seg` format, field by field: the one description that
+    /// [`SegmentMeta::encode`] writes and [`SegmentMeta::decode`] reads.
+    fn walk(&mut self, c: &mut Codec<'_>) {
+        c.dec("base records ", &mut self.base_records);
+        c.hex(" hash ", &mut self.base_hash);
+        if !c.opt_lit("\nfirst -", self.first_record_hash.is_none()) {
+            c.hex("\nfirst ", self.first_record_hash.get_or_insert(0));
+        }
+    }
+
     /// Serializes to the versioned, checksummed line format.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(SEGMENT_VERSION);
-        w.dec("base records ", self.base_records)
-            .hex(" hash ", self.base_hash);
-        match self.first_record_hash {
-            Some(h) => w.hex("\nfirst ", h),
-            None => w.lit("\nfirst -"),
-        };
-        w.finish()
+        let mut meta = *self;
+        Codec::write(SEGMENT_VERSION, |c| meta.walk(c))
     }
 
     /// Parses and integrity-checks the line format, accepting exactly the
     /// bytes [`SegmentMeta::encode`] writes.
     pub(crate) fn decode(text: &[u8]) -> Result<Self, SnapshotError> {
-        let mut p = Parser::framed(text, SEGMENT_VERSION)?;
-        let base_records = p.dec("base records ")?;
-        let base_hash = p.hex(" hash ")?;
-        let first_record_hash = if p.eat("\nfirst -") {
-            None
-        } else {
-            Some(p.hex("\nfirst ")?)
-        };
-        p.finish()?;
-        Ok(SegmentMeta {
-            base_records,
-            base_hash,
-            first_record_hash,
-        })
+        Codec::read(text, SEGMENT_VERSION, Self::walk)
     }
 
     /// Atomically publishes the metadata at `path`.
@@ -945,118 +826,107 @@ impl Farm {
     }
 }
 
-// -- the codec: one writer, one strict parser ------------------------------
+// -- the codec: one field walk per format, run to write and to read -------
 
 /// Banked ids per `ids` line.
 const IDS_PER_LINE: usize = 64;
 
+/// Encoded sidecar bytes per item, from the format [`FarmSnapshot::walk`]
+/// describes with 4-digit task ids: the fixed lines, a pending `task`
+/// line, a banked id, a queued `event` line, a `lease` line with a typical
+/// chunk, and a workstation's `ws` and `stats` lines. They price snapshots
+/// (DESIGN, "Cadence"), so they set only where snapshots fall.
+const HEADER_BYTES: u64 = 400;
+const PENDING_TASK_BYTES: u64 = 28;
+const BANKED_ID_BYTES: u64 = 5;
+const EVENT_BYTES: u64 = 28;
+const LEASE_BYTES: u64 = 480;
+const WORKSTATION_BYTES: u64 = 330;
+
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// One-pass writer for the sidecar line formats. Every value is written
-/// with the literal key that precedes it, straight into one buffer; the
-/// [`Parser`] reads the same `(key, value)` sequence back.
-struct Writer(Vec<u8>);
-
-impl Writer {
-    /// Starts a file with its version banner line.
-    fn new(banner: &str) -> Self {
-        let mut w = Writer(Vec::with_capacity(4096));
-        w.lit(banner).lit("\n");
-        w
-    }
-
-    fn lit(&mut self, s: &str) -> &mut Self {
-        self.0.extend_from_slice(s.as_bytes());
-        self
-    }
-
-    /// `key`, then `v` in decimal.
-    fn dec(&mut self, key: &str, mut v: u64) -> &mut Self {
-        let mut digits = [0u8; 20];
-        let mut i = digits.len();
-        loop {
-            i -= 1;
-            digits[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.lit(key).0.extend_from_slice(&digits[i..]);
-        self
-    }
-
-    /// `key`, then `v` as 16 lowercase hex digits.
-    fn hex(&mut self, key: &str, v: u64) -> &mut Self {
-        let mut digits = [0u8; 16];
-        for (i, d) in digits.iter_mut().enumerate() {
-            *d = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
-        }
-        self.lit(key).0.extend_from_slice(&digits);
-        self
-    }
-
-    /// Bitwise-exact float: `key`, then `f64::to_bits` as 16 hex digits.
-    fn bits(&mut self, key: &str, v: f64) -> &mut Self {
-        self.hex(key, v.to_bits())
-    }
-
-    fn flag(&mut self, key: &str, b: bool) -> &mut Self {
-        self.lit(key).lit(if b { "1" } else { "0" })
-    }
-
-    /// `key`, then the bytes as hex pairs, or `-` when empty.
-    fn bytes(&mut self, key: &str, bytes: &[u8]) -> &mut Self {
-        self.lit(key);
-        if bytes.is_empty() {
-            self.lit("-");
-        }
-        for &b in bytes {
-            self.0.push(HEX_DIGITS[usize::from(b >> 4)]);
-            self.0.push(HEX_DIGITS[usize::from(b & 0xf)]);
-        }
-        self
-    }
-
-    /// Ends the last line and appends the FNV-1a checksum trailer.
-    fn finish(mut self) -> Vec<u8> {
-        self.lit("\n");
-        let checksum = fnv1a64(FNV_OFFSET, &self.0);
-        self.hex("checksum ", checksum).lit("\n");
-        self.0
-    }
-}
-
-/// Streaming, strict parser for what [`Writer`] writes: every key must
-/// match byte for byte, decimals are canonical (no sign, no leading zero,
-/// no overflow) and hex fields are exactly 16 lowercase digits.
-struct Parser<'a> {
-    text: &'a [u8],
-    pos: usize,
-    /// End of the checksummed body.
-    end: usize,
-}
 
 /// `checksum <16 hex digits>\n`.
 const TRAILER_LEN: usize = 26;
 
-impl<'a> Parser<'a> {
-    /// Verifies the checksum trailer and the version banner, returning a
-    /// parser positioned at the first body line.
-    fn framed(text: &'a [u8], banner: &str) -> Result<Self, SnapshotError> {
-        let mut p = Parser {
+/// The blank event a read fills in.
+impl Default for Event {
+    fn default() -> Self {
+        Event {
+            time: 0.0,
+            kind: EventKind::Arrival(0),
+        }
+    }
+}
+
+/// Runs a format's field walk in one of two directions. Writing, each
+/// call appends its literal key, then the field's value. Reading, each
+/// call requires its key byte for byte and parses the value strictly into
+/// the field: decimals canonical (no sign, no leading zero, no overflow),
+/// hex exactly 16 lowercase digits. The first read failure is latched and
+/// turns every later call into a no-op, so a walk needs no error plumbing
+/// and a forged count cannot read past the input.
+struct Codec<'a> {
+    reading: bool,
+    /// The bytes written.
+    out: Vec<u8>,
+    /// The input, the read position, and the end of the checksummed body.
+    text: &'a [u8],
+    pos: usize,
+    end: usize,
+    /// The first read failure.
+    err: Option<SnapshotError>,
+}
+
+impl<'a> Codec<'a> {
+    /// Writes one file: the version banner line, `walk`'s fields, then the
+    /// FNV-1a checksum trailer.
+    fn write(banner: &str, walk: impl FnOnce(&mut Self)) -> Vec<u8> {
+        let mut c = Codec {
+            reading: false,
+            out: Vec::with_capacity(4096),
+            text: &[],
+            pos: 0,
+            end: 0,
+            err: None,
+        };
+        c.lit(banner);
+        c.lit("\n");
+        walk(&mut c);
+        c.lit("\n");
+        let mut checksum = fnv1a64(FNV_OFFSET, &c.out);
+        c.hex("checksum ", &mut checksum);
+        c.lit("\n");
+        c.out
+    }
+
+    /// Reads what [`Codec::write`] writes with the same banner and walk:
+    /// verifies the checksum trailer and the banner, walks the fields into
+    /// a blank value, and requires the body to be fully consumed.
+    fn read<T: Default>(
+        text: &'a [u8],
+        banner: &str,
+        walk: impl FnOnce(&mut T, &mut Self),
+    ) -> Result<T, SnapshotError> {
+        let mut c = Codec {
+            reading: true,
+            out: Vec::new(),
             text,
             pos: text.len(),
             end: text.len(),
+            err: None,
         };
         let body_end = text
             .len()
             .checked_sub(TRAILER_LEN)
             .filter(|&e| e > 0 && text[e - 1] == b'\n')
-            .ok_or_else(|| p.malformed("missing trailing checksum line"))?;
-        p.pos = body_end;
-        let expected = p.hex("checksum ")?;
-        p.lit("\n")?;
+            .ok_or_else(|| c.malformed("missing trailing checksum line"))?;
+        c.pos = body_end;
+        let mut expected = 0;
+        c.hex("checksum ", &mut expected);
+        c.lit("\n");
+        if let Some(e) = c.err.take() {
+            return Err(e);
+        }
         let found = fnv1a64(FNV_OFFSET, &text[..body_end]);
         if expected != found {
             return Err(SnapshotError::Checksum { expected, found });
@@ -1070,9 +940,14 @@ impl<'a> Parser<'a> {
                     .collect(),
             });
         }
-        p.pos = first + 1;
-        p.end = body_end;
-        Ok(p)
+        c.pos = first + 1;
+        c.end = body_end;
+        let mut value = T::default();
+        walk(&mut value, &mut c);
+        c.lit("\n");
+        let consumed = c.pos == c.end;
+        c.check(consumed, "unexpected data before the checksum");
+        c.err.map_or(Ok(value), Err)
     }
 
     /// A typed parse error at the current position (1-based line).
@@ -1087,22 +962,37 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Latches a read failure at the current position; the first one wins.
+    /// Writing, does nothing.
+    fn fail(&mut self, reason: &str) {
+        if self.reading && self.err.is_none() {
+            self.err = Some(self.malformed(reason));
+        }
+    }
+
+    fn check(&mut self, ok: bool, reason: &str) {
+        if !ok {
+            self.fail(reason);
+        }
+    }
+
     fn rest(&self) -> &'a [u8] {
         &self.text[self.pos..self.end]
     }
 
-    /// Consumes `s` if the input continues with it.
-    fn eat(&mut self, s: &str) -> bool {
-        let found = self.rest().starts_with(s.as_bytes());
-        if found {
-            self.pos += s.len();
+    /// The literal `s`, written or required. Returns whether the value
+    /// after it is still to be written or read.
+    fn lit(&mut self, s: &str) -> bool {
+        if !self.reading {
+            self.out.extend_from_slice(s.as_bytes());
+            return true;
         }
-        found
-    }
-
-    fn lit(&mut self, s: &str) -> Result<(), SnapshotError> {
-        if self.eat(s) {
-            return Ok(());
+        if self.err.is_some() {
+            return false;
+        }
+        if self.rest().starts_with(s.as_bytes()) {
+            self.pos += s.len();
+            return true;
         }
         // Point the error at the first differing byte.
         self.pos += s
@@ -1110,118 +1000,206 @@ impl<'a> Parser<'a> {
             .zip(self.rest())
             .take_while(|(a, b)| a == *b)
             .count();
-        Err(self.malformed(&format!("expected {s:?}")))
+        self.fail(&format!("expected {s:?}"));
+        false
     }
 
-    /// `key`, then a canonical decimal `u64`.
-    fn dec(&mut self, key: &str) -> Result<u64, SnapshotError> {
-        self.lit(key)?;
-        let digits = self
-            .rest()
-            .iter()
-            .take_while(|b| b.is_ascii_digit())
-            .count();
-        let tok = &self.rest()[..digits];
-        if digits == 0 || (tok[0] == b'0' && digits > 1) {
-            return Err(self.malformed("expected a canonical decimal"));
+    /// The optional literal `s`: written when `present`, consumed when the
+    /// input continues with it. Returns whether it is there.
+    fn opt_lit(&mut self, s: &str, present: bool) -> bool {
+        if !self.reading {
+            if present {
+                self.lit(s);
+            }
+            return present;
         }
-        let v = tok.iter().try_fold(0u64, |v, &d| {
-            v.checked_mul(10)?.checked_add(u64::from(d - b'0'))
-        });
-        let v = v.ok_or_else(|| self.malformed("decimal overflows u64"))?;
-        self.pos += digits;
-        Ok(v)
+        let found = self.err.is_none() && self.rest().starts_with(s.as_bytes());
+        if found {
+            self.pos += s.len();
+        }
+        found
     }
 
-    /// `key`, then a decimal checked to fit `T`.
-    fn narrow<T: TryFrom<u64>>(&mut self, key: &str) -> Result<T, SnapshotError> {
-        let v = self.dec(key)?;
-        T::try_from(v).map_err(|_| self.malformed("value out of range"))
+    /// `key`, then `v` in decimal.
+    fn dec(&mut self, key: &str, v: &mut u64) {
+        if !self.lit(key) {
+            return;
+        }
+        if !self.reading {
+            let (mut x, mut digits, mut i) = (*v, [0u8; 20], 20);
+            loop {
+                i -= 1;
+                digits[i] = b'0' + (x % 10) as u8;
+                x /= 10;
+                if x == 0 {
+                    break;
+                }
+            }
+            self.out.extend_from_slice(&digits[i..]);
+            return;
+        }
+        let rest = self.rest();
+        let n = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        if n == 0 || (rest[0] == b'0' && n > 1) {
+            return self.fail("expected a canonical decimal");
+        }
+        let parsed = rest[..n].iter().try_fold(0u64, |x, &d| {
+            x.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+        });
+        match parsed {
+            Some(x) => {
+                *v = x;
+                self.pos += n;
+            }
+            None => self.fail("decimal overflows u64"),
+        }
+    }
+
+    /// `key`, then a decimal that fits `u32`.
+    fn dec32(&mut self, key: &str, v: &mut u32) {
+        let mut x = u64::from(*v);
+        self.dec(key, &mut x);
+        match u32::try_from(x) {
+            Ok(x) => *v = x,
+            Err(_) => self.fail("value out of range"),
+        }
     }
 
     /// `key`, then a decimal below `bound`.
-    fn below(&mut self, key: &str, bound: u64) -> Result<u64, SnapshotError> {
-        let v = self.dec(key)?;
-        if v >= bound {
-            return Err(self.malformed("value out of range"));
-        }
-        Ok(v)
+    fn below(&mut self, key: &str, v: &mut u64, bound: u64) {
+        self.dec(key, v);
+        self.check(*v < bound, "value out of range");
     }
 
     /// `key`, then the decimal index `i` of a per-workstation line.
-    fn index(&mut self, key: &str, i: u64) -> Result<(), SnapshotError> {
-        if self.dec(key)? != i {
-            return Err(self.malformed("workstation lines out of order"));
+    fn index(&mut self, key: &str, i: u64) {
+        let mut found = i;
+        self.dec(key, &mut found);
+        self.check(found == i, "workstation lines out of order");
+    }
+
+    /// `key`, then `v` as exactly 16 lowercase hex digits.
+    fn hex(&mut self, key: &str, v: &mut u64) {
+        if !self.lit(key) {
+            return;
         }
-        Ok(())
-    }
-
-    /// `key`, then an item count, with a vector for the items. The
-    /// preallocation is bounded by the bytes left, so a forged count can
-    /// only fail to parse, never exhaust memory.
-    fn vec<T>(&mut self, key: &str) -> Result<(usize, Vec<T>), SnapshotError> {
-        let n: usize = self.narrow(key)?;
-        Ok((n, self.alloc(n as u64)))
-    }
-
-    fn alloc<T>(&self, n: u64) -> Vec<T> {
-        Vec::with_capacity(n.min(self.rest().len() as u64) as usize)
-    }
-
-    /// `key`, then exactly 16 lowercase hex digits.
-    fn hex(&mut self, key: &str) -> Result<u64, SnapshotError> {
-        self.lit(key)?;
-        let v = self.rest().get(..16).and_then(|tok| {
+        if !self.reading {
+            let x = *v;
+            let digits = (0..16).map(|i| HEX_DIGITS[(x >> (60 - 4 * i)) as usize & 0xf]);
+            self.out.extend(digits);
+            return;
+        }
+        let parsed = self.rest().get(..16).and_then(|tok| {
             tok.iter()
-                .try_fold(0u64, |v, &c| Some(v << 4 | u64::from(nibble(c)?)))
+                .try_fold(0u64, |x, &c| Some(x << 4 | u64::from(nibble(c)?)))
         });
-        let v = v.ok_or_else(|| self.malformed("expected 16 lowercase hex digits"))?;
-        self.pos += 16;
-        Ok(v)
-    }
-
-    fn bits(&mut self, key: &str) -> Result<f64, SnapshotError> {
-        self.hex(key).map(f64::from_bits)
-    }
-
-    fn flag(&mut self, key: &str) -> Result<bool, SnapshotError> {
-        self.lit(key)?;
-        let b = match self.rest().first() {
-            Some(b'0') => false,
-            Some(b'1') => true,
-            _ => return Err(self.malformed("expected 0 or 1")),
-        };
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// `key`, then `-` for no bytes or one or more hex pairs.
-    fn bytes(&mut self, key: &str) -> Result<Vec<u8>, SnapshotError> {
-        self.lit(key)?;
-        if self.eat("-") {
-            return Ok(Vec::new());
+        match parsed {
+            Some(x) => {
+                *v = x;
+                self.pos += 16;
+            }
+            None => self.fail("expected 16 lowercase hex digits"),
         }
-        let mut out = Vec::new();
+    }
+
+    /// Bitwise-exact float: `key`, then `f64::to_bits` as hex.
+    fn bits(&mut self, key: &str, v: &mut f64) {
+        let mut bits = v.to_bits();
+        self.hex(key, &mut bits);
+        *v = f64::from_bits(bits);
+    }
+
+    /// `key`, then four hex words: an RNG state.
+    fn words(&mut self, key: &str, words: &mut [u64; 4]) {
+        self.lit(key);
+        for w in words {
+            self.hex(" ", w);
+        }
+    }
+
+    /// `key`, then `0` or `1`.
+    fn flag(&mut self, key: &str, v: &mut bool) {
+        if !self.lit(key) {
+            return;
+        }
+        if !self.reading {
+            self.out.push(if *v { b'1' } else { b'0' });
+            return;
+        }
+        match self.rest().first() {
+            Some(b'0') => *v = false,
+            Some(b'1') => *v = true,
+            _ => return self.fail("expected 0 or 1"),
+        }
+        self.pos += 1;
+    }
+
+    /// `key`, then the bytes as hex pairs, or `-` when there are none.
+    fn bytes(&mut self, key: &str, v: &mut Vec<u8>) {
+        if !self.lit(key) || self.opt_lit("-", v.is_empty()) {
+            return;
+        }
+        if !self.reading {
+            for &b in v.iter() {
+                self.out.push(HEX_DIGITS[usize::from(b >> 4)]);
+                self.out.push(HEX_DIGITS[usize::from(b & 0xf)]);
+            }
+            return;
+        }
         while let Some(&[hi, lo]) = self.rest().get(..2) {
             let Some(byte) = nibble(hi).zip(nibble(lo)).map(|(h, l)| h << 4 | l) else {
                 break;
             };
-            out.push(byte);
+            v.push(byte);
             self.pos += 2;
         }
-        if out.is_empty() {
-            return Err(self.malformed("expected hex bytes"));
-        }
-        Ok(out)
+        self.check(!v.is_empty(), "expected hex bytes");
     }
 
-    /// Ends the last line and requires the body to be fully consumed.
-    fn finish(mut self) -> Result<(), SnapshotError> {
-        self.lit("\n")?;
-        if self.pos != self.end {
-            return Err(self.malformed("unexpected data before the checksum"));
+    /// `key`, then an item count: `n` written, or the count read.
+    fn len(&mut self, key: &str, n: usize) -> u64 {
+        let mut n = n as u64;
+        self.dec(key, &mut n);
+        n
+    }
+
+    /// The items of `v`, each through `walk`, which also sees the items
+    /// before it. Reading, `n` items are parsed and each is kept only once
+    /// it parses, with room reserved for no more items than bytes left: a
+    /// forged count can only fail to parse, never exhaust memory.
+    fn items<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        n: u64,
+        mut walk: impl FnMut(&mut Self, &[T], &mut T),
+    ) {
+        if !self.reading {
+            for i in 0..v.len() {
+                let (done, rest) = v.split_at_mut(i);
+                walk(self, done, &mut rest[0]);
+            }
+            return;
         }
-        Ok(())
+        v.reserve(n.min(self.rest().len() as u64) as usize);
+        for _ in 0..n {
+            let mut item = T::default();
+            walk(self, v, &mut item);
+            if self.err.is_some() {
+                return;
+            }
+            v.push(item);
+        }
+    }
+
+    /// `key`, the item count, then the items.
+    fn list<T: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<T>,
+        walk: impl FnMut(&mut Self, &[T], &mut T),
+    ) {
+        let n = self.len(key, v.len());
+        self.items(v, n, walk);
     }
 }
 
@@ -1281,9 +1259,9 @@ mod tests {
                     break;
                 }
             }
-            let snap = run.save_state(sink.events.len() as u64, 0);
+            let mut snap = run.save_state(sink.events.len() as u64, 0);
             let encoded = snap.encode();
-            let decoded = FarmSnapshot::decode(&encoded).unwrap();
+            let mut decoded = FarmSnapshot::decode(&encoded).unwrap();
             assert_eq!(
                 decoded.encode(),
                 encoded,
@@ -1313,7 +1291,7 @@ mod tests {
         for _ in 0..50 {
             run.step(&mut sink, &mut prof);
         }
-        let snap = run.save_state(40, 0xDEAD);
+        let mut snap = run.save_state(40, 0xDEAD);
         let good = snap.encode();
 
         // Version gate.

@@ -121,8 +121,9 @@ impl JsonlSink {
         Ok(Self::from_file(File::create(path)?))
     }
 
-    /// Wraps an already-open file (useful for tests and special handles).
-    pub fn from_file(file: File) -> Self {
+    /// Wraps an already-open file: the seam through which a test hands in
+    /// a handle that fails its writes.
+    fn from_file(file: File) -> Self {
         Self {
             writer: Some(BufWriter::new(file)),
             buffer: Vec::new(),

@@ -160,24 +160,19 @@ impl ChunkPolicy for FixedSizePolicy {
 pub struct GreedyPolicy {
     life: ArcLife,
     c: f64,
-    opts: GreedyOptions,
 }
 
 impl GreedyPolicy {
     /// Greedy policy under believed life function `life` and overhead `c`.
     pub fn new(life: ArcLife, c: f64) -> Self {
-        Self {
-            life,
-            c,
-            opts: GreedyOptions::default(),
-        }
+        Self { life, c }
     }
 }
 
 impl ChunkPolicy for GreedyPolicy {
     fn next_period(&mut self, elapsed: f64) -> Option<f64> {
         let (t, gain) = greedy_step(&self.life, self.c, elapsed)?;
-        if gain < self.opts.min_gain {
+        if gain < GreedyOptions::default().min_gain {
             None
         } else {
             Some(t)

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 /// An indivisible task with a known positive duration (input/output
 /// transmission cost folded in — paper §2.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Task {
     /// Stable identifier assigned by the owning [`TaskBag`].
     pub id: u64,
@@ -315,7 +315,7 @@ impl Default for TaskBag {
 /// `cs-now` snapshot subsystem). The fields are the bag's raw parts; a
 /// state round-tripped through [`TaskBag::restore_state`] reproduces the
 /// bag exactly, including the id counter and the work tallies.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskBagState {
     /// Pending tasks in dispatch (FIFO) order.
     pub pending: Vec<Task>,

@@ -16,7 +16,7 @@
 use cs_life::{ArcLife, Uniform};
 use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
-use cs_now::{default_snapshot_path, guideline_fsync_policy, JournalOptions, SnapshotCadence};
+use cs_now::{guideline_fsync_policy, ring_snapshot_path, JournalOptions, SnapshotCadence};
 use cs_obs::vfs::StdVfs;
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::{workloads, TaskBag};
@@ -162,7 +162,7 @@ fn run_and_check(tag: &str, config: FarmConfig, bag: TaskBag, snapshot_every: Sn
     let journal = std::fs::read(&journal_path).unwrap();
     check_fixture(&format!("{tag}.journal.jsonl"), &journal);
     if snapshot_every != SnapshotCadence::Off {
-        let snap = std::fs::read(default_snapshot_path(&journal_path)).unwrap();
+        let snap = std::fs::read(ring_snapshot_path(&journal_path, 0)).unwrap();
         check_fixture(&format!("{tag}.snapshot.txt"), &snap);
     }
     check_fixture(
