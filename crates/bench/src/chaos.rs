@@ -504,7 +504,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 // cover exactly the k committed records, and the outcome
                 // must match the sidecar mode we staged.
                 let skipped = match info.snapshot {
-                    SnapshotOutcome::Used { records_skipped } => {
+                    SnapshotOutcome::Used {
+                        records_skipped, ..
+                    } => {
                         t.snapshot_resume = true;
                         records_skipped
                     }

@@ -1,47 +1,82 @@
-//! Minimal `--key value` argument parsing (no external dependency).
+//! Minimal `--key value` argument parsing (no external dependency): the
+//! one parser behind every `cyclesteal` subcommand.
 
 use std::collections::BTreeMap;
 
-/// Parsed command line: a subcommand plus `--key value` options.
+/// Options that never take a value: a bare `--key` turns them on, and the
+/// token after one is read on its own (`obs check --strict t.jsonl`).
+pub const SWITCHES: &[&str] = &[
+    "help",
+    "metrics",
+    "profile",
+    "oracle",
+    "quick",
+    "all",
+    "list",
+    "journal-gc",
+    "disk-faults",
+    "fork",
+    "strict",
+    "bench",
+];
+
+/// Options that may be given more than once; any other is a duplicate.
+const REPEATABLE: &[&str] = &["only", "min"];
+
+/// Parsed command line: a subcommand, `--key value` options and
+/// positional operands.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The subcommand (first non-flag token).
     pub command: Option<String>,
-    opts: BTreeMap<String, String>,
+    /// Every occurrence of each option: `None` for a switch, or for an
+    /// option that got no value, which [`Args::check_known`] rejects.
+    opts: BTreeMap<String, Vec<Option<String>>>,
+    operands: Vec<String>,
 }
 
 impl Args {
-    /// Parses tokens of the form `<command> --key value …`. Bare `--flag`
-    /// tokens (no value) map to `"true"`.
+    /// Parses tokens of the form `<command> [--key value | --switch |
+    /// operand] …`. An option outside [`SWITCHES`] takes the next token
+    /// unless that token starts with `--`.
     pub fn parse(tokens: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Args::default();
         let mut it = tokens.into_iter().peekable();
-        if let Some(first) = it.peek() {
-            if !first.starts_with("--") {
-                out.command = it.next();
-            }
-        }
+        out.command = it.next_if(|first| !first.starts_with("--"));
         while let Some(tok) = it.next() {
             let Some(key) = tok.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument: {tok}"));
+                out.operands.push(tok);
+                continue;
             };
             if key.is_empty() {
                 return Err("empty option name".into());
             }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().expect("peeked"),
-                _ => "true".to_string(),
-            };
-            if out.opts.insert(key.to_string(), value).is_some() {
+            if out.opts.contains_key(key) && !REPEATABLE.contains(&key) {
                 return Err(format!("duplicate option: --{key}"));
             }
+            let value = if SWITCHES.contains(&key) {
+                None
+            } else {
+                it.next_if(|v| !v.starts_with("--"))
+            };
+            out.opts.entry(key.to_string()).or_default().push(value);
         }
         Ok(out)
     }
 
     /// Raw string option.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.opts.get(key).map(String::as_str)
+        self.opts.get(key)?.first()?.as_deref()
+    }
+
+    /// Every value of a repeatable option, in command-line order.
+    pub fn all(&self, key: &str) -> impl Iterator<Item = &str> {
+        self.opts
+            .get(key)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(String::as_str)
     }
 
     /// Required string option.
@@ -52,50 +87,78 @@ impl Args {
 
     /// Required float option.
     pub fn require_f64(&self, key: &str) -> Result<f64, String> {
-        self.require(key)?
-            .parse()
-            .map_err(|_| format!("--{key}: expected a number"))
+        self.require(key)?;
+        self.f64_or(key, f64::NAN)
     }
 
     /// Float option with a default.
     pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: expected a number, got {v:?}")),
-        }
+        self.parsed_or(key, default, "a number")
     }
 
     /// Integer option with a default.
     pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key}: expected an integer, got {v:?}")),
-        }
+        self.parsed_or(key, default, "an integer")
     }
 
     /// u64 option with a default.
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.parsed_or(key, default, "an integer")
+    }
+
+    fn parsed_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        what: &str,
+    ) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("--{key}: expected an integer, got {v:?}")),
+                .map_err(|_| format!("--{key}: expected {what}, got {v:?}")),
         }
     }
 
-    /// True when `--key` was given (any value but `"false"`).
+    /// True when `--key` was given.
     pub fn flag(&self, key: &str) -> bool {
-        matches!(self.get(key), Some(v) if v != "false")
+        self.opts.contains_key(key)
     }
 
     /// Rejects any option not in `allowed`, suggesting the closest known
-    /// option. A typo like `--trails` must fail loudly instead of silently
-    /// running with defaults.
+    /// option, then any option given without its value, then any operand.
+    /// A typo like `--trails` must fail loudly instead of silently running
+    /// with defaults.
     pub fn check_known(&self, allowed: &[&str]) -> Result<(), String> {
+        self.check_options(allowed)?;
+        match self.operands.first() {
+            Some(op) => Err(format!("unexpected positional argument: {op}")),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Args::check_known`] for a command that takes exactly `count`
+    /// operands, which it returns; any other count fails with `usage`.
+    pub fn check_known_operands(
+        &self,
+        allowed: &[&str],
+        count: usize,
+        usage: &str,
+    ) -> Result<&[String], String> {
+        self.check_options(allowed)?;
+        if self.operands.len() == count {
+            Ok(&self.operands)
+        } else {
+            Err(usage.to_string())
+        }
+    }
+
+    /// The operands after the subcommand.
+    pub fn operands(&self) -> &[String] {
+        &self.operands
+    }
+
+    fn check_options(&self, allowed: &[&str]) -> Result<(), String> {
         for key in self.opts.keys() {
             if allowed.iter().any(|a| a == key) {
                 continue;
@@ -108,6 +171,11 @@ impl Args {
                 .map(|(_, a)| format!(" (did you mean --{a}?)"))
                 .unwrap_or_default();
             return Err(format!("unknown option --{key}{suggestion}"));
+        }
+        for (key, values) in &self.opts {
+            if !SWITCHES.contains(&key.as_str()) && values.contains(&None) {
+                return Err(format!("--{key} needs a value"));
+            }
         }
         Ok(())
     }
@@ -150,15 +218,15 @@ mod tests {
 
     #[test]
     fn bare_flags() {
-        let a = parse("simulate --parallel --trials 100").unwrap();
-        assert!(a.flag("parallel"));
+        let a = parse("simulate --metrics --trials 100").unwrap();
+        assert!(a.flag("metrics"));
         assert!(!a.flag("quiet"));
         assert_eq!(a.u64_or("trials", 0).unwrap(), 100);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse("plan stray").is_err());
+        assert!(parse("plan stray").unwrap().check_known(&[]).is_err());
         assert!(parse("plan --x 1 --x 2").is_err());
         assert!(parse("plan -- 1").is_err());
         let a = parse("plan --n abc").unwrap();
@@ -193,6 +261,11 @@ mod tests {
         let err = a.check_known(&["trials", "seed", "threads"]).unwrap_err();
         assert!(err.contains("unknown option --trails"), "{err}");
         assert!(err.contains("did you mean --trials?"), "{err}");
+        // A misspelt switch is unknown and has no value; the unknown
+        // option is reported first, with its suggestion.
+        let a = parse("simulate --metric --trials 5").unwrap();
+        let err = a.check_known(&["metrics", "trials"]).unwrap_err();
+        assert!(err.contains("did you mean --metrics?"), "{err}");
     }
 
     #[test]

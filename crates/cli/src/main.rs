@@ -186,19 +186,7 @@ COMMANDS:
 ";
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    // `obs` takes positional file arguments, which the `--key value`
-    // grammar of Args rejects — dispatch it on the raw argv.
-    if raw.first().map(String::as_str) == Some("obs") {
-        return match obs_cmd::run(&raw[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match Args::parse(raw) {
+    let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{HELP}");
@@ -213,6 +201,7 @@ fn main() -> ExitCode {
         Some("chaos") => cmd_chaos(&args),
         Some("saves") => cmd_saves(&args),
         Some("exp") => cmd_exp(&args),
+        Some("obs") => obs_cmd::run(&args),
         Some("help") | None => {
             println!("{HELP}");
             Ok(())
@@ -510,8 +499,8 @@ fn cmd_fit(args: &Args) -> Result<(), String> {
         table.row(&[cand.family.clone(), fmt(cand.ks, 4), cand.life.describe()]);
     }
     println!("{}", table.render());
-    if let Some(c) = args.get("c") {
-        let c: f64 = c.parse().map_err(|_| "--c: bad number".to_string())?;
+    if args.get("c").is_some() {
+        let c = args.f64_or("c", 0.0)?;
         let plan = search::best_guideline_schedule(&est, c).map_err(|e| e.to_string())?;
         println!("guideline plan on the empirical estimate (c = {c}):");
         println!("  schedule      : {}", plan.schedule);
@@ -587,17 +576,9 @@ pub(crate) fn farm_scenario_from_args(args: &Args) -> Result<FarmScenario, Strin
     let gap = args.f64_or("gap", 10.0)?;
     let seed = args.u64_or("seed", 7)?;
     let mut faults = FaultPlan::scaled(args.f64_or("faults", 0.0)?);
-    if let Some(p) = args.get("loss") {
-        faults.loss_prob = p.parse().map_err(|_| "--loss: bad number".to_string())?;
-    }
-    if let Some(f) = args.get("slowdown") {
-        faults.slowdown = f
-            .parse()
-            .map_err(|_| "--slowdown: bad number".to_string())?;
-    }
-    if let Some(r) = args.get("crash") {
-        faults.crash_rate = r.parse().map_err(|_| "--crash: bad number".to_string())?;
-    }
+    faults.loss_prob = args.f64_or("loss", faults.loss_prob)?;
+    faults.slowdown = args.f64_or("slowdown", faults.slowdown)?;
+    faults.crash_rate = args.f64_or("crash", faults.crash_rate)?;
     let storms: Vec<f64> = match args.get("storms") {
         None => Vec::new(),
         Some(list) => {
@@ -726,7 +707,7 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
         // profiler stamps wall-clock events and the tee sinks would observe
         // a second, unjournaled copy of the stream.
         for opt in ["trace-out", "metrics", "profile"] {
-            if args.get(opt).is_some() {
+            if args.flag(opt) {
                 return Err(format!(
                     "--{opt} cannot be combined with --journal/--resume \
                      (the journal itself is the trace; replay must be \
@@ -797,33 +778,34 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
             .collect();
         let (report, info) =
             Farm::resume(config, bag, &path, opts, &StdVfs).map_err(|e| e.to_string())?;
-        let mut summary = RunSummary::new("farm_resume")
+        let summary = RunSummary::new("farm_resume")
             .int("records_replayed", info.records_replayed)
             .int("records_appended", info.records_appended)
             .int("segment_base", info.segment_base)
             .flag("degraded", info.degraded);
-        match (info.snapshot, info.generation) {
-            (SnapshotOutcome::Used { records_skipped }, Some(g)) => {
+        let summary = match info.snapshot {
+            SnapshotOutcome::Used {
+                records_skipped,
+                generation: g,
+            } => {
                 durable_lines.push(format!(
                     "snapshot      : restored {path}.snap.{g} (generation {g}), \
                      {records_skipped} records skipped"
                 ));
-                summary = summary
+                summary
                     .text("snapshot", "used")
                     .int("records_skipped", records_skipped)
-                    .int("generation", u64::from(g));
+                    .int("generation", u64::from(g))
             }
-            (SnapshotOutcome::Fallback(kind), _) => {
+            SnapshotOutcome::Fallback(kind) => {
                 eprintln!(
                     "warning: snapshot {} unusable ({kind}); falling back to full redo replay",
                     sidecars.join(", ")
                 );
-                summary = summary.text("snapshot", &format!("fallback:{kind}"));
+                summary.text("snapshot", &format!("fallback:{kind}"))
             }
-            _ => {
-                summary = summary.text("snapshot", "none");
-            }
-        }
+            SnapshotOutcome::None => summary.text("snapshot", "none"),
+        };
         if info.segment_base > 0 {
             durable_lines.push(format!(
                 "journal gc    : {} records pruned before the journal's first surviving line",
@@ -1226,7 +1208,11 @@ mod tests {
         // allowlist (via check_known), so the typo guard can never reject a
         // documented flag.
         let probe = |opts: &[&str], extra: &[&str]| {
-            let args = Args::parse(opts.iter().map(|o| format!("--{o}"))).unwrap();
+            let tokens = opts.iter().flat_map(|o| {
+                let value = (!args::SWITCHES.contains(o)).then(|| "1".to_string());
+                std::iter::once(format!("--{o}")).chain(value)
+            });
+            let args = Args::parse(tokens).unwrap();
             check_known_with_life(&args, extra)
         };
         probe(LIFE_OPTS, &[]).unwrap();

@@ -75,31 +75,33 @@ usage:
         record zero, and a GC-truncated journal from its oldest retained
         generation.";
 
-/// Entry point: `args` is everything after the `obs` token. Returns
-/// `Err` (non-zero exit) on usage errors, check violations, and flagged
-/// diffs.
-pub fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("report") => cmd_report(one_path(&args[1..], "obs report")?),
-        Some("path") => cmd_path(&args[1..]),
-        Some("chunks") => cmd_chunks(&args[1..]),
-        Some("check") => cmd_check(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
+/// Entry point: the first operand of `args` names the `obs` subcommand.
+/// Returns `Err` (non-zero exit) on usage errors, check violations, and
+/// flagged diffs.
+pub fn run(args: &Args) -> Result<(), String> {
+    match args.operands().first().map(String::as_str) {
+        Some("report") => cmd_report(trace_file(args, "obs report", &[])?),
+        Some("path") => cmd_path(args),
+        Some("chunks") => cmd_chunks(args),
+        Some("check") => cmd_check(args),
+        Some("diff") => cmd_diff(args),
+        Some("replay") => cmd_replay(args),
         _ => Err(USAGE.to_string()),
     }
 }
 
-fn cmd_replay(rest: &[String]) -> Result<(), String> {
-    let args = Args::parse(rest.iter().cloned()).map_err(|e| format!("obs replay: {e}"))?;
-    if args.command.is_some() {
-        return Err(format!(
-            "obs replay takes only --key value options\n\n{USAGE}"
-        ));
-    }
+/// The one trace file a subcommand reads, once every option it was given
+/// is in `allowed`.
+fn trace_file<'a>(args: &'a Args, what: &str, allowed: &[&str]) -> Result<&'a str, String> {
+    let usage = format!("{what} takes exactly one trace file\n\n{USAGE}");
+    Ok(&args.check_known_operands(allowed, 2, &usage)?[1])
+}
+
+fn cmd_replay(args: &Args) -> Result<(), String> {
     let mut allowed: Vec<&str> = FARM_SCENARIO_OPTS.to_vec();
     allowed.extend_from_slice(&["journal", "to", "fork", "generation"]);
-    args.check_known(&allowed)?;
+    let usage = format!("obs replay takes only --key value options\n\n{USAGE}");
+    args.check_known_operands(&allowed, 1, &usage)?;
     let journal = args.require("journal")?.to_string();
     let fork = args.flag("fork");
     let to = match args.get("to") {
@@ -129,7 +131,7 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
         bag,
         policy,
         ..
-    } = farm_scenario_from_args(&args)?;
+    } = farm_scenario_from_args(args)?;
     if let Some(to) = to {
         let state = Farm::replay_to(config, bag, Path::new(&journal), to, generation)
             .map_err(|e| format!("obs replay: {e}"))?;
@@ -179,13 +181,6 @@ fn cmd_replay(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn one_path<'a>(rest: &'a [String], what: &str) -> Result<&'a str, String> {
-    match rest {
-        [path] if !path.starts_with("--") => Ok(path),
-        _ => Err(format!("{what} takes exactly one trace file\n\n{USAGE}")),
-    }
-}
-
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
@@ -227,10 +222,10 @@ fn chain_link(c: &cs_obs::ChunkRecord) -> String {
     format!("#{} (ws {}, {})", c.id, c.ws, c.fate.label())
 }
 
-fn cmd_path(rest: &[String]) -> Result<(), String> {
-    let (flags, path) = flags_and_path(rest, "obs path", &["l", "c"])?;
-    let l = parse_flag(&flags, "l", 150.0, "bad number")?;
-    let c = parse_flag(&flags, "c", 2.0, "bad number")?;
+fn cmd_path(args: &Args) -> Result<(), String> {
+    let path = trace_file(args, "obs path", &["l", "c"])?;
+    let l = args.f64_or("l", 150.0)?;
+    let c = args.f64_or("c", 2.0)?;
     // The paper's prediction for the scenario's uniform life function,
     // planned first so a bad --l or --c fails before any analysis prints.
     let life = cs_life::Uniform::new(l).map_err(|e| format!("--l: {e}"))?;
@@ -350,9 +345,9 @@ fn cmd_path(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_chunks(rest: &[String]) -> Result<(), String> {
-    let (flags, path) = flags_and_path(rest, "obs chunks", &["top"])?;
-    let top = parse_flag(&flags, "top", 10, "expected an integer, got")?;
+fn cmd_chunks(args: &Args) -> Result<(), String> {
+    let path = trace_file(args, "obs chunks", &["top"])?;
+    let top = args.usize_or("top", 10)?;
     let a = lineage_file(path)?;
     println!("trace         : {path}");
     println!(
@@ -465,58 +460,6 @@ fn cmd_chunks(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--key value` pairs parsed ahead of a lineage subcommand's positional
-/// trace path.
-type ParsedFlags = Vec<(String, String)>;
-
-/// Parses `[--key value ...] <trace>` for the lineage subcommands: only
-/// the listed keys are legal, each at most once, and exactly one
-/// positional path is required.
-fn flags_and_path<'a>(
-    rest: &'a [String],
-    what: &str,
-    keys: &[&str],
-) -> Result<(ParsedFlags, &'a str), String> {
-    let mut flags = Vec::new();
-    let mut path: Option<&str> = None;
-    let mut it = rest.iter();
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            flag if flag.starts_with("--") => {
-                let key = &flag[2..];
-                if !keys.contains(&key) {
-                    return Err(format!("{what}: unknown option {flag}\n\n{USAGE}"));
-                }
-                if flags.iter().any(|(k, _)| k == key) {
-                    return Err(format!("{what}: duplicate option: {flag}"));
-                }
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{what}: {flag} needs a value"))?;
-                flags.push((key.to_string(), v.clone()));
-            }
-            p if path.is_none() => path = Some(p),
-            _ => return Err(format!("{what} takes exactly one trace file\n\n{USAGE}")),
-        }
-    }
-    let path = path.ok_or_else(|| format!("{what} takes exactly one trace file\n\n{USAGE}"))?;
-    Ok((flags, path))
-}
-
-/// The value of `--key`, or `default` when it is absent; a value that
-/// does not parse fails as `--key: <complaint> "<value>"`.
-fn parse_flag<T: std::str::FromStr>(
-    flags: &ParsedFlags,
-    key: &str,
-    default: T,
-    complaint: &str,
-) -> Result<T, String> {
-    match flags.iter().find(|(k, _)| k == key) {
-        None => Ok(default),
-        Some((_, v)) => v.parse().map_err(|_| format!("--{key}: {complaint} {v:?}")),
-    }
-}
-
 fn cmd_report(path: &str) -> Result<(), String> {
     let text = read(path)?;
     // One decode feeds both the analysis and the lineage fold.
@@ -623,20 +566,9 @@ fn pool_table(reg: &cs_obs::MetricsRegistry) -> Option<String> {
     Some(table.render())
 }
 
-fn cmd_check(rest: &[String]) -> Result<(), String> {
-    let mut strict = false;
-    let mut path: Option<&str> = None;
-    for tok in rest {
-        match tok.as_str() {
-            "--strict" => strict = true,
-            p if p.starts_with("--") => {
-                return Err(format!("obs check: unknown option {p}\n\n{USAGE}"))
-            }
-            p if path.is_none() => path = Some(p),
-            _ => return Err(format!("obs check takes exactly one trace file\n\n{USAGE}")),
-        }
-    }
-    let path = path.ok_or_else(|| format!("obs check takes exactly one trace file\n\n{USAGE}"))?;
+fn cmd_check(args: &Args) -> Result<(), String> {
+    let path = trace_file(args, "obs check", &["strict"])?;
+    let strict = args.flag("strict");
     let text = read(path)?;
     let s = check_text(&text, strict);
     println!(
@@ -660,43 +592,25 @@ fn cmd_check(rest: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_diff(rest: &[String]) -> Result<(), String> {
-    let mut threshold = 0.2f64;
-    let mut bench = false;
-    let mut only: Vec<String> = Vec::new();
-    let mut mins: Vec<(String, f64)> = Vec::new();
-    let mut paths: Vec<&str> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--bench" => bench = true,
-            "--threshold" => {
-                let v = it.next().ok_or("--threshold needs a value")?;
-                threshold = v
-                    .parse()
-                    .map_err(|_| format!("--threshold: bad number {v:?}"))?;
-            }
-            "--only" => {
-                let v = it.next().ok_or("--only needs a substring")?;
-                only.push(v.clone());
-            }
-            "--min" => {
-                let v = it.next().ok_or("--min needs <row>=<value>")?;
-                let (name, floor) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("--min: expected <row>=<value>, got {v:?}"))?;
-                let floor: f64 = floor
-                    .parse()
-                    .map_err(|_| format!("--min {name}: bad number {floor:?}"))?;
-                mins.push((name.to_string(), floor));
-            }
-            p if !p.starts_with("--") => paths.push(p),
-            other => return Err(format!("obs diff: unknown option {other}\n\n{USAGE}")),
-        }
-    }
-    let [a, b] = paths[..] else {
-        return Err(format!("obs diff takes exactly two files\n\n{USAGE}"));
-    };
+fn cmd_diff(args: &Args) -> Result<(), String> {
+    let usage = format!("obs diff takes exactly two files\n\n{USAGE}");
+    let files = args.check_known_operands(&["threshold", "bench", "only", "min"], 3, &usage)?;
+    let (a, b) = (&files[1], &files[2]);
+    let threshold = args.f64_or("threshold", 0.2)?;
+    let bench = args.flag("bench");
+    let only: Vec<&str> = args.all("only").collect();
+    let mins = args
+        .all("min")
+        .map(|v| {
+            let (name, floor) = v
+                .split_once('=')
+                .ok_or_else(|| format!("--min: expected <row>=<value>, got {v:?}"))?;
+            let floor: f64 = floor
+                .parse()
+                .map_err(|_| format!("--min {name}: expected a number, got {floor:?}"))?;
+            Ok((name, floor))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let mut rows = if bench {
         diff_bench(&read(a)?, &read(b)?, threshold)?
     } else {
@@ -712,7 +626,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
     // missing, not silently pass.
     let mut floor_misses = Vec::new();
     for (name, floor) in &mins {
-        match rows.iter().find(|r| &r.name == name) {
+        match rows.iter().find(|r| r.name == *name) {
             None => floor_misses.push(format!("--min {name}: no such row in the diff")),
             Some(r) if r.b.is_nan() || r.b < *floor => floor_misses.push(format!(
                 "--min {name}: candidate {} below floor {floor}",
@@ -722,7 +636,7 @@ fn cmd_diff(rest: &[String]) -> Result<(), String> {
         }
     }
     if !only.is_empty() {
-        rows.retain(|r| only.iter().any(|f| r.name.contains(f.as_str())));
+        rows.retain(|r| only.iter().any(|f| r.name.contains(f)));
         if rows.is_empty() {
             return Err(format!(
                 "obs diff: no metric matched --only {:?} (check the row names)",
@@ -777,6 +691,12 @@ fn rel_display(row: &DiffRow) -> String {
 mod tests {
     use super::*;
 
+    /// Parses `obs <tokens>` the way `main` does and runs it.
+    fn run(tokens: &[String]) -> Result<(), String> {
+        let argv = std::iter::once("obs".to_string()).chain(tokens.iter().cloned());
+        super::run(&Args::parse(argv)?)
+    }
+
     #[test]
     fn usage_errors_name_the_subcommand() {
         let err = run(&[]).unwrap_err();
@@ -830,7 +750,10 @@ mod tests {
         let err = run(&to_args("path --l a.jsonl")).unwrap_err();
         assert!(err.contains("exactly one trace file"), "{err}");
         let err = run(&to_args("path --l nope a.jsonl")).unwrap_err();
-        assert!(err.contains("--l: bad number"), "{err}");
+        assert!(
+            err.contains("--l: expected a number, got \"nope\""),
+            "{err}"
+        );
         let err = run(&to_args("path --l 150 --c 2 /no/such/trace.jsonl")).unwrap_err();
         assert!(err.contains("/no/such/trace.jsonl"), "{err}");
         // `--top` is a chunk count: no sign, fraction or NaN.

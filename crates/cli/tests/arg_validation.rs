@@ -1,7 +1,8 @@
 //! Argument handling through the real `cyclesteal` binary: degenerate
-//! worker and trial counts exit 1 with a typed message on stderr instead
-//! of printing a meaningless result, and `farm --profile` times every
-//! phase of the process.
+//! worker and trial counts, options missing their value and repeated
+//! options exit 1 with a typed message on stderr instead of printing a
+//! meaningless result, and `farm --profile` times every phase of the
+//! process.
 
 use std::process::{Command, Output};
 
@@ -43,6 +44,21 @@ fn exp_list_ignores_threads() {
     let out = cyclesteal("exp --list --threads 0");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("experiments; run one with"));
+}
+
+#[test]
+fn farm_rejects_a_journal_without_a_path() {
+    // A bare `--journal` used to journal to a file named `true`.
+    assert_rejected("farm --tasks 5 --journal", "--journal needs a value");
+}
+
+#[test]
+fn obs_diff_rejects_a_repeated_threshold() {
+    // The second `--threshold` used to win silently.
+    assert_rejected(
+        "obs diff --threshold 0.5 --threshold 9 a.json b.json",
+        "duplicate option: --threshold",
+    );
 }
 
 #[test]

@@ -51,10 +51,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 pub use cs_scenarios::PolicySpec;
 
-/// Back-compat alias: the policy enum now lives in `cs-scenarios` as
-/// [`PolicySpec`], the single source of parsing, labels and construction.
-pub type PolicyKind = PolicySpec;
-
 /// Configuration of one borrowed workstation.
 #[derive(Clone)]
 pub struct WorkstationConfig {

@@ -215,9 +215,6 @@ pub struct RecoveryInfo {
     /// Whether the snapshot sidecar restored, was absent, or was rejected
     /// (and recovery fell back to full redo replay).
     pub snapshot: SnapshotOutcome,
-    /// Ring generation the restored snapshot came from (`None` when no
-    /// snapshot restored).
-    pub generation: Option<u32>,
     /// Records truncated by GC before this journal segment (0 for a
     /// whole, un-GC'd journal).
     pub segment_base: u64,
@@ -658,7 +655,6 @@ impl Farm {
                 records_appended: stats.records,
                 torn_bytes_discarded: rec.journal.torn_bytes,
                 snapshot: rec.outcome,
-                generation: rec.generation,
                 segment_base: rec.base,
                 degraded: stats.degraded,
             },
@@ -1217,8 +1213,6 @@ struct Recovery {
     ring_meta: Vec<Option<(u64, u64)>>,
     newest: Option<u32>,
     outcome: SnapshotOutcome,
-    /// Ring generation of the restored snapshot, if one restored.
-    generation: Option<u32>,
     /// The running journal hash where replay begins.
     hash: u64,
     /// The surviving records, positioned where replay begins.
@@ -1329,14 +1323,15 @@ fn recover(
         }
     };
     let outcome = match &restored {
-        Some((_, from, ..)) => SnapshotOutcome::Used {
+        Some((_, from, _, g)) => SnapshotOutcome::Used {
             records_skipped: *from,
+            generation: *g,
         },
         None => reject.map_or(SnapshotOutcome::None, SnapshotOutcome::Fallback),
     };
-    let (origin, from, hash, generation) = match restored {
-        Some((run, from, hash, g)) => (Origin::Restored(Box::new(run)), from, hash, Some(g)),
-        None => (Origin::Zero(farm), 0, FNV_OFFSET, None),
+    let (origin, from, hash) = match restored {
+        Some((run, from, hash, _)) => (Origin::Restored(Box::new(run)), from, hash),
+        None => (Origin::Zero(farm), 0, FNV_OFFSET),
     };
     Ok(Recovery {
         journal,
@@ -1345,7 +1340,6 @@ fn recover(
         ring_meta,
         newest,
         outcome,
-        generation,
         hash,
         verifier: Verifier::new(records, base, from),
         origin,
@@ -1620,7 +1614,9 @@ pub(crate) mod tests {
         // either way every committed record is accounted for and nothing
         // new is written.
         let skipped = match info.snapshot {
-            SnapshotOutcome::Used { records_skipped } => records_skipped,
+            SnapshotOutcome::Used {
+                records_skipped, ..
+            } => records_skipped,
             SnapshotOutcome::None => 0,
             other => panic!("unexpected snapshot outcome {other:?}"),
         };
@@ -1781,7 +1777,8 @@ pub(crate) mod tests {
         assert_eq!(
             info.snapshot,
             SnapshotOutcome::Used {
-                records_skipped: snap_records
+                records_skipped: snap_records,
+                generation: 0,
             }
         );
         assert_eq!(info.records_replayed, kill_at as u64 - snap_records);
@@ -1998,7 +1995,6 @@ pub(crate) mod tests {
         truncate_to(&path, &full, n - 1);
         let (resumed, info) = Farm::resume(faulty_config(47), bag(), &path, opts, &StdVfs).unwrap();
         assert_reports_bitwise_equal(&report, &resumed);
-        assert!(info.generation.is_some(), "{info:?}");
         assert!(
             matches!(info.snapshot, SnapshotOutcome::Used { .. }),
             "{info:?}"
@@ -2490,7 +2486,7 @@ mod properties {
             // skips the covered records; otherwise it falls back to full
             // redo. Either way, every committed record is accounted for.
             let skipped = match info.snapshot {
-                SnapshotOutcome::Used { records_skipped } => records_skipped,
+                SnapshotOutcome::Used { records_skipped, .. } => records_skipped,
                 _ => 0,
             };
             prop_assert_eq!(skipped + info.records_replayed, k as u64);
@@ -2559,7 +2555,7 @@ mod properties {
             let stitched = std::fs::read(&path).unwrap();
             prop_assert!(stitched == full, "stitched journal differs from the reference");
             let skipped = match info.snapshot {
-                SnapshotOutcome::Used { records_skipped } => {
+                SnapshotOutcome::Used { records_skipped, .. } => {
                     prop_assert!(!corrupt, "a corrupted sidecar must never restore");
                     records_skipped
                 }

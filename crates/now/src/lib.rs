@@ -65,8 +65,8 @@ pub mod replicate;
 pub mod snapshot;
 
 pub use farm::{
-    Farm, FarmConfig, FarmConfigError, FarmReport, PolicyKind, PolicySpec, RobustnessTotals,
-    WorkstationConfig, WorkstationStats,
+    Farm, FarmConfig, FarmConfigError, FarmReport, PolicySpec, RobustnessTotals, WorkstationConfig,
+    WorkstationStats,
 };
 pub use faults::{BeliefDrift, FaultPlan, FaultPlanError, ResilienceConfig};
 pub use journal::{

@@ -2,7 +2,7 @@
 //!
 //! A single farm run is one sample of a stochastic system; policy
 //! comparisons need distributions. [`replicate_farm`] runs `n` independent
-//! replications (differing only in seed) across scoped threads
+//! replications (differing only in seed) on the work-stealing pool
 //! and merges the per-replication outcomes into summary statistics —
 //! reproducible for a fixed master seed regardless of thread count.
 
@@ -31,8 +31,8 @@ pub struct ReplicationReport {
     pub drained_fraction: f64,
 }
 
-/// Runs `replications` independent farm simulations over `threads` scoped
-/// threads.
+/// Runs `replications` independent farm simulations as `threads` shards on
+/// a `threads`-worker [`cs_pool::Pool`].
 ///
 /// `template` supplies the workstations (with their fault plans), storms,
 /// resilience knobs, horizon and base seed; replication `r` runs with seed
@@ -43,7 +43,7 @@ pub struct ReplicationReport {
 /// mixed-policy farm.
 ///
 /// Fails fast with the template's [`FarmConfigError`] instead of panicking
-/// inside a worker thread.
+/// inside a pool worker.
 pub fn replicate_farm(
     template: &FarmConfig,
     policy: PolicySpec,
@@ -109,15 +109,11 @@ pub fn replicate_farm(
         out
     };
 
-    let results: Vec<Shard> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|&(lo, hi)| scope.spawn(move || run_range(lo, hi)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("replication shard panicked"))
-            .collect()
+    // Shards merge in index order, so the summaries do not depend on
+    // which worker ran which shard.
+    let results = cs_pool::Pool::new(threads).map_indexed(shards.len(), |i| {
+        let (lo, hi) = shards[i];
+        run_range(lo, hi)
     });
 
     let mut makespan = Summary::new();

@@ -26,7 +26,7 @@
 //! [`SnapshotError`], which recovery reports as
 //! [`SnapshotOutcome::Fallback`]. Each format — this file and the `.seg`
 //! segment metadata — is described once, by a field walk that one
-//! [`Codec`] runs to write and, strictly, to read: the reader accepts
+//! `Codec` runs to write and, strictly, to read: the reader accepts
 //! exactly the bytes the writer writes. Sidecars are published atomically
 //! (temp file, fsync, rename).
 //!
@@ -262,6 +262,8 @@ pub enum SnapshotOutcome {
     Used {
         /// Journal records covered by the snapshot (not replayed).
         records_skipped: u64,
+        /// Ring generation the snapshot came from.
+        generation: u32,
     },
     /// A sidecar was present but rejected for the given reason; recovery
     /// fell back to full redo replay. The run still finishes bitwise-exact.

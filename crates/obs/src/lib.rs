@@ -81,7 +81,7 @@ pub use lineage::{analyze_lineage, ChunkFate, ChunkRecord, LineageAnalysis, Phas
 pub use metrics::{Histogram, MetricsRegistry};
 pub use schema::decode_lines;
 pub use sink::{EventSink, JsonlSink, MemorySink, MetricsSink, NoopSink, TeeSink};
-pub use span::{SpanGuard, SpanId, SpanProfiler};
+pub use span::{SpanId, SpanProfiler};
 pub use summary::RunSummary;
 pub use vfs::{
     injected_kind, FaultAt, FaultKind, FaultyVfs, StdVfs, Vfs, VfsFile, ALL_FAULT_KINDS,

@@ -19,16 +19,11 @@
 //! [`SpanProfiler::disabled`] is inert — every call is a cheap no-op — so
 //! instrumented hot paths pay one branch when profiling is off.
 //!
-//! Two usage styles:
-//!
-//! * [`SpanProfiler::scope`] — RAII: the returned [`SpanGuard`] closes the
-//!   span when dropped. Ergonomic for straight-line sections, but the
-//!   guard borrows both the profiler and the sink for its lifetime.
-//! * [`SpanProfiler::start`] / [`SpanProfiler::end`] — explicit pairing
-//!   for loops that must keep using the sink inside the span (the farm
-//!   event loop, the Monte-Carlo trial loop). Ending a span implicitly
-//!   closes any children left open, keeping the emitted tree balanced
-//!   even on early exits.
+//! Spans open with [`SpanProfiler::start`] and close with
+//! [`SpanProfiler::end`], an explicit pairing that lets loops keep using
+//! the sink inside the span (the farm event loop, the Monte-Carlo trial
+//! loop). Ending a span implicitly closes any children left open, keeping
+//! the emitted tree balanced even on early exits.
 
 use crate::event::{Event, EventKind};
 use crate::metrics::MetricsRegistry;
@@ -149,23 +144,6 @@ impl SpanProfiler {
         }
     }
 
-    /// Opens a RAII-scoped span: the returned guard closes it on drop.
-    /// The guard borrows the profiler *and* the sink, so use
-    /// [`SpanProfiler::start`]/[`SpanProfiler::end`] where the body needs
-    /// the sink.
-    pub fn scope<'a>(
-        &'a mut self,
-        name: &'static str,
-        sink: &'a mut dyn EventSink,
-    ) -> SpanGuard<'a> {
-        let id = self.start(name, &mut *sink);
-        SpanGuard {
-            prof: self,
-            sink,
-            id,
-        }
-    }
-
     /// Adds `by` to the counter `span.<innermost-open-span>.<key>`
     /// (`span.root.<key>` outside any span): cheap per-span counters for
     /// things like events handled or trials run.
@@ -197,26 +175,6 @@ impl SpanProfiler {
 impl Default for SpanProfiler {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// RAII guard from [`SpanProfiler::scope`]: closes its span when dropped.
-pub struct SpanGuard<'a> {
-    prof: &'a mut SpanProfiler,
-    sink: &'a mut dyn EventSink,
-    id: SpanId,
-}
-
-impl SpanGuard<'_> {
-    /// The guarded span's id.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.prof.end(self.id, &mut *self.sink);
     }
 }
 
@@ -323,25 +281,6 @@ mod tests {
         prof.end(id, &mut sink);
         assert_eq!(sink.events.len(), 2);
         assert_eq!(prof.registry().counter("span_end_mismatches"), 1);
-    }
-
-    #[test]
-    fn scope_guard_closes_on_drop() {
-        let mut prof = SpanProfiler::new();
-        let mut sink = MemorySink::new();
-        {
-            let guard = prof.scope("scoped", &mut sink);
-            assert!(!guard.id().is_none());
-        }
-        assert_eq!(prof.open_spans(), 0);
-        assert_eq!(
-            names(&sink.events),
-            vec![("start", "scoped"), ("end", "scoped")]
-        );
-        // Emitted lines decode back to the same events.
-        for e in &sink.events {
-            assert_eq!(crate::Event::from_jsonl(&e.to_jsonl()).as_ref(), Ok(e));
-        }
     }
 
     #[test]

@@ -2,22 +2,21 @@
 //!
 //! The shared scenario/spec layer for the reproduction. The paper's
 //! evaluation is a matrix of (life-function scenario × schedule policy ×
-//! experiment); this crate owns the typed, round-trippable descriptions of
-//! the first two axes so the CLI, the NOW farm and the experiment harness
-//! all speak the same language:
+//! experiment); this crate owns the typed descriptions of the first two
+//! axes so the CLI, the NOW farm and the experiment harness all speak the
+//! same language:
 //!
-//! * [`LifeSpec`] — every CLI-constructible life-function family, with a
-//!   compact `family:key=val,…` grammar ([`LifeSpec::parse`] /
-//!   [`Display`](std::fmt::Display)) and a builder onto [`cs_life::ArcLife`].
+//! * [`LifeSpec`] — every CLI-constructible life-function family, read
+//!   from `--key value` lookups ([`LifeSpec::from_lookup`]) through one
+//!   per-family table, with a builder onto [`cs_life::ArcLife`].
 //! * [`PolicySpec`] — the chunk-sizing policies (`guideline`, `greedy`,
 //!   `fixed:<t>`), with parsing, display, the canonical report
 //!   [`label`](PolicySpec::label) and construction onto
-//!   [`cs_sim::policy::ChunkPolicy`].
+//!   [`cs_sim::policy::ChunkPolicy`]. `PolicySpec::parse` reads the CLI's
+//!   `--policy` and satisfies `parse(display(spec)) == spec` (see the
+//!   proptests under `tests/`).
 //! * [`ScenarioSpec`] — a named (life, overhead) pair, plus the
 //!   [`registry`] of canonical named scenarios used across DESIGN §5.
-//!
-//! Every spec satisfies `parse(display(spec)) == spec` (see the proptests
-//! under `tests/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

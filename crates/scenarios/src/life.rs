@@ -1,40 +1,21 @@
 //! Typed life-function specifications.
 //!
-//! [`LifeSpec`] covers every life family the command line can construct.
-//! Two surfaces feed it:
-//!
-//! * the compact string grammar `family:key=val,…` ([`LifeSpec::parse`],
-//!   round-tripped by the [`Display`](std::fmt::Display) impl), used by scenario strings and
-//!   the experiment harness, and
-//! * `--key value` option lookups ([`LifeSpec::from_lookup`]), used by the
-//!   `cyclesteal` CLI.
-//!
-//! Both run the same per-family table, so a surface cannot accept a
-//! parameter the other rejects.
+//! [`LifeSpec`] covers every life family the command line can construct,
+//! read from `--key value` option lookups by [`LifeSpec::from_lookup`]
+//! through one per-family table, so a family cannot silently ignore a
+//! parameter meant for another.
 
 use cs_life::{
     ArcLife, GeometricDecreasing, GeometricIncreasing, Pareto, Polynomial, Uniform, Weibull,
 };
-use std::fmt;
 use std::sync::Arc;
 
 /// Options every life-function spec may carry (the CLI allowlist).
 pub const LIFE_OPTS: &[&str] = &["family", "l", "d", "a", "half-life", "k", "lambda"];
 
-/// A parsed life-function specification.
-///
-/// Grammar (compact form, one `family:key=val,…` token):
-///
-/// * `uniform:l=<lifespan>`
-/// * `poly:d=<degree>,l=<lifespan>`
-/// * `geometric:a=<risk factor>` (or `geometric:half-life=<h>`)
-/// * `increasing:l=<lifespan>`
-/// * `pareto:d=<exponent>`
-/// * `weibull:k=<shape>,lambda=<scale>`
-///
-/// Family aliases accepted on parse: `polynomial` for `poly`, `geo` for
-/// `geometric`, `coffee` for `increasing`. [`Display`](std::fmt::Display) always emits the
-/// canonical form, and `parse(display(spec)) == spec` for every valid spec.
+/// A life-function specification, one variant per family the CLI
+/// builds: `--family uniform|poly|geometric|increasing|pareto|weibull`
+/// with the parameters [`LifeSpec::from_lookup`] documents.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LifeSpec {
     /// Uniform lifespan on `[0, l]`.
@@ -73,47 +54,13 @@ pub enum LifeSpec {
     },
 }
 
-/// One parameter bag, from either surface, with CLI-grade duplicate and
-/// unknown rejection.
+/// The `--key value` parameters one family has not consumed yet.
 struct Params<'a> {
     family: &'a str,
     pairs: Vec<(&'a str, &'a str)>,
-    /// The keys came from `--key value` options, so errors name them as
-    /// flags.
-    flags: bool,
 }
 
-impl<'a> Params<'a> {
-    fn parse(family: &'a str, body: &'a str) -> Result<Self, String> {
-        let mut pairs: Vec<(&'a str, &'a str)> = Vec::new();
-        if !body.is_empty() {
-            for item in body.split(',') {
-                let Some((k, v)) = item.split_once('=') else {
-                    return Err(format!("{family}: expected key=val, got {item:?}"));
-                };
-                if pairs.iter().any(|&(seen, _)| seen == k) {
-                    return Err(format!("{family}: duplicate parameter {k:?}"));
-                }
-                pairs.push((k, v));
-            }
-        }
-        Ok(Self {
-            family,
-            pairs,
-            flags: false,
-        })
-    }
-
-    /// An error about `key`: `--key: …` for a flag, `family: key: …` in
-    /// the compact grammar.
-    fn error(&self, key: &str, msg: &str) -> String {
-        if self.flags {
-            format!("--{key}: {msg}")
-        } else {
-            format!("{}: {key}: {msg}", self.family)
-        }
-    }
-
+impl Params<'_> {
     fn take<T: std::str::FromStr>(&mut self, key: &str, what: &str) -> Result<Option<T>, String> {
         let Some(at) = self.pairs.iter().position(|&(k, _)| k == key) else {
             return Ok(None);
@@ -121,7 +68,7 @@ impl<'a> Params<'a> {
         let v = self.pairs.remove(at).1;
         v.parse()
             .map(Some)
-            .map_err(|_| self.error(key, &format!("expected {what}, got {v:?}")))
+            .map_err(|_| format!("--{key}: expected {what}, got {v:?}"))
     }
 
     fn take_f64(&mut self, key: &str, default: f64) -> Result<f64, String> {
@@ -135,45 +82,31 @@ impl<'a> Params<'a> {
     fn finish(self) -> Result<(), String> {
         match self.pairs.first() {
             None => Ok(()),
-            Some(&(k, _)) => Err(self.error(k, &format!("unused by family {}", self.family))),
+            Some(&(k, _)) => Err(format!("--{k}: unused by family {}", self.family)),
         }
     }
 }
 
 impl LifeSpec {
-    /// Parses the compact `family:key=val,…` form.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (family, body) = match s.split_once(':') {
-            Some((f, b)) => (f, b),
-            None => (s, ""),
-        };
-        Self::from_params(Params::parse(family, body)?)
-    }
-
-    /// Builds a life-function spec from `--key value` option lookups (the
-    /// CLI surface) over the [`LIFE_OPTS`] keys, with the grammar of
-    /// [`LifeSpec::parse`]. The family defaults to `uniform`, `d` to 2, `a`
-    /// to 2, `k` to 1.5, and lifespans/scales to NaN so the family
-    /// constructor rejects their absence in [`LifeSpec::build`]. A flag
-    /// the family does not take is an error.
+    /// Builds a life-function spec from `--key value` option lookups over
+    /// the [`LIFE_OPTS`] keys. The family defaults to `uniform`, `d` to 2,
+    /// `a` to 2, `k` to 1.5, and lifespans/scales to NaN so the family
+    /// constructor rejects their absence in [`LifeSpec::build`]. Aliases:
+    /// `polynomial` for `poly`, `geo` for `geometric`, `coffee` for
+    /// `increasing`; `geometric` also takes `--half-life` instead of `--a`.
+    /// A flag the family does not take is an error.
     pub fn from_lookup<'a, F>(get: F) -> Result<Self, String>
     where
         F: Fn(&str) -> Option<&'a str>,
     {
-        let pairs = LIFE_OPTS
-            .iter()
-            .filter(|&&k| k != "family")
-            .filter_map(|&k| get(k).map(|v| (k, v)))
-            .collect();
-        Self::from_params(Params {
+        let mut p = Params {
             family: get("family").unwrap_or("uniform"),
-            pairs,
-            flags: true,
-        })
-    }
-
-    /// The per-family parameter table both surfaces share.
-    fn from_params(mut p: Params<'_>) -> Result<Self, String> {
+            pairs: LIFE_OPTS
+                .iter()
+                .filter(|&&k| k != "family")
+                .filter_map(|&k| get(k).map(|v| (k, v)))
+                .collect(),
+        };
         let spec = match p.family {
             "uniform" => LifeSpec::Uniform {
                 l: p.take_f64("l", f64::NAN)?,
@@ -235,39 +168,6 @@ impl LifeSpec {
             }
         })
     }
-
-    /// The canonical family name (the one [`Display`](std::fmt::Display) emits).
-    pub fn family(&self) -> &'static str {
-        match self {
-            LifeSpec::Uniform { .. } => "uniform",
-            LifeSpec::Poly { .. } => "poly",
-            LifeSpec::Geometric { .. } => "geometric",
-            LifeSpec::Increasing { .. } => "increasing",
-            LifeSpec::Pareto { .. } => "pareto",
-            LifeSpec::Weibull { .. } => "weibull",
-        }
-    }
-}
-
-impl fmt::Display for LifeSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            LifeSpec::Uniform { l } => write!(f, "uniform:l={l}"),
-            LifeSpec::Poly { d, l } => write!(f, "poly:d={d},l={l}"),
-            LifeSpec::Geometric { a } => write!(f, "geometric:a={a}"),
-            LifeSpec::Increasing { l } => write!(f, "increasing:l={l}"),
-            LifeSpec::Pareto { d } => write!(f, "pareto:d={d}"),
-            LifeSpec::Weibull { k, lambda } => write!(f, "weibull:k={k},lambda={lambda}"),
-        }
-    }
-}
-
-impl std::str::FromStr for LifeSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s)
-    }
 }
 
 #[cfg(test)]
@@ -275,24 +175,44 @@ mod tests {
     use super::*;
     use cs_life::LifeFunction;
 
+    /// A lookup over fixed `(key, value)` pairs, as the CLI's `Args`
+    /// would answer it.
+    fn lookup(pairs: &[(&'static str, &'static str)]) -> Result<LifeSpec, String> {
+        LifeSpec::from_lookup(|k| pairs.iter().find(|&&(key, _)| key == k).map(|&(_, v)| v))
+    }
+
     #[test]
     fn parses_all_families_compact() {
-        for (s, spec) in [
-            ("uniform:l=100", LifeSpec::Uniform { l: 100.0 }),
-            ("poly:d=3,l=100", LifeSpec::Poly { d: 3, l: 100.0 }),
-            ("geometric:a=2", LifeSpec::Geometric { a: 2.0 }),
-            ("increasing:l=64", LifeSpec::Increasing { l: 64.0 }),
-            ("pareto:d=2", LifeSpec::Pareto { d: 2.0 }),
+        for (pairs, spec) in [
             (
-                "weibull:k=1.5,lambda=10",
+                &[("family", "uniform"), ("l", "100")][..],
+                LifeSpec::Uniform { l: 100.0 },
+            ),
+            (
+                &[("family", "poly"), ("d", "3"), ("l", "100")],
+                LifeSpec::Poly { d: 3, l: 100.0 },
+            ),
+            (
+                &[("family", "geometric"), ("a", "2")],
+                LifeSpec::Geometric { a: 2.0 },
+            ),
+            (
+                &[("family", "increasing"), ("l", "64")],
+                LifeSpec::Increasing { l: 64.0 },
+            ),
+            (
+                &[("family", "pareto"), ("d", "2")],
+                LifeSpec::Pareto { d: 2.0 },
+            ),
+            (
+                &[("family", "weibull"), ("k", "1.5"), ("lambda", "10")],
                 LifeSpec::Weibull {
                     k: 1.5,
                     lambda: 10.0,
                 },
             ),
         ] {
-            assert_eq!(LifeSpec::parse(s).unwrap(), spec, "{s}");
-            assert_eq!(spec.to_string(), s, "{s}");
+            assert_eq!(lookup(pairs).unwrap(), spec, "{pairs:?}");
             spec.build().unwrap();
         }
     }
@@ -300,31 +220,31 @@ mod tests {
     #[test]
     fn parse_accepts_aliases_and_half_life() {
         assert_eq!(
-            LifeSpec::parse("polynomial:d=2,l=10").unwrap(),
+            lookup(&[("family", "polynomial"), ("d", "2"), ("l", "10")]).unwrap(),
             LifeSpec::Poly { d: 2, l: 10.0 }
         );
         assert_eq!(
-            LifeSpec::parse("coffee:l=16").unwrap(),
+            lookup(&[("family", "coffee"), ("l", "16")]).unwrap(),
             LifeSpec::Increasing { l: 16.0 }
         );
-        let g = LifeSpec::parse("geo:half-life=8").unwrap();
-        let life = g.build().unwrap();
-        assert!((life.survival(8.0) - 0.5).abs() < 1e-12);
+        let geo = lookup(&[("family", "geo"), ("half-life", "8")]).unwrap();
+        assert!((geo.build().unwrap().survival(8.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn parse_rejects_malformed() {
         for bad in [
-            "martian",
-            "uniform:l=abc",
-            "poly:d=1.5,l=10",
-            "poly:q=3",
-            "uniform:l=1,l=2",
-            "uniform:l",
-            "geometric:half-life=-1",
+            &[("family", "martian")][..],
+            &[("l", "abc")],
+            &[("family", "poly"), ("d", "1.5"), ("l", "10")],
+            &[("family", "poly"), ("a", "3")],
+            &[("family", "geometric"), ("half-life", "-1")],
         ] {
-            assert!(LifeSpec::parse(bad).is_err(), "{bad}");
+            assert!(lookup(bad).is_err(), "{bad:?}");
         }
+        // A missing lambda defaults to NaN, which the constructor rejects.
+        let weibull = lookup(&[("family", "weibull"), ("k", "1.5")]).unwrap();
+        assert!(weibull.build().is_err());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! policies exist, how they are named on the command line (`guideline`,
 //! `greedy`, `fixed:<t>`), how they are labelled in reports
 //! ([`PolicySpec::label`]), and how they are instantiated against a
-//! believed life function ([`PolicySpec::build`]). It replaces the
-//! `PolicyKind` enum that used to live in `cs-now::farm`.
+//! believed life function ([`PolicySpec::build`]).
 
 use cs_life::{ArcLife, LifeFunction};
 use cs_sim::policy::{ChunkPolicy, FixedSizePolicy, GreedyPolicy, GuidelineCache, GuidelinePolicy};

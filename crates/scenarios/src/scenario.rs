@@ -2,13 +2,8 @@
 
 use crate::life::LifeSpec;
 use cs_life::ArcLife;
-use std::fmt;
 
 /// A named scenario specification: life function + communication overhead.
-///
-/// Grammar: `<name>;<life-spec>;c=<overhead>` — three `;`-separated fields
-/// (the name may not contain `;`), e.g.
-/// `uniform(L=1000);uniform:l=1000;c=5`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Short identifier for tables.
@@ -30,34 +25,6 @@ pub struct Scenario {
 }
 
 impl ScenarioSpec {
-    /// Parses the `<name>;<life-spec>;c=<overhead>` form.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let mut fields = s.splitn(3, ';');
-        let (Some(name), Some(life), Some(c)) = (fields.next(), fields.next(), fields.next())
-        else {
-            return Err(format!(
-                "scenario: expected <name>;<life-spec>;c=<overhead>, got {s:?}"
-            ));
-        };
-        if name.is_empty() {
-            return Err("scenario: empty name".into());
-        }
-        let life = LifeSpec::parse(life)?;
-        let Some(c) = c.strip_prefix("c=") else {
-            return Err(format!(
-                "scenario: third field must be c=<overhead>, got {c:?}"
-            ));
-        };
-        let c: f64 = c
-            .parse()
-            .map_err(|_| format!("scenario: c: bad number {c:?}"))?;
-        Ok(Self {
-            name: name.to_string(),
-            life,
-            c,
-        })
-    }
-
     /// Instantiates the life function, yielding a runnable [`Scenario`].
     pub fn realize(&self) -> Result<Scenario, String> {
         Ok(Scenario {
@@ -68,20 +35,6 @@ impl ScenarioSpec {
                 .map_err(|e| format!("{}: {e}", self.name))?,
             c: self.c,
         })
-    }
-}
-
-impl fmt::Display for ScenarioSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{};{};c={}", self.name, self.life, self.c)
-    }
-}
-
-impl std::str::FromStr for ScenarioSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Self::parse(s)
     }
 }
 
@@ -116,11 +69,6 @@ pub mod registry {
         ]
     }
 
-    /// Looks up a canonical scenario by its registered name.
-    pub fn by_name(name: &str) -> Option<ScenarioSpec> {
-        canonical().into_iter().find(|s| s.name == name)
-    }
-
     /// The canonical scenarios, realized. Every spec in the registry is
     /// valid by construction, so this cannot fail.
     pub fn canonical_scenarios() -> Vec<Scenario> {
@@ -143,31 +91,6 @@ mod tests {
             assert_eq!(s.life.survival(0.0), 1.0);
             assert!(s.c > 0.0);
             cs_life::validate::check(s.life.as_ref()).unwrap();
-        }
-    }
-
-    #[test]
-    fn canonical_specs_round_trip() {
-        for spec in registry::canonical() {
-            let s = spec.to_string();
-            assert_eq!(ScenarioSpec::parse(&s).unwrap(), spec, "{s}");
-            assert_eq!(registry::by_name(&spec.name), Some(spec));
-        }
-        assert_eq!(registry::by_name("no-such-scenario"), None);
-    }
-
-    #[test]
-    fn parse_rejects_malformed() {
-        for bad in [
-            "",
-            "name-only",
-            "name;uniform:l=10",
-            ";uniform:l=10;c=5",
-            "x;martian;c=5",
-            "x;uniform:l=10;5",
-            "x;uniform:l=10;c=abc",
-        ] {
-            assert!(ScenarioSpec::parse(bad).is_err(), "{bad:?}");
         }
     }
 

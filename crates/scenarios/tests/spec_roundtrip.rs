@@ -1,59 +1,20 @@
-//! Property tests: every spec type round-trips through its canonical
-//! string form (`parse(display(spec)) == spec`), and malformed strings are
+//! Property tests: a policy spec round-trips through its canonical string
+//! form (`parse(display(spec)) == spec`), and malformed strings are
 //! rejected rather than mis-parsed.
 //!
-//! Exact equality on the `f64` fields is intentional: Rust's float
+//! Exact equality on the `f64` period is intentional: Rust's float
 //! `Display` emits the shortest string that parses back to the identical
 //! bits, so a lossless grammar must round-trip bit-for-bit.
 //!
 //! Strategies stick to the range/vec subset of the proptest API (the
-//! vendored offline stand-in implements exactly that surface); specs are
-//! assembled from the drawn numbers inside each test body.
+//! vendored offline stand-in implements exactly that surface).
 
-use cs_scenarios::{LifeSpec, PolicySpec, ScenarioSpec};
+use cs_scenarios::PolicySpec;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Assembles one spec per family from the drawn parameters.
-fn life_spec_from(variant: usize, x: f64, y: f64, d: u32) -> LifeSpec {
-    match variant {
-        0 => LifeSpec::Uniform { l: x },
-        1 => LifeSpec::Poly { d, l: x },
-        2 => LifeSpec::Geometric { a: 1.0 + x },
-        3 => LifeSpec::Increasing { l: x },
-        4 => LifeSpec::Pareto { d: x },
-        _ => LifeSpec::Weibull { k: x, lambda: y },
-    }
-}
-
-/// A scenario name from index draws: letters, digits and the punctuation
-/// real registry names use — everything except the reserved `;`.
-fn name_from(indices: &[usize]) -> String {
-    const ALPHABET: &[u8] =
-        b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_,()=. -";
-    let mut name = String::from("s");
-    name.extend(
-        indices
-            .iter()
-            .map(|&i| ALPHABET[i % ALPHABET.len()] as char),
-    );
-    name
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn life_spec_round_trips(
-        variant in 0usize..6,
-        x in 1e-6f64..1e9,
-        y in 1e-6f64..1e9,
-        d in 1u32..64,
-    ) {
-        let spec = life_spec_from(variant, x, y, d);
-        let s = spec.to_string();
-        prop_assert_eq!(LifeSpec::parse(&s).unwrap(), spec, "{}", s);
-    }
 
     #[test]
     fn policy_spec_round_trips(variant in 0usize..3, t in 1e-6f64..1e9) {
@@ -69,66 +30,16 @@ proptest! {
     }
 
     #[test]
-    fn scenario_spec_round_trips(
-        name_indices in vec(0usize..1024, 0..24),
-        variant in 0usize..6,
-        x in 1e-6f64..1e9,
-        y in 1e-6f64..1e9,
-        d in 1u32..64,
-        c in 1e-6f64..1e6,
-    ) {
-        let spec = ScenarioSpec {
-            name: name_from(&name_indices),
-            life: life_spec_from(variant, x, y, d),
-            c,
-        };
-        let s = spec.to_string();
-        prop_assert_eq!(ScenarioSpec::parse(&s).unwrap(), spec.clone(), "{}", s);
-    }
-
-    #[test]
     fn junk_never_panics(bytes in vec(proptest::num::u8::ANY, 0..48)) {
         // Arbitrary (lossily decoded) strings must yield Err, never panic.
         let s = String::from_utf8_lossy(&bytes);
-        let _ = LifeSpec::parse(&s);
         let _ = PolicySpec::parse(&s);
-        let _ = ScenarioSpec::parse(&s);
-    }
-
-    #[test]
-    fn life_spec_rejects_trailing_garbage(
-        variant in 0usize..6,
-        x in 1e-6f64..1e9,
-        y in 1e-6f64..1e9,
-        d in 1u32..64,
-        junk in 0usize..26,
-    ) {
-        // An extra unknown key=val after a valid spec must not parse.
-        let spec = life_spec_from(variant, x, y, d);
-        let key = (b'a' + junk as u8) as char;
-        let s = format!("{spec},q{key}=1");
-        prop_assert!(LifeSpec::parse(&s).is_err(), "{}", s);
     }
 }
 
 #[test]
 fn malformed_specs_are_rejected() {
-    for bad in [
-        "",
-        "martian",
-        "uniform:l=",
-        "uniform:l=1e999x",
-        "poly:d=-1,l=10",
-        "geometric:a=1,a=2",
-    ] {
-        assert!(LifeSpec::parse(bad).is_err(), "{bad:?}");
-    }
-    // `weibull:k=1.5` parses (lambda defaults to NaN), but the NaN default
-    // must be rejected at build time, like the CLI always did.
-    assert!(LifeSpec::parse("weibull:k=1.5").unwrap().build().is_err());
     assert!(PolicySpec::parse("fixed:").is_err());
     assert!(PolicySpec::parse("fixed()").is_err());
     assert!(PolicySpec::parse("Guideline").is_err());
-    assert!(ScenarioSpec::parse("x;;c=1").is_err());
-    assert!(ScenarioSpec::parse("x;uniform:l=10;d=1").is_err());
 }

@@ -10,7 +10,7 @@
 
 use cs_apps::{fmt, Table};
 use cs_life::{ArcLife, GeometricDecreasing, Polynomial, Uniform};
-use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
+use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// A heterogeneous NOW: uniform-risk desktops, a half-life laptop dock, and
 /// slow-decay polynomial machines.
-fn workstations(policy: PolicyKind) -> Vec<WorkstationConfig> {
+fn workstations(policy: PolicySpec) -> Vec<WorkstationConfig> {
     let mut out = Vec::new();
     for i in 0..8 {
         let life: ArcLife = match i % 3 {
@@ -44,10 +44,10 @@ fn main() {
 
     let mut table = Table::new(&["policy", "makespan", "banked", "lost", "loss ratio"]);
     for policy in [
-        PolicyKind::Guideline,
-        PolicyKind::Greedy,
-        PolicyKind::FixedSize(10.0),
-        PolicyKind::FixedSize(60.0),
+        PolicySpec::Guideline,
+        PolicySpec::Greedy,
+        PolicySpec::FixedSize(10.0),
+        PolicySpec::FixedSize(60.0),
     ] {
         let bag = workloads::uniform(tasks, 1.0).expect("bag");
         let config = FarmConfig::new(workstations(policy), 1e6, 7);

@@ -2,14 +2,14 @@
 //! cs-tasks, cs-sim and cs-now.
 
 use cs_life::{ArcLife, GeometricDecreasing, Uniform};
-use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
+use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::replicate::replicate_farm;
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::workloads;
 use std::sync::Arc;
 
-fn homogeneous(n: usize, l: f64, c: f64, policy: PolicyKind) -> Vec<WorkstationConfig> {
+fn homogeneous(n: usize, l: f64, c: f64, policy: PolicySpec) -> Vec<WorkstationConfig> {
     (0..n)
         .map(|_| {
             let life: ArcLife = Arc::new(Uniform::new(l).unwrap());
@@ -28,9 +28,9 @@ fn homogeneous(n: usize, l: f64, c: f64, policy: PolicyKind) -> Vec<WorkstationC
 #[test]
 fn farm_conserves_work_across_policies() {
     for policy in [
-        PolicyKind::Guideline,
-        PolicyKind::Greedy,
-        PolicyKind::FixedSize(12.0),
+        PolicySpec::Guideline,
+        PolicySpec::Greedy,
+        PolicySpec::FixedSize(12.0),
     ] {
         let total = 400.0;
         let bag = workloads::uniform(400, 1.0).unwrap();
@@ -51,12 +51,12 @@ fn farm_conserves_work_across_policies() {
 fn guideline_policy_dominates_extreme_fixed_sizes_in_replication() {
     // Replicated comparison (16 farms each): the guideline policy's mean
     // makespan beats both extremes of fixed-size chunking.
-    let template = FarmConfig::new(homogeneous(4, 150.0, 3.0, PolicyKind::Guideline), 1e6, 2024);
+    let template = FarmConfig::new(homogeneous(4, 150.0, 3.0, PolicySpec::Guideline), 1e6, 2024);
     let make_bag = || workloads::uniform(500, 1.0).unwrap();
     let reps = 16;
-    let guide = replicate_farm(&template, PolicyKind::Guideline, &make_bag, reps, 4).unwrap();
-    let tiny = replicate_farm(&template, PolicyKind::FixedSize(4.5), &make_bag, reps, 4).unwrap();
-    let huge = replicate_farm(&template, PolicyKind::FixedSize(140.0), &make_bag, reps, 4).unwrap();
+    let guide = replicate_farm(&template, PolicySpec::Guideline, &make_bag, reps, 4).unwrap();
+    let tiny = replicate_farm(&template, PolicySpec::FixedSize(4.5), &make_bag, reps, 4).unwrap();
+    let huge = replicate_farm(&template, PolicySpec::FixedSize(140.0), &make_bag, reps, 4).unwrap();
     assert!(guide.drained_fraction > 0.9);
     assert!(
         guide.makespan.mean() < tiny.makespan.mean(),
@@ -76,13 +76,13 @@ fn guideline_policy_dominates_extreme_fixed_sizes_in_replication() {
 
 #[test]
 fn heterogeneous_workstations_all_contribute() {
-    let mut ws = homogeneous(2, 200.0, 2.0, PolicyKind::Guideline);
+    let mut ws = homogeneous(2, 200.0, 2.0, PolicySpec::Guideline);
     let laptop: ArcLife = Arc::new(GeometricDecreasing::from_half_life(30.0).unwrap());
     ws.push(WorkstationConfig {
         life: laptop.clone(),
         believed: laptop,
         c: 2.0,
-        policy: PolicyKind::Guideline,
+        policy: PolicySpec::Guideline,
         gap_mean: 8.0,
         faults: FaultPlan::none(),
     });
@@ -102,7 +102,7 @@ fn hostile_now_still_drains_with_one_healthy_workstation() {
     // Three workstations under the canonical intensity-1 fault mix (25%
     // message loss, 2x slowdown, crashes, full storm susceptibility) plus
     // one healthy one: the resilient master must still bank every task.
-    let mut ws = homogeneous(4, 150.0, 2.0, PolicyKind::FixedSize(12.0));
+    let mut ws = homogeneous(4, 150.0, 2.0, PolicySpec::FixedSize(12.0));
     for w in ws.iter_mut().take(3) {
         w.faults = FaultPlan::scaled(1.0);
         w.faults.storm_hit_prob = 1.0;

@@ -9,7 +9,7 @@
 //! report).
 
 use cs_life::{ArcLife, Uniform};
-use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
+use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_obs::{
     analyze_lineage, decode_lines, Event, LineageAnalysis, MemorySink, ProgressSink, SpanProfiler,
@@ -29,7 +29,7 @@ fn faulty_farm(seed: u64, tasks: usize) -> Farm {
         life: life.clone(),
         believed: life,
         c: 2.0,
-        policy: PolicyKind::Guideline,
+        policy: PolicySpec::Guideline,
         gap_mean: 9.0,
         faults: FaultPlan::none(),
     };

@@ -7,7 +7,7 @@
 //! inside the root).
 
 use cs_life::{ArcLife, Uniform};
-use cs_now::farm::{Farm, FarmConfig, PolicyKind, WorkstationConfig};
+use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_obs::{analyze_trace, check_text, decode_lines, JsonlSink, NoopSink, SpanProfiler};
 use cs_tasks::workloads;
@@ -20,7 +20,7 @@ fn faulty_farm(seed: u64) -> Farm {
         life: life.clone(),
         believed: life,
         c: 2.0,
-        policy: PolicyKind::Guideline,
+        policy: PolicySpec::Guideline,
         gap_mean: 9.0,
         faults: FaultPlan::none(),
     };

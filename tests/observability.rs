@@ -5,7 +5,7 @@
 
 use cs_core::search;
 use cs_life::{ArcLife, Uniform};
-use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicyKind, WorkstationConfig};
+use cs_now::farm::{Farm, FarmConfig, FarmReport, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_obs::{
     Event, EventKind, JsonlSink, MemorySink, MetricsSink, NoopSink, SpanProfiler, TeeSink,
@@ -20,7 +20,7 @@ fn faulty_farm(seed: u64) -> Farm {
         life: life.clone(),
         believed: life,
         c: 2.0,
-        policy: PolicyKind::Guideline,
+        policy: PolicySpec::Guideline,
         gap_mean: 9.0,
         faults: FaultPlan::none(),
     };
