@@ -466,6 +466,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
 fn cmd_fit(args: &Args) -> Result<(), String> {
     args.check_known(&["input", "synthetic", "days", "seed", "c"])?;
+    if args.flag("input") && ["synthetic", "days", "seed"].iter().any(|k| args.flag(k)) {
+        return Err("fit reads --input or --synthetic (with --days, --seed), not both".into());
+    }
     let samples: Vec<f64> = if let Some(path) = args.get("input") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("--input {path}: {e}"))?;
         let mut out = Vec::new();
@@ -1053,6 +1056,13 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
         "threads",
         "progress-every",
     ])?;
+    let modes = ["list", "all", "id"]
+        .iter()
+        .filter(|m| args.flag(m))
+        .count();
+    if modes != 1 {
+        return Err("exp needs exactly one of --list, --all or --id <experiment>".into());
+    }
     let registry = cs_bench::experiments::all();
     if args.flag("list") {
         let mut table = Table::new(&["id", "paper", "title"]);
@@ -1119,9 +1129,7 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let id = args
-        .get("id")
-        .ok_or("exp needs --list, --all or --id <experiment>")?;
+    let id = args.require("id")?;
     let exp = by_id(id).ok_or_else(|| {
         format!("unknown experiment {id:?}; `cyclesteal exp --list` shows the registry")
     })?;

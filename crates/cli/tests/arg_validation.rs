@@ -47,6 +47,20 @@ fn exp_list_ignores_threads() {
 }
 
 #[test]
+fn exp_rejects_more_than_one_mode() {
+    // `--id` used to be dropped: `--all` ran all 22, `--list` listed them.
+    let one = "exactly one of --list, --all or --id";
+    assert_rejected("exp --all --id exp_saves --quick", one);
+    assert_rejected("exp --list --id exp_saves", one);
+}
+
+#[test]
+fn fit_rejects_synthetic_options_with_an_input_file() {
+    // They used to be dropped: the file's samples were fitted.
+    assert_rejected("fit --input x --synthetic diurnal --days 3", "not both");
+}
+
+#[test]
 fn farm_rejects_a_journal_without_a_path() {
     // A bare `--journal` used to journal to a file named `true`.
     assert_rejected("farm --tasks 5 --journal", "--journal needs a value");

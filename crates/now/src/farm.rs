@@ -38,7 +38,6 @@
 //! the episode stream, so a zero-intensity plan leaves a run **bit-identical**
 //! to the fault-free simulator for the same seed.
 
-use crate::equeue::EventQueue;
 use crate::faults::{FaultPlan, ResilienceConfig};
 use cs_life::{ArcLife, LifeFunction};
 use cs_obs::{Event as ObsEvent, EventKind as ObsKind, EventSink, SpanId, SpanProfiler};
@@ -47,7 +46,7 @@ use cs_tasks::{Chunk, Task, TaskBag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 pub use cs_scenarios::PolicySpec;
 
@@ -382,8 +381,9 @@ pub(crate) struct Lease {
     pub(crate) replicas: u32,
 }
 
-/// Per-workstation state in array-of-structs form: the unit the snapshot
-/// format serializes and [`WsTable`] (the hot-loop layout) is built from.
+/// One borrowed workstation's run state, indexed by workstation in
+/// [`FarmRun`]'s `states`; the snapshot format serializes it field by
+/// field.
 pub(crate) struct WorkstationState {
     pub(crate) policy: Box<dyn ChunkPolicy>,
     /// Virtual time the current episode started.
@@ -405,60 +405,6 @@ pub(crate) struct WorkstationState {
     /// The master refuses this workstation work until this time.
     pub(crate) quarantined_until: f64,
     pub(crate) stats: WorkstationStats,
-}
-
-/// Struct-of-arrays per-workstation state: one flat, preallocated column
-/// per field, indexed by workstation. The dispatch hot path touches only a
-/// few scalar columns (`crashed`, `crash_at`, `quarantined_until`,
-/// `episode_start`), so the SoA layout keeps those reads dense instead of
-/// striding over boxed policies and RNG blocks.
-#[derive(Default)]
-pub(crate) struct WsTable {
-    pub(crate) policy: Vec<Box<dyn ChunkPolicy>>,
-    pub(crate) episode_start: Vec<f64>,
-    pub(crate) reclaim_at: Vec<f64>,
-    pub(crate) fault_rng: Vec<StdRng>,
-    pub(crate) crash_at: Vec<f64>,
-    pub(crate) crashed: Vec<bool>,
-    pub(crate) fail_streak: Vec<u32>,
-    pub(crate) backoff_pending: Vec<bool>,
-    pub(crate) quarantined_until: Vec<f64>,
-    pub(crate) stats: Vec<WorkstationStats>,
-}
-
-impl WsTable {
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Self {
-            policy: Vec::with_capacity(n),
-            episode_start: Vec::with_capacity(n),
-            reclaim_at: Vec::with_capacity(n),
-            fault_rng: Vec::with_capacity(n),
-            crash_at: Vec::with_capacity(n),
-            crashed: Vec::with_capacity(n),
-            fail_streak: Vec::with_capacity(n),
-            backoff_pending: Vec::with_capacity(n),
-            quarantined_until: Vec::with_capacity(n),
-            stats: Vec::with_capacity(n),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Appends one workstation, scattering the struct into the columns.
-    pub(crate) fn push(&mut self, st: WorkstationState) {
-        self.policy.push(st.policy);
-        self.episode_start.push(st.episode_start);
-        self.reclaim_at.push(st.reclaim_at);
-        self.fault_rng.push(st.fault_rng);
-        self.crash_at.push(st.crash_at);
-        self.crashed.push(st.crashed);
-        self.fail_streak.push(st.fail_streak);
-        self.backoff_pending.push(st.backoff_pending);
-        self.quarantined_until.push(st.quarantined_until);
-        self.stats.push(st.stats);
-    }
 }
 
 /// The set of banked task ids: a flat bitset over the ids below the run's
@@ -523,104 +469,19 @@ impl BankedSet {
     }
 }
 
-/// The lease table as an id-indexed slab: lease ids are issued densely, so
-/// slot index *is* the id and `next_id` is the slab length. Consumed leases
-/// leave tombstones (`None`) — ids are never reused, matching the old
-/// monotonic `next_lease` counter bit for bit.
-pub(crate) struct LeaseTable {
-    slots: Vec<Option<Lease>>,
-    live: usize,
-    /// Every slot below this index is a tombstone; live iteration starts
-    /// here.
-    first_live: usize,
-}
-
-impl LeaseTable {
-    pub(crate) fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            live: 0,
-            first_live: 0,
-        }
-    }
-
-    /// A table of `next_id` tombstones, ready for [`LeaseTable::place`]
-    /// (snapshot restore).
-    pub(crate) fn with_tombstones(next_id: u64) -> Self {
-        Self {
-            slots: (0..next_id).map(|_| None).collect(),
-            live: 0,
-            first_live: next_id as usize,
-        }
-    }
-
-    /// The id the next [`LeaseTable::insert`] will assign.
-    pub(crate) fn next_id(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.live
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    pub(crate) fn insert(&mut self, lease: Lease) -> u64 {
-        let id = self.slots.len() as u64;
-        self.slots.push(Some(lease));
-        self.live += 1;
-        id
-    }
-
-    /// Re-occupies slot `id` (snapshot restore; the slot must be a
-    /// tombstone below `next_id`).
-    pub(crate) fn place(&mut self, id: u64, lease: Lease) {
-        let slot = &mut self.slots[id as usize];
-        debug_assert!(slot.is_none(), "lease id {id} restored twice");
-        *slot = Some(lease);
-        self.live += 1;
-        self.first_live = self.first_live.min(id as usize);
-    }
-
-    pub(crate) fn get(&self, id: u64) -> Option<&Lease> {
-        self.slots.get(id as usize)?.as_ref()
-    }
-
-    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut Lease> {
-        self.slots.get_mut(id as usize)?.as_mut()
-    }
-
-    pub(crate) fn remove(&mut self, id: u64) -> Option<Lease> {
-        let lease = self.slots.get_mut(id as usize)?.take();
-        if lease.is_some() {
-            self.live -= 1;
-            while self.first_live < self.slots.len() && self.slots[self.first_live].is_none() {
-                self.first_live += 1;
-            }
-        }
-        lease
-    }
-
-    /// Live leases in ascending id order (the old `BTreeMap` iteration
-    /// order, which the snapshot format pins).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Lease)> {
-        self.slots[self.first_live.min(self.slots.len())..]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| slot.as_ref().map(|l| ((i + self.first_live) as u64, l)))
-    }
-}
-
-/// The master's run state: the bag, the lease table, the set of banked task
+/// The master's run state: the bag, the live leases, the set of banked task
 /// ids (first bank wins) and the event queue.
 pub(crate) struct Engine {
     pub(crate) bag: TaskBag,
-    pub(crate) queue: EventQueue,
+    /// Pending events; `Event`'s reversed `Ord` makes the max-heap pop in
+    /// ascending `(time, rank)` order.
+    pub(crate) queue: BinaryHeap<Event>,
     pub(crate) rng: StdRng,
     pub(crate) storms: Vec<f64>,
-    pub(crate) in_flight: LeaseTable,
+    /// Live leases by id; iteration in id order pins the snapshot bytes.
+    pub(crate) in_flight: BTreeMap<u64, Lease>,
+    /// The id the next lease gets: ids are issued once and never reused.
+    pub(crate) next_lease: u64,
     pub(crate) banked: BankedSet,
     pub(crate) makespan: f64,
     /// Recycled chunk storage: task buffers handed back by banked chunks,
@@ -639,14 +500,19 @@ impl Engine {
     /// caller also counts the chunk as lost in transit, lost to a crash or
     /// straggling, which bounds the lease ids a snapshot may claim.
     fn lease(&mut self, ws: usize, chunk: Chunk, expiry: f64, arrives: bool) -> u64 {
-        let id = self.in_flight.insert(Lease {
-            ws,
-            chunk,
-            expiry,
-            arrives,
-            expired: false,
-            replicas: 0,
-        });
+        let id = self.next_lease;
+        self.next_lease += 1;
+        self.in_flight.insert(
+            id,
+            Lease {
+                ws,
+                chunk,
+                expiry,
+                arrives,
+                expired: false,
+                replicas: 0,
+            },
+        );
         self.queue.push(Event {
             time: expiry,
             kind: EventKind::LeaseExpiry(id),
@@ -706,7 +572,7 @@ impl Engine {
             .in_flight
             .iter()
             .filter(|(_, l)| !l.expired && l.replicas < max_replicas)
-            .map(|(id, l)| (l.expiry, id))
+            .map(|(&id, l)| (l.expiry, id))
             .collect();
         // Most urgent first: the lease that will time out soonest. Only the
         // minimum is usually consumed, so select it with a single arg-min
@@ -722,7 +588,7 @@ impl Engine {
                 }
             }
             let (_, id) = candidates.swap_remove(best);
-            let lease = self.in_flight.get(id).expect("candidate lease exists");
+            let lease = &self.in_flight[&id];
             let mut used = 0.0;
             let mut tasks = Vec::new();
             for task in lease.chunk.tasks() {
@@ -739,7 +605,7 @@ impl Engine {
                 continue;
             }
             self.in_flight
-                .get_mut(id)
+                .get_mut(&id)
                 .expect("candidate lease exists")
                 .replicas += 1;
             return Some(Chunk::from_tasks(tasks));
@@ -813,7 +679,7 @@ pub(crate) struct FarmRun {
     pub(crate) config: FarmConfig,
     pub(crate) initial_tasks: usize,
     pub(crate) eng: Engine,
-    pub(crate) states: WsTable,
+    pub(crate) states: Vec<WorkstationState>,
     /// Virtual time of the last handled event.
     pub(crate) now: f64,
     /// The `farm.run` root span. [`SpanId::NONE`] for snapshot-restored
@@ -847,16 +713,17 @@ impl FarmRun {
         let n = config.workstations.len();
         let mut eng = Engine {
             bag,
-            queue: EventQueue::with_capacity(4 * n + 16),
+            queue: BinaryHeap::with_capacity(4 * n + 16),
             rng: StdRng::seed_from_u64(config.seed),
             storms,
-            in_flight: LeaseTable::new(),
+            in_flight: BTreeMap::new(),
+            next_lease: 0,
             banked: BankedSet::with_bits(initial_tasks as u64),
             makespan: f64::NAN,
             free_bufs: Vec::new(),
         };
         let mut caches = cs_scenarios::PolicyCaches::new();
-        let mut states = WsTable::with_capacity(n);
+        let mut states = Vec::with_capacity(n);
         for (i, wc) in config.workstations.iter().enumerate() {
             let policy = wc
                 .policy
@@ -871,7 +738,7 @@ impl FarmRun {
             } else {
                 f64::INFINITY
             };
-            let st = WorkstationState {
+            let mut st = WorkstationState {
                 policy,
                 episode_start: 0.0,
                 reclaim_at,
@@ -892,8 +759,8 @@ impl FarmRun {
                     kind: ObsKind::EpisodeStart { ws: i as u64 },
                 });
             }
+            apply_storms(&mut st, i, wc, &eng.storms, sink, observe);
             states.push(st);
-            apply_storms(&mut states, i, wc, &eng.storms, sink, observe);
             eng.queue.push(Event {
                 time: 0.0,
                 kind: EventKind::Dispatch(i),
@@ -940,7 +807,7 @@ impl FarmRun {
                 dispatch(
                     &mut self.eng,
                     &self.config,
-                    &mut self.states,
+                    &mut self.states[ws],
                     ws,
                     time,
                     sink,
@@ -963,8 +830,8 @@ impl FarmRun {
             }
             EventKind::Arrival(id) => {
                 let span = prof.start("farm.wait", &mut *sink);
-                if let Some(lease) = self.eng.in_flight.remove(id) {
-                    let stats = &mut self.states.stats[lease.ws];
+                if let Some(lease) = self.eng.in_flight.remove(&id) {
+                    let stats = &mut self.states[lease.ws].stats;
                     let total = lease.chunk.total_duration();
                     let work = self.eng.bank(lease.chunk, stats, time);
                     if observe {
@@ -999,8 +866,9 @@ impl FarmRun {
             ..
         } = self;
         let account_span = prof.start("farm.account", &mut *sink);
-        let completed_work: f64 = states.stats.iter().map(|s| s.completed_work).sum();
-        let lost_work: f64 = states.stats.iter().map(|s| s.lost_work).sum();
+        let stats: Vec<WorkstationStats> = states.into_iter().map(|s| s.stats).collect();
+        let completed_work: f64 = stats.iter().map(|s| s.completed_work).sum();
+        let lost_work: f64 = stats.iter().map(|s| s.lost_work).sum();
         let remaining_work = if eng.in_flight.is_empty() {
             eng.bag
                 .pending_tasks()
@@ -1016,7 +884,7 @@ impl FarmRun {
                     remaining.insert(task.id, task.duration);
                 }
             }
-            for (_, lease) in eng.in_flight.iter() {
+            for lease in eng.in_flight.values() {
                 for task in lease.chunk.tasks() {
                     if !eng.banked.contains(task.id) {
                         remaining.insert(task.id, task.duration);
@@ -1026,7 +894,7 @@ impl FarmRun {
             remaining.values().sum()
         };
         let mut robustness = RobustnessTotals::default();
-        for s in &states.stats {
+        for s in &stats {
             robustness.messages_lost += s.messages_lost;
             robustness.straggled_chunks += s.straggled_chunks;
             robustness.crashes += s.crashes;
@@ -1057,7 +925,7 @@ impl FarmRun {
             lost_work,
             remaining_work,
             drained,
-            per_workstation: states.stats,
+            per_workstation: stats,
             robustness,
         }
     }
@@ -1067,20 +935,20 @@ impl FarmRun {
 fn dispatch(
     eng: &mut Engine,
     config: &FarmConfig,
-    states: &mut WsTable,
+    st: &mut WorkstationState,
     ws: usize,
     time: f64,
     sink: &mut dyn EventSink,
     observe: bool,
 ) {
     let wc = &config.workstations[ws];
-    if states.crashed[ws] {
+    if st.crashed {
         return;
     }
-    if time >= states.crash_at[ws] {
-        states.crashed[ws] = true;
-        states.stats[ws].crashes = 1;
-        states.policy[ws].observe(&PeriodOutcome::Crashed);
+    if time >= st.crash_at {
+        st.crashed = true;
+        st.stats.crashes = 1;
+        st.policy.observe(&PeriodOutcome::Crashed);
         if observe {
             sink.emit(&ObsEvent {
                 time,
@@ -1089,20 +957,20 @@ fn dispatch(
         }
         return;
     }
-    if time < states.quarantined_until[ws] {
+    if time < st.quarantined_until {
         // Quarantine subsumes any pending backoff.
-        states.backoff_pending[ws] = false;
+        st.backoff_pending = false;
         eng.queue.push(Event {
-            time: states.quarantined_until[ws],
+            time: st.quarantined_until,
             kind: EventKind::Dispatch(ws),
         });
         return;
     }
-    if states.backoff_pending[ws] {
-        states.backoff_pending[ws] = false;
-        let delay = backoff_delay(&config.resilience, states.fail_streak[ws]);
+    if st.backoff_pending {
+        st.backoff_pending = false;
+        let delay = backoff_delay(&config.resilience, st.fail_streak);
         if delay > 0.0 {
-            states.stats[ws].backoff_delays += 1;
+            st.stats.backoff_delays += 1;
             if observe {
                 sink.emit(&ObsEvent {
                     time,
@@ -1119,8 +987,8 @@ fn dispatch(
             return;
         }
     }
-    let elapsed = time - states.episode_start[ws];
-    match states.policy[ws].next_period(elapsed) {
+    let elapsed = time - st.episode_start;
+    match st.policy.next_period(elapsed) {
         Some(t) if t.is_finite() && t > 0.0 => {
             let mut buf = eng.take_buf();
             cs_tasks::pack_chunk_into(&mut eng.bag, t, wc.c, &mut buf);
@@ -1136,7 +1004,7 @@ fn dispatch(
                     {
                         // The emptied check-out buffer goes back to the pool.
                         eng.free_bufs.push(chunk.into_tasks());
-                        states.stats[ws].replicas_dispatched += 1;
+                        st.stats.replicas_dispatched += 1;
                         if observe {
                             sink.emit(&ObsEvent {
                                 time,
@@ -1146,25 +1014,25 @@ fn dispatch(
                                 },
                             });
                         }
-                        resolve_chunk(eng, config, states, ws, time, t, replica, sink, observe);
+                        resolve_chunk(eng, config, st, ws, time, t, replica, sink, observe);
                         return;
                     }
                 }
                 eng.free_bufs.push(chunk.into_tasks());
-                states.stats[ws].idle_periods += 1;
+                st.stats.idle_periods += 1;
                 // Nothing dispatchable this period; try again later.
                 eng.queue.push(Event {
                     time: time + t * wc.faults.slowdown,
                     kind: EventKind::Dispatch(ws),
                 });
             } else {
-                resolve_chunk(eng, config, states, ws, time, t, chunk, sink, observe);
+                resolve_chunk(eng, config, st, ws, time, t, chunk, sink, observe);
             }
         }
         _ => {
             // Policy declined (no productive period left in this episode):
             // wait out the owner and start a new episode.
-            start_next_episode(eng, states, ws, wc, sink, observe);
+            start_next_episode(eng, st, ws, wc, sink, observe);
         }
     }
 }
@@ -1176,7 +1044,7 @@ fn dispatch(
 fn resolve_chunk(
     eng: &mut Engine,
     config: &FarmConfig,
-    states: &mut WsTable,
+    st: &mut WorkstationState,
     ws: usize,
     time: f64,
     t: f64,
@@ -1200,9 +1068,9 @@ fn resolve_chunk(
     // (a) The dispatch or its result vanishes in transit: the period burns
     // its overhead, nothing executes as far as the master can tell, and the
     // chunk's tasks come back only when the lease expires.
-    if wc.faults.loss_prob > 0.0 && states.fault_rng[ws].random::<f64>() < wc.faults.loss_prob {
-        states.stats[ws].messages_lost += 1;
-        states.policy[ws].observe(&PeriodOutcome::Lost);
+    if wc.faults.loss_prob > 0.0 && st.fault_rng.random::<f64>() < wc.faults.loss_prob {
+        st.stats.messages_lost += 1;
+        st.policy.observe(&PeriodOutcome::Lost);
         if observe {
             sink.emit(&ObsEvent {
                 time,
@@ -1210,8 +1078,8 @@ fn resolve_chunk(
             });
         }
         eng.lease(ws, chunk, time + res.lease_factor * t, false);
-        if end >= states.reclaim_at[ws] {
-            start_next_episode(eng, states, ws, wc, sink, observe);
+        if end >= st.reclaim_at {
+            start_next_episode(eng, st, ws, wc, sink, observe);
         } else {
             eng.queue.push(Event {
                 time: end,
@@ -1222,14 +1090,14 @@ fn resolve_chunk(
     }
     // (b) §2.1 kill: the owner reclaims mid-period (storms are already
     // folded into `reclaim_at`), before any crash.
-    if end >= states.reclaim_at[ws] && states.reclaim_at[ws] <= states.crash_at[ws] {
+    if end >= st.reclaim_at && st.reclaim_at <= st.crash_at {
         let lost = chunk.total_duration();
-        states.stats[ws].chunks_lost += 1;
-        states.stats[ws].lost_work += lost;
-        states.policy[ws].observe(&PeriodOutcome::Killed { lost });
+        st.stats.chunks_lost += 1;
+        st.stats.lost_work += lost;
+        st.policy.observe(&PeriodOutcome::Killed { lost });
         if observe {
             sink.emit(&ObsEvent {
-                time: states.reclaim_at[ws],
+                time: st.reclaim_at,
                 kind: ObsKind::PeriodInterrupt {
                     ws: ws as u64,
                     lost,
@@ -1237,21 +1105,21 @@ fn resolve_chunk(
             });
         }
         eng.abandon_unbanked(chunk);
-        start_next_episode(eng, states, ws, wc, sink, observe);
+        start_next_episode(eng, st, ws, wc, sink, observe);
         return;
     }
     // (c) Silent crash mid-period: the work dies with the workstation and
     // the master learns only from the lease timeout.
-    if end > states.crash_at[ws] {
+    if end > st.crash_at {
         let lost = chunk.total_duration();
-        states.crashed[ws] = true;
-        states.stats[ws].crashes = 1;
-        states.stats[ws].chunks_lost += 1;
-        states.stats[ws].lost_work += lost;
-        states.policy[ws].observe(&PeriodOutcome::Crashed);
+        st.crashed = true;
+        st.stats.crashes = 1;
+        st.stats.chunks_lost += 1;
+        st.stats.lost_work += lost;
+        st.policy.observe(&PeriodOutcome::Crashed);
         if observe {
             sink.emit(&ObsEvent {
-                time: states.crash_at[ws],
+                time: st.crash_at,
                 kind: ObsKind::Crash { ws: ws as u64 },
             });
         }
@@ -1263,8 +1131,8 @@ fn resolve_chunk(
     if end > lease_expiry {
         // (d) Straggler: the result will arrive after the master's lease
         // gave up on it. First bank still wins when it lands.
-        states.stats[ws].straggled_chunks += 1;
-        states.policy[ws].observe(&PeriodOutcome::Straggled);
+        st.stats.straggled_chunks += 1;
+        st.policy.observe(&PeriodOutcome::Straggled);
         if observe {
             sink.emit(&ObsEvent {
                 time,
@@ -1282,7 +1150,7 @@ fn resolve_chunk(
         });
     } else {
         let total = chunk.total_duration();
-        let work = eng.bank(chunk, &mut states.stats[ws], end);
+        let work = eng.bank(chunk, &mut st.stats, end);
         if observe {
             sink.emit(&ObsEvent {
                 time: end,
@@ -1293,9 +1161,9 @@ fn resolve_chunk(
                 },
             });
         }
-        states.stats[ws].chunks_completed += 1;
-        states.fail_streak[ws] = 0;
-        states.policy[ws].observe(&PeriodOutcome::Banked { work });
+        st.stats.chunks_completed += 1;
+        st.fail_streak = 0;
+        st.policy.observe(&PeriodOutcome::Banked { work });
         eng.queue.push(Event {
             time: end,
             kind: EventKind::Dispatch(ws),
@@ -1309,14 +1177,14 @@ fn resolve_chunk(
 fn expire_lease(
     eng: &mut Engine,
     config: &FarmConfig,
-    states: &mut WsTable,
+    states: &mut [WorkstationState],
     id: u64,
     time: f64,
     sink: &mut dyn EventSink,
     observe: bool,
 ) {
     let (lease_ws, keep) = {
-        let Some(lease) = eng.in_flight.get_mut(id) else {
+        let Some(lease) = eng.in_flight.get_mut(&id) else {
             return;
         };
         if lease.expired {
@@ -1339,7 +1207,7 @@ fn expire_lease(
     // its chunk, so the requeued tasks are fresh copies; a dead lease hands
     // its chunk over outright.
     let requeued = if keep {
-        let lease = eng.in_flight.get(id).expect("lease just marked expired");
+        let lease = &eng.in_flight[&id];
         let fresh: Vec<Task> = lease
             .chunk
             .tasks()
@@ -1353,7 +1221,7 @@ fn expire_lease(
     } else {
         let mut chunk = eng
             .in_flight
-            .remove(id)
+            .remove(&id)
             .expect("lease just marked expired")
             .chunk;
         chunk.retain(|t| !eng.banked.contains(t.id));
@@ -1370,23 +1238,23 @@ fn expire_lease(
             },
         });
     }
-    states.stats[lease_ws].lease_timeouts += 1;
-    if !states.crashed[lease_ws] {
-        states.fail_streak[lease_ws] += 1;
-        states.backoff_pending[lease_ws] = true;
+    let st = &mut states[lease_ws];
+    st.stats.lease_timeouts += 1;
+    if !st.crashed {
+        st.fail_streak += 1;
+        st.backoff_pending = true;
         let res = &config.resilience;
-        if res.quarantine_threshold > 0 && states.fail_streak[lease_ws] >= res.quarantine_threshold
-        {
-            states.fail_streak[lease_ws] = 0;
-            states.backoff_pending[lease_ws] = false;
-            states.stats[lease_ws].quarantines += 1;
-            states.quarantined_until[lease_ws] = time + res.quarantine_duration;
+        if res.quarantine_threshold > 0 && st.fail_streak >= res.quarantine_threshold {
+            st.fail_streak = 0;
+            st.backoff_pending = false;
+            st.stats.quarantines += 1;
+            st.quarantined_until = time + res.quarantine_duration;
             if observe {
                 sink.emit(&ObsEvent {
                     time,
                     kind: ObsKind::Quarantine {
                         ws: lease_ws as u64,
-                        until: states.quarantined_until[lease_ws],
+                        until: st.quarantined_until,
                     },
                 });
             }
@@ -1421,7 +1289,7 @@ fn episode_life(wc: &WorkstationConfig, episode_start: f64) -> &ArcLife {
 /// Truncates the episode at the first reclaim storm that hits this
 /// workstation (correlated reclamation).
 fn apply_storms(
-    states: &mut WsTable,
+    st: &mut WorkstationState,
     ws: usize,
     wc: &WorkstationConfig,
     storms: &[f64],
@@ -1432,15 +1300,15 @@ fn apply_storms(
         return;
     }
     for &s in storms {
-        if s < states.episode_start[ws] {
+        if s < st.episode_start {
             continue;
         }
-        if s >= states.reclaim_at[ws] {
+        if s >= st.reclaim_at {
             break;
         }
-        if states.fault_rng[ws].random::<f64>() < wc.faults.storm_hit_prob {
-            states.reclaim_at[ws] = s;
-            states.stats[ws].storm_kills += 1;
+        if st.fault_rng.random::<f64>() < wc.faults.storm_hit_prob {
+            st.reclaim_at = s;
+            st.stats.storm_kills += 1;
             if observe {
                 sink.emit(&ObsEvent {
                     time: s,
@@ -1456,7 +1324,7 @@ fn apply_storms(
 /// then a new episode (with a fresh reclamation draw) begins.
 fn start_next_episode(
     eng: &mut Engine,
-    states: &mut WsTable,
+    st: &mut WorkstationState,
     ws: usize,
     wc: &WorkstationConfig,
     sink: &mut dyn EventSink,
@@ -1464,18 +1332,18 @@ fn start_next_episode(
 ) {
     let u = eng.rng.random::<f64>().clamp(1e-12, 1.0 - 1e-12);
     let gap = -wc.gap_mean * u.ln();
-    let next_start = states.reclaim_at[ws] + gap;
-    states.episode_start[ws] = next_start;
-    states.reclaim_at[ws] = next_start + draw_reclaim(episode_life(wc, next_start), &mut eng.rng);
+    let next_start = st.reclaim_at + gap;
+    st.episode_start = next_start;
+    st.reclaim_at = next_start + draw_reclaim(episode_life(wc, next_start), &mut eng.rng);
     if observe {
         sink.emit(&ObsEvent {
             time: next_start,
             kind: ObsKind::EpisodeStart { ws: ws as u64 },
         });
     }
-    apply_storms(states, ws, wc, &eng.storms, sink, observe);
-    states.stats[ws].episodes += 1;
-    states.policy[ws].reset();
+    apply_storms(st, ws, wc, &eng.storms, sink, observe);
+    st.stats.episodes += 1;
+    st.policy.reset();
     eng.queue.push(Event {
         time: next_start,
         kind: EventKind::Dispatch(ws),
@@ -1685,9 +1553,8 @@ mod tests {
     fn event_ordering_is_total_even_for_nan_times() {
         // Regression: the queue used to order by `partial_cmp(..).unwrap_or(
         // Equal)`, so a NaN time compared Equal to everything and could
-        // scramble heap invariants. `total_cmp` keeps the order total — in
-        // the reference `Ord` (kept as the specification the indexed
-        // `EventQueue` is held to) and in the queue itself.
+        // scramble heap invariants. `total_cmp` keeps the order total, so
+        // the engine's `BinaryHeap` pops NaN times last.
         let mk = |time, ws| Event {
             time,
             kind: EventKind::Dispatch(ws),
@@ -1696,7 +1563,7 @@ mod tests {
         let one = mk(1.0, 1);
         assert_eq!(nan.cmp(&one), one.cmp(&nan).reverse());
         assert_eq!(nan.cmp(&nan), Ordering::Equal);
-        let mut queue = EventQueue::with_capacity(8);
+        let mut queue = BinaryHeap::new();
         for e in [
             mk(f64::NAN, 0),
             mk(2.0, 1),
@@ -1714,7 +1581,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_pop_in_arrival_expiry_dispatch_order() {
-        let mut queue = EventQueue::with_capacity(4);
+        let mut queue = BinaryHeap::new();
         queue.push(Event {
             time: 5.0,
             kind: EventKind::Dispatch(1),
@@ -1758,39 +1625,6 @@ mod tests {
         assert!(!pre.insert(u64::MAX) && pre.contains(300) && !pre.contains(128));
         assert_eq!(pre.iter().collect::<Vec<_>>(), vec![3, 127, 300, u64::MAX]);
         assert_eq!(pre.len(), 4);
-    }
-
-    #[test]
-    fn lease_table_issues_monotonic_ids_and_iterates_in_id_order() {
-        let mk = |ws| Lease {
-            ws,
-            chunk: Chunk::from_tasks(vec![]),
-            expiry: 1.0,
-            arrives: false,
-            expired: false,
-            replicas: 0,
-        };
-        let mut table = LeaseTable::new();
-        assert_eq!(table.insert(mk(0)), 0);
-        assert_eq!(table.insert(mk(1)), 1);
-        assert_eq!(table.insert(mk(2)), 2);
-        assert!(table.remove(1).is_some());
-        assert!(table.remove(1).is_none(), "ids are never reused");
-        assert_eq!(table.len(), 2);
-        // Tombstones don't shift ids: the next insert continues the count.
-        assert_eq!(table.insert(mk(3)), 3);
-        assert_eq!(table.next_id(), 4);
-        let ids: Vec<u64> = table.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![0, 2, 3]);
-        assert_eq!(table.get(2).map(|l| l.ws), Some(2));
-        assert!(table.get(1).is_none());
-        // Restore path: tombstones first, then leases placed by id.
-        let mut restored = LeaseTable::with_tombstones(4);
-        assert_eq!(restored.next_id(), 4);
-        restored.place(2, mk(2));
-        restored.place(0, mk(0));
-        let ids: Vec<u64> = restored.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![0, 2]);
     }
 
     #[test]
@@ -2210,57 +2044,6 @@ mod tests {
                 if r.drained {
                     prop_assert!((r.completed_work - total).abs() < 1e-6);
                     prop_assert!(r.makespan.is_finite());
-                }
-            }
-
-            /// The indexed `EventQueue` pops the exact sequence the old
-            /// reversed-`Ord` `BinaryHeap` implementation popped, for
-            /// arbitrary interleavings of pushes and pops — NaN times, tied
-            /// times and rank ties included. `Event`'s `Ord` is kept as the
-            /// executable specification this holds the queue to.
-            #[test]
-            fn queue_pops_like_reference_binary_heap(
-                ops in proptest::collection::vec(proptest::num::u64::ANY, 0..200),
-            ) {
-                let mut queue = EventQueue::with_capacity(8);
-                let mut reference: std::collections::BinaryHeap<Event> =
-                    std::collections::BinaryHeap::new();
-                // Each word decodes to one op: ~30% pop, else push with a
-                // time drawn from {fine grid, NaN, coarse tie-forcing grid}
-                // and a rank from all three kinds over a small id space (so
-                // time ties, rank ties and NaNs all occur routinely).
-                for word in ops {
-                    if word % 10 < 3 {
-                        let got = queue.pop();
-                        let want = reference.pop();
-                        prop_assert_eq!(
-                            got.map(|e| (e.time.to_bits(), e.kind.rank())),
-                            want.map(|e| (e.time.to_bits(), e.kind.rank()))
-                        );
-                        continue;
-                    }
-                    let time = match (word >> 4) % 3 {
-                        0 => ((word >> 16) % 1000) as f64 / 10.0,
-                        1 => f64::NAN,
-                        _ => ((word >> 16) % 8) as f64 * 10.0,
-                    };
-                    let id = (word >> 50) % 6;
-                    let kind = match (word >> 40) % 3 {
-                        0 => EventKind::Arrival(id),
-                        1 => EventKind::LeaseExpiry(id),
-                        _ => EventKind::Dispatch(id as usize),
-                    };
-                    let e = Event { time, kind };
-                    queue.push(e);
-                    reference.push(e);
-                }
-                prop_assert_eq!(queue.len(), reference.len());
-                while let Some(want) = reference.pop() {
-                    let got = queue.pop().expect("queue drained early");
-                    prop_assert_eq!(
-                        (got.time.to_bits(), got.kind.rank()),
-                        (want.time.to_bits(), want.kind.rank())
-                    );
                 }
             }
         }

@@ -741,7 +741,7 @@ impl ReplayState {
     /// banked, pending, in-flight and lost counts are read, for replay and
     /// for the `RUN-PROGRESS` heartbeat alike.
     fn of(run: &FarmRun, records: u64, total_records: u64) -> Self {
-        let stats = || run.states.stats.iter();
+        let stats = || run.states.iter().map(|st| &st.stats);
         ReplayState {
             records,
             total_records,

@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod equeue;
 pub mod farm;
 pub mod faults;
 pub mod journal;

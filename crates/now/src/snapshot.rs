@@ -34,10 +34,9 @@
 //! it under a perturbed configuration (say another [`crate::FaultPlan`])
 //! and plays the rest of the run as a what-if.
 
-use crate::equeue::{cmp_events, EventQueue};
 use crate::farm::{
-    BankedSet, Engine, Event, EventKind, Farm, FarmConfig, FarmReport, FarmRun, Lease, LeaseTable,
-    WorkstationState, WorkstationStats, WsTable,
+    BankedSet, Engine, Event, EventKind, Farm, FarmConfig, FarmReport, FarmRun, Lease,
+    WorkstationState, WorkstationStats,
 };
 use cs_obs::vfs::{StdVfs, Vfs};
 use cs_obs::{NoopSink, SpanId, SpanProfiler};
@@ -368,11 +367,12 @@ impl FarmRun {
     /// Captures the run's complete state, bound to the journal prefix of
     /// `journal_records` records hashing to `journal_hash`.
     pub(crate) fn save_state(&self, journal_records: u64, journal_hash: u64) -> FarmSnapshot {
-        // The heap serializes as its ascending pop order. The event order
-        // is total and ties are content-identical, so rebuilding a heap
-        // from this list pops the exact same event sequence.
+        // The heap serializes as its ascending pop order (`Event`'s `Ord`
+        // is reversed, so this sorts descending). The event order is total
+        // and ties are content-identical, so rebuilding a heap from this
+        // list pops the exact same event sequence.
         let mut queue: Vec<Event> = self.eng.queue.iter().copied().collect();
-        queue.sort_by(cmp_events);
+        queue.sort_by(|a, b| b.cmp(a));
         // The banked set iterates ascending already, which keeps identical
         // states producing identical bytes (it is only ever
         // membership-tested at runtime).
@@ -381,7 +381,7 @@ impl FarmRun {
             .eng
             .in_flight
             .iter()
-            .map(|(lease, l)| LeaseSnap {
+            .map(|(&lease, l)| LeaseSnap {
                 lease,
                 ws: l.ws as u64,
                 expiry: l.expiry,
@@ -391,18 +391,20 @@ impl FarmRun {
                 tasks: l.chunk.tasks().to_vec(),
             })
             .collect();
-        let ws = (0..self.states.len())
-            .map(|i| WsSnap {
-                episode_start: self.states.episode_start[i],
-                reclaim_at: self.states.reclaim_at[i],
-                crash_at: self.states.crash_at[i],
-                quarantined_until: self.states.quarantined_until[i],
-                fault_rng: self.states.fault_rng[i].state(),
-                crashed: self.states.crashed[i],
-                fail_streak: self.states.fail_streak[i],
-                backoff_pending: self.states.backoff_pending[i],
-                policy_state: self.states.policy[i].save_state(),
-                stats: self.states.stats[i],
+        let ws = self
+            .states
+            .iter()
+            .map(|st| WsSnap {
+                episode_start: st.episode_start,
+                reclaim_at: st.reclaim_at,
+                crash_at: st.crash_at,
+                quarantined_until: st.quarantined_until,
+                fault_rng: st.fault_rng.state(),
+                crashed: st.crashed,
+                fail_streak: st.fail_streak,
+                backoff_pending: st.backoff_pending,
+                policy_state: st.policy.save_state(),
+                stats: st.stats,
             })
             .collect();
         FarmSnapshot {
@@ -414,7 +416,7 @@ impl FarmRun {
             now: self.now,
             rng: self.eng.rng.state(),
             makespan: self.eng.makespan,
-            next_lease: self.eng.in_flight.next_id(),
+            next_lease: self.eng.next_lease,
             bag: self.eng.bag.save_state(),
             banked,
             queue,
@@ -456,39 +458,38 @@ impl FarmSnapshot {
         self.check_counts()?;
         let mut storms = config.storms.clone();
         storms.sort_by(f64::total_cmp);
-        let queue: EventQueue = self.queue.into_iter().collect();
-        // Tombstones first so already-retired lease ids stay retired, then
-        // place each live lease back at its captured id.
-        let mut in_flight = LeaseTable::with_tombstones(self.next_lease);
-        for l in self.leases {
-            in_flight.place(
-                l.lease,
-                Lease {
+        let in_flight = self
+            .leases
+            .into_iter()
+            .map(|l| {
+                let lease = Lease {
                     ws: l.ws as usize,
                     chunk: Chunk::from_tasks(l.tasks),
                     expiry: l.expiry,
                     arrives: l.arrives,
                     expired: l.expired,
                     replicas: l.replicas,
-                },
-            );
-        }
+                };
+                (l.lease, lease)
+            })
+            .collect();
         let mut banked = BankedSet::with_bits(self.tasks);
         for id in self.banked {
             banked.insert(id);
         }
         let eng = Engine {
             bag: TaskBag::restore_state(self.bag),
-            queue,
+            queue: self.queue.into_iter().collect(),
             rng: StdRng::from_state(self.rng),
             storms,
             in_flight,
+            next_lease: self.next_lease,
             banked,
             makespan: self.makespan,
             free_bufs: Vec::new(),
         };
         let mut caches = cs_scenarios::PolicyCaches::new();
-        let mut states = WsTable::with_capacity(self.ws.len());
+        let mut states = Vec::with_capacity(self.ws.len());
         for (w, wc) in self.ws.into_iter().zip(&config.workstations) {
             let mut policy = wc
                 .policy
@@ -517,17 +518,18 @@ impl FarmSnapshot {
         })
     }
 
-    /// Checks the counts and ids `restore` sizes allocations from against
-    /// bounds the snapshot itself implies, so a forged value is a typed
-    /// error instead of an allocation failure:
+    /// Checks the counts and ids a snapshot restores against bounds the
+    /// snapshot itself implies, so a forged value is a typed error:
     /// - every task of the run is pending, leased or banked, so `tasks` is
-    ///   at most the task entries the snapshot holds;
+    ///   at most the task entries the snapshot holds (`tasks` sizes the
+    ///   banked set's bitset, so this also guards an allocation);
     /// - the bag assigns ids below its `next_id`, so every pending, leased
     ///   and banked id is below it (`next_id` itself sizes nothing: the
     ///   banked set keys ids past the run's task count sparsely);
     /// - every lease is issued for a chunk its workstation counts as lost
     ///   in transit, lost to a crash or straggling, so `next_lease` is at
-    ///   most the sum of those counters.
+    ///   most the sum of those counters. This is a consistency check only:
+    ///   `next_lease` is a counter and sizes nothing.
     fn check_counts(&self) -> Result<(), SnapshotError> {
         let held = self.bag.pending.len()
             + self.leases.iter().map(|l| l.tasks.len()).sum::<usize>()
@@ -1352,6 +1354,40 @@ mod tests {
             assert!(!e.to_string().is_empty());
             assert!(!e.kind().to_string().is_empty());
         }
+    }
+
+    /// `next_lease` is a counter, not a size: a sidecar whose `next_lease`
+    /// is huge but still within its workstations' lost-chunk counters
+    /// restores without allocating by it, keeps the count, and plays to
+    /// the end.
+    #[test]
+    fn restore_keeps_a_huge_next_lease_without_allocating() {
+        let mut sink = MemorySink::new();
+        let mut prof = SpanProfiler::disabled();
+        let farm = Farm::new(config(5, 0.5), bag()).unwrap();
+        let mut run = FarmRun::start(farm, &mut sink, &mut prof);
+        for _ in 0..50 {
+            run.step(&mut sink, &mut prof);
+        }
+        let text = String::from_utf8(run.save_state(40, 0xDEAD).encode()).unwrap();
+        let huge = 1u64 << 40;
+        let at = text.find(" next_lease ").unwrap() + " next_lease ".len();
+        let end = at + text[at..].find('\n').unwrap();
+        let text = format!("{}{huge}{}", &text[..at], &text[end..]);
+        // `stats 0`, three work totals, then chunks_completed, chunks_lost,
+        // episodes, idle_periods and messages_lost, which bounds `next_lease`.
+        let stats = text.find("\nstats 0 ").unwrap() + 1;
+        let line = &text[stats..stats + text[stats..].find('\n').unwrap()];
+        let mut fields: Vec<String> = line.split(' ').map(str::to_owned).collect();
+        fields[9] = huge.to_string();
+        let text = text.replacen(line, &fields.join(" "), 1);
+        let decoded = FarmSnapshot::decode(&refresh_checksum(text.as_bytes())).unwrap();
+        assert_eq!(decoded.ws[0].stats.messages_lost, huge);
+        let mut restored = decoded.restore(config(5, 0.5)).unwrap();
+        assert_eq!(restored.eng.next_lease, huge);
+        assert_eq!(restored.save_state(40, 0xDEAD).next_lease, huge);
+        while restored.step(&mut sink, &mut prof) {}
+        assert!(restored.finish(&mut sink, &mut prof).drained);
     }
 
     /// Rewrites the trailing checksum line to match the (possibly edited)
