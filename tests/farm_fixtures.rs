@@ -20,6 +20,8 @@ use cs_now::{guideline_fsync_policy, ring_snapshot_path, JournalOptions, Snapsho
 use cs_obs::vfs::StdVfs;
 use cs_obs::{NoopSink, SpanProfiler};
 use cs_tasks::{workloads, TaskBag};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -57,6 +59,26 @@ fn faulty_farm() -> (FarmConfig, TaskBag) {
     config.storms = vec![40.0, 90.0];
     let bag = workloads::uniform(300, 1.0).unwrap();
     (config, bag)
+}
+
+/// A faulty farm with storms over a bag of unequal tasks, so a checked-out
+/// chunk spans many runs of the task bag instead of one.
+fn non_uniform_farm(bag: TaskBag) -> (FarmConfig, TaskBag) {
+    let mut config = FarmConfig::new(workstations(8, FaultPlan::scaled(0.6)), 1e7, 42);
+    config.storms = vec![40.0, 90.0];
+    (config, bag)
+}
+
+/// 300 tasks of `1 ± 0.5`: every task is its own run.
+fn jittered_farm() -> (FarmConfig, TaskBag) {
+    let mut rng = StdRng::seed_from_u64(7);
+    non_uniform_farm(workloads::jittered(300, 1.0, 0.5, &mut rng).unwrap())
+}
+
+/// 300 tasks, 30% of them 3.0 and the rest 0.5: runs of a few tasks.
+fn bimodal_farm() -> (FarmConfig, TaskBag) {
+    let mut rng = StdRng::seed_from_u64(11);
+    non_uniform_farm(workloads::bimodal(300, 0.5, 3.0, 0.3, &mut rng).unwrap())
 }
 
 fn fx(v: f64) -> String {
@@ -182,6 +204,18 @@ fn farm_clean_matches_golden_fixture() {
 fn farm_faulty_matches_golden_fixture() {
     let (config, bag) = faulty_farm();
     run_and_check("farm_faulty", config, bag, SnapshotCadence::Every(25.0));
+}
+
+#[test]
+fn farm_jittered_matches_golden_fixture() {
+    let (config, bag) = jittered_farm();
+    run_and_check("farm_jittered", config, bag, SnapshotCadence::Every(25.0));
+}
+
+#[test]
+fn farm_bimodal_matches_golden_fixture() {
+    let (config, bag) = bimodal_farm();
+    run_and_check("farm_bimodal", config, bag, SnapshotCadence::Every(25.0));
 }
 
 /// The unjournaled path must agree with the journaled one bit-for-bit
