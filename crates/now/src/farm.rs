@@ -42,7 +42,7 @@ use crate::faults::{FaultPlan, ResilienceConfig};
 use cs_life::{ArcLife, LifeFunction};
 use cs_obs::{Event as ObsEvent, EventKind as ObsKind, EventSink, SpanId, SpanProfiler};
 use cs_sim::policy::{ChunkPolicy, PeriodOutcome};
-use cs_tasks::{Chunk, Task, TaskBag};
+use cs_tasks::{Chunk, TaskBag};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -484,18 +484,12 @@ pub(crate) struct Engine {
     pub(crate) next_lease: u64,
     pub(crate) banked: BankedSet,
     pub(crate) makespan: f64,
-    /// Recycled chunk storage: task buffers handed back by banked chunks,
-    /// reused by the next check-out so the steady-state dispatch loop
-    /// allocates nothing.
-    pub(crate) free_bufs: Vec<Vec<Task>>,
+    /// Recycled chunk storage: banked chunks, reused by the next check-out
+    /// so the steady-state dispatch loop allocates nothing.
+    pub(crate) free_bufs: Vec<Chunk>,
 }
 
 impl Engine {
-    /// A recycled (or fresh) task buffer for the next chunk.
-    fn take_buf(&mut self) -> Vec<Task> {
-        self.free_bufs.pop().unwrap_or_default()
-    }
-
     /// Registers an outstanding chunk and schedules its lease expiry. Every
     /// caller also counts the chunk as lost in transit, lost to a crash or
     /// straggling, which bounds the lease ids a snapshot may claim.
@@ -526,8 +520,7 @@ impl Engine {
     fn bank(&mut self, chunk: Chunk, stats: &mut WorkstationStats, end: f64) -> f64 {
         let mut new_work = 0.0;
         let mut any = false;
-        let mut tasks = chunk.into_tasks();
-        for task in tasks.drain(..) {
+        for task in chunk.tasks() {
             if self.banked.insert(task.id) {
                 new_work += task.duration;
                 any = true;
@@ -535,7 +528,7 @@ impl Engine {
                 stats.duplicate_work += task.duration;
             }
         }
-        self.free_bufs.push(tasks);
+        self.free_bufs.push(chunk);
         stats.completed_work += new_work;
         if any {
             self.makespan = if self.makespan.is_nan() {
@@ -599,7 +592,7 @@ impl Engine {
                     break;
                 }
                 used += task.duration;
-                tasks.push(*task);
+                tasks.push(task);
             }
             if tasks.is_empty() {
                 continue;
@@ -990,9 +983,8 @@ fn dispatch(
     let elapsed = time - st.episode_start;
     match st.policy.next_period(elapsed) {
         Some(t) if t.is_finite() && t > 0.0 => {
-            let mut buf = eng.take_buf();
-            cs_tasks::pack_chunk_into(&mut eng.bag, t, wc.c, &mut buf);
-            let mut chunk = Chunk::from_tasks(buf);
+            let mut chunk = eng.free_bufs.pop().unwrap_or_default();
+            cs_tasks::pack_chunk_into(&mut eng.bag, t, wc.c, &mut chunk);
             eng.prune_banked(&mut chunk);
             if chunk.is_empty() {
                 if config.resilience.replicate_tail
@@ -1002,8 +994,8 @@ fn dispatch(
                     if let Some(replica) =
                         eng.pack_replica((t - wc.c).max(0.0), config.resilience.max_replicas)
                     {
-                        // The emptied check-out buffer goes back to the pool.
-                        eng.free_bufs.push(chunk.into_tasks());
+                        // The empty check-out goes back to the pool.
+                        eng.free_bufs.push(chunk);
                         st.stats.replicas_dispatched += 1;
                         if observe {
                             sink.emit(&ObsEvent {
@@ -1018,8 +1010,10 @@ fn dispatch(
                         return;
                     }
                 }
-                eng.free_bufs.push(chunk.into_tasks());
-                st.stats.idle_periods += 1;
+                eng.free_bufs.push(chunk);
+                // Idle periods journal nothing, so restore cannot bound a
+                // forged count by the journal: saturate, never overflow.
+                st.stats.idle_periods = st.stats.idle_periods.saturating_add(1);
                 // Nothing dispatchable this period; try again later.
                 eng.queue.push(Event {
                     time: time + t * wc.faults.slowdown,
@@ -1207,16 +1201,10 @@ fn expire_lease(
     // its chunk, so the requeued tasks are fresh copies; a dead lease hands
     // its chunk over outright.
     let requeued = if keep {
-        let lease = &eng.in_flight[&id];
-        let fresh: Vec<Task> = lease
-            .chunk
-            .tasks()
-            .iter()
-            .filter(|t| !eng.banked.contains(t.id))
-            .copied()
-            .collect();
+        let mut fresh = eng.in_flight[&id].chunk.clone();
+        fresh.retain(|t| !eng.banked.contains(t.id));
         let n = fresh.len() as u64;
-        eng.bag.requeue(Chunk::from_tasks(fresh));
+        eng.bag.requeue(fresh);
         n
     } else {
         let mut chunk = eng

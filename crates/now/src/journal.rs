@@ -2926,7 +2926,10 @@ mod properties {
     /// them (a `capacity overflow` panic and an allocation abort). Each is
     /// a typed `Inconsistent` from restore now, while the unforged fixture
     /// passes. A banked, pending or leased id must be below the bag's
-    /// `next_id`.
+    /// `next_id`, a counter that journals a record per increment must not
+    /// pass the journal records (summed over workstations: finishing the
+    /// run adds them up), and a `fail_streak` must not pass its lease
+    /// timeouts.
     #[test]
     fn forged_counts_are_inconsistent_on_restore() {
         let good = std::str::from_utf8(SNAPSHOT_FIXTURE).unwrap();
@@ -2946,6 +2949,18 @@ mod properties {
             ("task 86 ", "task 1152921504606846975 "),
             (" 264:", " 1152921504606846975:"),
             ("298 299\n", "298 300\n"),
+            // ws 0's `messages_lost`, then its `episodes`: one counter past
+            // u64 and one whose sum passes the 139 journal records.
+            (
+                "0000000000000000 3 1 2 0 2 ",
+                "0000000000000000 3 1 2 0 18446744073709551615 ",
+            ),
+            (
+                "0000000000000000 3 1 2 0 2 ",
+                "0000000000000000 3 1 139 0 2 ",
+            ),
+            // ws 0 has one lease timeout.
+            (" fail_streak 1 ", " fail_streak 2 "),
         ] {
             assert!(good.contains(from), "{from:?} not in the fixture");
             let forged = with_checksum(body(good.replacen(from, to, 1).as_bytes()));

@@ -388,7 +388,7 @@ impl FarmRun {
                 arrives: l.arrives,
                 expired: l.expired,
                 replicas: l.replicas,
-                tasks: l.chunk.tasks().to_vec(),
+                tasks: l.chunk.tasks().collect(),
             })
             .collect();
         let ws = self
@@ -436,6 +436,27 @@ impl FarmRun {
             + WORKSTATION_BYTES * self.states.len() as u64
     }
 }
+
+/// A named [`WorkstationStats`] counter.
+type Counter = (&'static str, fn(&WorkstationStats) -> u64);
+
+/// The [`WorkstationStats`] counters that journal one record per
+/// increment. `idle_periods` journals nothing, so no record count bounds
+/// it; its increment saturates instead.
+const RECORDED_COUNTERS: [Counter; 12] = [
+    ("chunks_completed", |s| s.chunks_completed),
+    ("chunks_lost", |s| s.chunks_lost),
+    ("episodes", |s| s.episodes),
+    ("messages_lost", |s| s.messages_lost),
+    ("straggled_chunks", |s| s.straggled_chunks),
+    ("crashes", |s| s.crashes),
+    ("storm_kills", |s| s.storm_kills),
+    ("lease_timeouts", |s| s.lease_timeouts),
+    ("backoff_delays", |s| s.backoff_delays),
+    ("quarantines", |s| s.quarantines),
+    ("replicas_dispatched", |s| s.replicas_dispatched),
+    ("late_banks", |s| s.late_banks),
+];
 
 impl FarmSnapshot {
     /// Rebuilds a paused [`FarmRun`] under `config`. The configuration must
@@ -526,6 +547,12 @@ impl FarmSnapshot {
     /// - the bag assigns ids below its `next_id`, so every pending, leased
     ///   and banked id is below it (`next_id` itself sizes nothing: the
     ///   banked set keys ids past the run's task count sparsely);
+    /// - every increment of a [`RECORDED_COUNTERS`] counter journals one
+    ///   record, so each counter, summed over the workstations, is at most
+    ///   `journal_records`; this also keeps the run's final sums of them
+    ///   from overflowing;
+    /// - a workstation's `fail_streak` grows only with its lease timeouts,
+    ///   so it is at most its `lease_timeouts`;
     /// - every lease is issued for a chunk its workstation counts as lost
     ///   in transit, lost to a crash or straggling, so `next_lease` is at
     ///   most the sum of those counters. This is a consistency check only:
@@ -551,6 +578,29 @@ impl FarmSnapshot {
         {
             return Err(SnapshotError::Inconsistent {
                 reason: format!("task id {id} is not below the bag's next_id {next_id}"),
+            });
+        }
+        for (name, counter) in RECORDED_COUNTERS {
+            let total = self
+                .ws
+                .iter()
+                .try_fold(0u64, |sum, w| sum.checked_add(counter(&w.stats)));
+            if total.is_none_or(|t| t > self.journal_records) {
+                return Err(SnapshotError::Inconsistent {
+                    reason: format!(
+                        "{name} summed over the workstations exceeds the {} journal records",
+                        self.journal_records
+                    ),
+                });
+            }
+        }
+        let over = |(_, w): &(usize, &WsSnap)| u64::from(w.fail_streak) > w.stats.lease_timeouts;
+        if let Some((i, w)) = self.ws.iter().enumerate().find(over) {
+            return Err(SnapshotError::Inconsistent {
+                reason: format!(
+                    "ws {i} fail_streak {} exceeds its {} lease timeouts",
+                    w.fail_streak, w.stats.lease_timeouts
+                ),
             });
         }
         let issued = self
@@ -1357,9 +1407,9 @@ mod tests {
     }
 
     /// `next_lease` is a counter, not a size: a sidecar whose `next_lease`
-    /// is huge but still within its workstations' lost-chunk counters
-    /// restores without allocating by it, keeps the count, and plays to
-    /// the end.
+    /// is huge but still within its workstations' lost-chunk counters (and
+    /// those within its journal records) restores without allocating by
+    /// it, keeps the count, and plays to the end.
     #[test]
     fn restore_keeps_a_huge_next_lease_without_allocating() {
         let mut sink = MemorySink::new();
@@ -1369,8 +1419,8 @@ mod tests {
         for _ in 0..50 {
             run.step(&mut sink, &mut prof);
         }
-        let text = String::from_utf8(run.save_state(40, 0xDEAD).encode()).unwrap();
         let huge = 1u64 << 40;
+        let text = String::from_utf8(run.save_state(huge, 0xDEAD).encode()).unwrap();
         let at = text.find(" next_lease ").unwrap() + " next_lease ".len();
         let end = at + text[at..].find('\n').unwrap();
         let text = format!("{}{huge}{}", &text[..at], &text[end..]);
@@ -1411,7 +1461,8 @@ mod tests {
         for _ in 0..30 {
             run.step(&mut sink, &mut prof);
         }
-        write_atomic_bytes(&StdVfs, &path, &run.save_state(0, 0).encode()).unwrap();
+        let records = sink.events.len() as u64;
+        write_atomic_bytes(&StdVfs, &path, &run.save_state(records, 0).encode()).unwrap();
         while run.step(&mut sink, &mut prof) {}
         let reference = run.finish(&mut sink, &mut prof);
 

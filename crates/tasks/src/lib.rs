@@ -14,6 +14,9 @@
 //! * [`Chunk`] / [`pack_chunk`] — greedy FIFO packing of tasks into the
 //!   compute budget `t − c` of a period: the discrete realization of the
 //!   paper's fluid "amount of work chosen so that `t_k` time units suffice".
+//!   Like the bag's queue, a chunk stores runs of contiguous ids with one
+//!   duration, so a period's work from a uniform bag is checked out,
+//!   banked and requeued as one run, however many tasks it holds.
 //! * [`workloads`] — generators for uniform, jittered, bimodal and
 //!   heavy-tailed task-duration mixes.
 //! * [`quantization`] — the §6 "discrete analogue" question made
@@ -41,9 +44,15 @@ pub struct Task {
 }
 
 /// A set of tasks checked out for one cycle-stealing period.
+///
+/// Stored like the bag's pending queue, as maximal runs of contiguous ids
+/// with one duration: a chunk checked out of a uniform bag is one run,
+/// whatever its length, and a chunk with no two neighbouring tasks alike
+/// holds one run per task. Every method behaves as if the chunk held its
+/// tasks one by one.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Chunk {
-    tasks: Vec<Task>,
+    runs: Vec<Run>,
 }
 
 impl Chunk {
@@ -51,40 +60,52 @@ impl Chunk {
     /// resilient masters to re-dispatch copies of in-flight chunks (task ids
     /// are the caller's responsibility; the bag never hands out duplicates
     /// itself).
-    pub fn from_tasks(tasks: Vec<Task>) -> Self {
-        Self { tasks }
-    }
-
-    /// Consumes the chunk, yielding its tasks in dispatch order.
-    pub fn into_tasks(self) -> Vec<Task> {
-        self.tasks
+    pub fn from_tasks(tasks: impl IntoIterator<Item = Task>) -> Self {
+        let mut chunk = Self::default();
+        for task in tasks {
+            push_run(&mut chunk.runs, Run::single(task));
+        }
+        chunk
     }
 
     /// The tasks in the chunk, in dispatch order.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    pub fn tasks(&self) -> impl Iterator<Item = Task> + '_ {
+        self.runs.iter().flat_map(Run::tasks)
     }
 
     /// Number of tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        let n: u64 = self.runs.iter().map(|r| r.count).sum();
+        usize::try_from(n).expect("chunk task count fits in usize")
     }
 
     /// True when the chunk holds no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.runs.is_empty()
     }
 
-    /// Total compute time of the chunk.
+    /// Total compute time of the chunk, summed task by task in dispatch
+    /// order.
     pub fn total_duration(&self) -> f64 {
-        self.tasks.iter().map(|t| t.duration).sum()
+        self.tasks().map(|t| t.duration).sum()
     }
 
     /// Keeps only the tasks satisfying the predicate, in place and in
-    /// dispatch order. Lets a master drop already-banked duplicates without
-    /// reallocating the chunk.
-    pub fn retain(&mut self, f: impl FnMut(&Task) -> bool) {
-        self.tasks.retain(f);
+    /// dispatch order; the predicate sees each task once, in order. Lets a
+    /// master drop already-banked duplicates without touching the chunk
+    /// when none is banked.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Task) -> bool) {
+        let mut tasks = self.tasks();
+        let Some(dropped) = tasks.position(|t| !keep(&t)) else {
+            return;
+        };
+        let mut kept = Chunk::from_tasks(self.tasks().take(dropped));
+        for task in tasks {
+            if keep(&task) {
+                push_run(&mut kept.runs, Run::single(task));
+            }
+        }
+        *self = kept;
     }
 }
 
@@ -108,9 +129,9 @@ pub struct TaskBag {
     lost_work: f64,
 }
 
-/// Pending tasks `first_id, first_id + 1, …, first_id + count − 1`, in that
-/// order, all of one `duration`. `count` is never zero.
-#[derive(Debug, Clone)]
+/// Tasks `first_id, first_id + 1, …, first_id + count − 1`, in that order,
+/// all of one `duration`. `count` is never zero.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Run {
     first_id: u64,
     count: u64,
@@ -131,6 +152,28 @@ impl Run {
     fn continues_into(&self, next: &Run) -> bool {
         self.first_id.checked_add(self.count) == Some(next.first_id)
             && self.duration.to_bits() == next.duration.to_bits()
+    }
+
+    /// The run's tasks in order.
+    fn tasks(&self) -> impl Iterator<Item = Task> {
+        let Run {
+            first_id,
+            count,
+            duration,
+        } = *self;
+        (0..count).map(move |k| Task {
+            id: first_id + k,
+            duration,
+        })
+    }
+}
+
+/// Appends a run at the tail of `runs`, merging it into the last run when
+/// it continues it.
+fn push_run(runs: &mut Vec<Run>, run: Run) {
+    match runs.last_mut() {
+        Some(last) if last.continues_into(&run) => last.count += run.count,
+        _ => runs.push(run),
     }
 }
 
@@ -200,12 +243,7 @@ impl TaskBag {
     /// queue — e.g. to subtract already-banked duplicates when computing
     /// remaining work under result replication.
     pub fn pending_tasks(&self) -> impl Iterator<Item = Task> + '_ {
-        self.runs.iter().flat_map(|r| {
-            (0..r.count).map(move |k| Task {
-                id: r.first_id + k,
-                duration: r.duration,
-            })
-        })
+        self.runs.iter().flat_map(Run::tasks)
     }
 
     /// Total duration of pending tasks, summed task by task in dispatch
@@ -241,33 +279,34 @@ impl TaskBag {
     /// split — paper §2.1).
     pub fn check_out(&mut self, budget: f64) -> Chunk {
         let mut chunk = Chunk::default();
-        self.check_out_into(budget, &mut chunk.tasks);
+        self.check_out_into(budget, &mut chunk);
         chunk
     }
 
-    /// [`TaskBag::check_out`] into a caller-provided buffer (cleared first),
+    /// [`TaskBag::check_out`] into a caller-provided chunk (cleared first),
     /// so a hot dispatch loop can recycle chunk storage instead of
     /// allocating per period. Packing semantics are identical to
     /// [`TaskBag::check_out`].
-    pub fn check_out_into(&mut self, budget: f64, into: &mut Vec<Task>) {
-        into.clear();
+    pub fn check_out_into(&mut self, budget: f64, into: &mut Chunk) {
+        into.runs.clear();
         if !(budget > 0.0) {
             return;
         }
         let mut used = 0.0;
         while let Some(run) = self.runs.front_mut() {
-            let duration = run.duration;
-            while run.count > 0 {
-                if used + duration > budget + 1e-12 {
-                    return;
-                }
-                used += duration;
-                into.push(Task {
-                    id: run.first_id,
-                    duration,
-                });
-                run.first_id = run.first_id.wrapping_add(1);
-                run.count -= 1;
+            // The tasks that fit, added one by one as a task queue would.
+            let mut fit = 0;
+            while fit < run.count && !(used + run.duration > budget + 1e-12) {
+                used += run.duration;
+                fit += 1;
+            }
+            if fit > 0 {
+                into.runs.push(Run { count: fit, ..*run });
+            }
+            if fit < run.count {
+                run.first_id += fit;
+                run.count -= fit;
+                return;
             }
             self.runs.pop_front();
         }
@@ -275,7 +314,7 @@ impl TaskBag {
 
     /// Banks a completed chunk: its work is added to the completed tally.
     pub fn complete(&mut self, chunk: Chunk) {
-        self.completed_tasks += chunk.tasks.len() as u64;
+        self.completed_tasks += chunk.len() as u64;
         self.completed_work += chunk.total_duration();
     }
 
@@ -292,12 +331,11 @@ impl TaskBag {
     /// executed and then destroyed by a reclamation ([`TaskBag::abandon`]).
     /// A contiguous chunk merges back into the run it was checked out of.
     pub fn requeue(&mut self, chunk: Chunk) {
-        for task in chunk.tasks.into_iter().rev() {
-            let run = Run::single(task);
+        for run in chunk.runs.into_iter().rev() {
             match self.runs.front_mut() {
                 Some(front) if run.continues_into(front) => {
-                    front.first_id = task.id;
-                    front.count += 1;
+                    front.first_id = run.first_id;
+                    front.count += run.count;
                 }
                 _ => self.runs.push_front(run),
             }
@@ -364,9 +402,9 @@ pub fn pack_chunk(bag: &mut TaskBag, period: f64, c: f64) -> Chunk {
     bag.check_out((period - c).max(0.0))
 }
 
-/// [`pack_chunk`] into a caller-provided buffer (cleared first), for
+/// [`pack_chunk`] into a caller-provided chunk (cleared first), for
 /// dispatch loops that recycle chunk storage.
-pub fn pack_chunk_into(bag: &mut TaskBag, period: f64, c: f64, into: &mut Vec<Task>) {
+pub fn pack_chunk_into(bag: &mut TaskBag, period: f64, c: f64, into: &mut Chunk) {
     bag.check_out_into((period - c).max(0.0), into);
 }
 
@@ -400,8 +438,9 @@ mod tests {
         assert_eq!(chunk.total_duration(), 6.0);
         assert_eq!(bag.pending_count(), 2);
         // FIFO: ids 0 and 1 were taken.
-        assert_eq!(chunk.tasks()[0].id, 0);
-        assert_eq!(chunk.tasks()[1].id, 1);
+        let tasks: Vec<Task> = chunk.tasks().collect();
+        assert_eq!(tasks[0].id, 0);
+        assert_eq!(tasks[1].id, 1);
     }
 
     #[test]
@@ -480,9 +519,9 @@ mod tests {
         assert_eq!(bag.lost_work(), 3.0);
         assert_eq!(bag.pending_count(), 3);
         // Retried first, original order.
-        let retry = bag.check_out(3.0);
-        assert_eq!(retry.tasks()[0].id, 0);
-        assert_eq!(retry.tasks()[1].id, 1);
+        let retry: Vec<Task> = bag.check_out(3.0).tasks().collect();
+        assert_eq!(retry[0].id, 0);
+        assert_eq!(retry[1].id, 1);
     }
 
     #[test]
@@ -501,16 +540,16 @@ mod tests {
         bag.requeue(chunk);
         assert_eq!(bag.lost_work(), 0.0);
         assert_eq!(bag.pending_count(), 3);
-        let retry = bag.check_out(3.0);
-        assert_eq!(retry.tasks()[0].id, 0);
-        assert_eq!(retry.tasks()[1].id, 1);
+        let retry: Vec<Task> = bag.check_out(3.0).tasks().collect();
+        assert_eq!(retry[0].id, 0);
+        assert_eq!(retry[1].id, 1);
     }
 
     #[test]
     fn chunk_task_round_trip() {
         let mut bag = TaskBag::from_durations(&[1.0, 2.0]).unwrap();
         let chunk = bag.check_out(10.0);
-        let tasks = chunk.clone().into_tasks();
+        let tasks: Vec<Task> = chunk.tasks().collect();
         assert_eq!(tasks.len(), 2);
         let rebuilt = Chunk::from_tasks(tasks);
         assert_eq!(rebuilt, chunk);
@@ -564,8 +603,9 @@ mod tests {
         assert!(bag.is_drained());
     }
 
-    /// The bag as it was before runs: one `Task` per pending task. The
-    /// model test checks the run bag against it operation by operation.
+    /// The bag as it was before runs: one `Task` per pending task, and a
+    /// chunk as a `Vec<Task>`. The model test checks the run bag and its
+    /// run chunks against it operation by operation.
     #[derive(Default)]
     struct ModelBag {
         pending: VecDeque<Task>,
@@ -584,7 +624,7 @@ mod tests {
             self.next_id += 1;
         }
 
-        fn check_out(&mut self, budget: f64) -> Chunk {
+        fn check_out(&mut self, budget: f64) -> Vec<Task> {
             let mut tasks = Vec::new();
             if budget > 0.0 {
                 let mut used = 0.0;
@@ -596,16 +636,16 @@ mod tests {
                     tasks.push(self.pending.pop_front().expect("front exists"));
                 }
             }
-            Chunk::from_tasks(tasks)
+            tasks
         }
 
-        fn complete(&mut self, chunk: &Chunk) {
+        fn complete(&mut self, chunk: &[Task]) {
             self.completed_tasks += chunk.len() as u64;
-            self.completed_work += chunk.total_duration();
+            self.completed_work += chunk.iter().map(|t| t.duration).sum::<f64>();
         }
 
-        fn requeue(&mut self, chunk: &Chunk) {
-            for task in chunk.tasks().iter().rev() {
+        fn requeue(&mut self, chunk: &[Task]) {
+            for task in chunk.iter().rev() {
                 self.pending.push_front(*task);
             }
         }
@@ -621,6 +661,14 @@ mod tests {
         }
     }
 
+    /// No run continues into the next one: runs are merged wherever they
+    /// can be.
+    fn assert_maximal<'a>(runs: impl IntoIterator<Item = &'a Run>) {
+        let runs: Vec<&Run> = runs.into_iter().collect();
+        assert!(runs.iter().all(|r| r.count > 0));
+        assert!(runs.windows(2).all(|w| !w[0].continues_into(w[1])));
+    }
+
     fn assert_matches_model(bag: &TaskBag, model: &ModelBag) {
         let tasks: Vec<Task> = bag.pending_tasks().collect();
         assert!(tasks.iter().eq(model.pending.iter()));
@@ -629,6 +677,33 @@ mod tests {
         assert_eq!(bag.pending_work().to_bits(), model_work.to_bits());
         assert_eq!(bag.is_drained(), model.pending.is_empty());
         assert_eq!(bag.save_state(), model.state());
+        assert_maximal(&bag.runs);
+    }
+
+    fn assert_chunk_matches(chunk: &Chunk, model: &[Task]) {
+        assert!(chunk.tasks().eq(model.iter().copied()));
+        assert_eq!(chunk.len(), model.len());
+        assert_eq!(chunk.is_empty(), model.is_empty());
+        // An empty `Sum` of f64 is −0.0, and the farm's reports print it.
+        let model_work: f64 = model.iter().map(|t| t.duration).sum();
+        assert_eq!(chunk.total_duration().to_bits(), model_work.to_bits());
+        if model.is_empty() {
+            assert_eq!(chunk.total_duration().to_bits(), (-0.0f64).to_bits());
+        }
+        assert_maximal(&chunk.runs);
+    }
+
+    #[test]
+    fn chunk_from_tasks_merges_runs() {
+        let task = |id, duration| Task { id, duration };
+        let chunk = Chunk::from_tasks([task(4, 1.0), task(5, 1.0), task(7, 1.0), task(8, 2.0)]);
+        assert_eq!(chunk.runs.len(), 3);
+        assert_eq!(chunk.len(), 4);
+        assert_eq!(chunk.total_duration(), 5.0);
+        assert_eq!(
+            Chunk::default().total_duration().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     proptest::proptest! {
@@ -640,62 +715,109 @@ mod tests {
         ) {
             // `1.0` and the next float up differ only in their last bit,
             // so runs must break on bits, not on approximate equality.
-            let durations = [1.0, f64::from_bits(1.0f64.to_bits() + 1), 0.5, 2.5];
+            // The inexact durations make a packed count depend on the
+            // order of the additions.
+            let durations = [
+                1.0,
+                f64::from_bits(1.0f64.to_bits() + 1),
+                0.5,
+                2.5,
+                0.1,
+                0.7,
+                1.0 / 3.0,
+                0.3,
+            ];
             let mut bag = TaskBag::new();
             let mut model = ModelBag::default();
-            let mut in_flight: Vec<Chunk> = Vec::new();
+            // Each chunk out of the bag beside the model's copy of it.
+            let mut in_flight: Vec<(Chunk, Vec<Task>)> = Vec::new();
             for op in ops {
                 let arg = op >> 8;
-                match op % 8 {
+                match op % 10 {
                     0 | 1 => {
-                        let d = durations[(arg % 4) as usize];
-                        let n = 1 + arg / 4 % 6;
+                        let d = durations[(arg % 8) as usize];
+                        let n = 1 + arg / 8 % 6;
                         for _ in 0..n {
                             bag.push(d).unwrap();
                             model.push(d);
                         }
                     }
                     2 | 3 => {
-                        let budget = match arg % 6 {
+                        let budget = match arg % 7 {
                             0 => 0.0,
                             1 => -1.0,
                             2 => f64::NAN,
                             3 => f64::INFINITY,
-                            _ => (arg >> 3) as f64 % 1000.0 / 100.0,
+                            4 => (arg >> 3) as f64 % 1000.0 / 100.0,
+                            _ => {
+                                // A few ulps either side of the point where
+                                // the next task stops fitting.
+                                let n = 1 + (arg >> 3) % 12;
+                                let sum: f64 = model
+                                    .pending
+                                    .iter()
+                                    .take(n as usize)
+                                    .map(|t| t.duration)
+                                    .fold(0.0, |used, d| used + d);
+                                let ulps = ((arg >> 7) % 5) as i64 - 2;
+                                let edge = (sum - 1e-12).max(1e-9);
+                                f64::from_bits((edge.to_bits() as i64 + ulps) as u64)
+                            }
                         };
                         let chunk = bag.check_out(budget);
-                        assert_eq!(chunk, model.check_out(budget));
+                        let reference = model.check_out(budget);
+                        assert_chunk_matches(&chunk, &reference);
                         if !chunk.is_empty() {
-                            in_flight.push(chunk);
+                            in_flight.push((chunk, reference));
                         }
                     }
                     4 if !in_flight.is_empty() => {
-                        let chunk = in_flight.swap_remove((arg as usize) % in_flight.len());
-                        model.complete(&chunk);
+                        let (chunk, reference) =
+                            in_flight.swap_remove((arg as usize) % in_flight.len());
+                        model.complete(&reference);
                         bag.complete(chunk);
                     }
                     5 if !in_flight.is_empty() => {
-                        let chunk = in_flight.swap_remove((arg as usize) % in_flight.len());
-                        model.lost_work += chunk.total_duration();
-                        model.requeue(&chunk);
+                        let (chunk, reference) =
+                            in_flight.swap_remove((arg as usize) % in_flight.len());
+                        model.lost_work += reference.iter().map(|t| t.duration).sum::<f64>();
+                        model.requeue(&reference);
                         bag.abandon(chunk);
                     }
-                    6 if !in_flight.is_empty() => {
-                        // Requeue a pruned chunk: the bits of `arg` pick
-                        // which tasks survive, leaving gaps in the ids.
-                        let mut chunk = in_flight.swap_remove((arg as usize) % in_flight.len());
-                        let mut mask = arg >> 4;
-                        chunk.retain(|_| {
-                            mask = mask.rotate_right(1);
-                            mask & 1 == 1
+                    6 | 7 if !in_flight.is_empty() => {
+                        // Prune a chunk in place: the bits of `arg` pick
+                        // which tasks survive, leaving gaps in the ids. The
+                        // predicate must see every task once, in order.
+                        let i = (arg as usize) % in_flight.len();
+                        let (chunk, reference) = &mut in_flight[i];
+                        let mask = arg >> 4;
+                        let keeps = |k: usize| mask.rotate_right(k as u32 + 1) & 1 == 1;
+                        let mut seen = Vec::new();
+                        chunk.retain(|t| {
+                            seen.push(*t);
+                            keeps(seen.len() - 1)
                         });
-                        model.requeue(&chunk);
+                        assert_eq!(seen, *reference);
+                        let mut k = 0;
+                        reference.retain(|_| {
+                            k += 1;
+                            keeps(k - 1)
+                        });
+                        assert_chunk_matches(chunk, reference);
+                    }
+                    8 if !in_flight.is_empty() => {
+                        let (chunk, reference) =
+                            in_flight.swap_remove((arg as usize) % in_flight.len());
+                        model.requeue(&reference);
                         bag.requeue(chunk);
                     }
-                    7 => bag = TaskBag::restore_state(bag.save_state()),
+                    9 => bag = TaskBag::restore_state(bag.save_state()),
                     _ => {}
                 }
                 assert_matches_model(&bag, &model);
+                for (chunk, reference) in &in_flight {
+                    assert_chunk_matches(chunk, reference);
+                }
             }
         }
     }
