@@ -773,12 +773,6 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
     };
     let report = if let Some(path) = resume {
         let opts = durable_opts(&config);
-        // The sidecars on disk before the resume writes its own, for the
-        // fallback warning.
-        let sidecars: Vec<String> = (0..MAX_SNAPSHOT_RING)
-            .map(|g| format!("{path}.snap.{g}"))
-            .filter(|p| std::path::Path::new(p).exists())
-            .collect();
         let (report, info) =
             Farm::resume(config, bag, &path, opts, &StdVfs).map_err(|e| e.to_string())?;
         let summary = RunSummary::new("farm_resume")
@@ -801,6 +795,11 @@ fn cmd_farm(args: &Args) -> Result<(), String> {
                     .int("generation", u64::from(g))
             }
             SnapshotOutcome::Fallback(kind) => {
+                // The sidecars that were on disk before the resume wrote its own.
+                let sidecars: Vec<String> = (0..MAX_SNAPSHOT_RING)
+                    .filter(|g| info.ring_on_disk >> g & 1 == 1)
+                    .map(|g| format!("{path}.snap.{g}"))
+                    .collect();
                 eprintln!(
                     "warning: snapshot {} unusable ({kind}); falling back to full redo replay",
                     sidecars.join(", ")

@@ -64,8 +64,9 @@ usage:
         scenario flags (--workstations, --tasks, --seed, --faults, ...)
         must match the run that wrote the journal.
     cyclesteal obs replay --journal <file> --fork [scenario flags]
-        What-if fork: restore <file>.snap.0 and run the rest of the
-        episode under the scenario the flags describe. Pass the original
+        What-if fork: restore <file>.snap.0, which must bind to the
+        journal's records, and run the rest of the episode under the
+        scenario the flags describe. Pass the original
         flags to reproduce the recorded outcome bitwise; perturb the fault
         flags (--faults, --loss, --slowdown, --crash) to ask what the same
         mid-run state would have done under different conditions.
@@ -156,8 +157,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     } else {
         let g = generation.unwrap_or(0);
         let snap = ring_snapshot_path(Path::new(&journal), g);
-        let (report, meta) =
-            Farm::fork_from_snapshot(config, &snap).map_err(|e| format!("obs replay: {e}"))?;
+        let (report, meta) = Farm::fork_from_snapshot(config, &journal, g)
+            .map_err(|e| format!("obs replay: {e}"))?;
         println!(
             "fork point    : {} (generation {g}, virtual time {:.2})",
             snap.display(),

@@ -2,8 +2,9 @@
 //! its own scratch directory as the working directory: a `--kill-after`
 //! crash and its resume, a corrupted snapshot sidecar falling back to full
 //! redo, the snapshot ring with journal GC resumed and forked from every
-//! retained generation, and a sidecar with a forged task id rejected with
-//! a typed error instead of an allocation abort.
+//! retained generation, a sidecar with a forged task id rejected with
+//! a typed error instead of an allocation abort, and a fork from a sidecar
+//! the journal does not hold rejected before it runs.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -138,6 +139,19 @@ fn corrupt_sidecar_falls_back_then_the_snapshot_restores() {
     assert!(stderr(&resumed).contains(&warning), "{}", stderr(&resumed));
     let report = |out: &Output| stdout(out).split("\n\n").next().unwrap().to_string();
     assert_eq!(report(&resumed), report(&d.ok(farm)));
+
+    // Killed after the ring's first snapshot: the warning names the one
+    // sidecar that was on disk, not the three the resumed run leaves.
+    d.fails(&format!(
+        "{farm} --journal onewal.jsonl {ring} --kill-after 25"
+    ));
+    d.assert_files(&["onewal.jsonl.snap.0"]);
+    assert!(!d.path("onewal.jsonl.snap.1").exists());
+    corrupt(&d.path("onewal.jsonl.snap.0"));
+    let resumed = d.ok(&format!("{farm} --resume onewal.jsonl {ring}"));
+    d.assert_files(&["onewal.jsonl.snap.1", "onewal.jsonl.snap.2"]);
+    let warning = "warning: snapshot onewal.jsonl.snap.0 unusable (malformed)";
+    assert!(stderr(&resumed).contains(warning), "{}", stderr(&resumed));
     d.finish();
 }
 
@@ -248,5 +262,65 @@ fn forged_task_ids_fail_typed_instead_of_aborting() {
     ));
     assert_eq!(fork.status.code(), Some(1), "{fork:?}");
     assert!(stderr(&fork).contains("inconsistent snapshot"), "{fork:?}");
+    d.finish();
+}
+
+/// Rewrites the sidecar's `journal records` count and workstation 0's
+/// `episodes` counter to `2^64 - 1` and every other workstation's to 0, so
+/// their sum passes restore's counter bound, and recomputes the checksum.
+fn forge_past_the_journal(sidecar: &Path) {
+    let text = std::fs::read_to_string(sidecar).unwrap();
+    let body = &text[..text.len() - "checksum 0123456789abcdef\n".len()];
+    let max = u64::MAX.to_string();
+    let mut forged = 0;
+    let lines: Vec<String> = body
+        .lines()
+        .map(|line| {
+            let mut tokens: Vec<&str> = line.split(' ').collect();
+            // `journal records <n> hash <h>`, and `stats <ws>`, three work
+            // sums, then `chunks_completed chunks_lost episodes ...`.
+            let (at, value) = match tokens.get(..2) {
+                Some(["journal", "records"]) => (2, max.as_str()),
+                Some(["stats", "0"]) => (7, max.as_str()),
+                Some(["stats", _]) => (7, "0"),
+                _ => return line.to_string(),
+            };
+            tokens[at] = value;
+            forged += 1;
+            tokens.join(" ")
+        })
+        .collect();
+    assert_eq!(forged, 17, "the journal line and 16 stats lines forged");
+    let body = lines.join("\n") + "\n";
+    let sidecar_text = format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes()));
+    std::fs::write(sidecar, sidecar_text).unwrap();
+}
+
+/// A fork binds its sidecar to the journal, as a resume does: generation 2
+/// of the seed-1 benchmark farm (ring of three, GC) forged to claim
+/// `2^64 - 1` journal records, with workstation 0's `episodes` counter at
+/// `2^64 - 1` behind a valid checksum, is a typed error naming the journal,
+/// not an overflow once the forked run starts another episode.
+#[test]
+fn a_fork_from_a_sidecar_ahead_of_the_journal_fails_typed() {
+    let d = Drill::new("fork_bind");
+    let scenario = "--workstations 16 --l 150 --c 2 --gap 10 --loss 0.05 --slowdown 2 \
+                    --seed 1 --tasks 5000";
+    d.ok(&format!(
+        "farm {scenario} --journal j.jsonl --snapshot-ring 3 --journal-gc"
+    ));
+    d.ok(&format!(
+        "obs replay --journal j.jsonl --fork --generation 2 {scenario}"
+    ));
+    forge_past_the_journal(&d.path("j.jsonl.snap.2"));
+    let fork = d.run(&format!(
+        "obs replay --journal j.jsonl --fork --generation 2 {scenario}"
+    ));
+    assert_eq!(fork.status.code(), Some(1), "{fork:?}");
+    let err = stderr(&fork);
+    assert!(
+        err.contains("snapshot binds to 18446744073709551615 journal records but the journal"),
+        "{err}"
+    );
     d.finish();
 }

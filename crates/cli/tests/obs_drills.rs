@@ -168,9 +168,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 const SNAPSHOT_FIXTURE: &str = include_str!("../../../tests/fixtures/farm_faulty.snapshot.txt");
 
+/// The journal the snapshot fixture binds to (its first 139 records).
+const JOURNAL_FIXTURE: &str = include_str!("../../../tests/fixtures/farm_faulty.journal.jsonl");
+
 #[test]
 fn forged_snapshot_counts_fail_fork_with_a_typed_error() {
     let dir = scratch("forged_fork");
+    std::fs::write(dir.join("j.jsonl"), JOURNAL_FIXTURE).unwrap();
     let trailer = "checksum 0123456789abcdef\n".len();
     let body = &SNAPSHOT_FIXTURE[..SNAPSHOT_FIXTURE.len() - trailer];
     for (from, to) in [

@@ -17,6 +17,7 @@
 //! `*_step` functions are the closed forms derived in §4.1–§4.3 and are
 //! cross-checked against the generic path in this module's tests.
 
+use crate::schedule::positive_sub;
 use crate::{CoreError, Result, Schedule};
 use cs_life::LifeFunction;
 use cs_numeric::roots;
@@ -55,41 +56,109 @@ pub fn guideline_step(p: &dyn LifeFunction, c: f64, t_end_prev: f64, t_prev: f64
     if t_prev <= c {
         return None;
     }
-    let p_prev = p.survival(t_end_prev);
-    if p_prev <= 0.0 {
-        return None;
-    }
-    let v = p_prev + (t_prev - c) * p.deriv(t_end_prev);
-    if v <= 0.0 || v >= p_prev {
-        return None;
-    }
-    // Invert p on [t_end_prev, horizon] to find T_k with p(T_k) = v.
-    let hi = match p.lifespan() {
-        Some(l) => l,
-        None => {
-            // Bracket to the right until survival drops below v.
-            let mut hi = (t_end_prev + t_prev).max(t_end_prev * 2.0).max(1.0);
-            let mut found = false;
-            for _ in 0..256 {
-                if p.survival(hi) <= v {
-                    found = true;
-                    break;
-                }
-                hi *= 2.0;
-            }
-            if !found {
-                return None;
-            }
-            hi
+    Walk::new(p, c).step(t_end_prev, t_prev, p.survival(t_end_prev))
+}
+
+/// The recurrence walked from one `t_0`, evaluating every life-function
+/// value once: each `p(T_k)` serves the tail check, the expected-work term
+/// and the next step's `p(T_{k−1})`, which is also the inversion's lower
+/// endpoint; `p(L)`, its upper endpoint, is computed once per schedule.
+struct Walk<'a> {
+    p: &'a dyn LifeFunction,
+    c: f64,
+    /// `p(L)`, once a step has needed it.
+    p_lifespan: Option<f64>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(p: &'a dyn LifeFunction, c: f64) -> Self {
+        Self {
+            p,
+            c,
+            p_lifespan: None,
         }
-    };
-    let t_end_next = roots::invert_decreasing(|t| p.survival(t), v, t_end_prev, hi).ok()?;
-    let t_next = t_end_next - t_end_prev;
-    if t_next <= 0.0 || !t_next.is_finite() {
-        None
-    } else {
-        Some(t_next)
     }
+
+    /// [`guideline_step`] after its `t_prev ≤ c` test, given
+    /// `p_prev = p(t_end_prev)`.
+    fn step(&mut self, t_end_prev: f64, t_prev: f64, p_prev: f64) -> Option<f64> {
+        let p = self.p;
+        if p_prev <= 0.0 {
+            return None;
+        }
+        let v = p_prev + (t_prev - self.c) * p.deriv(t_end_prev);
+        if v <= 0.0 || v >= p_prev {
+            return None;
+        }
+        // Invert p on [t_end_prev, horizon] to find T_k with p(T_k) = v.
+        let (hi, p_hi) = match p.lifespan() {
+            Some(l) => (l, *self.p_lifespan.get_or_insert_with(|| p.survival(l))),
+            None => {
+                // Bracket to the right until survival drops below v.
+                let mut hi = (t_end_prev + t_prev).max(t_end_prev * 2.0).max(1.0);
+                let mut found = None;
+                for _ in 0..256 {
+                    let s = p.survival(hi);
+                    if s <= v {
+                        found = Some(s);
+                        break;
+                    }
+                    hi *= 2.0;
+                }
+                (hi, found?)
+            }
+        };
+        let t_end_next =
+            roots::invert_decreasing_from(|t| p.survival(t), v, t_end_prev, hi, p_prev, p_hi)
+                .ok()?;
+        let t_next = t_end_next - t_end_prev;
+        if t_next <= 0.0 || !t_next.is_finite() {
+            None
+        } else {
+            Some(t_next)
+        }
+    }
+
+    /// Walks the schedule from `t0` (validated by the caller), handing each
+    /// emitted period and `p(T_k)` to `emit` in order until the recurrence
+    /// or [`GuidelineOptions`] ends it, or `emit` returns `false`. The
+    /// survival of an initial period `t0 ≤ c` is never needed, and is NaN.
+    fn run(mut self, t0: f64, opts: &GuidelineOptions, mut emit: impl FnMut(f64, f64) -> bool) {
+        let (p, c) = (self.p, self.c);
+        let mut surv = if t0 > c { p.survival(t0) } else { f64::NAN };
+        if !emit(t0, surv) || t0 <= c {
+            return;
+        }
+        let (mut t_end, mut t_prev, mut len) = (t0, t0, 1);
+        while len < opts.max_periods {
+            let Some(t_next) = self.step(t_end, t_prev, surv) else {
+                break;
+            };
+            if t_next <= c {
+                break;
+            }
+            t_end += t_next;
+            t_prev = t_next;
+            len += 1;
+            surv = p.survival(t_end);
+            if !emit(t_next, surv) || (t_next - c) * surv < opts.tail_eps {
+                break;
+            }
+        }
+    }
+}
+
+/// The parameter checks every guideline generator makes.
+fn check_parameters(c: f64, t0: f64) -> Result<()> {
+    if !(c.is_finite() && c >= 0.0) {
+        return Err(CoreError::BadParameter(
+            "overhead c must be finite and >= 0",
+        ));
+    }
+    if !(t0.is_finite() && t0 > 0.0) {
+        return Err(CoreError::BadParameter("t0 must be finite and > 0"));
+    }
+    Ok(())
 }
 
 /// Generates the full guideline schedule from an initial period `t0`
@@ -118,32 +187,40 @@ pub fn guideline_schedule(
     t0: f64,
     opts: &GuidelineOptions,
 ) -> Result<Schedule> {
-    if !(c.is_finite() && c >= 0.0) {
-        return Err(CoreError::BadParameter(
-            "overhead c must be finite and >= 0",
-        ));
-    }
-    if !(t0.is_finite() && t0 > 0.0) {
-        return Err(CoreError::BadParameter("t0 must be finite and > 0"));
-    }
-    let mut periods = vec![t0];
-    let mut t_end = t0;
-    let mut t_prev = t0;
-    while periods.len() < opts.max_periods {
-        let Some(t_next) = guideline_step(p, c, t_end, t_prev) else {
-            break;
-        };
-        if t_next <= c {
-            break;
-        }
-        t_end += t_next;
-        t_prev = t_next;
-        periods.push(t_next);
-        if (t_next - c) * p.survival(t_end) < opts.tail_eps {
-            break;
-        }
-    }
+    check_parameters(c, t0)?;
+    let mut periods = Vec::new();
+    Walk::new(p, c).run(t0, opts, |t, _| {
+        periods.push(t);
+        true
+    });
     Schedule::new(periods)
+}
+
+/// `guideline_schedule(p, c, t0, opts)?.expected_work(p, c)`, bit for bit,
+/// without building the schedule: the terms `(t_k ⊖ c)·p(T_k)` are summed
+/// in period order from the survival values the walk already holds, and
+/// the sum stops at the first `p(T_k) ≤ 0`, as
+/// [`Schedule::expected_work`] does. This is the guideline search's
+/// objective.
+pub(crate) fn guideline_expected_work(
+    p: &dyn LifeFunction,
+    c: f64,
+    t0: f64,
+    opts: &GuidelineOptions,
+) -> Result<f64> {
+    check_parameters(c, t0)?;
+    let mut e = 0.0;
+    Walk::new(p, c).run(t0, opts, |t, surv| {
+        let gain = positive_sub(t, c);
+        if gain > 0.0 {
+            if surv <= 0.0 {
+                return false;
+            }
+            e += gain * surv;
+        }
+        true
+    });
+    Ok(e)
 }
 
 /// Closed-form recurrence step for the polynomial family `p_{d,L}` (§4.1):
@@ -519,6 +596,145 @@ mod tests {
         assert!(s > 0.0);
         // And the step shrinks the period (log compression).
         assert!(s < 5.0);
+    }
+
+    /// Family `k` of every `cs-life` family, at parameters whose guideline
+    /// schedules run from one period to hundreds, bare or — when `tau` is
+    /// `Some` — conditioned on having survived `tau` of its lifespan or
+    /// horizon, as the farm's re-rooted searches see them.
+    pub(crate) fn family(k: usize, tau: Option<f64>) -> cs_life::ArcLife {
+        use cs_life::{ArcLife, Conditional, Empirical, Mixture, Pareto, TimeScaled, Weibull};
+        use std::sync::Arc;
+        let base: ArcLife = match k % 9 {
+            0 => Arc::new(Uniform::new(120.0).unwrap()),
+            1 => Arc::new(Polynomial::new(3, 200.0).unwrap()),
+            2 => Arc::new(GeometricDecreasing::new(1.05).unwrap()),
+            3 => Arc::new(GeometricIncreasing::new(64.0).unwrap()),
+            4 => Arc::new(Weibull::new(2.0, 50.0).unwrap()),
+            5 => Arc::new(Pareto::new(2.5).unwrap()),
+            6 => Arc::new(
+                Mixture::new(vec![
+                    (0.3, Arc::new(Uniform::new(80.0).unwrap()) as ArcLife),
+                    (0.7, Arc::new(Weibull::new(1.5, 40.0).unwrap()) as ArcLife),
+                ])
+                .unwrap(),
+            ),
+            7 => Arc::new(
+                TimeScaled::new(Arc::new(Polynomial::new(2, 100.0).unwrap()), 1.5).unwrap(),
+            ),
+            _ => {
+                let samples: Vec<f64> = (1..=400).map(|i| (i * 37 % 401) as f64 * 0.3).collect();
+                Arc::new(Empirical::from_samples(&samples, 32).unwrap())
+            }
+        };
+        match tau {
+            Some(frac) => {
+                let tau = frac * base.lifespan().unwrap_or(base.horizon(1e-3));
+                Arc::new(Conditional::new(base, tau).unwrap())
+            }
+            None => base,
+        }
+    }
+
+    /// What the search evaluated before the walk was fused: the schedule,
+    /// then its expected work.
+    fn composed(p: &dyn LifeFunction, c: f64, t0: f64, opts: &GuidelineOptions) -> Option<u64> {
+        let s = guideline_schedule(p, c, t0, opts).ok()?;
+        Some(s.expected_work(p, c).to_bits())
+    }
+
+    #[test]
+    fn fused_expected_work_rejects_what_the_schedule_rejects() {
+        let p = Uniform::new(100.0).unwrap();
+        for (c, t0) in [
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (1.0, 0.0),
+            (1.0, -3.0),
+            (f64::NAN, 10.0),
+            (f64::INFINITY, 10.0),
+            (-1.0, 10.0),
+        ] {
+            assert!(guideline_expected_work(&p, c, t0, &OPTS).is_err());
+            assert!(guideline_schedule(&p, c, t0, &OPTS).is_err());
+        }
+        // No term at all: an unproductive first period, and one that ends
+        // at the lifespan (zero survival). The sum is +0.0, not -0.0.
+        for t0 in [0.5, 1.0, 100.0, 150.0] {
+            let e = guideline_expected_work(&p, 1.0, t0, &OPTS).unwrap();
+            assert_eq!(e.to_bits(), 0.0f64.to_bits(), "t0 = {t0}");
+            assert_eq!(Some(e.to_bits()), composed(&p, 1.0, t0, &OPTS));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The fused walk is the composed schedule-then-sum, bit for bit,
+        /// on every family, bare and conditioned, across the period cap,
+        /// the tail cut-off, unproductive and overlong first periods.
+        #[test]
+        fn prop_fused_expected_work_is_bit_exact(
+            k in 0usize..9,
+            tau in -0.3f64..0.6,
+            c in 0.0f64..6.0,
+            u in 0.0f64..1.0,
+            mode in 0usize..3,
+            cap in 0usize..12,
+            eps in 0usize..3,
+        ) {
+            // A negative `tau` is a bare family.
+            let p = family(k, (tau > 0.0).then_some(tau));
+            // Mostly inside the Thm 3.2/3.3 bracket, where the search looks
+            // and schedules run long; else anywhere from well below `c` to
+            // past every lifespan.
+            let t0 = match crate::bounds::t0_bracket(p.as_ref(), c) {
+                Ok(b) if mode > 0 => b.lower.max(c) + u * (b.upper - b.lower.max(c)),
+                _ => (c + 0.05) * 10f64.powf(2.3 * u - 0.7),
+            };
+            // A third of the cases capped at 0 to 3 periods.
+            let opts = GuidelineOptions {
+                max_periods: if cap < 4 { cap } else { 100_000 },
+                tail_eps: [1e-15, 0.0, 1e-3][eps],
+            };
+            let fused = guideline_expected_work(p.as_ref(), c, t0, &opts).ok().map(f64::to_bits);
+            prop_assert_eq!(fused, composed(p.as_ref(), c, t0, &opts));
+        }
+
+        /// The search over the fused objective picks the same `t0`,
+        /// schedule and expected work as the search over the composed one.
+        #[test]
+        fn prop_search_matches_the_composed_reference(
+            k in 0usize..9,
+            tau in -0.3f64..0.6,
+            c in 0.2f64..6.0,
+        ) {
+            let p = family(k, (tau > 0.0).then_some(tau));
+            let p = p.as_ref();
+            let opts = GuidelineOptions::default();
+            let reference = crate::bounds::t0_bracket(p, c).and_then(|bracket| {
+                let lo = bracket.lower.max(c + 1e-12);
+                let hi = bracket.upper.max(lo * (1.0 + 1e-9));
+                let eval = |t0: f64| match guideline_schedule(p, c, t0, &opts) {
+                    Ok(s) => s.expected_work(p, c),
+                    Err(_) => f64::NEG_INFINITY,
+                };
+                let max = cs_numeric::optimize::grid_refine_max(eval, lo, hi, 256, 1e-9)?;
+                let schedule = guideline_schedule(p, c, max.x, &opts)?;
+                let expected_work = schedule.expected_work(p, c);
+                Ok((max.x, schedule, expected_work))
+            });
+            let bits = |s: &Schedule| s.periods().iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            match (crate::search::best_guideline_schedule(p, c), reference) {
+                (Ok(plan), Ok((t0, schedule, e))) => {
+                    prop_assert_eq!(plan.t0.to_bits(), t0.to_bits());
+                    prop_assert_eq!(plan.expected_work.to_bits(), e.to_bits());
+                    prop_assert_eq!(bits(&plan.schedule), bits(&schedule));
+                }
+                (Err(_), Err(_)) => {}
+                (got, want) => prop_assert!(false, "{:?} vs {:?}", got.is_ok(), want.is_ok()),
+            }
+        }
     }
 
     proptest! {

@@ -8,7 +8,7 @@
 //! the result by cyclic 1-D maximization over individual periods.
 
 use crate::bounds::{self, T0Bracket};
-use crate::recurrence::{guideline_schedule, GuidelineOptions};
+use crate::recurrence::{guideline_expected_work, guideline_schedule, GuidelineOptions};
 use crate::{Result, Schedule};
 use cs_life::LifeFunction;
 use cs_numeric::optimize;
@@ -63,20 +63,15 @@ pub fn best_guideline_schedule_in(
     // Guard against degenerate brackets (lower == upper).
     let lo = bracket.lower.max(c + 1e-12);
     let hi = bracket.upper.max(lo * (1.0 + 1e-9));
-    let eval = |t0: f64| -> f64 {
-        match guideline_schedule(p, c, t0, opts) {
-            Ok(s) => s.expected_work(p, c),
-            Err(_) => f64::NEG_INFINITY,
-        }
-    };
+    let eval = |t0: f64| guideline_expected_work(p, c, t0, opts).unwrap_or(f64::NEG_INFINITY);
     let max = optimize::grid_refine_max(eval, lo, hi, grid.max(2), 1e-9)?;
+    // `max.value` is `eval(max.x)`: the winner's expected work.
     let schedule = guideline_schedule(p, c, max.x, opts)?;
-    let expected_work = schedule.expected_work(p, c);
     Ok(GuidelinePlan {
         t0: max.x,
         bracket,
         schedule,
-        expected_work,
+        expected_work: max.value,
     })
 }
 
@@ -102,11 +97,7 @@ pub fn t0_landscape(
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let t0 = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-        let e = match guideline_schedule(p, c, t0, opts) {
-            Ok(s) => s.expected_work(p, c),
-            Err(_) => 0.0,
-        };
-        out.push((t0, e));
+        out.push((t0, guideline_expected_work(p, c, t0, opts).unwrap_or(0.0)));
     }
     Ok(out)
 }

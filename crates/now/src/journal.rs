@@ -59,12 +59,12 @@
 use crate::farm::{Farm, FarmConfig, FarmConfigError, FarmReport, FarmRun};
 use crate::snapshot::{
     fnv1a64, ring_snapshot_path, segment_meta_path, tmp_path, write_atomic_bytes, FarmSnapshot,
-    SegmentMeta, SnapshotError, SnapshotErrorKind, SnapshotOutcome, FNV_OFFSET,
+    SegmentMeta, SnapshotError, SnapshotErrorKind, SnapshotMeta, SnapshotOutcome, FNV_OFFSET,
 };
 use cs_obs::vfs::{StdVfs, Vfs};
 use cs_obs::{
     read_journal, Event, EventKind, EventSink, FsyncPolicy, JournalContents, JournalReadError,
-    JournalWriter, SpanProfiler,
+    JournalWriter, NoopSink, SpanProfiler,
 };
 use std::path::{Path, PathBuf};
 
@@ -215,6 +215,9 @@ pub struct RecoveryInfo {
     /// Whether the snapshot sidecar restored, was absent, or was rejected
     /// (and recovery fell back to full redo replay).
     pub snapshot: SnapshotOutcome,
+    /// Bit `g` is set when `<journal>.snap.<g>` was on disk when recovery
+    /// began: the sidecars a [`SnapshotOutcome::Fallback`] gave up on.
+    pub ring_on_disk: u64,
     /// Records truncated by GC before this journal segment (0 for a
     /// whole, un-GC'd journal).
     pub segment_base: u64,
@@ -280,6 +283,11 @@ pub enum JournalError {
         /// Why it was unusable.
         reason: String,
     },
+    /// The sidecar [`Farm::fork_from_snapshot`] forks could not be
+    /// loaded, does not bind to the journal
+    /// ([`SnapshotError::JournalAhead`], [`SnapshotError::JournalMismatch`]),
+    /// or failed to restore.
+    Snapshot(SnapshotError),
 }
 
 impl std::fmt::Display for JournalError {
@@ -320,6 +328,7 @@ impl std::fmt::Display for JournalError {
             JournalError::Generation { generation, reason } => {
                 write!(f, "snapshot generation {generation} unusable: {reason}")
             }
+            JournalError::Snapshot(e) => write!(f, "{e}"),
         }
     }
 }
@@ -330,6 +339,7 @@ impl std::error::Error for JournalError {
             JournalError::Config(e) => Some(e),
             JournalError::Read(e) => Some(e),
             JournalError::Io(e) => Some(e),
+            JournalError::Snapshot(e) => Some(e),
             _ => None,
         }
     }
@@ -338,6 +348,12 @@ impl std::error::Error for JournalError {
 impl From<FarmConfigError> for JournalError {
     fn from(e: FarmConfigError) -> Self {
         JournalError::Config(e)
+    }
+}
+
+impl From<SnapshotError> for JournalError {
+    fn from(e: SnapshotError) -> Self {
+        JournalError::Snapshot(e)
     }
 }
 
@@ -638,6 +654,7 @@ impl Farm {
         let mut ctx = DriveCtx::new(vfs, path, &opts);
         ctx.seg_base = rec.base;
         ctx.ring_meta = rec.ring_meta;
+        ctx.unread = Some((rec.shape, rec.base_hash));
         ctx.next_gen = rec.newest.map_or(0, |g| (g + 1) % ctx.ring);
         let from = rec.verifier.position();
         let mut sink = JournalSink::new(rec.verifier, writer, rec.hash, &opts);
@@ -655,6 +672,7 @@ impl Farm {
                 records_appended: stats.records,
                 torn_bytes_discarded: rec.journal.torn_bytes,
                 snapshot: rec.outcome,
+                ring_on_disk: rec.ring_on_disk,
                 segment_base: rec.base,
                 degraded: stats.degraded,
             },
@@ -706,6 +724,65 @@ impl Farm {
             records: sink.finish(to)?,
             ..state
         })
+    }
+
+    /// Time-travel forking: restores ring generation `generation` of the
+    /// journal at `journal` under `config` — the original scenario, or one
+    /// with a **perturbed** [`crate::FaultPlan`] — and plays the rest of the
+    /// run to completion as a what-if. With the original configuration the
+    /// returned report is bitwise identical to the run the snapshot was
+    /// taken from; with a perturbed one it answers "how would the rest of
+    /// this very run have gone under different faults?" from the exact
+    /// captured state (bag, leases, RNG cursors and all).
+    ///
+    /// The sidecar must bind to the journal's surviving records, as a
+    /// resume's must: one that claims records the journal does not hold is
+    /// [`SnapshotError::JournalAhead`], one whose prefix hashes differently
+    /// [`SnapshotError::JournalMismatch`]. The farm *shape* must match
+    /// (workstation count, and the same believed life functions if reports
+    /// are to be comparable); seed and fault plans are free to differ.
+    /// Nothing is journaled.
+    pub fn fork_from_snapshot(
+        config: FarmConfig,
+        journal: impl AsRef<Path>,
+        generation: u32,
+    ) -> Result<(FarmReport, SnapshotMeta), JournalError> {
+        let path = journal.as_ref();
+        let snap = FarmSnapshot::load_with(&StdVfs, &ring_snapshot_path(path, generation))?;
+        let records = read_journal(&StdVfs, path)?.records;
+        // The journal belongs to the run the sidecar describes, whatever
+        // `config` says. Binding checks that, header included, so any
+        // `run_start` first line marks a whole journal.
+        let shape = Shape {
+            seed: snap.seed,
+            workstations: snap.workstations,
+            tasks: snap.tasks,
+        };
+        let header = (records.first())
+            .filter(|l| {
+                Event::from_jsonl(l).is_ok_and(|e| matches!(e.kind, EventKind::RunStart { .. }))
+            })
+            .map_or_else(|| shape.header_line(), String::clone);
+        let mut ring = Ring::scan(&StdVfs, path, shape);
+        let (base, base_hash, _) = segment_base(&StdVfs, path, &records, header, &mut ring)?;
+        if let Err((kind, _)) = bind(&snap, &records, base, base_hash) {
+            let snapshot_records = snap.journal_records;
+            return Err(JournalError::Snapshot(match kind {
+                SnapshotErrorKind::JournalAhead => SnapshotError::JournalAhead {
+                    snapshot_records,
+                    journal_records: base + records.len() as u64,
+                },
+                _ => SnapshotError::JournalMismatch {
+                    records: snapshot_records,
+                },
+            }));
+        }
+        let meta = snap.meta();
+        let mut run = snap.restore(config)?;
+        let mut sink = NoopSink;
+        let mut prof = SpanProfiler::disabled();
+        while run.step(&mut sink, &mut prof) {}
+        Ok((run.finish(&mut sink, &mut prof), meta))
     }
 }
 
@@ -802,8 +879,11 @@ struct DriveCtx<'v> {
     ring: u32,
     /// Ring slot the next snapshot lands in.
     next_gen: u32,
-    /// `(journal_records, journal_hash)` per ring slot, as far as known.
-    ring_meta: Vec<Option<(u64, u64)>>,
+    /// What is known of each ring slot.
+    ring_meta: Vec<Slot>,
+    /// How a resumed run loads and binds a [`Slot::Unread`]: the run's
+    /// shape and the journal hash where its verifier's records start.
+    unread: Option<(Shape, u64)>,
     gc: bool,
     on_io_error: IoErrorPolicy,
     /// Records truncated by GC before the journal file's first line.
@@ -827,7 +907,8 @@ impl<'v> DriveCtx<'v> {
             last_snapshot_records: 0,
             ring: opts.snapshot_ring.clamp(1, MAX_SNAPSHOT_RING),
             next_gen: 0,
-            ring_meta: vec![None; MAX_SNAPSHOT_RING as usize],
+            ring_meta: vec![Slot::Empty; MAX_SNAPSHOT_RING as usize],
+            unread: None,
             gc: opts.gc,
             on_io_error: opts.on_io_error,
             seg_base: 0,
@@ -926,7 +1007,7 @@ fn snapshot(run: &FarmRun, sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
         Ok(()) => {
             ctx.stats.snapshots_written += 1;
             ctx.stats.snapshot_bytes += bytes.len() as u64;
-            ctx.ring_meta[gen as usize] = Some((snap.journal_records, snap.journal_hash));
+            ctx.ring_meta[gen as usize] = Slot::Bound(snap.journal_records, snap.journal_hash);
             ctx.next_gen = (gen + 1) % ctx.ring;
             if ctx.gc {
                 gc_rotate(sink, ctx);
@@ -990,9 +1071,22 @@ fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
         return; // never GC while replaying an unverified prefix
     }
     // The slot the next snapshot overwrites holds the oldest retained
-    // generation; its record count is the cut.
-    let Some((cut_records, cut_hash)) = ctx.ring_meta[ctx.next_gen as usize] else {
-        return; // ring not full yet
+    // generation; its record count is the cut. GC cuts only at a
+    // generation fully decoded and bound, so one that recovery left
+    // unread is decoded and bound now.
+    let slot = ctx.next_gen as usize;
+    if let (Slot::Unread, Some((shape, base_hash))) = (ctx.ring_meta[slot], ctx.unread) {
+        ctx.ring_meta[slot] = late_bind(
+            ctx.vfs,
+            &ctx.path,
+            ctx.next_gen,
+            shape,
+            &sink.verifier,
+            base_hash,
+        );
+    }
+    let Slot::Bound(cut_records, cut_hash) = ctx.ring_meta[slot] else {
+        return; // ring not full yet, or the slot is unusable
     };
     if cut_records <= ctx.seg_base || cut_records > sink.committed() {
         return;
@@ -1096,36 +1190,55 @@ fn sweep_stale(vfs: &dyn Vfs, path: &Path, fresh: bool) {
     }
 }
 
-/// The `run_start` record this farm would write as its first journal line.
-fn header_line(farm: &Farm) -> String {
-    Event {
-        time: 0.0,
-        kind: EventKind::RunStart {
+/// The run a journal and its sidecars belong to: seed, workstation count
+/// and task count, as its `run_start` header and every sidecar's `meta`
+/// line record them.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    seed: u64,
+    workstations: u64,
+    tasks: u64,
+}
+
+impl Shape {
+    fn of(farm: &Farm) -> Self {
+        Shape {
             seed: farm.config.seed,
             workstations: farm.config.workstations.len() as u64,
             tasks: farm.bag.pending_count() as u64,
-        },
+        }
     }
-    .to_jsonl()
+
+    /// The `run_start` record this run writes as its first journal line.
+    fn header_line(self) -> String {
+        Event {
+            time: 0.0,
+            kind: EventKind::RunStart {
+                seed: self.seed,
+                workstations: self.workstations,
+                tasks: self.tasks,
+            },
+        }
+        .to_jsonl()
+    }
 }
 
 /// Where the journal file starts in the run's record stream: the records
 /// GC truncated before its first line, the running hash over them, and
 /// whether they had to be inferred from the ring. A whole journal (no, or
-/// ignorable, `.seg` metadata) must open with this farm's header. A GC'd
-/// segment takes its base from the metadata unless that is stale — a crash
+/// ignorable, `.seg` metadata) must open with `header`. A GC'd segment
+/// takes its base from the metadata unless that is stale — a crash
 /// between the journal rotation and the metadata store, detected by
 /// hashing the journal's actual first line against the recorded one.
 fn segment_base(
     vfs: &dyn Vfs,
     path: &Path,
     records: &[String],
-    farm: &Farm,
-    candidates: &[Candidate],
+    header: String,
+    ring: &mut Ring<'_>,
 ) -> Result<(u64, u64, bool), JournalError> {
     let seg_path = segment_meta_path(path);
     let first = records.first().map(String::as_str);
-    let header = header_line(farm);
     let whole = first == Some(header.as_str());
     let stale = vfs.exists(&seg_path)
         && match SegmentMeta::load(vfs, &seg_path) {
@@ -1149,13 +1262,12 @@ fn segment_base(
             _ => true,
         };
     if stale {
-        let (base, hash) = infer_segment_base(candidates, records).ok_or_else(|| {
-            JournalError::SegmentCorrupt {
+        let (base, hash) =
+            infer_segment_base(ring, records).ok_or_else(|| JournalError::SegmentCorrupt {
                 reason: "segment metadata is stale and no retained snapshot generation binds \
                          to the surviving journal"
                     .into(),
-            }
-        })?;
+            })?;
         return Ok((base, hash, true));
     }
     match first {
@@ -1199,19 +1311,38 @@ impl Origin {
     }
 }
 
+/// What a resumed run knows of one ring slot, for the GC cut at it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// No usable generation: none on disk, or one that failed to load,
+    /// farm-check or bind.
+    Empty,
+    /// A generation fully decoded and bound at `(records, hash)`.
+    Bound(u64, u64),
+    /// A sidecar recovery did not need to decode. The first GC that cuts
+    /// here decodes and binds it ([`late_bind`]).
+    Unread,
+}
+
 /// What [`recover`] found on disk, and where verified replay begins.
 struct Recovery {
     /// The journal's byte counts (its records are in `verifier`).
     journal: JournalContents,
     /// Records truncated by GC before the journal's first line.
     base: u64,
+    /// The running journal hash at `base`.
+    base_hash: u64,
     /// Fresh `.seg` metadata when the stored one was stale and `base` was
     /// inferred from the ring; resume stores it.
     repair: Option<SegmentMeta>,
-    /// `(records, hash)` per ring slot whose sidecar binds, and the newest
-    /// such slot: where the resumed ring picks up.
-    ring_meta: Vec<Option<(u64, u64)>>,
+    /// The run the journal belongs to.
+    shape: Shape,
+    /// What is known of each ring slot, and the newest slot whose sidecar
+    /// binds: where the resumed ring picks up.
+    ring_meta: Vec<Slot>,
     newest: Option<u32>,
+    /// Bit `g` set when `<journal>.snap.<g>` was on disk.
+    ring_on_disk: u64,
     outcome: SnapshotOutcome,
     /// The running journal hash where replay begins.
     hash: u64,
@@ -1222,10 +1353,11 @@ struct Recovery {
 
 /// The recovery front end of [`Farm::resume`] and [`Farm::replay_to`]. It
 /// reads the journal, resolves where its segment starts (whole, from the
-/// `.seg` metadata, or inferred from the ring), loads and farm-checks every
-/// sidecar, binds each to the surviving records, and picks the start. It
-/// only reads: cutting the torn tail and repairing stale `.seg` metadata
-/// are resume's.
+/// `.seg` metadata, or inferred from the ring), and picks the start:
+/// [`Start::Newest`] decodes, binds and restores the ring's sidecars
+/// newest first and stops at the first that restores, the other starts
+/// decode every sidecar they weigh. It only reads: cutting the torn tail
+/// and repairing stale `.seg` metadata are resume's.
 fn recover(
     config: FarmConfig,
     bag: cs_tasks::TaskBag,
@@ -1235,40 +1367,14 @@ fn recover(
 ) -> Result<Recovery, JournalError> {
     let restore_config = config.clone();
     let farm = Farm::new(config, bag)?;
+    let shape = Shape::of(&farm);
     let mut journal = read_journal(vfs, path)?;
     let records = std::mem::take(&mut journal.records);
-    let candidates = collect_candidates(vfs, path, &farm);
-    let (base, base_hash, inferred) = segment_base(vfs, path, &records, &farm, &candidates)?;
+    let mut ring = Ring::scan(vfs, path, shape);
+    let (base, base_hash, inferred) =
+        segment_base(vfs, path, &records, shape.header_line(), &mut ring)?;
     let repair = inferred
         .then(|| SegmentMeta::for_cut(base, base_hash, records.first().map(String::as_str)));
-
-    // Bind each sidecar to the records actually on disk; anything wrong
-    // degrades toward older generations — slower, never incorrect.
-    let mut reject = candidates
-        .iter()
-        .filter_map(|s| s.snap.as_ref().err())
-        .next_back()
-        .map(SnapshotError::kind);
-    let (mut named, mut bound) = (None, Vec::new());
-    for s in candidates {
-        if matches!(start, Start::Generation(g) if s.generation == g) {
-            named = Some(s.snap);
-        } else if let Ok(snap) = s.snap {
-            match bind(&snap, &records, base, base_hash) {
-                Ok(()) => bound.push((snap, s.generation)),
-                Err((kind, _)) => reject = Some(kind),
-            }
-        }
-    }
-    let mut ring_meta = vec![None; MAX_SNAPSHOT_RING as usize];
-    for (s, g) in &bound {
-        ring_meta[*g as usize] = Some((s.journal_records, s.journal_hash));
-    }
-    let newest = bound
-        .iter()
-        .map(|(s, g)| (s.journal_records, *g))
-        .max()
-        .map(|(_, g)| g);
     let restore = |snap: FarmSnapshot, generation| {
         let (records, hash) = (snap.journal_records, snap.journal_hash);
         Ok::<_, SnapshotError>((
@@ -1278,6 +1384,9 @@ fn recover(
             generation,
         ))
     };
+    let ring_on_disk = ring.slots.iter().fold(0, |m, s| m | 1 << s.generation);
+    let mut ring_meta = vec![Slot::Empty; MAX_SNAPSHOT_RING as usize];
+    let (mut newest, mut reject) = (None, None);
     let restored = match start {
         Start::Generation(g) => {
             let unusable = |reason| JournalError::Generation {
@@ -1286,16 +1395,22 @@ fn recover(
             };
             // A generation the scan did not find still reports the
             // loader's own error.
-            let snap = named
-                .unwrap_or_else(|| load_snapshot(vfs, &ring_snapshot_path(path, g), &farm))
-                .map_err(|e| unusable(e.to_string()))?;
+            let snap = match ring.slots.iter().position(|s| s.generation == g) {
+                Some(i) => ring.take(i),
+                None => load_snapshot(vfs, &ring_snapshot_path(path, g), shape),
+            }
+            .map_err(|e| unusable(e.to_string()))?;
             bind(&snap, &records, base, base_hash).map_err(|(_, reason)| unusable(reason))?;
             Some(restore(snap, g).map_err(|e| unusable(e.to_string()))?)
         }
         Start::Earliest if base > 0 => {
             let unrecoverable = |reason| JournalError::SegmentUnrecoverable { base, reason };
-            let (snap, g) = bound
-                .into_iter()
+            let (snap, g) = (0..ring.slots.len())
+                .filter_map(|i| {
+                    let g = ring.slots[i].generation;
+                    Some((ring.take(i).ok()?, g))
+                })
+                .filter(|(s, _)| bind(s, &records, base, base_hash).is_ok())
                 .min_by_key(|(s, _)| s.journal_records)
                 .ok_or_else(|| {
                     unrecoverable(
@@ -1306,10 +1421,45 @@ fn recover(
         }
         Start::Earliest => None,
         Start::Newest => {
-            bound.sort_by(|(a, ga), (b, gb)| (b.journal_records, gb).cmp(&(a.journal_records, ga)));
-            let restored = bound
-                .into_iter()
-                .find_map(|(snap, g)| restore(snap, g).map_err(|e| reject = Some(e.kind())).ok());
+            // Newest first: by the record count each header claims (a
+            // sidecar that decodes claims exactly what it decodes to), then
+            // by generation. The first that loads, binds and restores wins;
+            // the rest stay unread unless a GC cut needs one.
+            let mut order: Vec<(Option<u64>, u32, usize)> = (ring.slots.iter().enumerate())
+                .map(|(i, s)| (s.claim, s.generation, i))
+                .collect();
+            order.sort_unstable_by(|a, b| b.cmp(a));
+            // Why the tried sidecars failed: the highest generation's load
+            // and bind failures, and the last restore failure.
+            let (mut load_fail, mut bind_fail) = (None, None);
+            let (mut restored, mut tried) = (None, 0);
+            for &(_, g, i) in &order {
+                tried += 1;
+                let snap = match ring.take(i) {
+                    Ok(snap) => snap,
+                    Err(e) => {
+                        load_fail = load_fail.max(Some((g, e.kind())));
+                        continue;
+                    }
+                };
+                if let Err((kind, _)) = bind(&snap, &records, base, base_hash) {
+                    bind_fail = bind_fail.max(Some((g, kind)));
+                    continue;
+                }
+                ring_meta[g as usize] = Slot::Bound(snap.journal_records, snap.journal_hash);
+                newest.get_or_insert(g);
+                match restore(snap, g) {
+                    Ok(r) => {
+                        restored = Some(r);
+                        break;
+                    }
+                    Err(e) => reject = Some(e.kind()),
+                }
+            }
+            for &(_, g, _) in &order[tried..] {
+                ring_meta[g as usize] = Slot::Unread;
+            }
+            reject = reject.or(bind_fail.or(load_fail).map(|(_, kind)| kind));
             if restored.is_none() && base > 0 {
                 let reason = match reject {
                     Some(kind) => {
@@ -1336,9 +1486,12 @@ fn recover(
     Ok(Recovery {
         journal,
         base,
+        base_hash,
         repair,
+        shape,
         ring_meta,
         newest,
+        ring_on_disk,
         outcome,
         hash,
         verifier: Verifier::new(records, base, from),
@@ -1350,46 +1503,121 @@ fn recover(
 struct Candidate {
     /// Ring generation.
     generation: u32,
-    /// The sidecar, loaded and checked against this farm.
-    snap: Result<FarmSnapshot, SnapshotError>,
+    /// The `journal records` count its header claims, read without
+    /// decoding the sidecar; `None` when the header does not parse.
+    claim: Option<u64>,
+    /// The sidecar, loaded and checked against the run, once something
+    /// needed it and until [`Ring::take`] takes it.
+    snap: Option<Result<FarmSnapshot, SnapshotError>>,
 }
 
-/// Loads every snapshot sidecar next to `path` — ring generations
-/// `.snap.0..` — and checks each describes this farm.
-fn collect_candidates(vfs: &dyn Vfs, path: &Path, farm: &Farm) -> Vec<Candidate> {
-    (0..MAX_SNAPSHOT_RING)
-        .map(|g| (ring_snapshot_path(path, g), g))
-        .filter(|(p, _)| vfs.exists(p))
-        .map(|(p, generation)| Candidate {
-            generation,
-            snap: load_snapshot(vfs, &p, farm),
+/// The snapshot sidecars next to a journal — ring generations
+/// `.snap.0..` — each read whole and decoded only when recovery needs it.
+struct Ring<'v> {
+    vfs: &'v dyn Vfs,
+    path: &'v Path,
+    shape: Shape,
+    /// The generations on disk, ascending.
+    slots: Vec<Candidate>,
+}
+
+/// Bytes at the start of a sidecar that hold its `meta` and `journal`
+/// lines (at most about 200 bytes).
+const HEAD_BYTES: usize = 256;
+
+impl<'v> Ring<'v> {
+    /// Finds the sidecars on disk and reads the record count each header
+    /// claims.
+    fn scan(vfs: &'v dyn Vfs, path: &'v Path, shape: Shape) -> Self {
+        let slots = (0..MAX_SNAPSHOT_RING)
+            .map(|g| (ring_snapshot_path(path, g), g))
+            .filter(|(p, _)| vfs.exists(p))
+            .map(|(p, generation)| Candidate {
+                generation,
+                claim: vfs
+                    .read_head(&p, HEAD_BYTES)
+                    .ok()
+                    .and_then(|head| FarmSnapshot::claimed_records(&head)),
+                snap: None,
+            })
+            .collect();
+        Ring {
+            vfs,
+            path,
+            shape,
+            slots,
+        }
+    }
+
+    /// Slot `i`'s sidecar, loaded and farm-checked; moved out of the ring.
+    fn take(&mut self, i: usize) -> Result<FarmSnapshot, SnapshotError> {
+        let slot = &mut self.slots[i];
+        slot.snap.take().unwrap_or_else(|| {
+            load_snapshot(
+                self.vfs,
+                &ring_snapshot_path(self.path, slot.generation),
+                self.shape,
+            )
         })
-        .collect()
+    }
+
+    /// Every sidecar that loads and farm-checks.
+    fn load_all(&mut self) -> impl Iterator<Item = &FarmSnapshot> {
+        for slot in &mut self.slots {
+            if slot.snap.is_none() {
+                let p = ring_snapshot_path(self.path, slot.generation);
+                slot.snap = Some(load_snapshot(self.vfs, &p, self.shape));
+            }
+        }
+        self.slots
+            .iter()
+            .filter_map(|s| s.snap.as_ref()?.as_ref().ok())
+    }
 }
 
-/// Loads a sidecar and verifies it describes this farm (seed, workstation
+/// Loads a sidecar and verifies it describes this run (seed, workstation
 /// count, task count). Journal binding happens later, against the
 /// segment base.
 fn load_snapshot(
     vfs: &dyn Vfs,
     snap_path: &Path,
-    farm: &Farm,
+    shape: Shape,
 ) -> Result<FarmSnapshot, SnapshotError> {
     let snap = FarmSnapshot::load_with(vfs, snap_path)?;
-    let (ws, tasks) = (
-        farm.config.workstations.len() as u64,
-        farm.bag.pending_count() as u64,
-    );
-    if snap.seed != farm.config.seed || snap.workstations != ws || snap.tasks != tasks {
+    let Shape {
+        seed,
+        workstations: ws,
+        tasks,
+    } = shape;
+    if snap.seed != seed || snap.workstations != ws || snap.tasks != tasks {
         return Err(SnapshotError::FarmMismatch {
             reason: format!(
-                "snapshot is for seed {} / {} workstations / {} tasks; resume was given seed {} \
-                 / {ws} / {tasks}",
-                snap.seed, snap.workstations, snap.tasks, farm.config.seed
+                "snapshot is for seed {} / {} workstations / {} tasks; resume was given seed \
+                 {seed} / {ws} / {tasks}",
+                snap.seed, snap.workstations, snap.tasks
             ),
         });
     }
     Ok(snap)
+}
+
+/// Loads and binds generation `g`, which recovery left [`Slot::Unread`],
+/// against the records `verifier` holds, which start with journal hash
+/// `base_hash`: the same test recovery makes.
+fn late_bind(
+    vfs: &dyn Vfs,
+    path: &Path,
+    g: u32,
+    shape: Shape,
+    verifier: &Verifier,
+    base_hash: u64,
+) -> Slot {
+    match load_snapshot(vfs, &ring_snapshot_path(path, g), shape) {
+        Ok(s) if bind(&s, &verifier.records, verifier.base, base_hash).is_ok() => {
+            Slot::Bound(s.journal_records, s.journal_hash)
+        }
+        _ => Slot::Empty,
+    }
 }
 
 /// Binds a snapshot to the surviving journal `records`, which start at
@@ -1436,11 +1664,10 @@ fn extend_hash(mut hash: u64, records: &[String]) -> u64 {
 /// loaded generation must sit exactly at the segment start (GC always
 /// cuts there), and every other one must bind from it. Any inconsistency
 /// returns `None` — the caller fails typed rather than guessing.
-fn infer_segment_base(candidates: &[Candidate], records: &[String]) -> Option<(u64, u64)> {
-    let loaded = || candidates.iter().filter_map(|s| s.snap.as_ref().ok());
-    let oldest = loaded().min_by_key(|s| s.journal_records)?;
+fn infer_segment_base(ring: &mut Ring<'_>, records: &[String]) -> Option<(u64, u64)> {
+    let oldest = ring.load_all().min_by_key(|s| s.journal_records)?;
     let (base, hash) = (oldest.journal_records, oldest.journal_hash);
-    loaded()
+    ring.load_all()
         .all(|s| bind(s, records, base, hash).is_ok())
         .then_some((base, hash))
 }
@@ -1748,7 +1975,7 @@ pub(crate) mod tests {
         (path, full, report, meta.journal_records)
     }
 
-    fn truncate_to(path: &std::path::Path, full: &[u8], records: usize) {
+    pub(super) fn truncate_to(path: &std::path::Path, full: &[u8], records: usize) {
         let offsets: Vec<usize> = full
             .iter()
             .enumerate()
@@ -2397,12 +2624,83 @@ pub(crate) mod tests {
         assert!(!stale.exists(), "resume must sweep stale tmp files");
         cleanup(&path);
     }
+
+    /// A [`Vfs`] over the real filesystem that counts whole-file reads of
+    /// snapshot sidecars.
+    #[derive(Debug, Default)]
+    struct CountingVfs {
+        sidecar_reads: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Vfs for CountingVfs {
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn cs_obs::vfs::VfsFile>> {
+            StdVfs.create(path)
+        }
+
+        fn open_append(
+            &self,
+            path: &Path,
+            valid_len: u64,
+        ) -> std::io::Result<(Box<dyn cs_obs::vfs::VfsFile>, bool)> {
+            StdVfs.open_append(path, valid_len)
+        }
+
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            if path.to_string_lossy().contains(".snap.") {
+                self.sidecar_reads
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            StdVfs.read(path)
+        }
+
+        fn read_head(&self, path: &Path, len: usize) -> std::io::Result<Vec<u8>> {
+            StdVfs.read_head(path, len)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            StdVfs.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            StdVfs.remove(path)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            StdVfs.exists(path)
+        }
+    }
+
+    /// A healthy resume of a ring-3 GC'd journal reads and decodes the one
+    /// sidecar it restores; the older generations stay unread.
+    #[test]
+    fn a_healthy_resume_decodes_only_the_generation_it_restores() {
+        let (path, report, opts, _) = ring_fixture("lazy_decode", 61, 3, true);
+        for g in 0..3 {
+            assert!(ring_snapshot_path(&path, g).exists(), "generation {g}");
+        }
+        let full = std::fs::read(&path).unwrap();
+        let n = full.iter().filter(|&&b| b == b'\n').count();
+        truncate_to(&path, &full, n - 1);
+        let vfs = CountingVfs::default();
+        let (resumed, info) = Farm::resume(faulty_config(61), bag(), &path, opts, &vfs).unwrap();
+        assert_reports_bitwise_equal(&report, &resumed);
+        assert!(
+            matches!(info.snapshot, SnapshotOutcome::Used { .. }),
+            "{info:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        assert_eq!(
+            vfs.sidecar_reads.load(std::sync::atomic::Ordering::Relaxed),
+            1
+        );
+        cleanup(&path);
+    }
 }
 
 #[cfg(test)]
 mod properties {
     use super::tests::{
-        assert_reports_bitwise_equal, bag, cleanup, faulty_config, ring_fixture, tmp,
+        assert_reports_bitwise_equal, bag, cleanup, faulty_config, ring_fixture, tmp, truncate_to,
     };
     use super::*;
     use crate::farm::{Event as QueueEvent, EventKind as QueueKind};
@@ -3161,6 +3459,189 @@ mod properties {
         assert!(
             accepted > 100 && rejected > 3_000,
             "{accepted} / {rejected}"
+        );
+    }
+
+    /// What resume decided: the outcome and the newest bound generation,
+    /// and each ring slot as the GC cut sees it, or the error.
+    type Selection = Result<(SnapshotOutcome, Option<u32>, Vec<Slot>), String>;
+
+    /// The selection as made before decoding was lazy: every sidecar
+    /// loaded and bound up front, then restored newest first.
+    fn eager_selection(config: FarmConfig, path: &Path) -> Selection {
+        let farm = Farm::new(config.clone(), bag()).unwrap();
+        let shape = Shape::of(&farm);
+        let records = read_journal(&StdVfs, path)
+            .map_err(|e| e.to_string())?
+            .records;
+        let mut ring = Ring::scan(&StdVfs, path, shape);
+        ring.load_all().count();
+        let (base, base_hash, _) =
+            segment_base(&StdVfs, path, &records, shape.header_line(), &mut ring)
+                .map_err(|e| e.to_string())?;
+        let candidates: Vec<_> = (ring.slots.into_iter())
+            .map(|s| (s.generation, s.snap.unwrap()))
+            .collect();
+        let mut reject = (candidates.iter())
+            .filter_map(|(_, s)| s.as_ref().err())
+            .next_back()
+            .map(SnapshotError::kind);
+        let mut bound = Vec::new();
+        for (g, snap) in candidates {
+            if let Ok(snap) = snap {
+                match bind(&snap, &records, base, base_hash) {
+                    Ok(()) => bound.push((snap, g)),
+                    Err((kind, _)) => reject = Some(kind),
+                }
+            }
+        }
+        let mut slots = vec![Slot::Empty; MAX_SNAPSHOT_RING as usize];
+        for (snap, g) in &bound {
+            slots[*g as usize] = Slot::Bound(snap.journal_records, snap.journal_hash);
+        }
+        let newest = (bound.iter())
+            .map(|(s, g)| (s.journal_records, *g))
+            .max()
+            .map(|(_, g)| g);
+        bound.sort_by(|(a, ga), (b, gb)| (b.journal_records, gb).cmp(&(a.journal_records, ga)));
+        let restored = bound.into_iter().find_map(|(snap, g)| {
+            let records_skipped = snap.journal_records;
+            match snap.restore(config.clone()) {
+                Ok(_) => Some((records_skipped, g)),
+                Err(e) => {
+                    reject = Some(e.kind());
+                    None
+                }
+            }
+        });
+        if restored.is_none() && base > 0 {
+            let reason = match reject {
+                Some(kind) => {
+                    format!("every retained snapshot generation was rejected (last: {kind})")
+                }
+                None => "no snapshot generation survives".into(),
+            };
+            return Err(JournalError::SegmentUnrecoverable { base, reason }.to_string());
+        }
+        let outcome = match restored {
+            Some((records_skipped, generation)) => SnapshotOutcome::Used {
+                records_skipped,
+                generation,
+            },
+            None => reject.map_or(SnapshotOutcome::None, SnapshotOutcome::Fallback),
+        };
+        Ok((outcome, newest, slots))
+    }
+
+    /// [`recover`]'s lazy selection, with every slot it left unread
+    /// decoded and bound the way the first GC cut there would.
+    fn lazy_selection(config: FarmConfig, path: &Path) -> Selection {
+        let rec =
+            recover(config, bag(), path, &StdVfs, Start::Newest).map_err(|e| e.to_string())?;
+        let slots = (rec.ring_meta.iter().enumerate())
+            .map(|(g, slot)| match slot {
+                Slot::Unread => late_bind(
+                    &StdVfs,
+                    path,
+                    g as u32,
+                    rec.shape,
+                    &rec.verifier,
+                    rec.base_hash,
+                ),
+                known => *known,
+            })
+            .collect();
+        Ok((rec.outcome, rec.newest, slots))
+    }
+
+    /// Lazy decoding changes what recovery reads, never what it decides.
+    /// Over the seeded sidecar mutations (bit flips, truncations, token
+    /// edits, duplicated lines, behind a recomputed checksum or not), the
+    /// forged counts and ids of the forged-sidecar drills, swapped and
+    /// deleted generations and truncated journals, on a whole journal and a
+    /// GC'd segment, the lazy selection gives today's eager one's outcome,
+    /// restored generation, newest bound generation, per-slot GC view and
+    /// error.
+    #[test]
+    fn lazy_selection_decides_what_the_eager_one_did() {
+        // Forged values the drills use, each behind a fresh checksum.
+        const FORGERIES: [(&str, &str); 4] = [
+            ("\njournal records ", "18446744073709551615"),
+            (" next_lease ", "1152921504606846975"),
+            ("\ntask ", "1152921504606846975"),
+            (" tasks ", "1152921504606846975"),
+        ];
+        // The body of a sidecar an earlier edit may have cut short.
+        let strip = |text: &[u8]| text[..text.len().saturating_sub(26)].to_vec();
+        let forge = |text: &[u8], key: &str, value: &str| -> Option<Vec<u8>> {
+            let text = String::from_utf8(strip(text)).ok()?;
+            let at = text.find(key)? + key.len();
+            let end = at + text[at..].find([' ', '\n'])?;
+            Some(with_checksum(
+                format!("{}{value}{}", &text[..at], &text[end..]).as_bytes(),
+            ))
+        };
+        let mut rng = StdRng::seed_from_u64(0x1a2e_5eed);
+        let (mut used, mut fallback, mut failed) = (0, 0, 0);
+        for (name, seed, gc) in [("lazy_whole", 67, false), ("lazy_gc", 71, true)] {
+            let (path, _, _, _) = ring_fixture(name, seed, 3, gc);
+            let journal = std::fs::read(&path).unwrap();
+            let pristine: Vec<Vec<u8>> = (0..3)
+                .map(|g| std::fs::read(ring_snapshot_path(&path, g)).unwrap())
+                .collect();
+            let records = journal.iter().filter(|&&b| b == b'\n').count();
+            for case in 0..150u64 {
+                let mut ring = pristine.clone();
+                if case % 5 == 1 {
+                    ring.swap(0, 1 + (rng.next_u64() % 2) as usize);
+                }
+                for sidecar in &mut ring {
+                    match rng.next_u64() % 10 {
+                        8 | 9 => {}
+                        0..=3 => {
+                            let mut mutated = strip(sidecar);
+                            mutate(&mut mutated, &mut rng);
+                            *sidecar = with_checksum(&mutated);
+                        }
+                        4 => mutate(sidecar, &mut rng),
+                        5 => sidecar.clear(),
+                        _ => {
+                            let (key, value) = FORGERIES[(rng.next_u64() % 4) as usize];
+                            if let Some(forged) = forge(sidecar, key, value) {
+                                *sidecar = forged;
+                            }
+                        }
+                    }
+                }
+                for (g, bytes) in ring.iter().enumerate() {
+                    let p = ring_snapshot_path(&path, g as u32);
+                    if bytes.is_empty() {
+                        std::fs::remove_file(&p).ok();
+                    } else {
+                        std::fs::write(&p, bytes).unwrap();
+                    }
+                }
+                if case % 4 == 3 {
+                    let keep = records - 1 - (rng.next_u64() % (records as u64 / 2)) as usize;
+                    truncate_to(&path, &journal, keep);
+                } else {
+                    std::fs::write(&path, &journal).unwrap();
+                }
+                let eager = eager_selection(faulty_config(seed), &path);
+                let lazy = lazy_selection(faulty_config(seed), &path);
+                assert_eq!(lazy, eager, "{name} case {case}");
+                match eager {
+                    Ok((SnapshotOutcome::Used { .. }, ..)) => used += 1,
+                    Ok(_) => fallback += 1,
+                    Err(_) => failed += 1,
+                }
+            }
+            cleanup(&path);
+        }
+        // No outcome may be vacuous.
+        assert!(
+            used > 50 && fallback > 10 && failed > 10,
+            "{used} used / {fallback} fallback / {failed} failed"
         );
     }
 }

@@ -30,16 +30,17 @@
 //! exactly the bytes the writer writes. Sidecars are published atomically
 //! (temp file, fsync, rename).
 //!
-//! A snapshot is also a fork point: [`Farm::fork_from_snapshot`] restores
-//! it under a perturbed configuration (say another [`crate::FaultPlan`])
-//! and plays the rest of the run as a what-if.
+//! A snapshot is also a fork point: [`crate::Farm::fork_from_snapshot`]
+//! binds it to its journal, restores it under a perturbed configuration
+//! (say another [`crate::FaultPlan`]) and plays the rest of the run as a
+//! what-if.
 
 use crate::farm::{
-    BankedSet, Engine, Event, EventKind, Farm, FarmConfig, FarmReport, FarmRun, Lease,
-    WorkstationState, WorkstationStats,
+    BankedSet, Engine, Event, EventKind, FarmConfig, FarmRun, Lease, WorkstationState,
+    WorkstationStats,
 };
-use cs_obs::vfs::{StdVfs, Vfs};
-use cs_obs::{NoopSink, SpanId, SpanProfiler};
+use cs_obs::vfs::Vfs;
+use cs_obs::SpanId;
 use cs_tasks::{Chunk, Task, TaskBag, TaskBagState};
 use rand::rngs::StdRng;
 use std::fmt;
@@ -145,7 +146,7 @@ pub enum SnapshotError {
 
 /// [`SnapshotError`] collapsed to a `Copy` discriminant, carried in
 /// [`SnapshotOutcome::Fallback`] so [`crate::RecoveryInfo`] stays `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SnapshotErrorKind {
     /// Sidecar I/O failed.
     Io,
@@ -250,7 +251,7 @@ impl fmt::Display for SnapshotErrorKind {
     }
 }
 
-/// How [`Farm::resume`] used (or failed to use) the snapshot sidecar.
+/// How [`crate::Farm::resume`] used (or failed to use) the snapshot sidecar.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SnapshotOutcome {
     /// No sidecar was present: recovery was full redo replay.
@@ -271,7 +272,7 @@ pub enum SnapshotOutcome {
 
 /// Summary of a snapshot sidecar: the farm it belongs to and where in the
 /// run it was taken. Returned by [`inspect_snapshot`] and
-/// [`Farm::fork_from_snapshot`].
+/// [`crate::Farm::fork_from_snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SnapshotMeta {
     /// Seed of the snapshotted run.
@@ -627,11 +628,7 @@ impl FarmSnapshot {
     /// description that [`FarmSnapshot::encode`] writes and
     /// [`FarmSnapshot::decode`] reads.
     fn walk(&mut self, c: &mut Codec<'_>) {
-        c.dec("meta seed ", &mut self.seed);
-        c.dec(" workstations ", &mut self.workstations);
-        c.dec(" tasks ", &mut self.tasks);
-        c.dec("\njournal records ", &mut self.journal_records);
-        c.hex(" hash ", &mut self.journal_hash);
+        self.walk_header(c);
         c.bits("\nclock now ", &mut self.now);
         c.bits(" makespan ", &mut self.makespan);
         c.words("\nrng", &mut self.rng);
@@ -724,6 +721,36 @@ impl FarmSnapshot {
                 c.dec(" ", v);
             }
         });
+    }
+
+    /// The `meta` and `journal` lines: the run the sidecar belongs to and
+    /// the journal prefix it binds to.
+    fn walk_header(&mut self, c: &mut Codec<'_>) {
+        c.dec("meta seed ", &mut self.seed);
+        c.dec(" workstations ", &mut self.workstations);
+        c.dec(" tasks ", &mut self.tasks);
+        c.dec("\njournal records ", &mut self.journal_records);
+        c.hex(" hash ", &mut self.journal_hash);
+    }
+
+    /// The `journal records` count that the header at the start of a
+    /// sidecar claims, read without the checksum or the body: what
+    /// recovery orders the ring by before it decodes anything. A sidecar
+    /// that decodes claims exactly the count it decodes to.
+    pub(crate) fn claimed_records(head: &[u8]) -> Option<u64> {
+        let mut c = Codec {
+            reading: true,
+            out: Vec::new(),
+            text: head,
+            pos: 0,
+            end: head.len(),
+            err: None,
+        };
+        c.lit(SNAPSHOT_VERSION);
+        c.lit("\n");
+        let mut header = FarmSnapshot::default();
+        header.walk_header(&mut c);
+        c.err.is_none().then_some(header.journal_records)
     }
 
     /// Serializes to the versioned, checksummed line format.
@@ -850,33 +877,6 @@ impl SegmentMeta {
             first_record_hash: first_record
                 .map(|line| fnv1a64(fnv1a64(FNV_OFFSET, line.as_bytes()), b"\n")),
         }
-    }
-}
-
-impl Farm {
-    /// Time-travel forking: restores the snapshot at `snap_path` under
-    /// `config` — the original scenario, or one with a **perturbed**
-    /// [`crate::FaultPlan`] — and plays the rest of the run to completion as
-    /// a what-if. With the original configuration the returned report is
-    /// bitwise identical to the run the snapshot was taken from; with a
-    /// perturbed one it answers "how would the rest of this very run have
-    /// gone under different faults?" from the exact captured state (bag,
-    /// leases, RNG cursors and all).
-    ///
-    /// The farm *shape* must match (workstation count, and the same
-    /// believed life functions if reports are to be comparable); seed and
-    /// fault plans are free to differ. Nothing is journaled.
-    pub fn fork_from_snapshot(
-        config: FarmConfig,
-        snap_path: impl AsRef<Path>,
-    ) -> Result<(FarmReport, SnapshotMeta), SnapshotError> {
-        let snap = FarmSnapshot::load_with(&StdVfs, snap_path.as_ref())?;
-        let meta = snap.meta();
-        let mut run = snap.restore(config)?;
-        let mut sink = NoopSink;
-        let mut prof = SpanProfiler::disabled();
-        while run.step(&mut sink, &mut prof) {}
-        Ok((run.finish(&mut sink, &mut prof), meta))
     }
 }
 
@@ -1138,9 +1138,12 @@ impl<'a> Codec<'a> {
             return;
         }
         if !self.reading {
-            let x = *v;
-            let digits = (0..16).map(|i| HEX_DIGITS[(x >> (60 - 4 * i)) as usize & 0xf]);
-            self.out.extend(digits);
+            let mut digits = [0u8; 16];
+            for (pair, b) in digits.chunks_exact_mut(2).zip(v.to_be_bytes()) {
+                pair[0] = HEX_DIGITS[usize::from(b >> 4)];
+                pair[1] = HEX_DIGITS[usize::from(b & 0xf)];
+            }
+            self.out.extend_from_slice(&digits);
             return;
         }
         let parsed = self.rest().get(..16).and_then(|tok| {
@@ -1268,10 +1271,11 @@ fn nibble(c: u8) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::farm::{PolicySpec, WorkstationConfig};
+    use crate::farm::{Farm, PolicySpec, WorkstationConfig};
     use crate::faults::FaultPlan;
     use cs_life::{ArcLife, Uniform};
-    use cs_obs::MemorySink;
+    use cs_obs::vfs::StdVfs;
+    use cs_obs::{MemorySink, SpanProfiler};
     use cs_tasks::workloads;
     use std::sync::Arc;
 
@@ -1450,8 +1454,9 @@ mod tests {
 
     #[test]
     fn fork_with_original_config_reproduces_the_run() {
-        let path =
-            std::env::temp_dir().join(format!("cs_now_snapshot_fork_{}.snap", std::process::id()));
+        let journal =
+            std::env::temp_dir().join(format!("cs_now_snapshot_fork_{}.jsonl", std::process::id()));
+        let path = ring_snapshot_path(&journal, 0);
         let mut sink = MemorySink::new();
         let mut prof = SpanProfiler::disabled();
         // A long run (many chunks), snapshotted early: plenty of dispatches
@@ -1461,12 +1466,18 @@ mod tests {
         for _ in 0..30 {
             run.step(&mut sink, &mut prof);
         }
-        let records = sink.events.len() as u64;
-        write_atomic_bytes(&StdVfs, &path, &run.save_state(records, 0).encode()).unwrap();
+        // The journal the snapshot binds to: the records so far.
+        let prefix: String = sink.events.iter().map(|e| e.to_jsonl() + "\n").collect();
+        std::fs::write(&journal, &prefix).unwrap();
+        let (records, hash) = (
+            sink.events.len() as u64,
+            fnv1a64(FNV_OFFSET, prefix.as_bytes()),
+        );
+        write_atomic_bytes(&StdVfs, &path, &run.save_state(records, hash).encode()).unwrap();
         while run.step(&mut sink, &mut prof) {}
         let reference = run.finish(&mut sink, &mut prof);
 
-        let (forked, meta) = Farm::fork_from_snapshot(config(23, 0.9), &path).unwrap();
+        let (forked, meta) = Farm::fork_from_snapshot(config(23, 0.9), &journal, 0).unwrap();
         crate::journal::tests::assert_reports_bitwise_equal(&reference, &forked);
         assert_eq!(meta.seed, 23);
         assert_eq!(meta.workstations, 3);
@@ -1478,13 +1489,14 @@ mod tests {
         for w in &mut perturbed.workstations {
             w.faults = FaultPlan::none();
         }
-        let (what_if, _) = Farm::fork_from_snapshot(perturbed, &path).unwrap();
+        let (what_if, _) = Farm::fork_from_snapshot(perturbed, &journal, 0).unwrap();
         assert!(
             what_if.makespan.to_bits() != reference.makespan.to_bits()
                 || what_if.lost_work.to_bits() != reference.lost_work.to_bits(),
             "perturbed fork should diverge"
         );
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&journal).ok();
     }
 
     #[test]

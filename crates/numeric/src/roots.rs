@@ -91,10 +91,24 @@ pub fn bisect(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> Result<f64>
 /// Typically converges superlinearly; falls back to bisection behaviour on
 /// pathological functions. Requires a sign change over `[lo, hi]`.
 pub fn brent(f: impl Fn(f64) -> f64, lo: f64, hi: f64, tol: f64) -> Result<f64> {
+    brent_from(&f, lo, hi, f(lo), f(hi), tol)
+}
+
+/// [`brent`] started from endpoint values the caller already holds:
+/// `flo = f(lo)` and `fhi = f(hi)`. The iterates are [`brent`]'s, with two
+/// evaluations of `f` fewer.
+pub fn brent_from(
+    f: impl Fn(f64) -> f64,
+    lo: f64,
+    hi: f64,
+    flo: f64,
+    fhi: f64,
+    tol: f64,
+) -> Result<f64> {
     let mut a = lo;
     let mut b = hi;
-    let mut fa = f(a);
-    let mut fb = f(b);
+    let mut fa = flo;
+    let mut fb = fhi;
     if fa == 0.0 {
         return Ok(a);
     }
@@ -225,8 +239,21 @@ pub fn newton_safeguarded(
 /// attained on the interval (clamped inversion), which is the behaviour the
 /// schedule generators want at the lifespan boundary.
 pub fn invert_decreasing(g: impl Fn(f64) -> f64, target: f64, lo: f64, hi: f64) -> Result<f64> {
-    let glo = g(lo);
-    let ghi = g(hi);
+    invert_decreasing_from(&g, target, lo, hi, g(lo), g(hi))
+}
+
+/// [`invert_decreasing`] given the endpoint values the caller already
+/// holds: `glo = g(lo)` and `ghi = g(hi)`. The result is
+/// [`invert_decreasing`]'s, bit for bit, with four evaluations of `g` fewer
+/// (two here, two in [`brent`]).
+pub fn invert_decreasing_from(
+    g: impl Fn(f64) -> f64,
+    target: f64,
+    lo: f64,
+    hi: f64,
+    glo: f64,
+    ghi: f64,
+) -> Result<f64> {
     if !(glo >= ghi) {
         return Err(NumericError::InvalidArgument(
             "invert_decreasing: function is not decreasing on the interval",
@@ -239,7 +266,7 @@ pub fn invert_decreasing(g: impl Fn(f64) -> f64, target: f64, lo: f64, hi: f64) 
         return Ok(hi);
     }
     let h = |x: f64| g(x) - target;
-    match brent(h, lo, hi, DEFAULT_TOL) {
+    match brent_from(h, lo, hi, glo - target, ghi - target, DEFAULT_TOL) {
         Ok(x) => Ok(x),
         Err(_) => bisect(h, lo, hi, DEFAULT_TOL),
     }
@@ -316,6 +343,20 @@ mod tests {
         // g(x) = 1 - x on [0, 1]; g(x) = 0.25 at x = 0.75.
         let x = invert_decreasing(|x| 1.0 - x, 0.25, 0.0, 1.0).unwrap();
         assert!(approx_eq(x, 0.75, 1e-9));
+    }
+
+    #[test]
+    fn given_endpoint_values_change_no_iterate() {
+        let f = |x: f64| x.exp() - 3.0;
+        let (lo, hi) = (0.0, 2.0);
+        let from = brent_from(f, lo, hi, f(lo), f(hi), 1e-13).unwrap();
+        assert_eq!(from.to_bits(), brent(f, lo, hi, 1e-13).unwrap().to_bits());
+        let g = |x: f64| (-0.3 * x).exp();
+        for target in [2.0, 0.5, 0.01, -1.0] {
+            let from = invert_decreasing_from(g, target, lo, 20.0, g(lo), g(20.0)).unwrap();
+            let plain = invert_decreasing(g, target, lo, 20.0).unwrap();
+            assert_eq!(from.to_bits(), plain.to_bits(), "target {target}");
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@ pub trait VfsFile: Send + std::fmt::Debug {
 /// The filesystem operations the durability layer performs.
 ///
 /// Deliberately narrow: truncating create, append-at-offset open, whole
-/// file read, atomic rename, remove, existence probe. Everything the
+/// file read (and a read of a file's first bytes), atomic rename, remove,
+/// existence probe. Everything the
 /// journal writer, the journal reader and the snapshot tmp+fsync+rename
 /// path need — and nothing else, so a fault injector can enumerate the
 /// full surface.
@@ -53,6 +54,14 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
 
     /// Reads the whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+
+    /// Reads at most the first `len` bytes of the file: a header without
+    /// the body behind it.
+    fn read_head(&self, path: &Path, len: usize) -> io::Result<Vec<u8>> {
+        let mut bytes = self.read(path)?;
+        bytes.truncate(len);
+        Ok(bytes)
+    }
 
     /// Atomically renames `from` over `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -100,6 +109,15 @@ impl Vfs for StdVfs {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
+    }
+
+    fn read_head(&self, path: &Path, len: usize) -> io::Result<Vec<u8>> {
+        use std::io::Read;
+        let mut bytes = Vec::with_capacity(len);
+        std::fs::File::open(path)?
+            .take(len as u64)
+            .read_to_end(&mut bytes)?;
+        Ok(bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -342,6 +360,10 @@ impl Vfs for FaultyVfs {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         StdVfs.read(path)
+    }
+
+    fn read_head(&self, path: &Path, len: usize) -> io::Result<Vec<u8>> {
+        StdVfs.read_head(path, len)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
