@@ -585,7 +585,7 @@ pub fn run_profile(opts: ProfileOptions) -> Result<Vec<ScenarioResult>, String> 
         5.0,
         None,
     )?);
-    // The scaling ladder on the work-stealing pool. `mc_scaling_1` takes
+    // The scaling ladder on the pooled Monte-Carlo. `mc_scaling_1` takes
     // the parallel API's serial fallback and anchors the speedup column;
     // efficiency = speedup / threads, so a perfectly scaling pool holds
     // 1.0 down the ladder. Rows past the machine's core count measure

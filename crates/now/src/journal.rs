@@ -1141,7 +1141,10 @@ fn gc_rotate(sink: &mut JournalSink, ctx: &mut DriveCtx<'_>) {
         }
     };
     match JournalWriter::append_at(ctx.vfs, &ctx.path, reopen_len, ctx.fsync) {
-        Ok(w) => sink.writer = w,
+        Ok(mut w) => {
+            w.continue_clock(&sink.writer);
+            sink.writer = w;
+        }
         Err(e) => {
             // The retired writer stays in place (it swallows further
             // emits); the policy check decides fail-stop vs degrade.
@@ -2668,6 +2671,164 @@ pub(crate) mod tests {
         fn exists(&self, path: &Path) -> bool {
             StdVfs.exists(path)
         }
+    }
+
+    /// One journal operation, in the order a run made it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum JournalOp {
+        /// A record written, with its time.
+        Record(f64),
+        /// A `sync_data` of the journal.
+        Sync,
+        /// The journal reopened for appending (a GC rotation's reopen).
+        Reopen,
+        /// Any other operation: a journal read, or a sidecar or tmp file.
+        Other,
+    }
+
+    /// A [`Vfs`] over the real filesystem that logs journal operations.
+    #[derive(Debug)]
+    struct JournalLogVfs {
+        journal: std::path::PathBuf,
+        log: Arc<std::sync::Mutex<Vec<JournalOp>>>,
+    }
+
+    #[derive(Debug)]
+    struct LoggedFile {
+        inner: Box<dyn cs_obs::vfs::VfsFile>,
+        log: Arc<std::sync::Mutex<Vec<JournalOp>>>,
+    }
+
+    impl cs_obs::vfs::VfsFile for LoggedFile {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            for line in std::str::from_utf8(buf).unwrap().lines() {
+                let event = cs_obs::Event::from_jsonl(line).unwrap();
+                self.log.lock().unwrap().push(JournalOp::Record(event.time));
+            }
+            self.inner.write_all(buf)
+        }
+
+        fn sync_data(&mut self) -> std::io::Result<()> {
+            self.log.lock().unwrap().push(JournalOp::Sync);
+            self.inner.sync_data()
+        }
+    }
+
+    impl JournalLogVfs {
+        fn note(&self, path: &Path, op: JournalOp) {
+            let op = if path == self.journal {
+                op
+            } else {
+                JournalOp::Other
+            };
+            self.log.lock().unwrap().push(op);
+        }
+
+        fn wrap(
+            &self,
+            path: &Path,
+            f: Box<dyn cs_obs::vfs::VfsFile>,
+        ) -> Box<dyn cs_obs::vfs::VfsFile> {
+            if path != self.journal {
+                return f;
+            }
+            Box::new(LoggedFile {
+                inner: f,
+                log: Arc::clone(&self.log),
+            })
+        }
+    }
+
+    impl Vfs for JournalLogVfs {
+        fn create(&self, path: &Path) -> std::io::Result<Box<dyn cs_obs::vfs::VfsFile>> {
+            self.note(path, JournalOp::Other);
+            Ok(self.wrap(path, StdVfs.create(path)?))
+        }
+
+        fn open_append(
+            &self,
+            path: &Path,
+            valid_len: u64,
+        ) -> std::io::Result<(Box<dyn cs_obs::vfs::VfsFile>, bool)> {
+            self.note(path, JournalOp::Reopen);
+            let (f, cut) = StdVfs.open_append(path, valid_len)?;
+            Ok((self.wrap(path, f), cut))
+        }
+
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            self.note(path, JournalOp::Other);
+            StdVfs.read(path)
+        }
+
+        fn read_head(&self, path: &Path, len: usize) -> std::io::Result<Vec<u8>> {
+            StdVfs.read_head(path, len)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.note(to, JournalOp::Other);
+            StdVfs.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            StdVfs.remove(path)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            StdVfs.exists(path)
+        }
+    }
+
+    /// A GC rotation reopens the journal without restarting its fsync
+    /// clock: every sync a record forces (one written between two
+    /// records) comes at least one interval of virtual time after the
+    /// journal's previous sync, rotations included. Syncs that flush the
+    /// journal for a snapshot or a rotation are exempt.
+    #[test]
+    fn a_gc_rotation_keeps_the_journal_fsync_clock() {
+        let path = tmp("gc_clock");
+        let config = faulty_config(61);
+        let opts = JournalOptions {
+            fsync: guideline_fsync_policy(&config),
+            snapshot_every: SnapshotCadence::Every(2.0),
+            snapshot_ring: 3,
+            gc: true,
+            ..Default::default()
+        };
+        let FsyncPolicy::Interval(dt) = opts.fsync else {
+            panic!("the fixture farm syncs on an interval");
+        };
+        let vfs = JournalLogVfs {
+            journal: path.clone(),
+            log: Arc::default(),
+        };
+        let (_, stats) = Farm::new(config, bag())
+            .unwrap()
+            .run_journaled(&path, opts, &vfs)
+            .unwrap();
+        assert!(stats.gc_truncated_records > 0, "{stats:?}");
+        let log = vfs.log.lock().unwrap().clone();
+        let (mut high_water, mut synced_at) = (0.0f64, 0.0);
+        let mut reopens = 0;
+        for (i, op) in log.iter().enumerate() {
+            match *op {
+                JournalOp::Record(t) if t.is_finite() => high_water = high_water.max(t),
+                JournalOp::Reopen => reopens += 1,
+                JournalOp::Sync => {
+                    let forced = matches!(log[i - 1], JournalOp::Record(_))
+                        && matches!(log.get(i + 1), Some(JournalOp::Record(_)));
+                    assert!(
+                        !forced || high_water - synced_at >= dt,
+                        "op {i}: a record forced a sync at t = {high_water}, \
+                         {} after the last one (interval {dt})",
+                        high_water - synced_at
+                    );
+                    synced_at = high_water;
+                }
+                _ => {}
+            }
+        }
+        assert!(reopens > 0, "no GC rotation reopened the journal");
+        cleanup(&path);
     }
 
     /// A healthy resume of a ring-3 GC'd journal reads and decodes the one

@@ -108,6 +108,16 @@ impl JournalWriter {
         }
     }
 
+    /// Starts this writer's [`FsyncPolicy::Interval`] clock where
+    /// `retired`'s stands, for a writer that reopens the same journal
+    /// (as a GC rotation does): the retired writer synced everything it
+    /// wrote, so the next sync falls one interval after its last one, not
+    /// at the first record.
+    pub fn continue_clock(&mut self, retired: &JournalWriter) {
+        self.synced_mark = retired.synced_mark;
+        self.high_water = retired.high_water;
+    }
+
     /// Records written so far.
     pub fn records(&self) -> u64 {
         self.stats.records

@@ -68,3 +68,41 @@ fn rapid_small_jobs_do_not_lose_or_duplicate() {
     }
     assert_eq!(pool.metrics().tasks, total);
 }
+
+#[test]
+fn pipeline_delivers_every_task_once_in_order_under_skew() {
+    // Skewed tasks across many small jobs, two in flight at a time: the
+    // caller and the workers race for claims on both jobs constantly.
+    const JOBS: usize = 200;
+    const N: usize = 23;
+    let hits: Vec<AtomicU64> = (0..JOBS * N).map(|_| AtomicU64::new(0)).collect();
+    let (out, m) = cs_pool::pipeline(
+        4,
+        |job: &usize, i| {
+            let spin = if (job + i) % 31 == 0 { 20_000 } else { 10 };
+            let mut acc = *job as u64;
+            for k in 0..spin {
+                acc = std::hint::black_box(acc.rotate_left(1) ^ k);
+            }
+            hits[job * N + i].fetch_add(1, Ordering::Relaxed);
+            (job * N + i) as u64
+        },
+        |pipe| {
+            let mut out = Vec::with_capacity(JOBS * N);
+            pipe.submit(0, N);
+            for job in 0..JOBS {
+                if job + 1 < JOBS {
+                    pipe.submit(job + 1, N);
+                }
+                out.extend((0..N).map(|_| pipe.take()));
+            }
+            out
+        },
+    );
+    assert_eq!(out, (0..(JOBS * N) as u64).collect::<Vec<_>>());
+    for (i, h) in hits.iter().enumerate() {
+        assert_eq!(h.load(Ordering::Relaxed), 1, "task {i} ran once");
+    }
+    assert_eq!(m.tasks, (JOBS * N) as u64);
+    assert_eq!(m.per_worker_tasks.iter().sum::<u64>(), m.tasks);
+}

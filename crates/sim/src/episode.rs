@@ -91,7 +91,8 @@ pub fn run_episode<S: EventSink>(
 }
 
 /// The Monte-Carlo kernel: [`run_episode`] precomputed for one
-/// `(schedule, c)`, so a trial costs a binary search instead of a walk.
+/// `(schedule, c)`, so a trial costs an O(1) bucket lookup instead of a
+/// walk.
 ///
 /// Under the kill semantics an episode is decided by the first period end
 /// `T_k ≥ R`: it banks the prefix `W_k = Σ_{i<k} (t_i ⊖ c)`, completes `k`
@@ -100,6 +101,9 @@ pub fn run_episode<S: EventSink>(
 /// so `work`, `periods_completed` and `interrupted` are bit-identical to
 /// [`run_episode`] by construction. Traced episodes still walk through
 /// [`run_episode`]: the table emits no events, only their count.
+///
+/// `k` is found through a bucket index over `[0, T_m]` (see
+/// [`EpisodeTable::interrupted_period`]).
 ///
 /// Cache-line aligned: pooled workers reload its fields on every trial
 /// (the life function's dynamic call keeps them from being hoisted), so
@@ -114,10 +118,19 @@ pub struct EpisodeTable {
     /// Banked prefixes `W_0 = 0, …, W_m` (`work += gain`, as the walk adds
     /// them); `W_k` is what an episode interrupted in period `k` keeps.
     banked: Vec<f64>,
+    /// `first[b] = #{j : bucket(T_j) < b}` for `b` in `0..=B`, where `B`
+    /// is the last bucket.
+    first: Vec<u32>,
+    /// `B / T_m`, or 0 when that is not finite (see [`Self::bucket`]).
+    scale: f64,
 }
 
 impl EpisodeTable {
     /// Tabulates `schedule` under overhead `c` in O(m).
+    ///
+    /// # Panics
+    ///
+    /// If the schedule has `2^32` periods or more.
     pub fn new(schedule: &Schedule, c: f64) -> Self {
         let m = schedule.len();
         let mut ends = Vec::with_capacity(m);
@@ -132,7 +145,25 @@ impl EpisodeTable {
             ends.push(t_end);
             banked.push(work);
         }
-        Self { ends, banked }
+        // About four buckets per end, so a bucket holds few ends.
+        let last = (4 * m).next_power_of_two().max(64);
+        let scale = last as f64 / t_end;
+        let mut table = Self {
+            ends,
+            banked,
+            first: vec![0; last + 1],
+            scale: if scale.is_finite() { scale } else { 0.0 },
+        };
+        // One merge pass over ends and buckets: `bucket` is monotone and
+        // the ends are sorted, so `bucket(T_j)` is too.
+        let mut j = 0;
+        for b in 0..=last {
+            while j < m && table.bucket(table.ends[j]) < b {
+                j += 1;
+            }
+            table.first[b] = u32::try_from(j).expect("fewer than 2^32 periods");
+        }
+        table
     }
 
     /// Number of periods `m`.
@@ -145,19 +176,49 @@ impl EpisodeTable {
         self.ends.is_empty()
     }
 
+    /// The bucket of a non-NaN time `r`: `min(B, ⌊fl(r · scale)⌋)`. Each
+    /// step is monotone in `r` (float multiplication by a constant
+    /// `scale ≥ 0` rounds monotonically, truncation is monotone, the cast
+    /// saturates negatives to 0 and `+∞` to the maximum), so `r ≤ r'`
+    /// implies `bucket(r) ≤ bucket(r')`. That alone makes the lookup
+    /// exact; `scale` only decides how evenly the ends spread.
+    #[inline]
+    fn bucket(&self, r: f64) -> usize {
+        ((r * self.scale) as usize).min(self.first.len() - 1)
+    }
+
     /// The period a reclamation at `reclaim` interrupts: the first `k` with
-    /// `T_k ≥ reclaim`, or `m` when the episode runs to completion. A NaN
-    /// reclaim compares false with every end, so the walk never
-    /// interrupts it; neither does the table. `T_k` is nondecreasing, so
-    /// `T_k < reclaim` partitions the table. O(log m). (The NaN test sits
-    /// outside the search: folded into the predicate it measurably slowed
-    /// the pooled Monte-Carlo.)
+    /// `T_k ≥ reclaim`, or `m` when the episode runs to completion. This is
+    /// `ends.partition_point(|&e| e < reclaim)`, exactly.
+    ///
+    /// The lookup starts at `first[bucket(reclaim)]` and steps forward
+    /// while `T_k < reclaim`. Since `bucket` is monotone, every end in a
+    /// lower bucket is `< reclaim`, so the start never overshoots; every
+    /// end in a higher bucket is `> reclaim`, so the steps stay inside
+    /// `reclaim`'s bucket. No assumption about rounding beyond its
+    /// monotonicity is needed.
+    ///
+    /// Edge cases: a reclaim `≤ 0` (`-0.0` included) lands in bucket 0 and
+    /// interrupts period 0; `+∞` lands in the last bucket and steps to
+    /// `m`. An empty table answers 0. When `B / T_m` is not finite (`T_m`
+    /// subnormal enough to overflow it, or the ends summing to `+∞`), the
+    /// scale is 0, every reclaim lands in bucket 0, and the lookup is a
+    /// linear scan: slower, still exact.
+    ///
+    /// A NaN reclaim compares false with every end, so the walk never
+    /// interrupts it; neither does the table. (The NaN test sits outside
+    /// the lookup: folded into the predicate it measurably slowed the
+    /// pooled Monte-Carlo.)
     #[inline]
     pub fn interrupted_period(&self, reclaim: f64) -> usize {
         if reclaim.is_nan() {
             return self.len();
         }
-        self.ends.partition_point(|&end| end < reclaim)
+        let mut k = self.first[self.bucket(reclaim)] as usize;
+        while k < self.ends.len() && self.ends[k] < reclaim {
+            k += 1;
+        }
+        k
     }
 
     /// Work banked by an episode interrupted in period `k` (`W_k`; with

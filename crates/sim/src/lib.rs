@@ -12,7 +12,7 @@
 //!   period's work and ends the episode. Fluid mode reproduces eq (2.1)'s
 //!   accounting; task mode executes a real [`cs_tasks::TaskBag`] chunk by
 //!   chunk. [`EpisodeTable`] precomputes a fixed schedule's episode as a
-//!   function of the reclaim time, so a trial is a binary search.
+//!   function of the reclaim time, so a trial is an O(1) bucket lookup.
 //! * [`montecarlo`] — [`simulate`] estimates `E[work]` by simulating many
 //!   episodes with reclamation times drawn from the life function (inverse
 //!   transform), serially or on the `cs-pool` work-stealing runtime
@@ -33,7 +33,7 @@ pub mod policy;
 pub mod stats;
 
 pub use episode::{run_episode, run_episode_tasks, EpisodeOutcome, EpisodeTable};
-pub use montecarlo::{simulate, MonteCarlo};
+pub use montecarlo::{simulate, MonteCarlo, MC_WINDOW};
 pub use policy::{
     run_policy_episode, ChunkPolicy, FixedSchedulePolicy, FixedSizePolicy, GreedyPolicy,
     GuidelineCache, GuidelinePolicy, PeriodOutcome,

@@ -7,18 +7,19 @@
 //!
 //! [`simulate`] is the one entry point. Both of its trial loops run each
 //! untraced trial's episode through one [`EpisodeTable`] built per run: a
-//! binary search for the interrupted period replaces the period-by-period
+//! bucket lookup for the interrupted period replaces the period-by-period
 //! walk, bit-identically. A serial run whose sink wants events walks each
 //! episode with [`run_episode`] so the trace carries its lifecycle.
 //!
-//! The pooled loop runs trials on the `cs-pool` work-stealing runtime.
-//! The master pre-draws every trial's uniform variate from the *same* RNG
-//! stream the serial loop uses, workers run the (pure) inverse transform
-//! and table lookup for dynamically-balanced trial batches, and the master
-//! merges per-trial work back in trial order. Consequence: the pooled
-//! result is bit-identical to the serial path for **every** thread count —
-//! batch decomposition is pure load balancing and cannot leak into the
-//! numbers.
+//! The pooled loop runs trials on a [`cs_pool::pipeline`] of exactly
+//! `threads` threads, the master included. The master pre-draws every
+//! trial's uniform variate from the *same* RNG stream the serial loop
+//! uses, one window ahead; all threads run the (pure) inverse transform
+//! and table lookup for trial batches; and the master merges per-trial
+//! work back in trial order, running batches itself whenever it is not
+//! drawing or merging. Consequence: the pooled result is bit-identical to
+//! the serial path for **every** thread count — batch decomposition is
+//! pure load balancing and cannot leak into the numbers.
 
 use crate::episode::{run_episode, EpisodeTable};
 use crate::stats::Summary;
@@ -37,7 +38,7 @@ pub struct MonteCarlo {
     pub interrupted_fraction: f64,
     /// Mean number of completed periods.
     pub mean_periods: f64,
-    /// Episode events of the pooled worker batches. Worker traces are not
+    /// Episode events of the pooled batches. Their traces are not
     /// emitted (they would interleave nondeterministically across
     /// threads); each trial's count is taken in closed form from its
     /// [`EpisodeTable`] lookup instead, so throughput accounting must add
@@ -47,33 +48,36 @@ pub struct MonteCarlo {
     /// equals the number of episode events the serial trace would contain —
     /// batch boundaries cannot skew it.
     pub shard_events: u64,
-    /// The work-stealing pool's scheduling snapshot (tasks, steals, batch
-    /// sizes, parks), so callers can surface worker utilization. `None`
-    /// when the run took the serial path. Scheduling-dependent, unlike
-    /// every other field.
+    /// The pool's scheduling snapshot (batches run per thread, the
+    /// master's included; batches the master ran instead of waiting;
+    /// parks), so callers can surface thread utilization. `None` when the
+    /// run took the serial path. Scheduling-dependent, unlike every other
+    /// field.
     pub pool: Option<cs_pool::PoolMetrics>,
 }
 
 /// Monte-Carlo estimate of `E[work]` for `schedule` under `p`.
 ///
 /// With `threads <= 1` (or fewer than 2 trials) the trials run serially on
-/// the caller's thread; otherwise on the `cs-pool` work-stealing runtime:
-/// the master pre-draws each trial's uniform variate from the unchanged
-/// serial RNG stream, workers run dynamically-balanced batches of pure
-/// per-trial work (inverse transform + episode lookup), and outcomes are
-/// merged back in trial order. The result is bit-identical for the same
-/// `(schedule, p, c, trials, seed)` regardless of `threads`.
+/// the caller's thread; otherwise on `threads` threads in total, the
+/// caller included: the master pre-draws each trial's uniform variate
+/// from the unchanged serial RNG stream, every thread runs batches of
+/// pure per-trial work (inverse transform + episode lookup), and outcomes
+/// are merged back in trial order. The result is bit-identical for the
+/// same `(schedule, p, c, trials, seed)` regardless of `threads`.
 ///
 /// The trace is `run_start`, `mc_progress` every `max(1, trials/20)`
 /// trials, and a closing `run_end`. A serial run also traces each
 /// episode's lifecycle (episode times restart at 0 each trial); pooled
-/// worker batches run untraced, since their events would interleave
+/// batches run untraced, since their events would interleave
 /// nondeterministically, and tally them into `shard_events` instead.
 ///
 /// `prof` times the trial loop under an `mc.trials` root span: serially
-/// one `mc.trial_batch` child per progress stride; pooled, an `mc.draw`
-/// span per pre-draw window, `mc.pool` for the fan-out and `mc.merge` for
-/// the in-order merge, with pool counters under `span.mc.trials.pool.*`.
+/// one `mc.trial_batch` child per progress stride; pooled, one each of
+/// `mc.draw` (drawing a window's variates), `mc.pool` (the master running
+/// batches, or waiting for one, until the window's outcomes are all in)
+/// and `mc.merge` (the in-order merge) per [`MC_WINDOW`]-trial window,
+/// with pool counters under `span.mc.trials.pool.*`.
 /// Span events sit strictly between `run_start` and `run_end`. Sink and
 /// profiler are strictly pass-through: the result is bit-identical with
 /// tracing and profiling on or off.
@@ -221,20 +225,28 @@ fn serial_trials<S: EventSink>(
     (work, tally)
 }
 
-/// Trials per pre-draw window. At most two windows are in flight (one on
-/// the pool, one being drawn or merged by the master), which bounds
+/// Trials per pre-draw window. At most two windows are in flight (one
+/// being merged, the next one drawn ahead of it), which bounds
 /// pooled-path memory (one `f64` variate plus one `f64` of banked work per
 /// in-flight trial) no matter how many trials the run asks for; windows
 /// replay the serial RNG stream back-to-back, so the decomposition is
 /// invisible in the results. Sized so the master's serial per-window work
-/// (drawing the next window, merging the previous) overlaps a pooled
-/// window large enough to hide it.
-const MC_WINDOW: u64 = 1 << 16;
+/// (drawing the next window, merging this one) is small beside a window's
+/// trials.
+pub const MC_WINDOW: u64 = 1 << 16;
 
-/// The pooled trial loop: the master draws every variate from the serial
-/// RNG stream, the pool runs the pure per-trial lookups, and the master
-/// merges outcomes in trial order with the serial loop's exact `mc_progress`
-/// milestones.
+/// One pre-drawn window: its variates in trial order, split into batches
+/// of `batch` trials.
+struct Window {
+    us: Vec<f64>,
+    batch: usize,
+}
+
+/// The pooled trial loop, on a [`cs_pool::pipeline`] of `threads`
+/// threads. The master draws every variate from the serial RNG stream,
+/// one window ahead, and merges outcomes in trial order with the serial
+/// loop's exact `mc_progress` milestones; whenever it is not drawing or
+/// merging it runs trial batches itself, alongside `threads − 1` workers.
 fn pooled_trials<S: EventSink>(
     p: &dyn LifeFunction,
     table: &EpisodeTable,
@@ -244,7 +256,22 @@ fn pooled_trials<S: EventSink>(
     mut sink: S,
     prof: &mut SpanProfiler,
 ) -> (Summary, BatchTally, cs_pool::PoolMetrics) {
-    let pool = cs_pool::Pool::new(threads);
+    // Pure per-trial work: same inputs → same bits, so batch
+    // decomposition cannot affect any outcome.
+    let run_batch = |w: &Window, bi: usize| {
+        let lo = bi * w.batch;
+        let hi = (lo + w.batch).min(w.us.len());
+        let mut tally = BatchTally::default();
+        let mut outs = Vec::with_capacity(hi - lo);
+        for &u in &w.us[lo..hi] {
+            let k = table.interrupted_period(p.inverse_survival(u));
+            outs.push(table.banked(k));
+            tally.interrupted += u64::from(k < table.len());
+            tally.periods += k as u64;
+            tally.events += table.event_count(k);
+        }
+        (outs, tally)
+    };
     // The exact RNG stream the serial loop would consume — every variate is
     // drawn here, in trial order, on the master.
     let mut rng = StdRng::seed_from_u64(seed);
@@ -254,48 +281,43 @@ fn pooled_trials<S: EventSink>(
     let mut done = 0u64;
     // The serial milestone set: every multiple of `stride`, and `trials`.
     let mut next_tick = stride.min(trials);
-    // The master's serial sections (drawing the next window's variates,
-    // merging the previous window's outcomes in trial order) pipeline
-    // against the pool: a helper thread drives `map_indexed` so the master
-    // is never blocked behind a window it could be drawing or merging.
-    // Windows are still drawn, dispatched, and merged strictly in order,
-    // so the overlap changes wall-clock only — never a bit of the result.
-    type WindowOut = Vec<(Vec<f64>, BatchTally)>;
-    std::thread::scope(|scope| {
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<(Vec<f64>, usize)>();
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<WindowOut>();
-        let pool = &pool;
-        scope.spawn(move || {
-            while let Ok((us, batch)) = job_rx.recv() {
-                let wlen = us.len();
-                let batches = wlen.div_ceil(batch);
-                let results = pool.map_indexed(batches, |bi| {
-                    let lo = bi * batch;
-                    let hi = (lo + batch).min(wlen);
-                    let mut tally = BatchTally::default();
-                    let mut outs = Vec::with_capacity(hi - lo);
-                    for &u in &us[lo..hi] {
-                        // Pure per-trial work: same inputs → same bits, so
-                        // batch decomposition cannot affect any outcome.
-                        let k = table.interrupted_period(p.inverse_survival(u));
-                        outs.push(table.banked(k));
-                        tally.interrupted += u64::from(k < table.len());
-                        tally.periods += k as u64;
-                        tally.events += table.event_count(k);
-                    }
-                    (outs, tally)
-                });
-                if res_tx.send(results).is_err() {
-                    break;
-                }
+    let mut remaining = trials;
+    let ((), pm) = cs_pool::pipeline(threads, run_batch, |pipe| {
+        // Draws and publishes the next window; returns its batch count,
+        // 0 once every trial is drawn.
+        type Pipe<'a> = cs_pool::Pipeline<'a, Window, (Vec<f64>, BatchTally)>;
+        let mut draw_next = |pipe: &mut Pipe<'_>, prof: &mut SpanProfiler, sink: &mut S| {
+            if remaining == 0 {
+                return 0;
             }
-        });
-        let mut merge = |results: WindowOut, prof: &mut SpanProfiler, sink: &mut S| {
-            let merge_span = prof.start("mc.merge", sink);
-            for (outs, batch_tally) in results {
+            let wlen = remaining.min(MC_WINDOW) as usize;
+            remaining -= wlen as u64;
+            let draw = prof.start("mc.draw", sink);
+            let us: Vec<f64> = (0..wlen)
+                .map(|_| rng.random::<f64>().clamp(1e-15, 1.0 - 1e-15))
+                .collect();
+            prof.end(draw, sink);
+            // Small batches relative to window/threads, so a thread that
+            // lands expensive episodes simply completes fewer batches.
+            let batch = wlen.div_ceil(threads * 8).clamp(32, 8192);
+            let batches = wlen.div_ceil(batch);
+            prof.bump("batches", batches as u64);
+            pipe.submit(Window { us, batch }, batches);
+            batches
+        };
+        let mut pending = draw_next(pipe, prof, &mut sink);
+        while pending > 0 {
+            // Draw window w + 1 ahead, so the other threads have work
+            // while the master merges window w.
+            let next = draw_next(pipe, prof, &mut sink);
+            let wait = prof.start("mc.pool", &mut sink);
+            let outs: Vec<_> = (0..pending).map(|_| pipe.take()).collect();
+            prof.end(wait, &mut sink);
+            let merge = prof.start("mc.merge", &mut sink);
+            for (ws, batch_tally) in outs {
                 // Integer sums: exact in any order.
                 tally.add(&batch_tally);
-                for w in outs {
+                for w in ws {
                     // Identical accumulation order and operations to the
                     // serial loop — this is what makes the summaries
                     // bit-identical.
@@ -313,44 +335,10 @@ fn pooled_trials<S: EventSink>(
                     }
                 }
             }
-            prof.end(merge_span, sink);
-        };
-        let mut in_flight = 0u32;
-        let mut remaining = trials;
-        while remaining > 0 {
-            let wlen = remaining.min(MC_WINDOW) as usize;
-            remaining -= wlen as u64;
-            let draw = prof.start("mc.draw", &mut sink);
-            let us: Vec<f64> = (0..wlen)
-                .map(|_| rng.random::<f64>().clamp(1e-15, 1.0 - 1e-15))
-                .collect();
-            prof.end(draw, &mut sink);
-            // Small batches relative to window/threads so the pool has
-            // slack to balance: a worker that lands expensive episodes
-            // simply completes fewer batches while others steal the rest.
-            let batch = wlen.div_ceil(threads * 8).clamp(32, 8192);
-            prof.bump("batches", wlen.div_ceil(batch) as u64);
-            job_tx.send((us, batch)).expect("pool driver thread died");
-            in_flight += 1;
-            // Merge the previous window while the pool runs this one.
-            if in_flight == 2 {
-                let wait = prof.start("mc.pool", &mut sink);
-                let results = res_rx.recv().expect("pool driver thread died");
-                prof.end(wait, &mut sink);
-                merge(results, prof, &mut sink);
-                in_flight -= 1;
-            }
-        }
-        drop(job_tx);
-        while in_flight > 0 {
-            let wait = prof.start("mc.pool", &mut sink);
-            let results = res_rx.recv().expect("pool driver thread died");
-            prof.end(wait, &mut sink);
-            merge(results, prof, &mut sink);
-            in_flight -= 1;
+            prof.end(merge, &mut sink);
+            pending = next;
         }
     });
-    let pm = pool.metrics();
     prof.bump("pool.tasks", pm.tasks);
     prof.bump("pool.steals", pm.steals);
     prof.bump("pool.stolen_tasks", pm.stolen_tasks);

@@ -7,8 +7,8 @@
 
 use cs_core::Schedule;
 use cs_life::{GeometricDecreasing, GeometricIncreasing, LifeFunction, Polynomial, Uniform};
-use cs_obs::{NoopSink, SpanProfiler};
-use cs_sim::simulate;
+use cs_obs::{Event, EventKind, EventSink, MemorySink, NoopSink, SpanProfiler};
+use cs_sim::{simulate, MC_WINDOW};
 use proptest::prelude::*;
 
 /// Builds one of the four paper life functions from drawn parameters.
@@ -56,5 +56,109 @@ proptest! {
             pooled.interrupted_fraction.to_bits()
         );
         prop_assert_eq!(serial.mean_periods.to_bits(), pooled.mean_periods.to_bits());
+    }
+}
+
+/// Keeps a run's `mc_progress` events and counts its episode events.
+#[derive(Default)]
+struct Progress {
+    ticks: Vec<(u64, u64)>,
+    episode_events: u64,
+}
+
+impl EventSink for Progress {
+    fn emit(&mut self, e: &Event<'static>) {
+        match e.kind {
+            EventKind::McProgress { done, total } => self.ticks.push((done, total)),
+            EventKind::RunStart { .. } | EventKind::RunEnd { .. } => {}
+            _ => self.episode_events += 1,
+        }
+    }
+}
+
+/// Pooled ≡ serial at every window edge: a pooled run of 2, W − 1, W,
+/// W + 1 and 2W + 3 trials (W = `MC_WINDOW`) matches the serial run in
+/// every field but `pool`, ticks the same `mc_progress` milestones, and
+/// tallies the serial trace's episode events; its per-thread task counts
+/// cover exactly `threads` threads, the master's included.
+#[test]
+fn pooled_matches_serial_at_every_window_edge() {
+    let schedule = Schedule::new(vec![30.0, 20.0, 15.0]).unwrap();
+    let p = Uniform::new(80.0).unwrap();
+    let (c, seed) = (2.0, 7919);
+    for trials in [
+        2,
+        MC_WINDOW - 1,
+        MC_WINDOW,
+        MC_WINDOW + 1,
+        2 * MC_WINDOW + 3,
+    ] {
+        let mut traced = Progress::default();
+        simulate(
+            &schedule,
+            &p,
+            c,
+            trials,
+            seed,
+            1,
+            &mut traced,
+            &mut SpanProfiler::disabled(),
+        );
+        let serial = simulate(
+            &schedule,
+            &p,
+            c,
+            trials,
+            seed,
+            1,
+            NoopSink,
+            &mut SpanProfiler::disabled(),
+        );
+        assert!(serial.pool.is_none());
+        for threads in [2, 3, 5] {
+            let mut sink = MemorySink::new();
+            let pooled = simulate(
+                &schedule,
+                &p,
+                c,
+                trials,
+                seed,
+                threads,
+                &mut sink,
+                &mut SpanProfiler::disabled(),
+            );
+            let at = format!("{trials} trials, {threads} threads");
+            let bits = |mc: &cs_sim::MonteCarlo| {
+                let w = &mc.work;
+                (
+                    w.count(),
+                    [
+                        w.mean(),
+                        w.variance(),
+                        w.min(),
+                        w.max(),
+                        mc.interrupted_fraction,
+                        mc.mean_periods,
+                    ]
+                    .map(f64::to_bits),
+                )
+            };
+            assert_eq!(bits(&pooled), bits(&serial), "{at}");
+            assert_eq!(serial.shard_events, 0, "{at}");
+            assert_eq!(pooled.shard_events, traced.episode_events, "{at}");
+            let ticks: Vec<_> = sink
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::McProgress { done, total } => Some((done, total)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(ticks, traced.ticks, "{at}");
+            let pm = pooled.pool.expect("a pooled run reports its pool");
+            assert_eq!(pm.threads, threads, "{at}");
+            assert_eq!(pm.per_worker_tasks.len(), threads, "{at}");
+            assert_eq!(pm.per_worker_tasks.iter().sum::<u64>(), pm.tasks, "{at}");
+        }
     }
 }
