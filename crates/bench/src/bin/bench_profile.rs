@@ -7,6 +7,8 @@
 //!
 //! Compare two baselines with `cyclesteal obs diff --bench old new`.
 
+#![forbid(unsafe_code)]
+
 use cs_bench::profile::{render_bench_json, run_profile, ProfileOptions};
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};

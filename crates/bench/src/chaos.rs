@@ -61,7 +61,8 @@ pub struct ChaosConfig {
     pub sample: Option<usize>,
     /// Snapshot cadence (virtual time) for the reference run's sidecar.
     pub snapshot_every: f64,
-    /// Worker threads for the kill/resume trials (`1` = in-place serial).
+    /// Threads for the kill/resume trials, the caller included (`1` runs
+    /// every trial on the caller, in kill-point order).
     /// Trials are independent — each gets its own scratch journal — and
     /// their outcomes are merged in kill-point order, so the
     /// [`ChaosOutcome`] is identical for every thread count.
@@ -102,6 +103,9 @@ pub struct ChaosOutcome {
     pub records: usize,
     /// Kill points exercised.
     pub kill_points: usize,
+    /// Threads the kill/resume trials ran on: [`ChaosConfig::threads`],
+    /// capped at one per kill point.
+    pub threads: usize,
     /// Kill points that additionally injected a torn record fragment.
     pub torn_trials: usize,
     /// Trials whose sidecar was deliberately corrupted before resuming.
@@ -560,12 +564,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         std::fs::remove_file(PathBuf::from(snap_tmp)).ok();
         t
     };
-    let outcomes: Vec<TrialOutcome> = if cfg.threads > 1 {
-        let pool = cs_pool::Pool::new(cfg.threads);
-        pool.map_indexed(kill_points.len(), run_trial)
-    } else {
-        (0..kill_points.len()).map(run_trial).collect()
-    };
+    let (outcomes, pm) = cs_pool::map_indexed(cfg.threads, kill_points.len(), run_trial);
+    out.threads = pm.threads;
     // Merge in kill-point order: counters and mismatch strings come out
     // identical to the serial sweep regardless of scheduling.
     let mut kinds = std::collections::BTreeSet::new();
@@ -632,6 +632,7 @@ mod tests {
         assert!(pooled.ok(), "pooled mismatches: {:#?}", pooled.mismatches);
         assert_eq!(serial.records, pooled.records);
         assert_eq!(serial.kill_points, pooled.kill_points);
+        assert_eq!((serial.threads, pooled.threads), (1, 4));
         assert_eq!(serial.torn_trials, pooled.torn_trials);
         assert_eq!(serial.corrupt_trials, pooled.corrupt_trials);
         assert_eq!(serial.snapshot_resumes, pooled.snapshot_resumes);

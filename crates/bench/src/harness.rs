@@ -165,15 +165,14 @@ pub type SweepEntry = (&'static dyn Experiment, Result<Vec<u8>, String>);
 
 /// Runs every registered experiment, rendering each report into its own
 /// byte buffer, and returns one [`SweepEntry`] per experiment in registry
-/// order. With `threads > 1` the experiments run concurrently on the
-/// `cs-pool` work-stealing runtime; because each report is buffered whole
-/// and returned in registry order, the concatenated output is
-/// byte-identical to a serial sweep for every thread count.
+/// order. The experiments run concurrently on `threads` threads, the
+/// caller included, through [`cs_pool::map_indexed`]; because each report
+/// is buffered whole and returned in registry order, the concatenated
+/// output is byte-identical for every thread count.
 ///
-/// Also hands back the work-stealing pool's scheduling snapshot for the
-/// sweep (`None` on the serial path), so the caller can surface worker
-/// utilization — the `cyclesteal exp --all` sweep turns it into a
-/// `RUN-SUMMARY` line.
+/// Also hands back the sweep's scheduling snapshot, so the caller can
+/// surface thread utilization — the `cyclesteal exp --all` sweep turns it
+/// into a `RUN-SUMMARY` line.
 ///
 /// `opts.trace_out` is not supported here (a single trace file cannot
 /// carry interleaved event streams) — callers run traced sweeps serially
@@ -181,23 +180,16 @@ pub type SweepEntry = (&'static dyn Experiment, Result<Vec<u8>, String>);
 pub fn run_all_buffered_metrics(
     opts: &ExpOptions,
     threads: usize,
-) -> (Vec<SweepEntry>, Option<cs_pool::PoolMetrics>) {
+) -> (Vec<SweepEntry>, cs_pool::PoolMetrics) {
     assert!(
         opts.trace_out.is_none(),
         "run_all_buffered_metrics cannot multiplex --trace-out"
     );
     let all = crate::experiments::all();
-    let run_one = |i: usize| -> Result<Vec<u8>, String> {
+    let (results, metrics) = cs_pool::map_indexed(threads, all.len(), |i| {
         let mut buf = Vec::new();
         run_to_writer(all[i], opts, &mut buf).map(|()| buf)
-    };
-    let (results, metrics) = if threads > 1 {
-        let pool = cs_pool::Pool::new(threads);
-        let results = pool.map_indexed(all.len(), run_one);
-        (results, Some(pool.metrics()))
-    } else {
-        ((0..all.len()).map(run_one).collect(), None)
-    };
+    });
     (all.into_iter().zip(results).collect(), metrics)
 }
 

@@ -150,12 +150,17 @@ fn per_sec(n: u64, wall_ns: u64) -> Option<f64> {
     (wall_ns > 0).then(|| n as f64 * 1e9 / wall_ns as f64)
 }
 
+/// One Monte-Carlo row. A `traced` row runs through a [`CountingSink`],
+/// so the serial loop walks every episode with `run_episode` and the row
+/// reports event throughput; an untraced row runs through a [`NoopSink`],
+/// the `EpisodeTable` lookup at every thread count, and reports none.
 fn mc_scenario(
     id: &'static str,
     trials: u64,
     life: ArcLife,
     c: f64,
-    threads: Option<usize>,
+    threads: usize,
+    traced: bool,
 ) -> Result<ScenarioResult, String> {
     let schedule = cs_core::search::best_guideline_schedule(&life, c)
         .map_err(|e| e.to_string())?
@@ -163,21 +168,26 @@ fn mc_scenario(
     let mut sink = CountingSink::default();
     let mut prof = SpanProfiler::new();
     let start = Instant::now();
-    let threads = threads.unwrap_or(1);
-    let mc = simulate(
-        &schedule, &life, c, trials, 42, threads, &mut sink, &mut prof,
-    );
+    let mc = if traced {
+        simulate(
+            &schedule, &life, c, trials, 42, threads, &mut sink, &mut prof,
+        )
+    } else {
+        simulate(
+            &schedule, &life, c, trials, 42, threads, NoopSink, &mut prof,
+        )
+    };
     let wall_ns = start.elapsed().as_nanos() as u64;
     // Parallel shards count their events instead of emitting them; fold
     // them into the denominator or the parallel scenario under-reports its
     // event throughput by ~the shard count × trials.
-    let events = sink.events + mc.shard_events;
+    let events = traced.then(|| sink.events + mc.shard_events);
     Ok(ScenarioResult {
         mc_trials_per_sec: per_sec(trials, wall_ns),
         ..row(
             id,
             wall_ns,
-            per_sec(events, wall_ns),
+            events.and_then(|n| per_sec(n, wall_ns)),
             span_stats(prof.registry()),
         )
     })
@@ -578,17 +588,21 @@ pub fn run_profile(opts: ProfileOptions) -> Result<Vec<ScenarioResult>, String> 
     let tasks = if opts.quick { 20_000 } else { 100_000 };
     let uniform: ArcLife = Arc::new(Uniform::new(1000.0).map_err(|e| e.to_string())?);
     let mut out = Vec::new();
+    // The traced serial row: every episode walked and its events counted.
     out.push(mc_scenario(
         "mc_serial_uniform",
         trials,
         uniform.clone(),
         5.0,
-        None,
+        1,
+        true,
     )?);
     // The scaling ladder on the pooled Monte-Carlo. `mc_scaling_1` takes
     // the parallel API's serial fallback and anchors the speedup column;
     // efficiency = speedup / threads, so a perfectly scaling pool holds
-    // 1.0 down the ladder. Rows past the machine's core count measure
+    // 1.0 down the ladder. Every rung runs untraced, so each one runs the
+    // same per-trial kernel (the `EpisodeTable` lookup) and the speedup
+    // divides like by like. Rows past the machine's core count measure
     // oversubscription, not scaling — `bench_profile` records the core
     // count in the `cpus` field so a diff can tell the two apart.
     //
@@ -610,7 +624,7 @@ pub fn run_profile(opts: ProfileOptions) -> Result<Vec<ScenarioResult>, String> 
     ];
     let mut scaling = Vec::new();
     for (id, threads) in ladder {
-        scaling.push(mc_scenario(id, 200_000, poly.clone(), 0.5, Some(threads))?);
+        scaling.push(mc_scenario(id, 200_000, poly.clone(), 0.5, threads, false)?);
     }
     let base_wall = scaling[0].wall_ns as f64;
     for (row, (_, threads)) in scaling.iter_mut().zip(ladder) {
@@ -832,7 +846,7 @@ mod tests {
         assert!(results[6].spans.iter().any(|s| s.name == "farm.dispatch"));
         // The scaling ladder: only mc_scaling_* rows carry speedup and
         // efficiency; the 1-thread anchor is exactly 1.0 on both, and the
-        // pooled rows run the work-stealing deques (mc.pool span).
+        // pooled rows run on the pipeline (mc.pool span).
         assert!(results[0].speedup.is_none());
         assert_eq!(results[1].speedup, Some(1.0));
         assert_eq!(results[1].efficiency, Some(1.0));

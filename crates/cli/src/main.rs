@@ -11,6 +11,8 @@
 //!
 //! See `cyclesteal help` for the full option list.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod obs_cmd;
 
@@ -127,8 +129,8 @@ COMMANDS:
                                         and degrade policies) and demand a
                                         bitwise report or the typed injected
                                         error
-               --threads <n>            run kill/resume trials on the
-                                        work-stealing pool (default: available
+               --threads <n>            run kill/resume trials on n threads,
+                                        this one included (default: available
                                         parallelism; 1 = serial, identical
                                         outcome either way)
                --progress-every <s>     heartbeat the reference journaled run
@@ -143,11 +145,12 @@ COMMANDS:
                --trace-out <file>       write the event stream as JSONL
                --input <file>           experiment input (exp_obs_validate)
                --threads <n>            with --all: run experiments
-                                        concurrently on the work-stealing
-                                        pool, output buffered per experiment
-                                        (bytes identical to serial; default:
-                                        available parallelism; forced serial
-                                        with --trace-out)
+                                        concurrently on n threads, this one
+                                        included, output buffered per
+                                        experiment (bytes identical to
+                                        serial; default: available
+                                        parallelism; forced serial with
+                                        --trace-out)
                --progress-every <s>     RUN-PROGRESS heartbeats on stderr for
                                         observed runs; with --trace-out also
                                         line-buffers the trace for tail -f
@@ -974,11 +977,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         "farm          : {} workstations, {} tasks, seed {}, fault intensity {}",
         cfg.workstations, cfg.tasks, cfg.seed, cfg.intensity
     );
-    if cfg.threads > 1 {
+    if out.threads > 1 {
         println!(
-            "threads       : {} (kill/resume trials on the work-stealing pool; \
-             outcome identical to serial)",
-            cfg.threads
+            "threads       : {} (kill/resume trials claimed from one shared \
+             counter; outcome identical to serial)",
+            out.threads
         );
     }
     println!(
@@ -1101,7 +1104,7 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
         // Experiments render concurrently into per-experiment buffers that
         // are printed in registry order — bytes identical to serial for
         // any thread count.
-        let (entries, pool) = cs_bench::harness::run_all_buffered_metrics(&opts, threads);
+        let (entries, pm) = cs_bench::harness::run_all_buffered_metrics(&opts, threads);
         for (exp, result) in entries {
             // One header line per experiment; everything below it is the
             // experiment's own report, byte-identical to `exp --id`.
@@ -1112,8 +1115,8 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
                 .write_all(&buf)
                 .map_err(|e| e.to_string())?;
         }
-        if let Some(pm) = pool {
-            // Worker-pool utilization for the sweep itself, greppable like
+        if pm.threads > 1 {
+            // Thread utilization for the sweep itself, greppable like
             // the per-experiment summaries — on stderr, because steal
             // counts are scheduling-dependent and stdout is promised
             // byte-identical to the serial sweep.

@@ -527,9 +527,9 @@ fn cmd_report(path: &str) -> Result<(), String> {
 }
 
 /// Renders the `pool.*` scheduling counters when the trace's folded
-/// registry carries them (a pooled run that folded the work-stealing
-/// pool's `PoolMetrics` into its metrics). Returns `None` — and
-/// `obs report` prints nothing — for the common single-threaded trace.
+/// registry carries them (a pooled run that folded its `PoolMetrics`
+/// into its metrics). Returns `None` — and `obs report` prints nothing —
+/// for the common single-threaded trace.
 fn pool_table(reg: &cs_obs::MetricsRegistry) -> Option<String> {
     let mut rows: Vec<(String, String)> = reg
         .counters()

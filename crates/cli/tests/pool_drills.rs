@@ -1,7 +1,7 @@
 //! Thread-count and chaos drills through the real `cyclesteal` binary: the
 //! experiment sweep and a traced Monte-Carlo run give the serial result at
 //! any thread count, and the chaos harness keeps its kill-anywhere and
-//! faulty-filesystem resume contracts at the default and a pooled thread
+//! faulty-filesystem resume contracts, with the same outcome at any thread
 //! count.
 
 use std::io::BufRead;
@@ -114,11 +114,22 @@ fn monte_carlo_pooled_trace_and_stdout_match_serial() {
 }
 
 /// Every sampled kill point resumes to the uninterrupted report, at the
-/// default thread count and on the pool.
+/// default thread count, serially and on 4 threads, and the serial and
+/// 4-thread sweeps print the same outcome: stdout differs only in the
+/// `threads` line, which only a pooled sweep prints.
 #[test]
 fn chaos_kill_anywhere_holds_at_default_and_4_threads() {
     ok("chaos --sample 16 --quick");
-    ok("chaos --sample 16 --quick --threads 4");
+    let a1 = "chaos --sample 16 --quick --threads 1";
+    let a4 = "chaos --sample 16 --quick --threads 4";
+    let (c1, c4) = (spawn(a1), spawn(a4));
+    let (serial, pooled) = (wait_ok(a1, c1), wait_ok(a4, c4));
+    let outcome = |stdout: &str| -> String {
+        let lines = stdout.lines().filter(|l| !l.starts_with("threads       :"));
+        lines.map(|l| format!("{l}\n")).collect()
+    };
+    assert_eq!(outcome(&serial), outcome(&pooled));
+    assert!(pooled.contains("threads       : 4"), "{pooled}");
 }
 
 /// Every sampled kill point also resumes through a seeded faulty

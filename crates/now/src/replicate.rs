@@ -2,9 +2,10 @@
 //!
 //! A single farm run is one sample of a stochastic system; policy
 //! comparisons need distributions. [`replicate_farm`] runs `n` independent
-//! replications (differing only in seed) on the work-stealing pool
-//! and merges the per-replication outcomes into summary statistics —
-//! reproducible for a fixed master seed regardless of thread count.
+//! replications (differing only in seed) as shards on a
+//! [`cs_pool::map_indexed`] sweep and merges the per-replication outcomes
+//! into summary statistics — reproducible for a fixed master seed
+//! regardless of thread count.
 
 use crate::farm::{Farm, FarmConfig, FarmConfigError, PolicySpec, WorkstationConfig};
 use cs_obs::{NoopSink, SpanProfiler};
@@ -32,7 +33,7 @@ pub struct ReplicationReport {
 }
 
 /// Runs `replications` independent farm simulations as `threads` shards on
-/// a `threads`-worker [`cs_pool::Pool`].
+/// `threads` threads, the caller included, through [`cs_pool::map_indexed`].
 ///
 /// `template` supplies the workstations (with their fault plans), storms,
 /// resilience knobs, horizon and base seed; replication `r` runs with seed
@@ -43,7 +44,7 @@ pub struct ReplicationReport {
 /// mixed-policy farm.
 ///
 /// Fails fast with the template's [`FarmConfigError`] instead of panicking
-/// inside a pool worker.
+/// inside a worker thread.
 pub fn replicate_farm(
     template: &FarmConfig,
     policy: PolicySpec,
@@ -111,7 +112,7 @@ pub fn replicate_farm(
 
     // Shards merge in index order, so the summaries do not depend on
     // which worker ran which shard.
-    let results = cs_pool::Pool::new(threads).map_indexed(shards.len(), |i| {
+    let (results, _) = cs_pool::map_indexed(threads, shards.len(), |i| {
         let (lo, hi) = shards[i];
         run_range(lo, hi)
     });

@@ -1,70 +1,41 @@
 //! # cs-pool
 //!
-//! The work-stealing execution runtime behind every parallel surface in
-//! the workspace: `cs-sim`'s pooled Monte-Carlo driver, the chaos
-//! harness's trial sweep and `cyclesteal exp --all`.
+//! The execution runtime behind every parallel surface in the workspace:
+//! `cs-sim`'s pooled Monte-Carlo driver, the chaos harness's kill-point
+//! sweep, `cyclesteal exp --all` and `cs-now`'s farm replication.
 //!
-//! A [`Pool`] owns a fixed set of persistent worker threads. Each worker
-//! has a private steal-half deque (`deque.rs`); callers submit work through
-//! a shared injector queue, workers pull refill chunks from it, and idle
-//! workers steal **half** a victim's visible backlog in one CAS, picking
-//! the most-loaded victim (the latency-optimal heuristic from the
-//! steal-half literature — Gast/Khatiri/Trystram's latency analysis and
-//! Van Houdt's stealing-vs-sharing comparison both favor batched steals
-//! from loaded victims over steal-one). Workers with nothing to run, steal
-//! or refill park on a condvar with a 1 ms timed backstop, so an idle pool
-//! burns no meaningful CPU and a missed wakeup self-heals.
+//! [`pipeline`] runs on exactly `threads` threads, the caller included:
+//! `threads − 1` scoped workers claim tasks of the oldest published job
+//! through one atomic counter per job, and the caller, which submits jobs
+//! without blocking and takes their outputs in order, runs queued tasks
+//! itself while the output it needs is not ready. The Monte-Carlo master
+//! drives one directly, drawing variates and merging outcomes between
+//! its takes.
 //!
-//! [`Pool::map_indexed`] runs `f(0..n)` across the workers and collects
-//! the results *by index*. Scheduling order is nondeterministic; the
-//! result vector is not — determinism is the caller's contract (each
-//! index computes a pure function) plus this crate's exactly-once
-//! guarantee (each index runs exactly once, results land in their own
-//! slot).
+//! [`map_indexed`] is the one-job case, for a known batch of independent
+//! tasks: it computes `f(0..n)` and returns the results *by index*.
+//! Scheduling order is nondeterministic; the result vector is not —
+//! determinism is the caller's contract (each index computes a pure
+//! function) plus this crate's exactly-once guarantee (each index runs
+//! exactly once, its result lands in its own slot).
 //!
-//! [`pipeline`] is the streaming counterpart for a caller with serial
-//! work of its own, such as the Monte-Carlo master that draws every
-//! variate and merges every outcome in order. It runs on exactly
-//! `threads` threads, the caller included: `threads − 1` scoped workers
-//! claim tasks of the oldest published job through one atomic counter
-//! per job, and the caller, which submits jobs without blocking and takes
-//! their outputs in order, runs queued tasks itself while the output it
-//! needs is not ready.
-//!
-//! Pool-level counters (tasks, steals, steal batch sizes, parks, injector
-//! refills, per-worker task counts) are collected wait-free on the workers
-//! and snapshot via [`Pool::metrics`] (a pipeline returns its own);
+//! Per-thread counters (tasks, caller runs, parks, job pickups) are
+//! collected wait-free and returned as a [`PoolMetrics`];
 //! [`PoolMetrics::fold_into`] folds them into a
 //! [`cs_obs::MetricsRegistry`] so `obs report`-style outputs can show
-//! per-worker utilization.
+//! per-thread utilization.
 //!
-//! This is the only crate in the workspace allowed to use `unsafe`; it is
-//! confined to the type-erased job plumbing below (rayon-style lifetime
-//! erasure), with the invariants documented at each site. The deque and
-//! the pipeline are safe code on std atomics, locks and scoped threads.
+//! Safe code only: std atomics, locks and scoped threads.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
-mod deque;
-
-use deque::{Item, StealDeque, CAP};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Parked workers re-check for work at least this often, so a lost condvar
-/// notification costs bounded latency instead of a hang.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-
-/// `log2` buckets for steal batch sizes (batches are at most `CAP / 2 + 1`,
-/// so the top bucket is never reached in practice; it absorbs the rest).
-const STEAL_BUCKETS: usize = 12;
-
-/// Wait-free per-worker counters, cache-line-aligned against false sharing.
+/// Wait-free per-thread counters, cache-line-aligned against false sharing.
 #[repr(align(64))]
 #[derive(Default)]
 struct WorkerMetrics {
@@ -73,281 +44,12 @@ struct WorkerMetrics {
     stolen_tasks: AtomicU64,
     parks: AtomicU64,
     refills: AtomicU64,
-    /// `steal_batch[i]` counts steals that claimed `~2^i` items.
-    steal_batch: [AtomicU64; STEAL_BUCKETS],
 }
 
-/// The state shared between the pool handle and its workers.
-struct Inner {
-    deques: Vec<StealDeque>,
-    injector: Mutex<VecDeque<Item>>,
-    /// Signaled when the injector gains work, a worker publishes stealable
-    /// surplus, or the pool shuts down.
-    idle: Condvar,
-    /// Pair used only to signal job completion to the blocked caller. The
-    /// mutex guards nothing by itself — the predicate is the job's
-    /// `remaining` counter — but taking it before notifying closes the
-    /// check-then-sleep race on the caller side.
-    done_mx: Mutex<()>,
-    done: Condvar,
-    shutdown: AtomicBool,
-    workers: Vec<WorkerMetrics>,
-}
-
-/// One in-flight `map_indexed` call, type-erased so deque items stay plain
-/// words. Lives on the caller's stack; see the safety argument on
-/// [`execute`].
-struct JobState {
-    /// Runs task `idx` against `ctx`; returns `false` if the closure
-    /// panicked (the panic is caught and recorded, never unwound through a
-    /// worker).
-    run: unsafe fn(*const (), usize) -> bool,
-    ctx: *const (),
-    remaining: AtomicUsize,
-    panicked: AtomicBool,
-}
-
-/// The typed half of a job: the closure and the result slots, reached only
-/// through `JobState::ctx`.
-struct Ctx<T, F> {
-    f: *const F,
-    slots: *const Mutex<Option<T>>,
-    n: usize,
-}
-
-/// The type-erased task runner monomorphized per `map_indexed` call.
-///
-/// # Safety
-///
-/// `ctx` must point to a live `Ctx<T, F>` whose `f` and `slots` are live,
-/// with `idx < n`; `F: Sync` and `T: Send` (enforced by `map_indexed`'s
-/// bounds) make the cross-thread sharing of `f` and the slot write sound.
-unsafe fn run_one<T: Send, F: Fn(usize) -> T + Sync>(ctx: *const (), idx: usize) -> bool {
-    // SAFETY: per the contract above, `ctx` points to a live `Ctx<T, F>`
-    // and `idx` is in bounds.
-    let ctx = unsafe { &*ctx.cast::<Ctx<T, F>>() };
-    debug_assert!(idx < ctx.n);
-    let f = unsafe { &*ctx.f };
-    match catch_unwind(AssertUnwindSafe(|| f(idx))) {
-        Ok(v) => {
-            let slot = unsafe { &*ctx.slots.add(idx) };
-            *lock(slot) = Some(v);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Locks ignoring poison: slot and injector state stay consistent across a
+/// Locks ignoring poison: slot and queue state stay consistent across a
 /// caller panic (workers never unwind — task panics are caught).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs one claimed item and performs the completion handshake.
-fn execute(inner: &Inner, me: usize, item: Item) {
-    // SAFETY: every queued item embeds the address of a `JobState` on the
-    // stack of a `map_indexed` call that is still blocked: the caller
-    // returns only after `remaining` hits zero, `remaining` is decremented
-    // strictly after the item is consumed from the queues and executed,
-    // and no reference to the job is held past that decrement.
-    let job = unsafe { &*(item.0 as *const JobState) };
-    // SAFETY: `job.ctx` satisfies `run`'s contract for the lifetime of the
-    // job (same argument as above); `item.1` was produced by `map_indexed`
-    // as an index `< n`.
-    let ok = unsafe { (job.run)(job.ctx, item.1) };
-    if !ok {
-        job.panicked.store(true, Ordering::Release);
-    }
-    inner.workers[me].tasks.fetch_add(1, Ordering::Relaxed);
-    // Last toucher wakes the caller. Nothing may read `job` after this
-    // fetch_sub — the caller is free to return (and pop the job) the
-    // moment it observes zero.
-    if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let _g = lock(&inner.done_mx);
-        inner.done.notify_all();
-    }
-}
-
-/// Steals half the most-loaded victim's backlog; runs the first stolen
-/// item and queues the rest locally. Returns `false` if nothing was taken.
-fn try_steal(inner: &Inner, me: usize, buf: &mut Vec<Item>) -> bool {
-    let n = inner.deques.len();
-    let mut victim = None;
-    let mut best_len = 0;
-    // Scan from my right neighbor so equally-loaded victims spread across
-    // thieves instead of everyone hammering worker 0.
-    for off in 1..n {
-        let v = (me + off) % n;
-        let len = inner.deques[v].len();
-        if len > best_len {
-            best_len = len;
-            victim = Some(v);
-        }
-    }
-    let Some(v) = victim else { return false };
-    debug_assert!(buf.is_empty());
-    let k = inner.deques[v].steal_half(buf);
-    if k == 0 {
-        return false;
-    }
-    let m = &inner.workers[me];
-    m.steals.fetch_add(1, Ordering::Relaxed);
-    m.stolen_tasks.fetch_add(k as u64, Ordering::Relaxed);
-    let bucket = (k.ilog2() as usize).min(STEAL_BUCKETS - 1);
-    m.steal_batch[bucket].fetch_add(1, Ordering::Relaxed);
-    enqueue_local(inner, me, &buf[1..]);
-    let first = buf[0];
-    buf.clear();
-    execute(inner, me, first);
-    true
-}
-
-/// Pushes items onto my own deque (overflow spills back to the injector)
-/// and advertises the new stealable surplus to one parked peer.
-fn enqueue_local(inner: &Inner, me: usize, items: &[Item]) {
-    if items.is_empty() {
-        return;
-    }
-    for &item in items {
-        if !inner.deques[me].push(item) {
-            lock(&inner.injector).push_back(item);
-        }
-    }
-    inner.idle.notify_one();
-}
-
-fn worker_loop(inner: &Inner, me: usize) {
-    let mut buf: Vec<Item> = Vec::with_capacity(CAP / 2 + 1);
-    loop {
-        if let Some(item) = inner.deques[me].take_one() {
-            execute(inner, me, item);
-            continue;
-        }
-        if try_steal(inner, me, &mut buf) {
-            continue;
-        }
-        // Refill from the injector or park — decided under the injector
-        // lock, so a worker can never park while submitted work sits there.
-        let mut q = lock(&inner.injector);
-        if !q.is_empty() {
-            // An even share of the backlog, clamped so the chunk always
-            // fits an empty deque with room for a stolen batch on top.
-            let chunk = q.len().div_ceil(inner.deques.len()).clamp(1, CAP / 2);
-            let chunk = chunk.min(q.len());
-            let items: Vec<Item> = q.drain(..chunk).collect();
-            drop(q);
-            inner.workers[me].refills.fetch_add(1, Ordering::Relaxed);
-            enqueue_local(inner, me, &items[1..]);
-            execute(inner, me, items[0]);
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        inner.workers[me].parks.fetch_add(1, Ordering::Relaxed);
-        match inner.idle.wait_timeout(q, PARK_TIMEOUT) {
-            Ok((guard, _)) => drop(guard),
-            Err(poisoned) => drop(poisoned.into_inner().0),
-        }
-    }
-}
-
-/// A fixed-size work-stealing thread pool (see the crate docs).
-pub struct Pool {
-    inner: Arc<Inner>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl Pool {
-    /// Spawns a pool with `threads` persistent workers (at least one).
-    /// The calling thread is not a worker: during [`Pool::map_indexed`] it
-    /// blocks, so total parallelism is exactly `threads`.
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let inner = Arc::new(Inner {
-            deques: (0..threads).map(|_| StealDeque::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            idle: Condvar::new(),
-            done_mx: Mutex::new(()),
-            done: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            workers: (0..threads).map(|_| WorkerMetrics::default()).collect(),
-        });
-        let handles = (0..threads)
-            .map(|me| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("cs-pool-{me}"))
-                    .spawn(move || worker_loop(&inner, me))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Self { inner, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.inner.deques.len()
-    }
-
-    /// Computes `f(i)` for every `i in 0..n` across the workers and
-    /// returns the results indexed by `i`. Blocks until every task has
-    /// run. Panics (after all tasks finish) if any task panicked.
-    pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let ctx = Ctx::<T, F> {
-            f: &f,
-            slots: slots.as_ptr(),
-            n,
-        };
-        let job = JobState {
-            run: run_one::<T, F>,
-            ctx: (&ctx as *const Ctx<T, F>).cast(),
-            remaining: AtomicUsize::new(n),
-            panicked: AtomicBool::new(false),
-        };
-        let job_addr = std::ptr::addr_of!(job) as usize;
-        {
-            let mut q = lock(&self.inner.injector);
-            q.extend((0..n).map(|i| (job_addr, i)));
-            self.inner.idle.notify_all();
-        }
-        // Block until the last decrement. The predicate is the job's own
-        // counter; the mutex/condvar pair only carries the wakeup.
-        let mut g = lock(&self.inner.done_mx);
-        while job.remaining.load(Ordering::Acquire) != 0 {
-            g = match self.inner.done.wait_timeout(g, PARK_TIMEOUT) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        drop(g);
-        if job.panicked.load(Ordering::Acquire) {
-            panic!("cs-pool: a map_indexed task panicked");
-        }
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every task ran exactly once")
-            })
-            .collect()
-    }
-
-    /// Snapshots the pool's counters (cheap; callable mid-run, though the
-    /// numbers are only quiescent between jobs).
-    pub fn metrics(&self) -> PoolMetrics {
-        snapshot(&self.inner.workers)
-    }
 }
 
 /// Sums per-thread counters into a [`PoolMetrics`], one entry per thread.
@@ -355,12 +57,6 @@ fn snapshot(w: &[WorkerMetrics]) -> PoolMetrics {
     let sum = |f: fn(&WorkerMetrics) -> &AtomicU64| {
         w.iter().map(|m| f(m).load(Ordering::Relaxed)).sum::<u64>()
     };
-    let mut steal_batch = [0u64; STEAL_BUCKETS];
-    for m in w {
-        for (acc, b) in steal_batch.iter_mut().zip(&m.steal_batch) {
-            *acc += b.load(Ordering::Relaxed);
-        }
-    }
     PoolMetrics {
         threads: w.len(),
         tasks: sum(|m| &m.tasks),
@@ -369,21 +65,31 @@ fn snapshot(w: &[WorkerMetrics]) -> PoolMetrics {
         parks: sum(|m| &m.parks),
         injector_refills: sum(|m| &m.refills),
         per_worker_tasks: w.iter().map(|m| m.tasks.load(Ordering::Relaxed)).collect(),
-        steal_batch,
     }
 }
 
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let _q = lock(&self.inner.injector);
-            self.inner.shutdown.store(true, Ordering::Release);
-            self.inner.idle.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
+/// Computes `f(i)` for every `i in 0..n` and returns the results indexed
+/// by `i`, with the run's counters.
+///
+/// One [`pipeline`] job of `n` tasks on `threads.min(n)` threads (at least
+/// one), the caller included, so no thread is spawned that has no task to
+/// run. Every thread claims the next index from one shared counter; a
+/// 1-thread call runs every task on the caller, in index order. Panics,
+/// once every task has been claimed and the workers have stopped, if a
+/// task panicked.
+pub fn map_indexed<T, F>(threads: usize, n: usize, f: F) -> (Vec<T>, PoolMetrics)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    pipeline(
+        threads.min(n),
+        |_: &(), i| f(i),
+        |pipe| {
+            pipe.submit((), n);
+            (0..n).map(|_| pipe.take()).collect()
+        },
+    )
 }
 
 /// One submitted [`Pipeline`] job: its input, a claim counter and one
@@ -622,47 +328,36 @@ impl<I, T> Pipeline<'_, I, T> {
     }
 }
 
-/// A point-in-time snapshot of a pool's counters.
-///
-/// Both runtimes fill the same fields, and [`PoolMetrics::fold_into`]
-/// names them `pool.*` in both. For a [`Pool`] every thread is a worker
-/// and the caller of [`Pool::map_indexed`] only waits. For a [`pipeline`]
-/// thread 0 is the caller, which runs tasks too; it has no deque, so a
-/// "steal" is the caller running queued tasks instead of waiting for the
-/// output it needs.
+/// A point-in-time snapshot of a [`pipeline`]'s per-thread counters, with
+/// the caller as thread 0. [`PoolMetrics::fold_into`] names them `pool.*`.
+/// The caller has no queue of its own, so a "steal" is the caller running
+/// queued tasks instead of waiting for the output it needs.
 #[derive(Debug, Clone)]
 pub struct PoolMetrics {
-    /// Threads running tasks: a pool's workers, or a pipeline's workers
-    /// plus its caller.
+    /// Threads running tasks: the workers plus the caller.
     pub threads: usize,
     /// Tasks executed, over all threads.
     pub tasks: u64,
-    /// Successful steal operations, each claiming a batch of tasks from a
-    /// victim's deque. In a pipeline: [`Pipeline::take`] calls that ran
-    /// at least one task while the output they needed was not ready.
+    /// [`Pipeline::take`] calls that ran at least one task while the
+    /// output they needed was not ready.
     pub steals: u64,
-    /// Tasks acquired via stealing. In a pipeline: tasks the caller ran.
+    /// Tasks the caller ran.
     pub stolen_tasks: u64,
-    /// Times a thread slept for lack of work: a pool worker parking, a
-    /// pipeline worker finding every task claimed, or a pipeline caller
-    /// waiting for an output another thread is computing.
+    /// Times a thread slept for lack of work: a worker finding every task
+    /// claimed, or the caller waiting for an output another thread is
+    /// computing.
     pub parks: u64,
-    /// Refill chunks pulled from the injector. In a pipeline: jobs a
-    /// worker picked up from the queue of published jobs.
+    /// Jobs a worker picked up from the queue of published jobs.
     pub injector_refills: u64,
-    /// Tasks executed by each thread, in thread order (per-thread
-    /// utilization: even values mean balanced load). A pipeline's caller
-    /// is entry 0.
+    /// Tasks executed by each thread, in thread order, the caller first
+    /// (per-thread utilization: even values mean balanced load).
     pub per_worker_tasks: Vec<u64>,
-    /// Steal batch sizes, bucketed by `log2` (always empty for a
-    /// pipeline).
-    steal_batch: [u64; STEAL_BUCKETS],
 }
 
 impl PoolMetrics {
     /// Folds the snapshot into a registry: `pool.*` counters, a
-    /// `pool.steal_batch` histogram of batch sizes, and one
-    /// `pool.worker<i>.tasks` counter per worker.
+    /// `pool.threads` gauge and one `pool.worker<i>.tasks` counter per
+    /// thread.
     pub fn fold_into(&self, reg: &mut cs_obs::MetricsRegistry) {
         reg.counter_add("pool.tasks", self.tasks);
         reg.counter_add("pool.steals", self.steals);
@@ -673,12 +368,6 @@ impl PoolMetrics {
         for (i, &t) in self.per_worker_tasks.iter().enumerate() {
             reg.counter_add(&format!("pool.worker{i}.tasks"), t);
         }
-        for (i, &count) in self.steal_batch.iter().enumerate() {
-            let representative = (1u64 << i) as f64;
-            for _ in 0..count {
-                reg.observe("pool.steal_batch", representative);
-            }
-        }
     }
 }
 
@@ -688,65 +377,58 @@ mod tests {
 
     #[test]
     fn map_indexed_returns_results_by_index() {
-        let pool = Pool::new(4);
-        let out = pool.map_indexed(1000, |i| i * i);
+        let (out, m) = map_indexed(4, 1000, |i| i * i);
         assert_eq!(out.len(), 1000);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * i);
         }
+        assert_eq!(m.tasks, 1000);
     }
 
     #[test]
     fn zero_tasks_is_a_noop() {
-        let pool = Pool::new(2);
-        let out: Vec<u64> = pool.map_indexed(0, |_| unreachable!());
+        let (out, m): (Vec<u64>, _) = map_indexed(2, 0, |_| unreachable!());
         assert!(out.is_empty());
+        assert_eq!((m.threads, m.tasks), (1, 0));
     }
 
     #[test]
     fn single_worker_pool_runs_everything() {
-        let pool = Pool::new(1);
-        let out = pool.map_indexed(100, |i| i + 1);
+        let (out, m) = map_indexed(1, 100, |i| i + 1);
         assert_eq!(out, (1..=100).collect::<Vec<_>>());
-        assert_eq!(pool.metrics().tasks, 100);
-        assert_eq!(pool.metrics().steals, 0, "nobody to steal from");
+        assert_eq!(m.tasks, 100);
+        assert_eq!(m.per_worker_tasks, vec![100], "all on the caller");
+        assert_eq!(m.parks, 0, "nobody to wait for");
     }
 
     #[test]
-    fn pool_is_reusable_across_jobs() {
-        let pool = Pool::new(3);
-        for round in 0..5u64 {
-            let out = pool.map_indexed(37, move |i| round * 100 + i as u64);
-            assert_eq!(out[36], round * 100 + 36);
-        }
-        assert_eq!(pool.metrics().tasks, 5 * 37);
+    fn map_indexed_spawns_no_thread_without_a_task() {
+        let (out, m) = map_indexed(8, 3, |i| i);
+        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(m.threads, 3);
+        assert_eq!(m.per_worker_tasks.len(), 3);
     }
 
     #[test]
     fn borrows_caller_locals() {
-        // The closure may borrow non-'static caller state (the lifetime
-        // erasure this crate exists for).
-        let pool = Pool::new(2);
+        // The closure may borrow non-'static caller state.
         let base: Vec<u64> = (0..50).map(|i| i * 10).collect();
-        let out = pool.map_indexed(base.len(), |i| base[i] + 1);
+        let (out, _) = map_indexed(2, base.len(), |i| base[i] + 1);
         assert_eq!(out[49], 491);
     }
 
     #[test]
     fn task_panic_is_reported_after_the_job_drains() {
-        let pool = Pool::new(2);
+        let ran = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.map_indexed(64, |i| {
-                if i == 13 {
-                    panic!("boom");
-                }
+            map_indexed(2, 64, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                assert_ne!(i, 13, "boom");
                 i
             })
         }));
         assert!(result.is_err());
-        // The pool survives and remains usable.
-        let out = pool.map_indexed(8, |i| i);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(ran.load(Ordering::Relaxed), 64, "every task ran once");
     }
 
     /// Takes every output of `jobs` jobs of `n` tasks each through a
@@ -831,12 +513,9 @@ mod tests {
 
     #[test]
     fn metrics_fold_into_registry() {
-        let pool = Pool::new(2);
-        let _ = pool.map_indexed(500, |i| {
-            // Enough per-task work for steals to actually happen.
+        let (_, m) = map_indexed(2, 500, |i| {
             std::hint::black_box((0..200).fold(i as u64, |a, b| a.wrapping_add(b)))
         });
-        let m = pool.metrics();
         assert_eq!(m.tasks, 500);
         assert_eq!(m.per_worker_tasks.iter().sum::<u64>(), 500);
         assert!(m.stolen_tasks >= m.steals);
@@ -847,8 +526,6 @@ mod tests {
             reg.counter("pool.worker0.tasks") + reg.counter("pool.worker1.tasks"),
             500
         );
-        if m.steals > 0 {
-            assert_eq!(reg.histogram("pool.steal_batch").unwrap().count(), m.steals);
-        }
+        assert_eq!(reg.gauge("pool.threads"), Some(2.0));
     }
 }

@@ -15,9 +15,9 @@
 //!   function of the reclaim time, so a trial is an O(1) bucket lookup.
 //! * [`montecarlo`] — [`simulate`] estimates `E[work]` by simulating many
 //!   episodes with reclamation times drawn from the life function (inverse
-//!   transform), serially or on the `cs-pool` work-stealing runtime
-//!   (bit-identical to serial at every thread count), with one optional
-//!   event sink and span profiler. `exp_sim_validate` shows the
+//!   transform), serially or on a `cs-pool` pipeline (bit-identical to
+//!   serial at every thread count), with one optional event sink and span
+//!   profiler. `exp_sim_validate` shows the
 //!   Monte-Carlo mean converging to the analytic `E(S; p)`.
 //! * [`policy`] — chunk-sizing policies as a trait, so the same simulator
 //!   drives guideline, fixed-size, greedy and adaptive scheduling (used by

@@ -1,5 +1,5 @@
 //! Property test for the pooled Monte-Carlo path (ISSUE 8): for random
-//! `(schedule, life, c, trials, seed, threads)`, the work-stealing driver
+//! `(schedule, life, c, trials, seed, threads)`, the pooled pipeline driver
 //! must return results **bit-identical** to the serial path. The pooled
 //! path replays the serial RNG stream and merge order, so this property is
 //! exact — any deviation means batch decomposition leaked into the
