@@ -164,39 +164,6 @@ fn chaos_bag(cfg: &ChaosConfig) -> TaskBag {
     workloads::uniform(cfg.tasks, 1.0).expect("positive task count")
 }
 
-/// Bitwise comparison of two farm reports; returns the first difference.
-fn report_diff(a: &FarmReport, b: &FarmReport) -> Option<String> {
-    let f = |name: &str, x: f64, y: f64| {
-        (x.to_bits() != y.to_bits()).then(|| format!("{name}: {x:?} != {y:?}"))
-    };
-    f("makespan", a.makespan, b.makespan)
-        .or_else(|| f("completed_work", a.completed_work, b.completed_work))
-        .or_else(|| f("lost_work", a.lost_work, b.lost_work))
-        .or_else(|| f("remaining_work", a.remaining_work, b.remaining_work))
-        .or_else(|| (a.drained != b.drained).then(|| "drained differs".to_string()))
-        .or_else(|| (a.robustness != b.robustness).then(|| "robustness differs".to_string()))
-        .or_else(|| {
-            a.per_workstation
-                .iter()
-                .zip(&b.per_workstation)
-                .enumerate()
-                .find_map(|(ws, (x, y))| {
-                    f(
-                        &format!("ws {ws} completed_work"),
-                        x.completed_work,
-                        y.completed_work,
-                    )
-                    .or_else(|| f(&format!("ws {ws} lost_work"), x.lost_work, y.lost_work))
-                    .or_else(|| {
-                        (x.chunks_completed != y.chunks_completed
-                            || x.episodes != y.episodes
-                            || x.lease_timeouts != y.lease_timeouts)
-                            .then(|| format!("ws {ws} counters differ"))
-                    })
-                })
-        })
-}
-
 fn scratch_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cs_chaos_{tag}_{}.jsonl", std::process::id()))
 }
@@ -278,7 +245,7 @@ fn run_disk_trial(
     let mut check_clean_recovery = false;
     match result {
         Ok((report, info)) => {
-            if let Some(d) = report_diff(ref_report, &report) {
+            if let Some(d) = ref_report.first_difference(&report) {
                 t.mismatches.push(format!("{label}: report differs: {d}"));
             }
             if info.degraded {
@@ -330,7 +297,7 @@ fn run_disk_trial(
             &StdVfs,
         ) {
             Ok((report, _info)) => {
-                if let Some(d) = report_diff(ref_report, &report) {
+                if let Some(d) = ref_report.first_difference(&report) {
                     t.mismatches
                         .push(format!("{label}: clean re-resume report differs: {d}"));
                 }
@@ -472,7 +439,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         ) {
             Ok((report, info)) => {
                 let mut bad = false;
-                if let Some(d) = report_diff(&ref_report, &report) {
+                if let Some(d) = ref_report.first_difference(&report) {
                     t.mismatches
                         .push(format!("kill after {k} records: report differs: {d}"));
                     bad = true;

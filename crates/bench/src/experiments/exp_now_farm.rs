@@ -1,15 +1,16 @@
 //! EXP-NOW — end-to-end NOW farm: aggregate work by chunk-sizing policy
 //! across heterogeneous borrowed workstations (the paper's §1 deployment,
-//! replicated and summarized).
+//! replicated and summarized). The experiment prints its tables and
+//! records no trace; `cyclesteal farm --trace-out` traces a farm run.
 
 use crate::harness::{ExpContext, Experiment};
 use crate::outln;
 use cs_apps::{fmt, fmt_opt, Table};
 use cs_life::{ArcLife, GeometricDecreasing, Polynomial, Uniform};
-use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
+use cs_now::farm::{FarmConfig, PolicySpec, WorkstationConfig};
 use cs_now::faults::FaultPlan;
 use cs_now::replicate::replicate_farm;
-use cs_obs::{RunSummary, SpanProfiler};
+use cs_obs::RunSummary;
 use cs_tasks::workloads;
 use std::sync::Arc;
 
@@ -104,13 +105,6 @@ impl Experiment for Exp {
             }
             outln!(ctx, "{}", t.render());
         }
-        // One representative guideline run goes through the harness event
-        // sink, so `--trace-out` captures a real master action stream.
-        // Nothing is written to `out`: the report tables stay byte-identical.
-        let obs = FarmConfig::new(heterogeneous_now(4, c), 1e6, 31_337);
-        Farm::new(obs, workloads::uniform(600, 1.0).unwrap())
-            .map_err(|e| e.to_string())?
-            .run(&mut *ctx.sink, &mut SpanProfiler::disabled());
         outln!(
             ctx,
             "Shape: guideline chunk-sizing drains the bag fastest (or ties the best fixed"

@@ -59,26 +59,8 @@ fn self_test(ctx: &mut ExpContext<'_>) -> Result<(), String> {
     //    one.
     let mut mem = MemorySink::new();
     let traced = build_farm(seed).run(&mut mem, &mut SpanProfiler::disabled());
-    for (label, a, b) in [
-        ("makespan", plain.makespan, traced.makespan),
-        (
-            "completed_work",
-            plain.completed_work,
-            traced.completed_work,
-        ),
-        ("lost_work", plain.lost_work, traced.lost_work),
-        (
-            "remaining_work",
-            plain.remaining_work,
-            traced.remaining_work,
-        ),
-    ] {
-        if a.to_bits() != b.to_bits() {
-            return Err(format!("traced run diverged on {label}: {a} vs {b}"));
-        }
-    }
-    if plain.robustness != traced.robustness {
-        return Err("traced run diverged on robustness counters".into());
+    if let Some(d) = plain.first_difference(&traced) {
+        return Err(format!("traced run diverged on {d}"));
     }
 
     // 2. In-memory tallies reconcile with the report.

@@ -168,20 +168,17 @@ fn mc_scenario(
     let mut sink = CountingSink::default();
     let mut prof = SpanProfiler::new();
     let start = Instant::now();
-    let mc = if traced {
+    if traced {
         simulate(
             &schedule, &life, c, trials, 42, threads, &mut sink, &mut prof,
-        )
+        );
     } else {
         simulate(
             &schedule, &life, c, trials, 42, threads, NoopSink, &mut prof,
-        )
-    };
+        );
+    }
     let wall_ns = start.elapsed().as_nanos() as u64;
-    // Parallel shards count their events instead of emitting them; fold
-    // them into the denominator or the parallel scenario under-reports its
-    // event throughput by ~the shard count × trials.
-    let events = traced.then(|| sink.events + mc.shard_events);
+    let events = traced.then_some(sink.events);
     Ok(ScenarioResult {
         mc_trials_per_sec: per_sec(trials, wall_ns),
         ..row(

@@ -11,13 +11,16 @@
 //! into its own output, so it is covered by its PASS/FAIL contract (and the
 //! CLI's `exp --all --quick` drill, which runs every experiment) instead.
 
-use cs_bench::harness::{by_id, run_to_writer, ExpOptions};
+use cs_bench::harness::{by_id, ExpContext, ExpOptions};
 
 fn check(id: &str, golden: &str) {
     let exp = by_id(id).unwrap_or_else(|| panic!("{id} not registered"));
     let mut out: Vec<u8> = Vec::new();
-    run_to_writer(exp, &ExpOptions::default(), &mut out)
-        .unwrap_or_else(|e| panic!("{id} failed: {e}"));
+    exp.run(&mut ExpContext {
+        out: &mut out,
+        opts: &ExpOptions::default(),
+    })
+    .unwrap_or_else(|e| panic!("{id} failed: {e}"));
     let got = String::from_utf8(out).expect("experiment output is UTF-8");
     assert_eq!(
         got, golden,

@@ -18,7 +18,7 @@ mod obs_cmd;
 
 use args::Args;
 use cs_apps::{fmt, pct, Table};
-use cs_bench::harness::{by_id, run_to_writer, ExpOptions};
+use cs_bench::harness::{by_id, ExpContext, ExpOptions};
 use cs_core::{dp, search};
 use cs_life::LifeFunction;
 use cs_now::farm::{Farm, FarmConfig, PolicySpec, WorkstationConfig};
@@ -142,18 +142,15 @@ COMMANDS:
                --id <exp_id>            run one experiment by id
                --all                    run every experiment in paper order
                --quick                  shrink Monte-Carlo budgets (CI smoke)
-               --trace-out <file>       write the event stream as JSONL
                --input <file>           experiment input (exp_obs_validate)
                --threads <n>            with --all: run experiments
                                         concurrently on n threads, this one
                                         included, output buffered per
                                         experiment (bytes identical to
                                         serial; default: available
-                                        parallelism; forced serial with
-                                        --trace-out)
-               --progress-every <s>     RUN-PROGRESS heartbeats on stderr for
-                                        observed runs; with --trace-out also
-                                        line-buffers the trace for tail -f
+                                        parallelism)
+               Experiments print reports only; trace a farm run with
+               `cyclesteal farm --trace-out <file>`.
     obs        Analyze recorded traces and perf baselines.
                report <trace.jsonl>     event counts, span tree, attribution,
                                         pool counters, phase summary
@@ -1048,16 +1045,7 @@ fn threads_from_args(args: &Args) -> Result<usize, String> {
 }
 
 fn cmd_exp(args: &Args) -> Result<(), String> {
-    args.check_known(&[
-        "list",
-        "id",
-        "all",
-        "quick",
-        "trace-out",
-        "input",
-        "threads",
-        "progress-every",
-    ])?;
+    args.check_known(&["list", "id", "all", "quick", "input", "threads"])?;
     let modes = ["list", "all", "id"]
         .iter()
         .filter(|m| args.flag(m))
@@ -1084,23 +1072,10 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
     }
     let opts = ExpOptions {
         quick: args.flag("quick"),
-        trace_out: args.get("trace-out").map(String::from),
         input: args.get("input").map(String::from),
-        progress_every: progress_every_from_args(args)?,
     };
     if args.flag("all") {
         let threads = threads_from_args(args)?;
-        if opts.trace_out.is_some() {
-            // A single trace file cannot carry interleaved event streams:
-            // a traced sweep stays on the serial in-place path.
-            let stdout = std::io::stdout();
-            for exp in registry {
-                println!("== {} [{}] {}", exp.id(), exp.paper(), exp.title());
-                let mut out = stdout.lock();
-                run_to_writer(exp, &opts, &mut out).map_err(|e| format!("{}: {e}", exp.id()))?;
-            }
-            return Ok(());
-        }
         // Experiments render concurrently into per-experiment buffers that
         // are printed in registry order — bytes identical to serial for
         // any thread count.
@@ -1136,9 +1111,11 @@ fn cmd_exp(args: &Args) -> Result<(), String> {
         format!("unknown experiment {id:?}; `cyclesteal exp --list` shows the registry")
     })?;
     println!("== {} [{}] {}", exp.id(), exp.paper(), exp.title());
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    run_to_writer(exp, &opts, &mut out).map_err(|e| format!("{}: {e}", exp.id()))
+    exp.run(&mut ExpContext {
+        out: &mut std::io::stdout().lock(),
+        opts: &opts,
+    })
+    .map_err(|e| format!("{}: {e}", exp.id()))
 }
 
 #[cfg(test)]

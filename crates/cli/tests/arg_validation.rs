@@ -55,6 +55,20 @@ fn exp_rejects_more_than_one_mode() {
 }
 
 #[test]
+fn exp_rejects_trace_and_heartbeat_options() {
+    // Experiments write reports only. A traced `--all` sweep used to
+    // truncate one `--trace-out` file per experiment and leave it empty.
+    assert_rejected(
+        "exp --id exp_saves --trace-out t.jsonl",
+        "unknown option --trace-out",
+    );
+    assert_rejected(
+        "exp --all --quick --progress-every 1",
+        "unknown option --progress-every",
+    );
+}
+
+#[test]
 fn fit_rejects_synthetic_options_with_an_input_file() {
     // They used to be dropped: the file's samples were fitted.
     assert_rejected("fit --input x --synthetic diurnal --days 3", "not both");

@@ -311,6 +311,47 @@ pub struct FarmReport {
     pub robustness: RobustnessTotals,
 }
 
+impl FarmReport {
+    /// The first field in which `self` and `other` differ, described, or
+    /// `None` when they are bitwise equal: floats compare by `to_bits`,
+    /// `robustness` by `==`, and the workstation count before the
+    /// per-workstation banked and lost work, chunks, episodes, lease
+    /// timeouts and duplicate work. Resume and pass-through checks use it.
+    pub fn first_difference(&self, other: &FarmReport) -> Option<String> {
+        let f = |name: &str, x: f64, y: f64| {
+            (x.to_bits() != y.to_bits()).then(|| format!("{name}: {x:?} != {y:?}"))
+        };
+        let n = |name: &str, x: u64, y: u64| (x != y).then(|| format!("{name}: {x} != {y}"));
+        let (a, b) = (self, other);
+        let (wa, wb) = (&a.per_workstation, &b.per_workstation);
+        let totals = [
+            f("makespan", a.makespan, b.makespan),
+            f("completed_work", a.completed_work, b.completed_work),
+            f("lost_work", a.lost_work, b.lost_work),
+            f("remaining_work", a.remaining_work, b.remaining_work),
+            (a.drained != b.drained).then(|| "drained differs".to_string()),
+            (a.robustness != b.robustness).then(|| "robustness differs".to_string()),
+            n("workstations", wa.len() as u64, wb.len() as u64),
+        ];
+        let per_ws = wa.iter().zip(wb).enumerate().flat_map(|(ws, (x, y))| {
+            let name = |field: &str| format!("ws {ws} {field}");
+            [
+                f(&name("completed_work"), x.completed_work, y.completed_work),
+                f(&name("lost_work"), x.lost_work, y.lost_work),
+                n(
+                    &name("chunks_completed"),
+                    x.chunks_completed,
+                    y.chunks_completed,
+                ),
+                n(&name("episodes"), x.episodes, y.episodes),
+                n(&name("lease_timeouts"), x.lease_timeouts, y.lease_timeouts),
+                f(&name("duplicate_work"), x.duplicate_work, y.duplicate_work),
+            ]
+        });
+        totals.into_iter().chain(per_ws).flatten().next()
+    }
+}
+
 /// An event in the farm's virtual-time queue.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
@@ -1376,6 +1417,25 @@ mod tests {
         assert!(r.drained, "remaining = {}", r.remaining_work);
         assert!((r.completed_work - 500.0).abs() < 1e-9);
         assert!(r.makespan.is_finite() && r.makespan > 0.0);
+    }
+
+    #[test]
+    fn first_difference_checks_every_workstation_field_and_the_count() {
+        let a = run_farm(3, PolicySpec::Greedy, 300, 11);
+        assert_eq!(a.first_difference(&a.clone()), None);
+        let mut b = a.clone();
+        b.per_workstation[2].duplicate_work += 1.0;
+        let d = a.first_difference(&b).expect("duplicate work differs");
+        assert!(d.starts_with("ws 2 duplicate_work"), "{d}");
+        let mut b = a.clone();
+        b.per_workstation.pop();
+        let d = a.first_difference(&b).expect("workstation count differs");
+        assert!(d.starts_with("workstations: 3 != 2"), "{d}");
+        let mut b = a.clone();
+        b.lost_work = -b.lost_work;
+        b.per_workstation.clear();
+        let d = a.first_difference(&b).expect("lost work differs");
+        assert!(d.starts_with("lost_work"), "{d}");
     }
 
     #[test]

@@ -1724,21 +1724,7 @@ pub(crate) mod tests {
     }
 
     pub(crate) fn assert_reports_bitwise_equal(a: &FarmReport, b: &FarmReport) {
-        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-        assert_eq!(a.completed_work.to_bits(), b.completed_work.to_bits());
-        assert_eq!(a.lost_work.to_bits(), b.lost_work.to_bits());
-        assert_eq!(a.remaining_work.to_bits(), b.remaining_work.to_bits());
-        assert_eq!(a.drained, b.drained);
-        assert_eq!(a.robustness, b.robustness);
-        assert_eq!(a.per_workstation.len(), b.per_workstation.len());
-        for (x, y) in a.per_workstation.iter().zip(&b.per_workstation) {
-            assert_eq!(x.completed_work.to_bits(), y.completed_work.to_bits());
-            assert_eq!(x.lost_work.to_bits(), y.lost_work.to_bits());
-            assert_eq!(x.chunks_completed, y.chunks_completed);
-            assert_eq!(x.episodes, y.episodes);
-            assert_eq!(x.lease_timeouts, y.lease_timeouts);
-            assert_eq!(x.duplicate_work.to_bits(), y.duplicate_work.to_bits());
-        }
+        assert_eq!(a.first_difference(b), None);
     }
 
     #[test]

@@ -227,14 +227,6 @@ impl EpisodeTable {
     pub fn banked(&self, k: usize) -> f64 {
         self.banked[k]
     }
-
-    /// How many events [`run_episode`] emits for an episode
-    /// interrupted in period `k`: `episode_start`, a start/commit pair per
-    /// completed period, and a start/interrupt pair if `k < m`.
-    #[inline]
-    pub fn event_count(&self, k: usize) -> u64 {
-        1 + 2 * k as u64 + 2 * u64::from(k < self.len())
-    }
 }
 
 /// Outcome of a task-level episode (fluid outcome plus task accounting).

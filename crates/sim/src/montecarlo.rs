@@ -38,16 +38,6 @@ pub struct MonteCarlo {
     pub interrupted_fraction: f64,
     /// Mean number of completed periods.
     pub mean_periods: f64,
-    /// Episode events of the pooled batches. Their traces are not
-    /// emitted (they would interleave nondeterministically across
-    /// threads); each trial's count is taken in closed form from its
-    /// [`EpisodeTable`] lookup instead, so throughput accounting must add
-    /// this to whatever reached the caller's sink. Zero on serial paths,
-    /// where every event reaches the sink and is already counted. Because
-    /// the pooled path replays the exact serial trial stream, this tally
-    /// equals the number of episode events the serial trace would contain —
-    /// batch boundaries cannot skew it.
-    pub shard_events: u64,
     /// The pool's scheduling snapshot (batches run per thread, the
     /// master's included; batches the master ran instead of waiting;
     /// parks), so callers can surface thread utilization. `None` when the
@@ -70,7 +60,7 @@ pub struct MonteCarlo {
 /// trials, and a closing `run_end`. A serial run also traces each
 /// episode's lifecycle (episode times restart at 0 each trial); pooled
 /// batches run untraced, since their events would interleave
-/// nondeterministically, and tally them into `shard_events` instead.
+/// nondeterministically.
 ///
 /// `prof` times the trial loop under an `mc.trials` root span: serially
 /// one `mc.trial_batch` child per progress stride; pooled, one each of
@@ -128,7 +118,6 @@ pub fn simulate<S: EventSink>(
         work,
         interrupted_fraction: tally.interrupted as f64 / trials.max(1) as f64,
         mean_periods: tally.periods as f64 / trials.max(1) as f64,
-        shard_events: tally.events,
         pool,
     };
     sink.emit(&Event {
@@ -147,14 +136,12 @@ pub fn simulate<S: EventSink>(
 struct BatchTally {
     interrupted: u64,
     periods: u64,
-    events: u64,
 }
 
 impl BatchTally {
     fn add(&mut self, other: &BatchTally) {
         self.interrupted += other.interrupted;
         self.periods += other.periods;
-        self.events += other.events;
     }
 }
 
@@ -162,8 +149,7 @@ impl BatchTally {
 /// interval) runs inside an `mc.trial_batch` span, so the profiler's
 /// `span_ns.mc.trial_batch` histogram shows how batch latency is
 /// distributed across the run. The profiler only reads the wall clock —
-/// trial order, RNG draws and tallies are untouched. Every event reaches
-/// the sink, so `events` stays zero.
+/// trial order, RNG draws and tallies are untouched.
 #[allow(clippy::too_many_arguments)]
 fn serial_trials<S: EventSink>(
     schedule: &Schedule,
@@ -268,7 +254,6 @@ fn pooled_trials<S: EventSink>(
             outs.push(table.banked(k));
             tally.interrupted += u64::from(k < table.len());
             tally.periods += k as u64;
-            tally.events += table.event_count(k);
         }
         (outs, tally)
     };
@@ -740,57 +725,5 @@ mod tests {
         for e in &sink.events {
             assert_eq!(cs_obs::Event::from_jsonl(&e.to_jsonl()).as_ref(), Ok(e));
         }
-    }
-
-    #[test]
-    fn parallel_counts_shard_events_serial_does_not() {
-        use cs_obs::MemorySink;
-        let p = Uniform::new(200.0).unwrap();
-        let s = sched(&[60.0, 50.0]);
-        // Serial: every event reaches the sink, so nothing is shard-only.
-        let mut sink = MemorySink::new();
-        let serial = simulate(
-            &s,
-            &p,
-            4.0,
-            2000,
-            7,
-            1,
-            &mut sink,
-            &mut SpanProfiler::disabled(),
-        );
-        assert_eq!(serial.shard_events, 0);
-        let serial_episode_events = sink
-            .events
-            .iter()
-            .filter(|e| {
-                !matches!(
-                    e.kind,
-                    cs_obs::EventKind::RunStart { .. }
-                        | cs_obs::EventKind::RunEnd { .. }
-                        | cs_obs::EventKind::McProgress { .. }
-                )
-            })
-            .count() as u64;
-        // Parallel: workers trace nothing into the sink, but their event
-        // production is tallied — and because the pooled path replays the
-        // exact serial trial stream, the tally EQUALS the serial trace's
-        // episode event count, independent of batch boundaries.
-        let par = simulate(
-            &s,
-            &p,
-            4.0,
-            2000,
-            7,
-            4,
-            NoopSink,
-            &mut SpanProfiler::disabled(),
-        );
-        assert_eq!(par.shard_events, serial_episode_events);
-        assert!(
-            par.shard_events >= 2 * 2000,
-            "shard_events {} < 2 per trial",
-            par.shard_events
-        );
     }
 }
